@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,6 @@ class RunConfig:
     steps: int = 0
     periods: float = 1.0
     store_every: int = 0
-    extra: dict = field(default_factory=dict)
 
     def to_json(self):
         d = asdict(self)
@@ -57,8 +56,12 @@ class RunConfig:
 
 
 def _read_config_file(path):
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -69,11 +72,59 @@ def _read_config_file(path):
     return values
 
 
+def _to_float(key, val):
+    try:
+        out = float(val)
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {val!r}") from None
+    if not np.isfinite(out):
+        raise ConfigError(f"{key} must be finite, got {val!r}")
+    return out
+
+
 def _parse_velocities(text):
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != 4:
         raise ConfigError("expected four interface velocities w,x,y,z")
-    return tuple(float(p) for p in parts)
+    return tuple(_to_float("a", p) for p in parts)
+
+
+def _convert(key, val, kind):
+    """Typed value of one option given on the command line or in a file."""
+    if kind is float:
+        return _to_float(key, val)
+    if kind is int:
+        try:
+            return int(val)
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer, "
+                              f"got {val!r}") from None
+    return str(val)
+
+
+def _check_ranges(cfg):
+    pc.classify_config(cfg.a)  # raises ConfigError with the width message
+    if cfg.m < 1:
+        raise ConfigError("fold m must be a positive integer")
+    if cfg.n < 8:
+        raise ConfigError("truncation n must be at least 8")
+    if cfg.tol <= 0 or cfg.s0 <= 0:
+        raise ConfigError("tolerances and steps must be positive")
+    if cfg.s < 0 or cfg.sigma < 0:
+        raise ConfigError("norm indices s and sigma must be nonnegative")
+    if cfg.h_min <= 0 or cfg.h_max <= 0:
+        raise ConfigError("step bounds h_min and h_max must be positive")
+    if cfg.h_min > cfg.h_max:
+        raise ConfigError(f"h_min={cfg.h_min:g} exceeds h_max={cfg.h_max:g}")
+    if cfg.max_points < 1:
+        raise ConfigError("max_points must be at least 1")
+    if cfg.periods <= 0:
+        raise ConfigError("periods must be positive")
+    if cfg.arm not in ("both", "+", "-"):
+        raise ConfigError(f"arm must be both, + or -, got {cfg.arm!r}")
+    for key in ("dt", "steps", "store_every", "snapshot_every"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"{key} must be nonnegative")
 
 
 def build_parser():
@@ -160,32 +211,20 @@ def parse(argv):
     ns = parser.parse_args(_merge_value_flags(argv))
     values = _read_config_file(ns.config) if ns.config else {}
     for key, val in vars(ns).items():
-        if key in ("config",) or val is None:
+        if key in ("config", "command") or val is None:
             continue
         values[key] = val
 
     if "a" not in values:
         raise ConfigError("missing interface velocities (--a w,x,y,z)")
-    a = values["a"]
-    if isinstance(a, str):
-        a = _parse_velocities(a)
-    cfg = RunConfig(command=ns.command, a=tuple(float(x) for x in a))
+    cfg = RunConfig(command=ns.command, a=_parse_velocities(values.pop("a")))
+    kinds = {f.name: type(getattr(cfg, f.name)) for f in fields(cfg)
+             if f.name not in ("a", "command")}
     for key, val in values.items():
-        if key in ("a", "command"):
-            continue
-        if not hasattr(cfg, key):
-            cfg.extra[key] = val
-            continue
-        current = getattr(cfg, key)
-        setattr(cfg, key, type(current)(val))
-
-    pc.classify_config(cfg.a)  # raises ConfigError with the width message
-    if cfg.m < 1:
-        raise ConfigError("fold m must be a positive integer")
-    if cfg.n < 8:
-        raise ConfigError("truncation n must be at least 8")
-    if cfg.tol <= 0 or cfg.s0 <= 0:
-        raise ConfigError("tolerances and steps must be positive")
+        if key not in kinds:
+            raise ConfigError(f"unknown option {key!r}")
+        setattr(cfg, key, _convert(key, val, kinds[key]))
+    _check_ranges(cfg)
     return cfg
 
 

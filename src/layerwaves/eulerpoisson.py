@@ -41,10 +41,10 @@ class EPState:
                 "u_minus": {"mean": 0.0, "series": self.u_minus.to_json()}}
 
     def min_density(self, points=512):
-        x = np.linspace(0.0, 2.0 * np.pi / self.rho_plus.fold, points,
-                        endpoint=False)
-        return float(min(np.min(self.rho_plus.eval(x)),
-                         np.min(self.rho_minus.eval(x))) + self.base_a)
+        rho = (self.rho_plus, self.rho_minus)
+        vals = sp.grid_values(np.array([r.cos for r in rho]),
+                              np.array([r.sin for r in rho]), points)
+        return float(np.min(vals) + self.base_a)
 
 
 def _require_symmetric(cfg):
@@ -113,9 +113,6 @@ def ep_residual(state):
     n = state.rho_plus.count
     out_n = 3 * n + 3
     residuals = {}
-    sups = {}
-    x = np.linspace(0.0, 2.0 * np.pi / state.rho_plus.fold, 8 * out_n,
-                    endpoint=False)
     force = sp.antideriv(state.rho_plus - state.rho_minus)
     for tag, rho0, u0, sign in (("plus", state.rho_plus, state.u_plus, -1.0),
                                 ("minus", state.rho_minus, state.u_minus, 1.0)):
@@ -130,8 +127,11 @@ def ep_residual(state):
                + sign * 2.0 * (rho.mul(_MeanSeries(0.0, force), out_n).series))
         residuals[f"continuity_{tag}"] = cont
         residuals[f"momentum_{tag}"] = mom
-        sups[f"continuity_{tag}"] = float(np.max(np.abs(cont.eval(x))))
-        sups[f"momentum_{tag}"] = float(np.max(np.abs(mom.eval(x))))
+    series = list(residuals.values())
+    vals = sp.grid_values(np.array([f.cos for f in series]),
+                          np.array([f.sin for f in series]), 8 * out_n)
+    sups = {name: float(v) for name, v
+            in zip(residuals, np.max(np.abs(vals), axis=1))}
     return residuals, sups
 
 

@@ -105,7 +105,10 @@ class TrigSeries:
         return TrigSeries(self.fold, c, s, self.parity)
 
     def eval(self, x):
-        """Evaluate the series at the points x (radians on the torus)."""
+        """Evaluate the series at the points x (radians on the torus).
+
+        O(len(x) * count); uniform grids of one fold period go through
+        grid_values instead."""
         x = np.asarray(x, dtype=float)
         phase = np.multiply.outer(x, self.wavenumbers())
         return np.cos(phase) @ self.cos + np.sin(phase) @ self.sin
@@ -229,6 +232,27 @@ def shift(f, h):
     new_cos = cw * f.cos + sw * f.sin
     new_sin = cw * f.sin - sw * f.cos
     return TrigSeries(f.fold, new_cos, new_sin, FULL)
+
+
+def grid_values(cos, sin, npts):
+    """Values of stacked series at the npts uniform points of one fold period.
+
+    Row i of the (k, N) arrays cos and sin holds the coefficients of
+    harmonics 1..N of one series; column p of the (k, npts) result is
+    its value at x = 2 pi p / (fold * npts).  All rows go through one
+    inverse real FFT.  Harmonics at or above npts/2 are first folded
+    onto the grid frequency they alias to, so the values are exact for
+    every npts, also at or below 2N.
+    """
+    k, n = cos.shape
+    reps = n // npts + 1
+    z = np.zeros((k, reps * npts), dtype=complex)
+    z[:, 1:n + 1] = cos - 1j * sin
+    # g[q]: sum of c_j - i s_j over the harmonics j = q (mod npts)
+    g = z.reshape(k, reps, npts).sum(axis=1)
+    q = np.arange(npts // 2 + 1)
+    half = g[:, q] + np.conj(g[:, -q % npts])
+    return np.fft.irfft(half, n=npts, axis=1) * (0.5 * npts)
 
 
 def pair(f, g):

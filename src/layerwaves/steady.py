@@ -187,39 +187,46 @@ def jacobian(cfg, c, state):
 def monitors(cfg, c, state, grid_factor=16):
     """(min strip gap, min relative speed) over one fold period.
 
-    Grid of grid_factor*N points plus one Newton polish of the located
-    minimum (an interior extremum or a sign crossing).
+    The six monitored series (two strip widths, four relative speeds)
+    and their derivatives are evaluated on a grid of grid_factor*N
+    points by two batched inverse FFTs (spectral.grid_values).  The
+    located minimum (an interior extremum or a sign crossing) then gets
+    one Newton polish by direct evaluation off the grid.
     """
     n, fold = state.count, state.fold
-    x = np.linspace(0.0, 2.0 * np.pi / fold, grid_factor * n, endpoint=False)
+    npts = grid_factor * n
+    x = np.linspace(0.0, 2.0 * np.pi / fold, npts, endpoint=False)
+    s = state.series
+    series = [s[1] - s[0], s[3] - s[2], *s]
+    derivs = [sp.deriv(f) for f in series]
+    offsets = np.concatenate([[cfg.width, cfg.width], cfg.as_array() - c])
+    vals = sp.grid_values(np.array([f.cos for f in series]),
+                          np.array([f.sin for f in series]), npts)
+    vals += offsets[:, None]
+    dvals = sp.grid_values(np.array([f.cos for f in derivs]),
+                           np.array([f.sin for f in derivs]), npts)
 
-    def min_abs(series, offset):
-        vals = series.eval(x) + offset
-        idx = int(np.argmin(np.abs(vals)))
-        best = abs(vals[idx])
-        ds = sp.deriv(series)
-        dvals = ds.eval(x)
-        if np.min(vals) < 0.0 < np.max(vals):
+    def min_abs(i):
+        v, dv, f, offset = vals[i], dvals[i], series[i], offsets[i]
+        idx = int(np.argmin(np.abs(v)))
+        best = abs(v[idx])
+        x0 = x[idx]
+        if np.min(v) < 0.0 < np.max(v):
             # zero crossing: one Newton step on the value
-            x0 = x[idx]
-            g, dg = vals[idx], dvals[idx]
+            g, dg = v[idx], dv[idx]
             if dg != 0.0:
                 x1 = x0 - g / dg
-                best = min(best, abs(series.eval([x1])[0] + offset))
+                best = min(best, abs(f.eval([x1])[0] + offset))
         else:
             # interior extremum: one Newton step on the derivative
-            x0 = x[idx]
-            d2 = sp.deriv(ds).eval([x0])[0]
+            d2 = sp.deriv(derivs[i]).eval([x0])[0]
             if d2 != 0.0:
-                x1 = x0 - dvals[idx] / d2
-                best = min(best, abs(series.eval([x1])[0] + offset))
+                x1 = x0 - dv[idx] / d2
+                best = min(best, abs(f.eval([x1])[0] + offset))
         return best
 
-    s = state.series
-    gap = min(min_abs(s[1] - s[0], cfg.width),
-              min_abs(s[3] - s[2], cfg.width))
-    a = cfg.as_array()
-    slip = min(min_abs(s[i], a[i] - c) for i in range(4))
+    gap = min(min_abs(0), min_abs(1))
+    slip = min(min_abs(i) for i in range(2, 6))
     return gap, slip
 
 

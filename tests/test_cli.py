@@ -50,6 +50,53 @@ def test_bad_widths_exits_2_and_names_constraint(tmp_path, capsys):
     assert "widths must be equal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["continue", "--h-min", "0"], "must be positive"),
+    (["continue", "--h-max", "-1"], "must be positive"),
+    (["continue", "--h-min", "0.5", "--h-max", "0.1"], "exceeds h_max"),
+    (["continue", "--max-points", "0"], "max_points must be at least 1"),
+    (["continue", "--snapshot-every", "-1"], "snapshot_every must be"),
+    (["evolve", "--periods", "-1"], "periods must be positive"),
+    (["evolve", "--dt", "-0.1"], "dt must be nonnegative"),
+    (["evolve", "--steps", "-3"], "steps must be nonnegative"),
+    (["evolve", "--store-every", "-2"], "store_every must be nonnegative"),
+    (["evolve", "--periods", "inf"], "periods must be finite"),
+    (["continue", "--sigma", "-0.1"], "must be nonnegative"),
+    (["speeds", "--config", "missing.conf"], "cannot read config file"),
+])
+def test_out_of_range_option_exits_2(args, message, tmp_path, capsys):
+    code = run_cli(args + ["--a", "-1,1,-1,1", "--m", "1"], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
+    assert not (tmp_path / "error.json").exists()
+
+
+def test_config_file_unknown_key_exits_2(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("a = -1,1,-1,1\nmax_point = 3\n")
+    code = cli.main(["continue", "--config", str(conf),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "unknown option 'max_point'" in capsys.readouterr().err
+    assert not (tmp_path / "diagram.csv").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("n = abc", "n must be an integer"),
+    ("sigma = wide", "sigma must be a number"),
+    ("a = -1,1,x,1", "a must be a number"),
+    ("arm = up", "arm must be both, + or -"),
+])
+def test_config_file_unparsable_value_exits_2(line, message, tmp_path,
+                                              capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"a = -1,1,-1,1\n{line}\n")
+    code = cli.main(["speeds", "--config", str(conf), "--out", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_2(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()

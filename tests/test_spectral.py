@@ -111,6 +111,26 @@ def test_multiply_matches_grid_sampling():
         assert np.max(np.abs(sin_proj - prod.sin)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("parity", [EVEN, ODD, FULL])
+@pytest.mark.parametrize("fold", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 8, 16, 64, 256])
+def test_grid_values_match_direct_evaluation(parity, fold, count):
+    rng = np.random.default_rng(count + 10 * fold)
+    rows = [random_series(rng, fold, count, parity) for _ in range(3)]
+    cos = np.array([f.cos for f in rows])
+    sin = np.array([f.sin for f in rows])
+    scale = max(np.sum(np.abs(f.cos)) + np.sum(np.abs(f.sin)) for f in rows)
+    # above 2N (padded), exactly 2N (Nyquist), below 2N (folded), and
+    # sizes that are not powers of two on both sides
+    for npts in sorted({16 * count, 4 * count + 3, 2 * count + 1, 2 * count,
+                        2 * count - 1, count + 1, 7, 3, 1}):
+        x = np.linspace(0.0, 2.0 * np.pi / fold, npts, endpoint=False)
+        got = sp.grid_values(cos, sin, npts)
+        assert got.shape == (3, npts)
+        want = np.array([f.eval(x) for f in rows])
+        assert np.max(np.abs(got - want)) < 1e-13 * scale, npts
+
+
 def test_norm_values_and_properties():
     f = TrigSeries.from_cos(5, [1.0])
     assert sp.norm(f, NormParams(1.0, 0.5)) == pytest.approx(np.exp(0.5))

@@ -164,6 +164,48 @@ def test_monitors_flat_and_shift_invariance(sym_cfg):
     assert m_orig == pytest.approx(m_shift, abs=1e-12)
 
 
+def direct_monitors(cfg, c, state, grid_factor=16):
+    """Monitors with every grid value from TrigSeries.eval (test oracle)."""
+    x = np.linspace(0.0, 2.0 * np.pi / state.fold, grid_factor * state.count,
+                    endpoint=False)
+
+    def min_abs(series, offset):
+        vals = series.eval(x) + offset
+        idx = int(np.argmin(np.abs(vals)))
+        best = abs(vals[idx])
+        ds = sp.deriv(series)
+        dvals = ds.eval(x)
+        if np.min(vals) < 0.0 < np.max(vals):
+            step = vals[idx] / dvals[idx] if dvals[idx] != 0.0 else None
+        else:
+            d2 = sp.deriv(ds).eval([x[idx]])[0]
+            step = dvals[idx] / d2 if d2 != 0.0 else None
+        if step is not None:
+            best = min(best, abs(series.eval([x[idx] - step])[0] + offset))
+        return best
+
+    s = state.series
+    a = cfg.as_array()
+    gap = min(min_abs(s[1] - s[0], cfg.width), min_abs(s[3] - s[2], cfg.width))
+    slip = min(min_abs(s[i], a[i] - c) for i in range(4))
+    return gap, slip
+
+
+def test_monitors_match_direct_evaluation(sym_cfg, gen_cfg, sym_branch_pair):
+    rng = np.random.default_rng(11)
+    cases = [(gen_cfg, 1.7, random_state(rng, fold, count, scale))
+             for fold, count, scale in ((1, 8, 0.05), (2, 16, 0.3),
+                                        (3, 64, 0.01), (1, 256, 0.002))]
+    # branch states of growing amplitude along both arms
+    for arm in sym_branch_pair:
+        cases += [(sym_cfg, p.solution.c, p.solution.state)
+                  for p in arm.points[::8]]
+    for cfg, c, state in cases:
+        got = st.monitors(cfg, c, state)
+        want = direct_monitors(cfg, c, state)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
 def test_monitor_grid_resolves_narrow_dip(sym_cfg):
     # a profile whose minimum gap sits between grid points
     n = 8
