@@ -21,8 +21,12 @@ from . import eulerpoisson as ep
 from . import localbranch as lb
 from . import pencil as pc
 from . import steady as st
-from .errors import ConfigError, LayerError
+from .errors import ConfigError, LayerError, WaveFileError
 from .spectral import NormParams
+
+# Largest accepted truncation --n.  The dense (4N+1)^2 Newton Jacobian
+# takes 134 MB at this bound and grows fourfold per doubling.
+MAX_N = 1024
 
 
 @dataclass
@@ -108,6 +112,8 @@ def _check_ranges(cfg):
         raise ConfigError("fold m must be a positive integer")
     if cfg.n < 8:
         raise ConfigError("truncation n must be at least 8")
+    if cfg.n > MAX_N:
+        raise ConfigError(f"truncation n must be at most {MAX_N}")
     if cfg.tol <= 0 or cfg.s0 <= 0:
         raise ConfigError("tolerances and steps must be positive")
     if cfg.s < 0 or cfg.sigma < 0:
@@ -135,7 +141,7 @@ def build_parser():
                         help="four interface velocities w,x,y,z")
     common.add_argument("--m", type=int, default=None, help="fold symmetry")
     common.add_argument("--n", type=int, default=None,
-                        help="harmonic truncation (>= 8)")
+                        help=f"harmonic truncation (8 to {MAX_N})")
     common.add_argument("--s", type=float, default=None,
                         help="regularity index of the coefficient norm")
     common.add_argument("--sigma", type=float, default=None,
@@ -316,11 +322,25 @@ def _cmd_continue(run, layer, outdir):
 
 
 def _load_wave(path):
-    obj = json.loads(Path(path).read_text())
-    layer = pc.classify_config(obj["a"])
-    state = st.InterfaceState.from_json(
-        [obj["series"][name] for name in st.COMPONENT_NAMES])
-    return layer, float(obj["c"]), state
+    """Layer, speed and state stored in a wave snapshot JSON file."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: not text or JSON
+        raise WaveFileError(f"cannot read wave file {path}: {exc}") from None
+    try:
+        layer = pc.classify_config(obj["a"])
+        c = float(obj["c"])
+        state = st.InterfaceState.from_json(
+            [obj["series"][name] for name in st.COMPONENT_NAMES])
+    except KeyError as exc:
+        raise WaveFileError(f"wave file {path} lacks key {exc}") from None
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise WaveFileError(f"invalid wave file {path}: {exc}") from None
+    if not np.isfinite(c):
+        raise WaveFileError(f"invalid wave file {path}: c={c} is not finite")
+    if state.count < 1:
+        raise WaveFileError(f"invalid wave file {path}: no harmonics")
+    return layer, c, state
 
 
 def _cmd_evolve(run, layer, outdir):

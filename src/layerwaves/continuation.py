@@ -24,6 +24,16 @@ COLLISION = "collision"
 DEGENERACY = "degeneracy"
 STEP_LIMIT = "step_limit"
 
+GROWTH = 1.3                 # step-size growth factor
+FAST_ITERS = 4               # grow the step when Newton is this fast
+MAX_NEWTON = 25
+LOOP_TOL = 1e-8
+BLOW_UP_CAP = 1e6
+COLLISION_TOL = 1e-6
+DEGENERACY_TOL = 1e-6
+TAIL_FRACTION = 0.25         # share of the harmonics checked as the tail
+TAIL_NORM_TOL = 1e-8         # double N when the tail exceeds this share
+
 
 @dataclass
 class ContinuationOptions:
@@ -31,18 +41,9 @@ class ContinuationOptions:
     s0: float = 1e-3             # initial kernel amplitude
     h_min: float = 1e-7
     h_max: float = 0.1
-    growth: float = 1.3
-    fast_iters: int = 4          # grow the step when Newton is this fast
     newton_tol: float = 1e-11
-    max_newton: int = 25
     max_points: int = 200
     norm_params: NormParams = field(default_factory=NormParams)
-    loop_tol: float = 1e-8
-    blow_up_cap: float = 1e6
-    collision_tol: float = 1e-6
-    degeneracy_tol: float = 1e-6
-    tail_fraction: float = 0.25
-    tail_norm_tol: float = 1e-8
     max_count: int = 256
 
 
@@ -107,8 +108,7 @@ def _unstack(u, fold, count):
     return float(u[0]), st.InterfaceState.from_vector(fold, count, u[1:])
 
 
-def newton_correct(cfg, guess, constraint, fold, count,
-                   tol=1e-11, max_iter=25):
+def newton_correct(cfg, guess, constraint, fold, count, tol=1e-11):
     """Damped Newton on [residual; arclength constraint].
 
     Returns (WaveSolution, iterations).  Raises CorrectionFailedError on
@@ -126,7 +126,7 @@ def newton_correct(cfg, guess, constraint, fold, count,
 
     res, state = full_residual(u)
     sup = np.max(np.abs(res))
-    for it in range(max_iter):
+    for it in range(MAX_NEWTON):
         if sup <= tol:
             c, state = _unstack(u, fold, count)
             return st.solution_at(cfg, c, state), it
@@ -154,9 +154,9 @@ def newton_correct(cfg, guess, constraint, fold, count,
         u, res, state, sup = trial, res_t, state_t, sup_t
     if sup <= tol:
         c, state = _unstack(u, fold, count)
-        return st.solution_at(cfg, c, state), max_iter
+        return st.solution_at(cfg, c, state), MAX_NEWTON
     raise CorrectionFailedError(
-        f"correction-failed: residual {sup:.3e} after {max_iter} iterations")
+        f"correction-failed: residual {sup:.3e} after {MAX_NEWTON} iterations")
 
 
 def _compact_index(sol, norm_params):
@@ -183,13 +183,13 @@ def detect_termination(branch, opts=None):
                 + max(sp.norm(a - b, opts.norm_params)
                       for a, b in zip(sol.state.series,
                                       first.solution.state.series)))
-        if dist <= opts.loop_tol:
+        if dist <= LOOP_TOL:
             triggered.append(LOOP)
-    if 1.0 + abs(sol.c) + norm_r >= opts.blow_up_cap:
+    if 1.0 + abs(sol.c) + norm_r >= BLOW_UP_CAP:
         triggered.append(BLOW_UP)
-    if sol.monitors[0] <= opts.collision_tol:
+    if sol.monitors[0] <= COLLISION_TOL:
         triggered.append(COLLISION)
-    if sol.monitors[1] <= opts.degeneracy_tol:
+    if sol.monitors[1] <= DEGENERACY_TOL:
         triggered.append(DEGENERACY)
     if len(branch.points) >= opts.max_points:
         triggered.append(STEP_LIMIT)
@@ -201,13 +201,13 @@ def detect_termination(branch, opts=None):
 
 def _tail_heavy(state, opts):
     n = state.count
-    head = int(np.ceil((1.0 - opts.tail_fraction) * n))
+    head = int(np.ceil((1.0 - TAIL_FRACTION) * n))
     total = state.norm(opts.norm_params)
     if total == 0.0:
         return False
     tail = max(sp.norm(series - series.with_count(head).with_count(n),
                        opts.norm_params) for series in state.series)
-    return tail > opts.tail_norm_tol * total
+    return tail > TAIL_NORM_TOL * total
 
 
 def _advance(branch, u_prev, tangent, ds, opts):
@@ -226,8 +226,7 @@ def _advance(branch, u_prev, tangent, ds, opts):
         c_g, state_g = _unstack(guess_u, fold, count)
         try:
             sol, iters = newton_correct(cfg, (c_g, state_g), constraint,
-                                        fold, count, opts.newton_tol,
-                                        opts.max_newton)
+                                        fold, count, opts.newton_tol)
         except CorrectionFailedError:
             ds *= 0.5
             if ds < opts.h_min:
@@ -237,12 +236,9 @@ def _advance(branch, u_prev, tangent, ds, opts):
             continue
 
         if _tail_heavy(sol.state, opts) and count * 2 <= opts.max_count:
+            u_prev = _embed(u_prev, count, 2 * count)
+            tangent = _embed(tangent, count, 2 * count)
             count *= 2
-            u_prev = _stack(u_prev[0],
-                            st.InterfaceState.from_vector(fold, count // 2,
-                                                          u_prev[1:])
-                            .with_count(count))
-            tangent = _embed_tangent(tangent, count // 2, count)
             continue
 
         u_new = _stack(sol.c, sol.state)
@@ -250,20 +246,21 @@ def _advance(branch, u_prev, tangent, ds, opts):
         s_acc += step_len
         tangent = (u_new - u_prev) / step_len
         u_prev = u_new
-        if iters <= opts.fast_iters:
-            ds = min(ds * opts.growth, opts.h_max)
+        if iters <= FAST_ITERS:
+            ds = min(ds * GROWTH, opts.h_max)
         branch.points.append(BranchPoint(
             s=s_acc, solution=sol, tangent=tangent, next_step=ds,
             newton_iters=iters,
             compact_index=_compact_index(sol, opts.norm_params)))
 
 
-def _embed_tangent(tangent, old_count, new_count):
+def _embed(u, old_count, new_count):
+    """Zero-pad an augmented (c, 4 stacked coefficient blocks) vector."""
     out = np.zeros(1 + 4 * new_count)
-    out[0] = tangent[0]
+    out[0] = u[0]
     for i in range(4):
         out[1 + i * new_count: 1 + i * new_count + old_count] = \
-            tangent[1 + i * old_count: 1 + (i + 1) * old_count]
+            u[1 + i * old_count: 1 + (i + 1) * old_count]
     return out
 
 
@@ -282,8 +279,7 @@ def trace_arm(origin, arm, opts):
     constraint = ArclengthConstraint(tangent, u0, ds)
     try:
         sol, iters = newton_correct(origin.cfg, (c_g, state_g), constraint,
-                                    fold, count, opts.newton_tol,
-                                    opts.max_newton)
+                                    fold, count, opts.newton_tol)
     except CorrectionFailedError as exc:
         raise CannotStartError(f"cannot-start: {exc}") from exc
 

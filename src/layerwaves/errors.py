@@ -29,5 +29,9 @@ class NoAdmissibleModeError(LayerError):
     """Scan exhausted without finding a mode with four simple real speeds."""
 
 
+class WaveFileError(LayerError):
+    """A wave snapshot file cannot be read or does not hold a valid wave."""
+
+
 class DivergedError(LayerError):
     """Time evolution produced non-finite coefficients."""

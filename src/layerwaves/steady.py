@@ -21,6 +21,9 @@ D_COEF = np.array([-1.0, 1.0, 1.0, -1.0])
 
 COMPONENT_NAMES = ("plus1", "plus2", "minus1", "minus2")
 
+# The monitors sample one fold period at this many points per harmonic.
+MONITOR_GRID_FACTOR = 16
+
 
 class InterfaceState:
     """Four even, zero-mean cosine series with common fold and truncation."""
@@ -184,17 +187,17 @@ def jacobian(cfg, c, state):
     return J
 
 
-def monitors(cfg, c, state, grid_factor=16):
+def monitors(cfg, c, state):
     """(min strip gap, min relative speed) over one fold period.
 
     The six monitored series (two strip widths, four relative speeds)
-    and their derivatives are evaluated on a grid of grid_factor*N
+    and their derivatives are evaluated on a grid of MONITOR_GRID_FACTOR*N
     points by two batched inverse FFTs (spectral.grid_values).  The
     located minimum (an interior extremum or a sign crossing) then gets
     one Newton polish by direct evaluation off the grid.
     """
     n, fold = state.count, state.fold
-    npts = grid_factor * n
+    npts = MONITOR_GRID_FACTOR * n
     x = np.linspace(0.0, 2.0 * np.pi / fold, npts, endpoint=False)
     s = state.series
     series = [s[1] - s[0], s[3] - s[2], *s]

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from layerwaves import cli
+from layerwaves import cli, steady
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -63,6 +63,7 @@ def test_bad_widths_exits_2_and_names_constraint(tmp_path, capsys):
     (["evolve", "--periods", "inf"], "periods must be finite"),
     (["continue", "--sigma", "-0.1"], "must be nonnegative"),
     (["speeds", "--config", "missing.conf"], "cannot read config file"),
+    (["speeds", "--n", str(cli.MAX_N + 1)], f"at most {cli.MAX_N}"),
 ])
 def test_out_of_range_option_exits_2(args, message, tmp_path, capsys):
     code = run_cli(args + ["--a", "-1,1,-1,1", "--m", "1"], tmp_path)
@@ -70,6 +71,40 @@ def test_out_of_range_option_exits_2(args, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and message in err
     assert not (tmp_path / "error.json").exists()
+
+
+def test_n_at_bound_accepted(tmp_path):
+    assert run_cli(["speeds", "--a", "-1,1,-1,1", "--n", str(cli.MAX_N)],
+                   tmp_path) == 0
+
+
+def _wave_with_mismatched_counts():
+    tone = {"fold": 1, "cos": [0.01], "sin": [0.0], "parity": "even-cosine"}
+    series = {name: dict(tone) for name in steady.COMPONENT_NAMES}
+    series["plus1"] = dict(tone, cos=[0.01, 0.0], sin=[0.0, 0.0])
+    return json.dumps({"a": [-1, 1, -1, 1], "c": 2.2, "series": series})
+
+
+@pytest.mark.parametrize("command", ["evolve", "ep"])
+@pytest.mark.parametrize("text, reason", [
+    (None, "No such file"),
+    ("not json {", "Expecting value"),
+    ('{"a": [-1, 1, -1, 1], "c": 2.2}', "lacks key 'series'"),
+    (_wave_with_mismatched_counts(),
+     "components must share fold and truncation"),
+])
+def test_bad_wave_file_exits_1_with_error_json(command, text, reason,
+                                               tmp_path, capsys):
+    wave = tmp_path / "wave.json"
+    if text is not None:
+        wave.write_text(text)
+    code = run_cli([command, "--a", "-1,1,-1,1", "--from-wave", str(wave)],
+                   tmp_path)
+    assert code == 1
+    error = json.loads((tmp_path / "error.json").read_text())
+    assert error["error"] == "WaveFileError"
+    assert str(wave) in error["message"] and reason in error["message"]
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):

@@ -164,10 +164,10 @@ def test_monitors_flat_and_shift_invariance(sym_cfg):
     assert m_orig == pytest.approx(m_shift, abs=1e-12)
 
 
-def direct_monitors(cfg, c, state, grid_factor=16):
+def direct_monitors(cfg, c, state):
     """Monitors with every grid value from TrigSeries.eval (test oracle)."""
-    x = np.linspace(0.0, 2.0 * np.pi / state.fold, grid_factor * state.count,
-                    endpoint=False)
+    x = np.linspace(0.0, 2.0 * np.pi / state.fold,
+                    st.MONITOR_GRID_FACTOR * state.count, endpoint=False)
 
     def min_abs(series, offset):
         vals = series.eval(x) + offset
