@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -343,9 +343,17 @@ def _load_wave(path):
     return layer, c, state
 
 
+def _wave_run(run, layer, state):
+    """The run configuration with the velocities, fold and truncation of a
+    loaded wave, which the computation uses in place of --a, --m and --n."""
+    return replace(run, a=tuple(layer.as_array().tolist()), m=state.fold,
+                   n=state.count)
+
+
 def _cmd_evolve(run, layer, outdir):
     if run.from_wave:
         layer, c, state = _load_wave(run.from_wave)
+        run = _wave_run(run, layer, state)
         phase = dy.PhaseState.from_interface(state)
         horizon = run.periods * 2.0 * np.pi / (state.fold * max(abs(c), 1e-12))
     else:
@@ -375,6 +383,7 @@ def _cmd_evolve(run, layer, outdir):
 def _cmd_ep(run, layer, outdir):
     if run.from_wave:
         layer, c, state = _load_wave(run.from_wave)
+        run = _wave_run(run, layer, state)
         sol = st.solution_at(layer, c, state)
     else:
         sol = st.solution_at(layer, 0.0, st.InterfaceState.zero(run.m, run.n))

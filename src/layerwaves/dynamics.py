@@ -13,7 +13,7 @@ import numpy as np
 
 from . import spectral as sp
 from .errors import DivergedError
-from .spectral import FULL, TrigSeries
+from .spectral import TrigSeries
 
 # Sign of the nonlocal coupling per component (+ species positive) and
 # the alternating signs of the Hamiltonian operator J = diag(+-d/dx).
@@ -23,9 +23,14 @@ KIN_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])  # (-1)^k per component
 
 
 class PhaseState:
-    """Four full-parity, zero-mean series with a common fold and truncation."""
+    """Four full-parity, zero-mean series with a common fold and truncation.
 
-    __slots__ = ("series",)
+    The coefficients of harmonics 1..N are held as (4, N) read-only float
+    arrays `cos` and `sin`, one row per component; TrigSeries appear only
+    when a state is built from or read out as series.
+    """
+
+    __slots__ = ("fold", "cos", "sin")
 
     def __init__(self, series):
         series = tuple(series)
@@ -35,36 +40,52 @@ class PhaseState:
         for s in series:
             if s.fold != fold or s.count != count:
                 raise ValueError("components must share fold and truncation")
-        self.series = tuple(
-            s if s.parity == FULL else TrigSeries(s.fold, s.cos, s.sin, FULL)
-            for s in series)
+        self._set(fold, np.array([s.cos for s in series]),
+                  np.array([s.sin for s in series]))
+
+    def _set(self, fold, cos, sin):
+        cos.setflags(write=False)
+        sin.setflags(write=False)
+        self.fold, self.cos, self.sin = fold, cos, sin
+
+    @classmethod
+    def from_arrays(cls, fold, cos, sin):
+        """State owning the (4, N) coefficient arrays cos and sin."""
+        state = cls.__new__(cls)
+        state._set(fold, cos, sin)
+        return state
 
     @classmethod
     def zero(cls, fold, count):
-        return cls([TrigSeries.zeros(fold, count) for _ in range(4)])
+        return cls.from_arrays(fold, np.zeros((4, count)), np.zeros((4, count)))
 
     @classmethod
     def from_interface(cls, state, count=None):
         count = count or state.count
-        return cls([TrigSeries(s.fold, s.with_count(count).cos,
-                               np.zeros(count)) for s in state.series])
+        cos = np.array([s.with_count(count).cos for s in state.series])
+        return cls.from_arrays(state.fold, cos, np.zeros_like(cos))
 
     @property
-    def fold(self):
-        return self.series[0].fold
+    def series(self):
+        """The four components as full-parity TrigSeries."""
+        return tuple(TrigSeries(self.fold, c, s)
+                     for c, s in zip(self.cos, self.sin))
 
     @property
     def count(self):
-        return self.series[0].count
+        return self.cos.shape[1]
+
+    def wavenumbers(self):
+        return self.fold * np.arange(1, self.count + 1, dtype=float)
 
     def max_abs(self):
-        return max(s.max_abs() for s in self.series)
+        return float(max(np.max(np.abs(self.cos), initial=0.0),
+                         np.max(np.abs(self.sin), initial=0.0)))
 
     def grid_values(self, npts):
         """(4, npts) component values at the uniform points of one fold
         period, from one batched inverse FFT."""
-        return sp.grid_values(np.array([s.cos for s in self.series]),
-                              np.array([s.sin for s in self.series]), npts)
+        return sp.grid_values(self.cos, self.sin, npts)
 
     def sup_norms(self, points=None):
         vals = self.grid_values(points or 8 * self.count)
@@ -72,15 +93,18 @@ class PhaseState:
 
     def combine(self, others, weights):
         """Linear combination self + sum_i weights[i] * others[i]."""
-        out = []
-        for k in range(4):
-            cos = self.series[k].cos.copy()
-            sin = self.series[k].sin.copy()
-            for w, o in zip(weights, others):
-                cos += w * o.series[k].cos
-                sin += w * o.series[k].sin
-            out.append(TrigSeries(self.fold, cos, sin))
-        return PhaseState(out)
+        cos = self.cos.copy()
+        sin = self.sin.copy()
+        for w, o in zip(weights, others):
+            cos += w * o.cos
+            sin += w * o.sin
+        return PhaseState.from_arrays(self.fold, cos, sin)
+
+
+def _charge(state):
+    """Cosine and sine coefficients of d = (r_+^2 - r_+^1) - (r_-^2 - r_-^1)."""
+    c, s = state.cos, state.sin
+    return (c[1] - c[0]) - (c[3] - c[2]), (s[1] - s[0]) - (s[3] - s[2])
 
 
 @dataclass
@@ -97,18 +121,25 @@ class EnergyReport:
 def rhs(cfg, state):
     """Time derivative of the interfaces:
     -(a_i + r_i) dx r_i  +-  dx^-1(r_+^2 - r_+^1)  -+  dx^-1(r_-^2 - r_-^1),
-    with the upper signs on the plus species.  Products are dealiased by
-    exact convolution before truncation."""
-    a = cfg.as_array()
+    with the upper signs on the plus species.
+
+    The four products r_i dx r_i are formed on one grid of 4N points of
+    one fold period: one inverse FFT of the states and derivatives, a
+    pointwise product, one forward FFT back to harmonics 1..N.  The
+    products reach harmonic 2N, whose grid alias 4N - 2N lies above N,
+    so the kept harmonics are those of the exact product."""
+    a = cfg.as_array()[:, None]
     n = state.count
-    s = state.series
-    pot = sp.antideriv((s[1] - s[0]) - (s[3] - s[2]))
-    out = []
-    for i in range(4):
-        dr = sp.deriv(s[i])
-        adv = sp.multiply(s[i], dr, out_count=n) + a[i] * dr
-        out.append(-1.0 * adv + COUPLING_SIGN[i] * pot)
-    return PhaseState(out)
+    w = state.wavenumbers()
+    dcos, dsin = w * state.sin, -w * state.cos
+    vals = sp.grid_values(np.concatenate((state.cos, dcos)),
+                          np.concatenate((state.sin, dsin)), 4 * n)
+    pcos, psin = sp.grid_coefficients(vals[:4] * vals[4:], n)
+    qcos, qsin = _charge(state)
+    sign = COUPLING_SIGN[:, None]
+    cos = -(pcos + a * dcos) + sign * (-qsin / w)
+    sin = -(psin + a * dsin) + sign * (qcos / w)
+    return PhaseState.from_arrays(state.fold, cos, sin)
 
 
 def energy(cfg, state):
@@ -122,9 +153,9 @@ def energy(cfg, state):
     vals = state.grid_values(4 * state.count) + a[:, None]
     e_kin = float(np.mean((vals[1] ** 3 - vals[0] ** 3
                            + vals[3] ** 3 - vals[2] ** 3) / 6.0))
-    d = (state.series[1] - state.series[0]) - (state.series[3] - state.series[2])
-    w = d.wavenumbers().astype(float)
-    e_pot = 0.25 * float(np.sum((d.cos ** 2 + d.sin ** 2) / w ** 2))
+    qcos, qsin = _charge(state)
+    e_pot = 0.25 * float(np.sum((qcos ** 2 + qsin ** 2)
+                                / state.wavenumbers() ** 2))
     return EnergyReport(e_kin, e_pot, 0.0)
 
 
@@ -179,11 +210,17 @@ class Trajectory:
 def evolve(cfg, start, dt, steps, store_every=1):
     """Classical four-stage Runge-Kutta on the evolution system.
 
-    dt must respect the explicit stability limit of the initial state;
-    non-finite coefficients abort with DivergedError.
+    dt must respect the explicit stability limit of the initial state.
+    Stores the start, every store_every-th step and the last step;
+    non-finite coefficients after a step abort with DivergedError (a
+    non-finite stage value reaches the step's result).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if store_every < 1:
+        raise ValueError("store_every must be at least 1")
     limit = cfl_limit(cfg, start)
     if dt > limit:
         raise ValueError(f"dt={dt:g} exceeds the stability limit {limit:g}")
@@ -192,18 +229,14 @@ def evolve(cfg, start, dt, steps, store_every=1):
     states = [state]
     energies = [energy(cfg, state)]
     for k in range(1, steps + 1):
-        try:
-            k1 = rhs(cfg, state)
-            k2 = rhs(cfg, state.combine([k1], [0.5 * dt]))
-            k3 = rhs(cfg, state.combine([k2], [0.5 * dt]))
-            k4 = rhs(cfg, state.combine([k3], [dt]))
-            state = state.combine([k1, k2, k3, k4],
-                                  [dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0])
-        except ValueError as exc:
-            # the series layer refuses non-finite coefficients
-            raise DivergedError(f"evolution diverged at step {k}") from exc
-        if not all(np.all(np.isfinite(s.cos)) and np.all(np.isfinite(s.sin))
-                   for s in state.series):
+        k1 = rhs(cfg, state)
+        k2 = rhs(cfg, state.combine([k1], [0.5 * dt]))
+        k3 = rhs(cfg, state.combine([k2], [0.5 * dt]))
+        k4 = rhs(cfg, state.combine([k3], [dt]))
+        state = state.combine([k1, k2, k3, k4],
+                              [dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0])
+        if not (np.all(np.isfinite(state.cos))
+                and np.all(np.isfinite(state.sin))):
             raise DivergedError(f"evolution diverged at step {k}")
         if k % store_every == 0 or k == steps:
             times.append(k * dt)

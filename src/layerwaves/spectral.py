@@ -255,6 +255,22 @@ def grid_values(cos, sin, npts):
     return np.fft.irfft(half, n=npts, axis=1) * (0.5 * npts)
 
 
+def grid_coefficients(vals, count):
+    """Harmonics 1..count of stacked grid values; inverse of grid_values.
+
+    Row i of the (k, npts) array vals holds one series at the npts
+    uniform points of one fold period; returns the (k, count) cosine
+    and sine coefficients from one forward real FFT.  Exact when no
+    harmonic of the values aliases onto a kept one: a product of two
+    series truncated at count needs npts >= 3 count + 1.
+    """
+    npts = vals.shape[1]
+    if 2 * count >= npts:
+        raise ValueError(f"{npts} points cannot resolve {count} harmonics")
+    f = np.fft.rfft(vals, axis=1)[:, 1:count + 1] * (2.0 / npts)
+    return f.real, -f.imag
+
+
 def pair(f, g):
     """Unweighted coefficient pairing sum_j (f_j g_j) over both bases."""
     n = min(f.count, g.count)

@@ -188,6 +188,39 @@ def test_evolve_from_snapshot(tmp_path):
     assert e1 == pytest.approx(e0, rel=1e-8)
 
 
+def read_config_header(path):
+    first = path.read_text().splitlines()[0]
+    assert first.startswith("# config: ")
+    return json.loads(first[len("# config: "):])
+
+
+@pytest.mark.parametrize("command, extra, outputs", [
+    ("evolve", ["--periods", "0.1"], ["trajectory.csv"]),
+    ("ep", [], ["ep_residual.csv", "ep.json"]),
+])
+def test_from_wave_outputs_record_the_wave_configuration(command, extra,
+                                                         outputs, tmp_path):
+    # the run computes on the file's velocities, fold and truncation, so
+    # those are what every output records, not --a, --m and --n
+    tone = {"fold": 1, "cos": [0.01] + [0.0] * 7, "sin": [0.0] * 8,
+            "parity": "even-cosine"}
+    wave = tmp_path / "wave.json"
+    wave.write_text(json.dumps({"a": [-1, 1, -1, 1], "c": 2.2, "series": {
+        name: tone for name in steady.COMPONENT_NAMES}}))
+    assert run_cli([command, "--a", "0,1,1,2", "--m", "3", "--n", "64",
+                    "--from-wave", str(wave)] + extra, tmp_path) == 0
+    for name in outputs:
+        path = tmp_path / name
+        config = (json.loads(path.read_text())["config"]
+                  if name.endswith(".json") else read_config_header(path))
+        assert config["a"] == [-1.0, 1.0, -1.0, 1.0], name
+        assert (config["m"], config["n"]) == (1, 8), name
+        assert config["from_wave"] == str(wave)
+    if command == "ep":  # the Euler-Poisson speeds are the wave's mode's
+        report = json.loads((tmp_path / "ep.json").read_text())
+        assert report["speeds_report"]["m"] == 1
+
+
 def test_evolve_kernel_mode_start(tmp_path):
     assert run_cli(["evolve", "--a", "-1,1,-1,1", "--m", "1", "--n", "12",
                     "--amp", "0.005", "--steps", "40"], tmp_path) == 0

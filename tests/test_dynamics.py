@@ -20,6 +20,57 @@ def state_dev(a, b):
                for x, y in zip(a.series, b.series))
 
 
+def direct_rhs(cfg, state):
+    """Reference rhs on series: each advection product r_i dx r_i by exact
+    convolution (spectral.multiply), cut at the state's truncation."""
+    a = cfg.as_array()
+    s = state.series
+    pot = sp.antideriv((s[1] - s[0]) - (s[3] - s[2]))
+    out = []
+    for i in range(4):
+        dr = sp.deriv(s[i])
+        adv = sp.multiply(s[i], dr, out_count=state.count) + a[i] * dr
+        out.append(-1.0 * adv + dy.COUPLING_SIGN[i] * pot)
+    return dy.PhaseState(out)
+
+
+def test_phase_state_series_round_trip():
+    rng = np.random.default_rng(3)
+    series = [sp.TrigSeries(2, rng.standard_normal(5), rng.standard_normal(5))
+              for _ in range(4)]
+    state = dy.PhaseState(series)
+    assert state.fold == 2 and state.count == 5
+    assert state.cos.shape == state.sin.shape == (4, 5)
+    back = state.series
+    assert all(b.parity == sp.FULL and b.fold == 2 for b in back)
+    for got, want in zip(back, series):
+        assert np.array_equal(got.cos, want.cos)
+        assert np.array_equal(got.sin, want.sin)
+    assert not state.cos.flags.writeable and not state.sin.flags.writeable
+    # even inputs are held as full-parity components
+    even = dy.PhaseState([sp.TrigSeries.from_cos(1, [0.1, 0.2])] * 4)
+    assert np.array_equal(even.sin, np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="four"):
+        dy.PhaseState(series[:3])
+    with pytest.raises(ValueError, match="share"):
+        dy.PhaseState(series[:3] + [sp.TrigSeries.zeros(2, 6)])
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 8, 17, 64, 256])
+def test_rhs_matches_direct_product_oracle(sym_cfg, gen_cfg, fold, count):
+    # full-band coefficients: the products reach harmonic 2N, so any
+    # grid below 3N + 1 points aliases into the kept harmonics
+    rng = np.random.default_rng(100 * fold + count)
+    for cfg in (sym_cfg, gen_cfg):
+        state = random_phase(rng, fold, count, scale=1.0)
+        want = direct_rhs(cfg, state)
+        got = dy.rhs(cfg, state)
+        scale = want.max_abs()
+        assert np.max(np.abs(got.cos - want.cos)) <= 1e-13 * scale
+        assert np.max(np.abs(got.sin - want.sin)) <= 1e-13 * scale
+
+
 def test_rhs_zero_at_flat_state(sym_cfg):
     vel = dy.rhs(sym_cfg, dy.PhaseState.zero(1, 6))
     assert vel.max_abs() == 0.0
@@ -104,6 +155,12 @@ def test_evolve_guards(sym_cfg):
         dy.evolve(sym_cfg, state, -1e-3, 2)
     with pytest.raises(ValueError, match="stability"):
         dy.evolve(sym_cfg, state, 10.0, 2)
+    with pytest.raises(ValueError, match="steps must be nonnegative"):
+        dy.evolve(sym_cfg, state, 1e-3, -1)
+    for store_every in (0, -2):
+        with pytest.raises(ValueError, match="store_every must be at least 1"):
+            dy.evolve(sym_cfg, state, 1e-3, 3, store_every=store_every)
+    assert len(dy.evolve(sym_cfg, state, 1e-3, 0).states) == 1
 
 
 def test_zero_means_preserved_structurally(sym_cfg):
@@ -156,8 +213,30 @@ def test_divergence_detected():
     huge = sp.TrigSeries(1, np.full(4, 1e200), np.zeros(4))
     state = dy.PhaseState([huge] * 4)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergedError):
+        with pytest.raises(DivergedError, match="at step 1"):
             dy.evolve(cfg, state, 1e-210, 3)
+
+
+def test_divergence_detected_mid_run(sym_cfg, monkeypatch):
+    # a NaN that first appears in the second stage of step 2 is caught by
+    # the check after that step, without any check inside the stages
+    exact = dy.rhs
+    calls = []
+
+    def rhs(cfg, state):
+        out = exact(cfg, state)
+        calls.append(np.all(np.isfinite(state.cos)))
+        if len(calls) == 6:
+            cos = out.cos.copy()
+            cos[2, 1] = np.nan
+            out = dy.PhaseState.from_arrays(out.fold, cos, out.sin)
+        return out
+
+    monkeypatch.setattr(dy, "rhs", rhs)
+    state = random_phase(np.random.default_rng(9), fold=1, count=8, scale=0.05)
+    with pytest.raises(DivergedError, match="at step 2"):
+        dy.evolve(sym_cfg, state, 1e-3, 5)
+    assert len(calls) == 8 and not any(calls[6:])  # stages 3, 4 saw the NaN
 
 
 def test_trajectory_csv_rows(sym_cfg):

@@ -131,6 +131,21 @@ def test_grid_values_match_direct_evaluation(parity, fold, count):
         assert np.max(np.abs(got - want)) < 1e-13 * scale, npts
 
 
+@pytest.mark.parametrize("count", [1, 8, 17, 64, 256])
+def test_grid_coefficients_invert_grid_values(count):
+    rng = np.random.default_rng(count)
+    cos = rng.standard_normal((3, count))
+    sin = rng.standard_normal((3, count))
+    # every grid fine enough to hold count harmonics, powers of two or not
+    for npts in (2 * count + 1, 3 * count + 1, 4 * count, 16 * count + 5):
+        got_cos, got_sin = sp.grid_coefficients(
+            sp.grid_values(cos, sin, npts), count)
+        assert np.max(np.abs(got_cos - cos)) < 1e-14, npts
+        assert np.max(np.abs(got_sin - sin)) < 1e-14, npts
+    with pytest.raises(ValueError, match="cannot resolve"):
+        sp.grid_coefficients(np.zeros((3, 2 * count)), count)
+
+
 def test_norm_values_and_properties():
     f = TrigSeries.from_cos(5, [1.0])
     assert sp.norm(f, NormParams(1.0, 0.5)) == pytest.approx(np.exp(0.5))
