@@ -60,9 +60,8 @@ class PhaseState:
         return cls.from_arrays(fold, np.zeros((4, count)), np.zeros((4, count)))
 
     @classmethod
-    def from_interface(cls, state, count=None):
-        count = count or state.count
-        cos = np.array([s.with_count(count).cos for s in state.series])
+    def from_interface(cls, state):
+        cos = np.array([s.cos for s in state.series])
         return cls.from_arrays(state.fold, cos, np.zeros_like(cos))
 
     @property
