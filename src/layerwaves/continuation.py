@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import localbranch as lb
-from . import spectral as sp
 from . import steady as st
 from .errors import CannotStartError, CorrectionFailedError
 from .spectral import NormParams
@@ -81,7 +80,7 @@ class Branch:
         rows = []
         for p in self.points:
             sol = p.solution
-            rows.append((p.s, sol.c, sol.state.series[0].cos[0],
+            rows.append((p.s, sol.c, sol.state.cos[0, 0],
                          sol.state.norm(self.options.norm_params),
                          sol.monitors[0], sol.monitors[1], p.compact_index))
         return rows
@@ -111,6 +110,9 @@ def _unstack(u, fold, count):
 def newton_correct(cfg, guess, constraint, fold, count, tol=1e-11):
     """Damped Newton on [residual; arclength constraint].
 
+    Iterates on u alone (residual and Jacobian see its coefficients as a
+    (4, N) view; the Jacobian is written into the one bordered matrix);
+    an overflowing trial shows as a non-finite sup and is damped.
     Returns (WaveSolution, iterations).  Raises CorrectionFailedError on
     non-finite input or no convergence.
     """
@@ -118,23 +120,27 @@ def newton_correct(cfg, guess, constraint, fold, count, tol=1e-11):
     u = _stack(c0, state0.with_count(count))
     if not np.all(np.isfinite(u)):
         raise CorrectionFailedError("correction-failed: non-finite guess")
+    n = 4 * count
+    A = np.empty((n + 1, n + 1))
+
+    def view(u):
+        return st.InterfaceState.from_arrays(fold, u[1:].reshape(4, count))
 
     def full_residual(u):
-        c, state = _unstack(u, fold, count)
-        r = st.residual_vector(cfg, c, state)
-        return np.concatenate([r, [constraint.value(u)]]), state
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = st.residual_vector(cfg, u[0], view(u))
+            return np.append(r, constraint.value(u))
 
-    res, state = full_residual(u)
+    res = full_residual(u)
     sup = np.max(np.abs(res))
-    for it in range(MAX_NEWTON):
+    for it in range(MAX_NEWTON + 1):
         if sup <= tol:
-            c, state = _unstack(u, fold, count)
-            return st.solution_at(cfg, c, state), it
-        c = u[0]
-        n = 4 * count
-        A = np.empty((n + 1, n + 1))
-        A[:n, 0] = st.speed_derivative_vector(cfg, c, state)
-        A[:n, 1:] = st.jacobian(cfg, c, state)
+            return st.solution_at(cfg, *_unstack(u, fold, count)), it
+        if it == MAX_NEWTON:
+            break
+        state = view(u)
+        A[:n, 0] = st.speed_derivative_vector(cfg, u[0], state)
+        st.jacobian(cfg, u[0], state, out=A[:n, 1:])
         A[n, :] = constraint.tangent
         try:
             step = np.linalg.solve(A, -res)
@@ -143,7 +149,7 @@ def newton_correct(cfg, guess, constraint, fold, count, tol=1e-11):
         lam = 1.0
         while True:
             trial = u + lam * step
-            res_t, state_t = full_residual(trial)
+            res_t = full_residual(trial)
             sup_t = np.max(np.abs(res_t))
             if np.isfinite(sup_t) and (sup_t < sup or lam <= 0.125):
                 break
@@ -151,10 +157,7 @@ def newton_correct(cfg, guess, constraint, fold, count, tol=1e-11):
             if lam < 1e-6:
                 raise CorrectionFailedError(
                     "correction-failed: damping exhausted")
-        u, res, state, sup = trial, res_t, state_t, sup_t
-    if sup <= tol:
-        c, state = _unstack(u, fold, count)
-        return st.solution_at(cfg, c, state), MAX_NEWTON
+        u, res, sup = trial, res_t, sup_t
     raise CorrectionFailedError(
         f"correction-failed: residual {sup:.3e} after {MAX_NEWTON} iterations")
 
@@ -179,10 +182,11 @@ def detect_termination(branch, opts=None):
     triggered = []
     traveled = last.s - first.s
     if traveled >= 10.0 * opts.s0:
-        dist = (abs(sol.c - first.solution.c)
-                + max(sp.norm(a - b, opts.norm_params)
-                      for a, b in zip(sol.state.series,
-                                      first.solution.state.series)))
+        n = max(sol.state.count, first.solution.state.count)
+        diff = (sol.state.with_count(n).cos
+                - first.solution.state.with_count(n).cos)
+        dist = abs(sol.c - first.solution.c) + st.coefficient_norm(
+            diff, opts.norm_params)
         if dist <= LOOP_TOL:
             triggered.append(LOOP)
     if 1.0 + abs(sol.c) + norm_r >= BLOW_UP_CAP:
@@ -205,9 +209,9 @@ def _tail_heavy(state, opts):
     total = state.norm(opts.norm_params)
     if total == 0.0:
         return False
-    tail = max(sp.norm(series - series.with_count(head).with_count(n),
-                       opts.norm_params) for series in state.series)
-    return tail > TAIL_NORM_TOL * total
+    tail = state.cos.copy()
+    tail[:, :head] = 0.0
+    return st.coefficient_norm(tail, opts.norm_params) > TAIL_NORM_TOL * total
 
 
 def _advance(branch, u_prev, tangent, ds, opts):
@@ -256,20 +260,16 @@ def _advance(branch, u_prev, tangent, ds, opts):
 
 def _embed(u, old_count, new_count):
     """Zero-pad an augmented (c, 4 stacked coefficient blocks) vector."""
-    out = np.zeros(1 + 4 * new_count)
-    out[0] = u[0]
-    for i in range(4):
-        out[1 + i * new_count: 1 + i * new_count + old_count] = \
-            u[1 + i * old_count: 1 + (i + 1) * old_count]
-    return out
+    blocks = np.zeros((4, new_count))
+    blocks[:, :old_count] = u[1:].reshape(4, old_count)
+    return np.concatenate([u[:1], blocks.ravel()])
 
 
 def trace_arm(origin, arm, opts):
     """Continue one pitchfork arm (arm = +1 or -1) from its local expansion."""
     fold, count = origin.m, opts.count
     v = np.zeros(1 + 4 * count)
-    for i in range(4):
-        v[1 + i * count] = origin.kernel_vec[i]
+    v[1::count] = origin.kernel_vec
     vnorm = float(np.linalg.norm(v))
     tangent = (arm / vnorm) * v
     u0 = _stack(origin.c_star, st.InterfaceState.zero(fold, count))

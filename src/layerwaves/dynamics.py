@@ -61,8 +61,7 @@ class PhaseState:
 
     @classmethod
     def from_interface(cls, state):
-        cos = np.array([s.cos for s in state.series])
-        return cls.from_arrays(state.fold, cos, np.zeros_like(cos))
+        return cls.from_arrays(state.fold, state.cos, np.zeros_like(state.cos))
 
     @property
     def series(self):
@@ -206,13 +205,15 @@ class Trajectory:
         return rows
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evolve(cfg, start, dt, steps, store_every=1):
     """Classical four-stage Runge-Kutta on the evolution system.
 
     dt must respect the explicit stability limit of the initial state.
-    Stores the start, every store_every-th step and the last step;
-    non-finite coefficients after a step abort with DivergedError (a
-    non-finite stage value reaches the step's result).
+    Stores the start, every store_every-th step and the last step.
+    Non-finite coefficients after a step (a non-finite stage value
+    reaches the step's result), then a non-finite start energy, abort
+    with DivergedError; overflow on the way is not warned about.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -237,6 +238,9 @@ def evolve(cfg, start, dt, steps, store_every=1):
         if not (np.all(np.isfinite(state.cos))
                 and np.all(np.isfinite(state.sin))):
             raise DivergedError(f"evolution diverged at step {k}")
+        if k == 1 and not np.isfinite(energies[0].e_total):
+            raise DivergedError("evolution diverged at step 0: "
+                                "non-finite start energy")
         if k % store_every == 0 or k == steps:
             times.append(k * dt)
             states.append(state)

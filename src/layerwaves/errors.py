@@ -34,4 +34,4 @@ class WaveFileError(LayerError):
 
 
 class DivergedError(LayerError):
-    """Time evolution produced non-finite coefficients."""
+    """Time evolution or a residual check produced non-finite coefficients."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import pencil as pc
 from . import spectral as sp
-from .errors import ConfigError
+from .errors import ConfigError, DivergedError
 from .pencil import SYMMETRIC
 
 CUBIC_PRESSURE_COEF = 1.0 / 3.0
@@ -96,9 +96,6 @@ class _MeanSeries:
     def dx(self):
         return sp.deriv(self.series)
 
-    def scaled(self, k):
-        return _MeanSeries(k * self.mean, k * self.series)
-
 
 def ep_residual(state):
     """Traveling-frame residuals of the two-fluid system.
@@ -107,7 +104,8 @@ def ep_residual(state):
     momentum:   -c dx(rho u) + dx(rho u^2) + dx(rho^3/3)
                 -+ 2 rho dx^-1(rho_+ - rho_-)
     Products are evaluated at full convolution length; returns the four
-    residual series and their sup norms.
+    residual series and their sup norms.  A product that overflows
+    raises DivergedError.
     """
     c = state.c
     n = state.rho_plus.count
@@ -118,13 +116,17 @@ def ep_residual(state):
                                 ("minus", state.rho_minus, state.u_minus, 1.0)):
         rho = _MeanSeries(state.base_a, rho0)
         u = _MeanSeries(0.0, u0)
-        rho_u = rho.mul(u, out_n)
-        rho_u_u = rho_u.mul(u, out_n)
-        rho3 = rho.mul(rho, out_n).mul(rho, out_n)
-        cont = -c * sp.deriv(rho0).with_count(out_n) + rho_u.dx()
-        mom = (-c * rho_u.dx() + rho_u_u.dx()
-               + CUBIC_PRESSURE_COEF * rho3.dx()
-               + sign * 2.0 * (rho.mul(_MeanSeries(0.0, force), out_n).series))
+        try:  # TrigSeries refuse the non-finite coefficients of an overflow
+            rho_u = rho.mul(u, out_n)
+            rho_u_u = rho_u.mul(u, out_n)
+            rho3 = rho.mul(rho, out_n).mul(rho, out_n)
+            cont = -c * sp.deriv(rho0).with_count(out_n) + rho_u.dx()
+            mom = (-c * rho_u.dx() + rho_u_u.dx()
+                   + CUBIC_PRESSURE_COEF * rho3.dx()
+                   + sign * 2.0 * (rho.mul(_MeanSeries(0.0, force),
+                                           out_n).series))
+        except ValueError:
+            raise DivergedError("Euler-Poisson residual overflows") from None
         residuals[f"continuity_{tag}"] = cont
         residuals[f"momentum_{tag}"] = mom
     series = list(residuals.values())

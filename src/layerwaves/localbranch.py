@@ -13,7 +13,6 @@ import numpy as np
 from . import pencil as pc
 from . import spectral as sp
 from .errors import ResonantHarmonicError
-from .spectral import TrigSeries
 from .steady import COMPONENT_NAMES, InterfaceState
 
 
@@ -58,13 +57,9 @@ def hessian_action(cfg, h, h2):
 
 def kernel_state(m, cfg, c_star, count=1):
     """The kernel mode as an interface state: v_i cos(m x)."""
-    v = pc.kernel_vector(m, cfg, c_star)
-    series = []
-    for i in range(4):
-        coeffs = np.zeros(count)
-        coeffs[0] = v[i]
-        series.append(TrigSeries.from_cos(m, coeffs))
-    return InterfaceState(series)
+    cos = np.zeros((4, count))
+    cos[:, 0] = pc.kernel_vector(m, cfg, c_star)
+    return InterfaceState.from_arrays(m, cos)
 
 
 def second_harmonic_amplitude(m, cfg, c_star):
@@ -80,13 +75,9 @@ def second_harmonic_amplitude(m, cfg, c_star):
 
 
 def second_harmonic_state(m, cfg, c_star, count=2):
-    t = second_harmonic_amplitude(m, cfg, c_star)
-    series = []
-    for i in range(4):
-        coeffs = np.zeros(count)
-        coeffs[1] = t[i]
-        series.append(TrigSeries.from_cos(m, coeffs))
-    return InterfaceState(series)
+    cos = np.zeros((4, count))
+    cos[:, 1] = second_harmonic_amplitude(m, cfg, c_star)
+    return InterfaceState.from_arrays(m, cos)
 
 
 def speed_curvature(m, cfg, c_star):
@@ -136,9 +127,6 @@ def predictor(origin, s, count=None):
     if count is None:
         count = 2
     c = origin.c_star + 0.5 * origin.speed_curvature * s * s
-    series = []
-    for i in range(4):
-        coeffs = np.zeros(count)
-        coeffs[0] = s * origin.kernel_vec[i]
-        series.append(TrigSeries.from_cos(origin.m, coeffs))
-    return c, InterfaceState(series)
+    cos = np.zeros((4, count))
+    cos[:, 0] = s * origin.kernel_vec
+    return c, InterfaceState.from_arrays(origin.m, cos)

@@ -215,23 +215,21 @@ def norm(f, params):
     return float(np.sqrt(np.sum(weight * (f.cos ** 2 + f.sin ** 2))))
 
 
-def shift(f, h):
-    """Coefficients of x -> f(x + h).
+def shift_factors(fold, count, h):
+    """cos and sin of j*fold*h, j = 1..count: exactly +-1 and 0 at integer
+    multiples of pi/fold, so parity-preserving shifts stay exact."""
+    j = np.arange(1, count + 1)
+    k = np.rint(fold * h / np.pi)
+    if abs(fold * h / np.pi - k) < 1e-12:
+        return np.where((j * int(k)) % 2 == 0, 1.0, -1.0), np.zeros(count)
+    return np.cos(j * fold * h), np.sin(j * fold * h)
 
-    Shifts by integer multiples of pi/fold use exact +-1 factors so that
-    parity-preserving shifts stay coefficient-exact.
-    """
-    j = np.arange(1, f.count + 1)
-    k = f.fold * h / np.pi
-    k_round = np.rint(k)
-    if abs(k - k_round) < 1e-12:
-        signs = np.where((j * int(k_round)) % 2 == 0, 1.0, -1.0)
-        return TrigSeries(f.fold, signs * f.cos, signs * f.sin, f.parity)
-    cw = np.cos(j * f.fold * h)
-    sw = np.sin(j * f.fold * h)
-    new_cos = cw * f.cos + sw * f.sin
-    new_sin = cw * f.sin - sw * f.cos
-    return TrigSeries(f.fold, new_cos, new_sin, FULL)
+
+def shift(f, h):
+    """Coefficients of x -> f(x + h)."""
+    cw, sw = shift_factors(f.fold, f.count, h)
+    return TrigSeries(f.fold, cw * f.cos + sw * f.sin, cw * f.sin - sw * f.cos,
+                      FULL if np.any(sw) else f.parity)
 
 
 def grid_values(cos, sin, npts):
@@ -269,9 +267,3 @@ def grid_coefficients(vals, count):
         raise ValueError(f"{npts} points cannot resolve {count} harmonics")
     f = np.fft.rfft(vals, axis=1)[:, 1:count + 1] * (2.0 / npts)
     return f.real, -f.imag
-
-
-def pair(f, g):
-    """Unweighted coefficient pairing sum_j (f_j g_j) over both bases."""
-    n = min(f.count, g.count)
-    return float(np.dot(f.cos[:n], g.cos[:n]) + np.dot(f.sin[:n], g.sin[:n]))

@@ -1,15 +1,17 @@
 """Traveling-wave residual, its analytic Jacobian, and the admissibility
 monitors.
 
-States are quadruples of even cosine series sharing fold and truncation;
-residuals are odd sine series.  The quadratic transport term is computed
-by exact convolution up to twice the truncation and then projected back
-(Galerkin), so the only discretization error is the reported tail.
+A state is a quadruple of even cosine series sharing fold and
+truncation, held as one (4, N) coefficient array; residuals are the
+(4, N) sine coefficients of four odd series.  The quadratic transport
+term is formed exactly up to twice the truncation and then projected
+back (Galerkin), so the only discretization error is the reported tail.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import spectral as sp
 from .spectral import EVEN, TrigSeries
@@ -23,12 +25,27 @@ COMPONENT_NAMES = ("plus1", "plus2", "minus1", "minus2")
 
 # The monitors sample one fold period at this many points per harmonic.
 MONITOR_GRID_FACTOR = 16
+# The residual's products reach harmonic 2N; on 5N > 4N points none of
+# them aliases onto another.
+RESIDUAL_GRID_FACTOR = 5
+
+
+def coefficient_norm(cos, params):
+    """Largest spectral.norm of the rows of a (k, N) cosine array."""
+    j = np.arange(1, cos.shape[1] + 1, dtype=float)
+    weight = j ** (2.0 * params.s) * np.exp(2.0 * params.sigma * j)
+    return float(np.max(np.sqrt(np.sum(weight * cos ** 2, axis=1))))
 
 
 class InterfaceState:
-    """Four even, zero-mean cosine series with common fold and truncation."""
+    """Four even, zero-mean cosine series with common fold and truncation.
 
-    __slots__ = ("series",)
+    The coefficients of harmonics 1..N are held as one (4, N) read-only
+    float array `cos`, one row per component; TrigSeries appear only
+    when a state is built from or read out as series.
+    """
+
+    __slots__ = ("fold", "cos")
 
     def __init__(self, series):
         series = tuple(series)
@@ -40,44 +57,69 @@ class InterfaceState:
                 raise ValueError("interface components must be even-cosine")
             if s.fold != fold or s.count != count:
                 raise ValueError("components must share fold and truncation")
-        self.series = series
+        self._set(fold, np.array([s.cos for s in series]))
+
+    def _set(self, fold, cos):
+        cos.setflags(write=False)
+        self.fold, self.cos = int(fold), cos
+
+    @classmethod
+    def from_arrays(cls, fold, cos):
+        """State on the (4, N) cosine array cos, neither copied nor checked."""
+        state = cls.__new__(cls)
+        state._set(fold, cos)
+        return state
 
     @classmethod
     def zero(cls, fold, count):
-        return cls([TrigSeries.zeros(fold, count, EVEN) for _ in range(4)])
+        return cls.from_arrays(fold, np.zeros((4, count)))
 
     @classmethod
     def from_vector(cls, fold, count, vec):
-        vec = np.asarray(vec, dtype=float)
-        return cls([TrigSeries.from_cos(fold, vec[i * count:(i + 1) * count])
-                    for i in range(4)])
+        """State from 4N stacked cosine coefficients; refuses non-finite."""
+        cos = np.array(vec, dtype=float).reshape(4, count)
+        if not np.all(np.isfinite(cos)):
+            raise ValueError("non-finite coefficients")
+        return cls.from_arrays(fold, cos)
 
     @property
-    def fold(self):
-        return self.series[0].fold
+    def series(self):
+        """The four components as even TrigSeries."""
+        return tuple(TrigSeries.from_cos(self.fold, c) for c in self.cos)
 
     @property
     def count(self):
-        return self.series[0].count
+        return self.cos.shape[1]
+
+    def wavenumbers(self):
+        return self.fold * np.arange(1, self.count + 1, dtype=float)
 
     def as_vector(self):
-        return np.concatenate([s.cos for s in self.series])
+        return self.cos.flatten()
 
     def with_count(self, count):
-        return InterfaceState([s.with_count(count) for s in self.series])
+        """Pad with zeros or truncate to the requested harmonic count."""
+        cos = np.zeros((4, count))
+        n = min(count, self.count)
+        cos[:, :n] = self.cos[:, :n]
+        return InterfaceState.from_arrays(self.fold, cos)
 
     def shifted(self, h):
-        moved = [sp.shift(s, h) for s in self.series]
-        return InterfaceState([TrigSeries.from_cos(s.fold, s.cos) for s in moved])
+        """Even part of x -> state(x + h)."""
+        factor, _ = sp.shift_factors(self.fold, self.count, h)
+        return InterfaceState.from_arrays(self.fold, factor * self.cos)
 
     def norm(self, params):
-        return max(sp.norm(s, params) for s in self.series)
+        return coefficient_norm(self.cos, params)
 
     def max_abs(self):
-        return max(s.max_abs() for s in self.series)
+        return float(np.max(np.abs(self.cos), initial=0.0))
 
     def to_json(self):
-        return [s.to_json() for s in self.series]
+        """The components in the TrigSeries.to_json layout."""
+        zeros = [0.0] * self.count
+        return [{"fold": self.fold, "count": self.count, "parity": EVEN,
+                 "cos": c.tolist(), "sin": zeros} for c in self.cos]
 
     @classmethod
     def from_json(cls, obj):
@@ -97,94 +139,81 @@ class WaveSolution:
     def to_json(self):
         return {"a": self.cfg.as_array().tolist(),
                 "m": self.state.fold, "N": self.state.count, "c": self.c,
-                "series": {name: s.to_json() for name, s
-                           in zip(COMPONENT_NAMES, self.state.series)},
+                "series": dict(zip(COMPONENT_NAMES, self.state.to_json())),
                 "residual_norm": self.residual_norm,
                 "m1": self.monitors[0], "m2": self.monitors[1]}
 
 
-def charge_difference(state):
-    s = state.series
-    return s[1] - s[0] - s[3] + s[2]
-
-
 def residual(cfg, c, state, with_tail=False):
-    """Galerkin residual of the traveling-wave system; four odd series.
+    """Galerkin residual of the traveling-wave system: the (4, N) sine
+    coefficients of its four odd components.
 
     Component i: (r_i + a_i - c) dx r_i  -+  dx^-1(d), with the minus
-    sign on the plus species.  If with_tail is set, also returns the
-    sup of the discarded convolution tail (harmonics count+1..2*count).
+    sign on the plus species.  The products r_i dx r_i are formed on one
+    grid of RESIDUAL_GRID_FACTOR*N points of one fold period: one inverse
+    FFT of the states and derivatives, a pointwise product, one forward
+    FFT back to harmonics 1..2N, all of them exact.  If with_tail is
+    set, also returns the sup of the discarded harmonics N+1..2N.
     """
-    a = cfg.as_array()
+    a = cfg.as_array()[:, None]
     n = state.count
-    pot = sp.antideriv(charge_difference(state)).with_count(2 * n)
-    out, tail = [], 0.0
-    for i, r in enumerate(state.series):
-        dr = sp.deriv(r)
-        quad = sp.multiply(r, dr, out_count=2 * n)
-        full = quad + (a[i] - c) * dr.with_count(2 * n) + POT_SIGN[i] * pot
-        out.append(full.with_count(n))
-        if with_tail:
-            tail = max(tail, float(np.max(np.abs(full.sin[n:]), initial=0.0)))
+    w = state.wavenumbers()
+    dsin = -w * state.cos  # sine coefficients of dx r
+    zero = np.zeros_like(dsin)
+    vals = sp.grid_values(np.concatenate((state.cos, zero)),
+                          np.concatenate((zero, dsin)),
+                          RESIDUAL_GRID_FACTOR * n)
+    _, full = sp.grid_coefficients(vals[:4] * vals[4:], 2 * n)
+    pot = (D_COEF @ state.cos) / w  # sine coefficients of dx^-1(d)
+    out = full[:, :n] + (a - c) * dsin + POT_SIGN[:, None] * pot
     if with_tail:
-        return out, tail
+        return out, float(np.max(np.abs(full[:, n:]), initial=0.0))
     return out
 
 
 def residual_vector(cfg, c, state):
     """Stacked sine coefficients of the residual (length 4N)."""
-    return np.concatenate([f.sin for f in residual(cfg, c, state)])
-
-
-def speed_derivative(cfg, c, state):
-    """d residual / dc: component-wise -dx r (odd series)."""
-    return [-1.0 * sp.deriv(r) for r in state.series]
+    return residual(cfg, c, state).ravel()
 
 
 def speed_derivative_vector(cfg, c, state):
-    return np.concatenate([f.sin for f in speed_derivative(cfg, c, state)])
+    """d residual / dc: the stacked sine coefficients of -dx r."""
+    return (state.wavenumbers() * state.cos).ravel()
 
 
-def _mult_op_even_to_odd(mean, coeffs, count, fold):
-    """Matrix of h -> (u * dx h) from cosine to sine coefficients, where
-    u has the given mean and cosine coefficients."""
-    r = np.arange(1, count + 1)
-    pad = np.zeros(2 * count + 2)
-    pad[1:coeffs.shape[0] + 1] = coeffs
-    diff = np.abs(r[:, None] - r[None, :])
-    summ = r[:, None] + r[None, :]
-    amp = 0.5 * pad[diff] - 0.5 * pad[summ]
-    amp[np.diag_indices(count)] += mean
-    return amp * (-(r * fold))[None, :]
-
-
-def _mult_op_odd_factor(sin_coeffs, count, fold):
-    """Matrix of h -> (v * h) from cosine to sine coefficients, where v
-    is an odd series with the given sine coefficients."""
-    r = np.arange(1, count + 1)
-    pad = np.zeros(2 * count + 2)
-    pad[1:sin_coeffs.shape[0] + 1] = sin_coeffs
-    d = r[:, None] - r[None, :]
-    signed = np.where(d > 0, pad[np.abs(d)], -pad[np.abs(d)])
-    signed[np.diag_indices(count)] = 0.0
-    return 0.5 * (signed + pad[r[:, None] + r[None, :]])
-
-
-def jacobian(cfg, c, state):
+def jacobian(cfg, c, state, out=None):
     """Dense (4N,4N) Jacobian of the residual in the state, acting on
-    stacked cosine coefficients and producing stacked sine coefficients."""
+    stacked cosine coefficients and producing stacked sine coefficients;
+    written into `out` (any (4N,4N) float view) if given.
+
+    Block i maps h to dx((r_i + a_i - c) h): with u the coefficients of
+    r_i, its entry (k, j) is -w_k ((u_|k-j| + u_k+j) / 2 + (a_i - c) d_kj),
+    a Toeplitz plus a Hankel matrix scaled by rows.  Both are windows of
+    one zero-padded coefficient sequence per component; the potential
+    adds diagonal couplings between the blocks.
+    """
+    n = state.count
+    w = state.wavenumbers()
+    if out is None:
+        out = np.empty((4 * n, 4 * n))
+    # seq[:, n - 1 + d] = u_|d|, with u_0 = 0 and u_p = 0 beyond N
+    seq = np.zeros((4, 3 * n))
+    seq[:, n:2 * n] = state.cos
+    seq[:, :n - 1] = state.cos[:, :n - 1][:, ::-1]
+    win = sliding_window_view(seq, n, axis=1)  # win[:, s, j] = seq[:, s + j]
+    toeplitz, hankel = win[:, :n, ::-1], win[:, n + 1:]
     a = cfg.as_array()
-    n, fold = state.count, state.fold
-    inv_w = 1.0 / (fold * np.arange(1, n + 1))
-    idx = np.arange(n)
-    J = np.zeros((4 * n, 4 * n))
-    for i, r in enumerate(state.series):
+    k = np.arange(n)
+    cols = k[:, None] + n * np.arange(4)
+    for i in range(4):
         rows = slice(i * n, (i + 1) * n)
-        J[rows, rows] += (_mult_op_even_to_odd(a[i] - c, r.cos, n, fold)
-                          + _mult_op_odd_factor(sp.deriv(r).sin, n, fold))
-        for l in range(4):
-            J[i * n + idx, l * n + idx] += POT_SIGN[i] * D_COEF[l] * inv_w
-    return J
+        out[rows] = 0.0
+        block = out[rows, rows]
+        np.add(toeplitz[i], hankel[i], out=block)
+        block *= -0.5 * w[:, None]
+        out[i * n + k, i * n + k] -= (a[i] - c) * w
+        out[i * n + k[:, None], cols] += POT_SIGN[i] * D_COEF / w[:, None]
+    return out
 
 
 def monitors(cfg, c, state):
@@ -192,40 +221,35 @@ def monitors(cfg, c, state):
 
     The six monitored series (two strip widths, four relative speeds)
     and their derivatives are evaluated on a grid of MONITOR_GRID_FACTOR*N
-    points by two batched inverse FFTs (spectral.grid_values).  The
+    points by one batched inverse FFT (spectral.grid_values).  The
     located minimum (an interior extremum or a sign crossing) then gets
     one Newton polish by direct evaluation off the grid.
     """
-    n, fold = state.count, state.fold
+    n, u = state.count, state.cos
     npts = MONITOR_GRID_FACTOR * n
-    x = np.linspace(0.0, 2.0 * np.pi / fold, npts, endpoint=False)
-    s = state.series
-    series = [s[1] - s[0], s[3] - s[2], *s]
-    derivs = [sp.deriv(f) for f in series]
+    x = np.linspace(0.0, 2.0 * np.pi / state.fold, npts, endpoint=False)
+    w = state.wavenumbers()
+    rows = np.concatenate(([u[1] - u[0], u[3] - u[2]], u))
     offsets = np.concatenate([[cfg.width, cfg.width], cfg.as_array() - c])
-    vals = sp.grid_values(np.array([f.cos for f in series]),
-                          np.array([f.sin for f in series]), npts)
-    vals += offsets[:, None]
-    dvals = sp.grid_values(np.array([f.cos for f in derivs]),
-                           np.array([f.sin for f in derivs]), npts)
+    zero = np.zeros_like(rows)
+    vals = sp.grid_values(np.concatenate((rows, zero)),
+                          np.concatenate((zero, -w * rows)), npts)
+    vals[:6] += offsets[:, None]
 
     def min_abs(i):
-        v, dv, f, offset = vals[i], dvals[i], series[i], offsets[i]
+        v, dv = vals[i], vals[6 + i]
         idx = int(np.argmin(np.abs(v)))
         best = abs(v[idx])
-        x0 = x[idx]
         if np.min(v) < 0.0 < np.max(v):
             # zero crossing: one Newton step on the value
-            g, dg = v[idx], dv[idx]
-            if dg != 0.0:
-                x1 = x0 - g / dg
-                best = min(best, abs(f.eval([x1])[0] + offset))
+            step = v[idx] / dv[idx] if dv[idx] != 0.0 else None
         else:
             # interior extremum: one Newton step on the derivative
-            d2 = sp.deriv(derivs[i]).eval([x0])[0]
-            if d2 != 0.0:
-                x1 = x0 - dv[idx] / d2
-                best = min(best, abs(f.eval([x1])[0] + offset))
+            d2 = np.cos(w * x[idx]) @ (-w * (w * rows[i]))
+            step = dv[idx] / d2 if d2 != 0.0 else None
+        if step is not None:
+            x1 = x[idx] - step
+            best = min(best, abs(np.cos(w * x1) @ rows[i] + offsets[i]))
         return best
 
     gap = min(min_abs(0), min_abs(1))

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st_
 
 from layerwaves import cli, steady
 
@@ -64,6 +66,10 @@ def test_bad_widths_exits_2_and_names_constraint(tmp_path, capsys):
     (["continue", "--sigma", "-0.1"], "must be nonnegative"),
     (["speeds", "--config", "missing.conf"], "cannot read config file"),
     (["speeds", "--n", str(cli.MAX_N + 1)], f"at most {cli.MAX_N}"),
+    (["speeds", "--n=--"], "'n' needs a value"),
+    (["continue", "--s", "100"], "overflows below harmonic 256"),
+    (["continue", "--sigma", "0.5", "--n", "1024"],
+     "overflows below harmonic 1024"),
 ])
 def test_out_of_range_option_exits_2(args, message, tmp_path, capsys):
     code = run_cli(args + ["--a", "-1,1,-1,1", "--m", "1"], tmp_path)
@@ -71,6 +77,18 @@ def test_out_of_range_option_exits_2(args, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and message in err
     assert not (tmp_path / "error.json").exists()
+
+
+def test_unusable_paths_exit_2(tmp_path, capsys):
+    # an output path that is a file, and a config file that is not text
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["speeds", "--a", "-1,1,-1,1", "--out", str(blocker)]) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+    conf = tmp_path / "binary.conf"
+    conf.write_bytes(b"\xff\xfe")
+    assert run_cli(["speeds", "--config", str(conf)], tmp_path) == 2
+    assert "cannot read config file" in capsys.readouterr().err
 
 
 def test_n_at_bound_accepted(tmp_path):
@@ -264,3 +282,132 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     data = json.loads((tmp_path / "speeds.json").read_text())
     assert data["regime"] == "generic"
+
+
+@pytest.mark.parametrize("command", ["evolve", "ep"])
+def test_diverging_wave_error_records_the_wave_configuration(command,
+                                                             tmp_path):
+    # the run fails after the wave is loaded: error.json names the wave's
+    # velocities, fold and truncation, not --a, --m and --n
+    tone = {"fold": 1, "cos": [1e200] + [0.0] * 7, "sin": [0.0] * 8,
+            "parity": "even-cosine"}
+    wave = tmp_path / "wave.json"
+    wave.write_text(json.dumps({"a": [-1, 1, -1, 1], "c": 2.2, "series": {
+        name: tone for name in steady.COMPONENT_NAMES}}))
+    assert run_cli([command, "--a", "0,1,1,2", "--m", "3",
+                    "--from-wave", str(wave)], tmp_path) == 1
+    report = json.loads((tmp_path / "error.json").read_text())
+    assert report["error"] == "DivergedError"
+    config = report["config"]
+    assert config["a"] == [-1.0, 1.0, -1.0, 1.0]
+    assert (config["m"], config["n"]) == (1, 8)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json",
+                                                         "wave.json"]
+
+
+# Vocabulary of the CLI fuzz test: every option with typical, boundary
+# and malformed values.  The cost bounds (n <= 16, max_points <= 4,
+# periods <= 0.05, few steps) are appended after the drawn tokens, so
+# they win over drawn values of the same options.
+FUZZ_VALUES = {
+    "--a": ["-1,1,-1,1", "0,1,2.5,3.5", "0,1,1,2", "1.83,3.552,0.108,1.83",
+            "-1,1,-1", "0,1,2,4", "a,b,c,d", "nan,1,2,3", "1e999,1,1,1",
+            "-1e200,1e200,-1e200,1e200"],
+    "--m": ["1", "2", "3", "0", "-1", "7", "x"],
+    "--n": ["8", "12", "16", "7", "0", "-3", "1e3", "x"],
+    "--s": ["2", "0", "-1", "1e3", "nan"],
+    "--sigma": ["0.1", "0", "-0.1", "50", "inf"],
+    "--tol": ["1e-11", "1e-3", "0", "-1", "1e-300"],
+    "--speed-index": ["+", "-", "0", "1", "3", "9", "-1", "up"],
+    "--arm": ["both", "+", "-", "up"],
+    "--s0": ["1e-3", "0.1", "0", "-1", "1e10"],
+    "--h-min": ["1e-7", "1e-3", "0", "0.5"],
+    "--h-max": ["0.1", "1e-4", "0", "-1"],
+    "--max-points": ["1", "3", "0", "x"],
+    "--snapshot-every": ["0", "1", "2", "-1"],
+    "--amp": ["0.01", "0", "-0.5", "1", "x"],
+    "--dt": ["0", "1e-3", "0.5", "-0.1", "x"],
+    "--steps": ["0", "1", "5", "-2", "x"],
+    "--periods": ["0.05", "0.01", "0", "-1", "x"],
+    "--store-every": ["0", "1", "3", "-1"],
+}
+FUZZ_OPTIONS = {  # options of each command besides the common ones
+    "speeds": [], "local": ["--speed-index"],
+    "continue": ["--speed-index", "--arm", "--s0", "--h-min", "--h-max",
+                 "--max-points", "--snapshot-every"],
+    "evolve": ["--from-wave", "--speed-index", "--amp", "--dt", "--steps",
+               "--periods", "--store-every"],
+    "ep": ["--from-wave"],
+}
+FUZZ_COMMON = ["--a", "--m", "--n", "--s", "--sigma", "--tol", "--config",
+               "--out"]
+FUZZ_JUNK = ["", "-", "--", "--bogus", "--help", "-h", "x", "=", "--a=",
+             "--n=", "é", "1,2", "None", "\x00"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Paths the fuzz test draws --config, --from-wave and --out from."""
+    root = tmp_path_factory.mktemp("fuzz")
+    tone = {"fold": 1, "cos": [0.01] + [0.0] * 7, "sin": [0.0] * 8,
+            "parity": "even-cosine"}
+    huge = dict(tone, cos=[1e200] + [0.0] * 7)
+    for name, series in (("wave.json", tone), ("diverging.json", huge)):
+        (root / name).write_text(json.dumps({
+            "a": [-1, 1, -1, 1], "c": 2.2,
+            "series": {k: series for k in steady.COMPONENT_NAMES}}))
+    (root / "good.conf").write_text("a = -1,1,-1,1\nn = 8\n")
+    (root / "typo.conf").write_text("a = -1,1,-1,1\nmax_point = 3\n")
+    (root / "junk.txt").write_bytes(b"\xff\xfe{not json")
+    paths = [str(root / p) for p in ("wave.json", "diverging.json",
+                                     "good.conf", "typo.conf", "junk.txt",
+                                     "missing")]
+    return root, paths
+
+
+@st_.composite
+def fuzz_argv(draw, paths):
+    """[command, tokens..., cost bounds]; mostly a real command and
+    option-value pairs, sometimes junk in any place."""
+    junk = st_.sampled_from(FUZZ_JUNK) | st_.text(max_size=4).filter(
+        lambda t: not t.startswith("--"))
+    if draw(st_.integers(0, 9)) == 0:
+        command = draw(junk)
+    else:
+        command = draw(st_.sampled_from(sorted(FUZZ_OPTIONS)))
+    own = st_.sampled_from(FUZZ_COMMON + FUZZ_OPTIONS.get(command, []))
+    anywhere = st_.sampled_from(FUZZ_COMMON + sorted(FUZZ_VALUES)
+                                + ["--from-wave"])
+    tokens = []
+    for _ in range(draw(st_.integers(0, 5))):
+        kind = draw(st_.integers(0, 9))
+        if kind <= 7:
+            flag = draw(own if kind <= 6 else anywhere)
+            tokens.append(flag)
+            if kind <= 5:  # a flag and one of its values
+                tokens.append(draw(st_.sampled_from(
+                    FUZZ_VALUES.get(flag, paths))))
+        else:
+            tokens.append(draw(junk))
+    bounds = {"continue": ["--n", draw(st_.sampled_from(["8", "16"])),
+                           "--max-points", draw(st_.sampled_from(["1", "4"]))],
+              "evolve": ["--n", draw(st_.sampled_from(["8", "16"])),
+                         "--periods", draw(st_.sampled_from(["0.01", "0.05"])),
+                         "--steps", draw(st_.sampled_from(["0", "3"])),
+                         "--amp", "0.01"]}
+    return [command] + tokens + bounds.get(command, [])
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st_.data())
+def test_cli_fuzz_exit_codes(fuzz_files, data, capsys):
+    # any argv: exit 0, 1 or 2 and never an uncaught exception; the draws
+    # are derandomized so that the suite's outcome is reproducible
+    root, paths = fuzz_files
+    argv = data.draw(fuzz_argv(paths))
+    # drawn tokens come after a default output directory and layer
+    code = cli.main(argv[:1] + ["--out", str(root / "out"),
+                                "--a", "-1,1,-1,1"] + argv[1:])
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,21 @@ class TestNewtonCorrect:
         vec[0] = np.nan
         with pytest.raises(ValueError):
             st.InterfaceState.from_vector(1, n, vec)  # states refuse NaN
+
+    def test_overflowing_trials_are_damped_without_warnings(self, sym_cfg):
+        # a border row of 1e-200 asks for a coefficient step near 1e200:
+        # every trial residual overflows, and damping gives up quietly
+        n = 8
+        rng = np.random.default_rng(12)
+        state = st.InterfaceState.from_vector(
+            1, n, 0.01 * rng.standard_normal(4 * n))
+        tangent = np.zeros(1 + 4 * n)
+        tangent[1] = 1e-200
+        constraint = ct.ArclengthConstraint(tangent, np.zeros(1 + 4 * n), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CorrectionFailedError, match="damping"):
+                ct.newton_correct(sym_cfg, (1.0, state), constraint, 1, n)
 
 
 class TestBranch:

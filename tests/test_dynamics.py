@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,24 @@ def test_divergence_detected():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergedError, match="at step 1"):
             dy.evolve(cfg, state, 1e-210, 3)
+
+
+def test_divergence_diagnosed_without_warnings(sym_cfg):
+    # no numpy warning escapes a diverging run: coefficients that square
+    # to inf fail at step 1; a start whose cubic kinetic energy overflows
+    # while its first step stays finite fails at step 0
+    huge = sp.TrigSeries(1, np.full(4, 1e200), np.zeros(4))
+    big = sp.TrigSeries(1, [1e103, 0.0, 0.0, 0.0], np.zeros(4))
+    zero = sp.TrigSeries.zeros(1, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergedError, match="at step 1"):
+            dy.evolve(sym_cfg, dy.PhaseState([huge] * 4), 1e-210, 3)
+        start = dy.PhaseState([zero, big, zero, zero])
+        dt = 0.5 * dy.cfl_limit(sym_cfg, start)
+        assert np.all(np.isfinite(dy.rhs(sym_cfg, start).cos))
+        with pytest.raises(DivergedError, match="at step 0"):
+            dy.evolve(sym_cfg, start, dt, 3)
 
 
 def test_divergence_detected_mid_run(sym_cfg, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from layerwaves import pencil as pc
 from layerwaves import spectral as sp
 from layerwaves import steady as st
-from layerwaves.spectral import ODD
+from layerwaves.spectral import ODD, TrigSeries
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -12,6 +12,77 @@ SQRT5 = float(np.sqrt(5.0))
 def random_state(rng, fold=2, count=10, scale=0.1):
     return st.InterfaceState.from_vector(
         fold, count, scale * rng.standard_normal(4 * count))
+
+
+def charge_difference(state):
+    s = state.series
+    return s[1] - s[0] - s[3] + s[2]
+
+
+def direct_residual(cfg, c, state, with_tail=False):
+    """Residual by exact convolution of series (test oracle): four odd
+    series, and with with_tail the sup of harmonics count+1..2*count."""
+    a = cfg.as_array()
+    n = state.count
+    pot = sp.antideriv(charge_difference(state)).with_count(2 * n)
+    out, tail = [], 0.0
+    for i, r in enumerate(state.series):
+        dr = sp.deriv(r)
+        quad = sp.multiply(r, dr, out_count=2 * n)
+        full = quad + (a[i] - c) * dr.with_count(2 * n) + st.POT_SIGN[i] * pot
+        out.append(full.with_count(n))
+        tail = max(tail, float(np.max(np.abs(full.sin[n:]), initial=0.0)))
+    if with_tail:
+        return out, tail
+    return out
+
+
+def _mult_op_even_to_odd(mean, coeffs, count, fold):
+    """Matrix of h -> (u * dx h) from cosine to sine coefficients, where
+    u has the given mean and cosine coefficients."""
+    r = np.arange(1, count + 1)
+    pad = np.zeros(2 * count + 2)
+    pad[1:coeffs.shape[0] + 1] = coeffs
+    diff = np.abs(r[:, None] - r[None, :])
+    summ = r[:, None] + r[None, :]
+    amp = 0.5 * pad[diff] - 0.5 * pad[summ]
+    amp[np.diag_indices(count)] += mean
+    return amp * (-(r * fold))[None, :]
+
+
+def _mult_op_odd_factor(sin_coeffs, count, fold):
+    """Matrix of h -> (v * h) from cosine to sine coefficients, where v
+    is an odd series with the given sine coefficients."""
+    r = np.arange(1, count + 1)
+    pad = np.zeros(2 * count + 2)
+    pad[1:sin_coeffs.shape[0] + 1] = sin_coeffs
+    d = r[:, None] - r[None, :]
+    signed = np.where(d > 0, pad[np.abs(d)], -pad[np.abs(d)])
+    signed[np.diag_indices(count)] = 0.0
+    return 0.5 * (signed + pad[r[:, None] + r[None, :]])
+
+
+def direct_jacobian(cfg, c, state):
+    """Jacobian from product-to-sum gathers per block (test oracle)."""
+    a = cfg.as_array()
+    n, fold = state.count, state.fold
+    inv_w = 1.0 / (fold * np.arange(1, n + 1))
+    idx = np.arange(n)
+    J = np.zeros((4 * n, 4 * n))
+    for i, r in enumerate(state.series):
+        rows = slice(i * n, (i + 1) * n)
+        J[rows, rows] += (_mult_op_even_to_odd(a[i] - c, r.cos, n, fold)
+                          + _mult_op_odd_factor(sp.deriv(r).sin, n, fold))
+        for l in range(4):
+            J[i * n + idx, l * n + idx] += (st.POT_SIGN[i] * st.D_COEF[l]
+                                            * inv_w)
+    return J
+
+
+def full_band_state(rng, fold, count):
+    """Random state with O(1) coefficients on every harmonic."""
+    return st.InterfaceState.from_vector(fold, count,
+                                         rng.uniform(-1, 1, 4 * count))
 
 
 def test_flat_state_is_trivial_solution():
@@ -33,10 +104,11 @@ def test_residual_parity_and_grid_oracle(gen_cfg):
     c = 0.8
     a = gen_cfg.as_array()
     out = st.residual(gen_cfg, c, state)
-    assert all(f.parity == ODD for f in out)
+    assert out.shape == (4, 6)  # sine coefficients: odd by construction
+    assert all(f.parity == ODD for f in direct_residual(gen_cfg, c, state))
 
     x = np.linspace(0.0, np.pi, 200)
-    pot = sp.antideriv(st.charge_difference(state))
+    pot = sp.antideriv(charge_difference(state))
     for i in range(4):
         exact = ((state.series[i].eval(x) + a[i] - c)
                  * sp.deriv(state.series[i]).eval(x)
@@ -46,7 +118,7 @@ def test_residual_parity_and_grid_oracle(gen_cfg):
                 + (a[i] - c) * sp.deriv(state.series[i]).with_count(12)
                 + st.POT_SIGN[i] * pot.with_count(12))
         assert np.max(np.abs(full.eval(x) - exact)) < 1e-12
-        assert np.array_equal(out[i].sin, full.sin[:6])
+        assert np.max(np.abs(out[i] - full.sin[:6])) < 1e-15
 
     # the reported truncation tail is the sup of the discarded harmonics
     _, tail = st.residual(gen_cfg, c, state, with_tail=True)
@@ -137,11 +209,11 @@ def test_speed_derivative(gen_cfg):
     vec = np.zeros(4 * n)
     vec[::n] = v
     state = st.InterfaceState.from_vector(2, n, vec)
-    dv = st.speed_derivative(gen_cfg, 0.0, state)
+    dv = st.speed_derivative_vector(gen_cfg, 0.0, state).reshape(4, n)
     for i in range(4):
         expect = np.zeros(n)
         expect[0] = 2 * v[i]  # -dx(v cos(2x)) = 2 v sin(2x)
-        assert np.allclose(dv[i].sin, expect)
+        assert np.allclose(dv[i], expect)
 
     state = random_state(rng, count=9)
     dc = 1e-6
@@ -228,9 +300,10 @@ def test_residual_translation_equivariance(sym_cfg):
     c = 1.1
     h = np.pi / 2  # half period of the fold
     left = st.residual(sym_cfg, c, state.shifted(h))
-    right = [sp.shift(f, h) for f in st.residual(sym_cfg, c, state)]
+    right = [sp.shift(TrigSeries.from_sin(2, f), h)
+             for f in st.residual(sym_cfg, c, state)]
     for a, b in zip(left, right):
-        assert np.max(np.abs(a.sin - b.sin)) < 1e-14
+        assert np.max(np.abs(a - b.sin)) < 1e-14
 
 
 def test_wave_solution_json_roundtrip(sym_cfg):
@@ -243,3 +316,68 @@ def test_wave_solution_json_roundtrip(sym_cfg):
     state2 = st.InterfaceState.from_json(
         [obj["series"][k] for k in st.COMPONENT_NAMES])
     assert np.array_equal(state2.as_vector(), state.as_vector())
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 2, 8, 17, 64, 256])
+def test_residual_matches_direct_convolution(gen_cfg, fold, count):
+    # the products reach harmonic 2N, so the tail is exact only if no
+    # harmonic up to 2N aliases on the grid: full-band coefficients, and
+    # a top harmonic alone, whose whole tail is harmonic 2N
+    rng = np.random.default_rng(10 * fold + count)
+    top = np.zeros((4, count))
+    top[:, -1] = rng.uniform(0.5, 1.0, 4)
+    for state in (full_band_state(rng, fold, count),
+                  st.InterfaceState.from_vector(fold, count, top.ravel())):
+        got, tail = st.residual(gen_cfg, 0.7, state, with_tail=True)
+        series, want_tail = direct_residual(gen_cfg, 0.7, state,
+                                            with_tail=True)
+        want = np.array([f.sin for f in series])
+        scale = max(np.max(np.abs(want)), want_tail)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        assert abs(tail - want_tail) <= 1e-13 * scale
+        assert np.array_equal(st.residual_vector(gen_cfg, 0.7, state),
+                              got.ravel())
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 2, 8, 17, 64, 256])
+def test_jacobian_matches_direct_gathers(gen_cfg, fold, count):
+    rng = np.random.default_rng(20 * fold + count)
+    state = full_band_state(rng, fold, count)
+    want = direct_jacobian(gen_cfg, 1.9, state)
+    got = st.jacobian(gen_cfg, 1.9, state)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_jacobian_fills_a_bordered_view(gen_cfg):
+    # Newton writes the Jacobian into the matrix it solves with: column 0
+    # and the border row keep their values, stale entries are overwritten
+    rng = np.random.default_rng(30)
+    n = 9
+    state = full_band_state(rng, 2, n)
+    A = rng.standard_normal((4 * n + 1, 4 * n + 1))
+    before = A.copy()
+    st.jacobian(gen_cfg, 0.4, state, out=A[:4 * n, 1:])
+    assert np.array_equal(A[:, 0], before[:, 0])
+    assert np.array_equal(A[4 * n], before[4 * n])
+    assert np.array_equal(A[:4 * n, 1:], st.jacobian(gen_cfg, 0.4, state))
+
+
+def test_interface_state_arrays():
+    rng = np.random.default_rng(31)
+    series = [TrigSeries.from_cos(2, rng.standard_normal(5)) for _ in range(4)]
+    state = st.InterfaceState(series)
+    assert state.cos.shape == (4, 5) and not state.cos.flags.writeable
+    for got, want in zip(state.series, series):
+        assert got.parity == sp.EVEN and np.array_equal(got.cos, want.cos)
+    assert state.to_json() == [s.to_json() for s in series]
+    assert np.array_equal(state.with_count(7).with_count(5).cos, state.cos)
+    assert np.array_equal(state.with_count(3).cos, state.cos[:, :3])
+    for h in (np.pi / 2, 0.3):  # exact signs, then a generic shift
+        want = [sp.shift(s, h).cos for s in series]
+        assert np.array_equal(state.shifted(h).cos, want)
+    params = sp.NormParams(2.0, 0.1)
+    assert state.norm(params) == max(sp.norm(s, params) for s in series)
+    with pytest.raises(ValueError, match="even"):
+        st.InterfaceState(series[:3] + [TrigSeries.zeros(2, 5)])
