@@ -22,7 +22,7 @@ from . import localbranch as lb
 from . import pencil as pc
 from . import steady as st
 from .errors import ConfigError, LayerError, WaveFileError
-from .spectral import NormParams
+from .spectral import NormParams, norm_weight
 
 # Largest accepted truncation --n.  The dense (4N+1)^2 Newton Jacobian
 # takes 134 MB at this bound and grows fourfold per doubling.
@@ -118,11 +118,13 @@ def _check_ranges(cfg):
         raise ConfigError("tolerances and steps must be positive")
     if cfg.s < 0 or cfg.sigma < 0:
         raise ConfigError("norm indices s and sigma must be nonnegative")
-    top = max(cfg.n, ct.ContinuationOptions.max_count)  # largest harmonic
-    log_weight = 2 * cfg.s * np.log(top) + 2 * cfg.sigma * top
-    if log_weight > np.log(np.finfo(float).max):
-        raise ConfigError(f"norm weight j^(2s) e^(2 sigma j) overflows "
-                          f"below harmonic {top}")
+    if cfg.command == "continue":  # the one command that weighs harmonics
+        top = max(cfg.n, ct.ContinuationOptions.max_count)
+        with np.errstate(over="ignore"):
+            weight = norm_weight(top, NormParams(cfg.s, cfg.sigma))
+        if not np.all(np.isfinite(weight)):
+            raise ConfigError(f"norm weight j^(2s) e^(2 sigma j) overflows "
+                              f"below harmonic {top}")
     if cfg.h_min <= 0 or cfg.h_max <= 0:
         raise ConfigError("step bounds h_min and h_max must be positive")
     if cfg.h_min > cfg.h_max:
@@ -138,61 +140,82 @@ def _check_ranges(cfg):
             raise ConfigError(f"{key} must be nonnegative")
 
 
-# Command-line options: the common ones, then each subcommand's help and
-# own options, each with its help text.  Values are typed and checked by
-# parse against the RunConfig fields.
-COMMON_OPTIONS = {
-    "--config": "flat key=value file; command-line flags override it",
-    "--a": "four interface velocities w,x,y,z",
-    "--m": "fold symmetry",
-    "--n": f"harmonic truncation (8 to {MAX_N})",
-    "--s": "regularity index of the coefficient norm",
-    "--sigma": "analyticity width of the coefficient norm",
-    "--tol": "Newton residual tolerance",
-    "--out": "output directory",
-}
-_SPEED_INDEX = "admissible speed: +, -, or 0-based index (ascending)"
-SUBCOMMANDS = {
-    "speeds": ("bifurcation speeds of one mode", {}),
-    "local": ("local pitchfork data at one speed",
-              {"--speed-index": _SPEED_INDEX}),
-    "continue": ("continue a branch to large amplitude", {
-        "--speed-index": _SPEED_INDEX, "--arm": "both, + or -",
-        "--s0": None, "--h-min": None, "--h-max": None, "--max-points": None,
-        "--snapshot-every": None}),
-    "evolve": ("Hamiltonian time evolution", {
-        "--from-wave": "wave snapshot JSON to propagate",
-        "--speed-index": _SPEED_INDEX,
-        "--amp": "kernel-mode amplitude when no snapshot is given",
-        "--dt": "time step (default: half the stability limit)",
-        "--steps": None,
-        "--periods": "horizon in spatial periods (used when --steps is "
-                     "not given)",
-        "--store-every": None}),
-    "ep": ("two-fluid correspondence and residuals", {"--from-wave": None}),
-}
-
-
 def build_parser():
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default="", help="flat key=value file; "
+                        "command-line flags override it")
+    common.add_argument("--a", dest="a", default=None,
+                        help="four interface velocities w,x,y,z")
+    common.add_argument("--m", type=int, default=None, help="fold symmetry")
+    common.add_argument("--n", type=int, default=None,
+                        help=f"harmonic truncation (8 to {MAX_N})")
+    common.add_argument("--s", type=float, default=None,
+                        help="regularity index of the coefficient norm")
+    common.add_argument("--sigma", type=float, default=None,
+                        help="analyticity width of the coefficient norm")
+    common.add_argument("--tol", type=float, default=None,
+                        help="Newton residual tolerance")
+    common.add_argument("--out", default=None, help="output directory")
+
     parser = argparse.ArgumentParser(
         prog="layerwaves",
         description="Traveling waves and bifurcation branches of "
                     "two-species plasma interface layers")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, options) in SUBCOMMANDS.items():
-        command = sub.add_parser(name, help=text)
-        for flag, help_text in {**COMMON_OPTIONS, **options}.items():
-            command.add_argument(flag, default=None, help=help_text)
+
+    sub.add_parser("speeds", parents=[common],
+                   help="bifurcation speeds of one mode")
+
+    p_local = sub.add_parser("local", parents=[common],
+                             help="local pitchfork data at one speed")
+    p_local.add_argument("--speed-index", default=None,
+                         help="admissible speed: +, -, or 0-based index "
+                              "(ascending)")
+
+    p_cont = sub.add_parser("continue", parents=[common],
+                            help="continue a branch to large amplitude")
+    p_cont.add_argument("--speed-index", default=None)
+    p_cont.add_argument("--arm", default=None, choices=["both", "+", "-"])
+    p_cont.add_argument("--s0", type=float, default=None)
+    p_cont.add_argument("--h-min", type=float, default=None)
+    p_cont.add_argument("--h-max", type=float, default=None)
+    p_cont.add_argument("--max-points", type=int, default=None)
+    p_cont.add_argument("--snapshot-every", type=int, default=None)
+
+    p_ev = sub.add_parser("evolve", parents=[common],
+                          help="Hamiltonian time evolution")
+    p_ev.add_argument("--from-wave", default=None,
+                      help="wave snapshot JSON to propagate")
+    p_ev.add_argument("--speed-index", default=None)
+    p_ev.add_argument("--amp", type=float, default=None,
+                      help="kernel-mode amplitude when no snapshot is given")
+    p_ev.add_argument("--dt", type=float, default=None,
+                      help="time step (default: half the stability limit)")
+    p_ev.add_argument("--steps", type=int, default=None)
+    p_ev.add_argument("--periods", type=float, default=None,
+                      help="horizon in spatial periods (used when --steps "
+                           "is not given)")
+    p_ev.add_argument("--store-every", type=int, default=None)
+
+    p_ep = sub.add_parser("ep", parents=[common],
+                          help="two-fluid correspondence and residuals")
+    p_ep.add_argument("--from-wave", default=None)
     return parser
 
 
 def _merge_value_flags(argv):
     """Join '--a -1,1,-1,1' into '--a=-1,1,-1,1' so negative velocity
     lists are not mistaken for options."""
-    out, rest = [], list(argv)
-    while rest:
-        tok = rest.pop(0)
-        out.append(f"--a={rest.pop(0)}" if tok == "--a" and rest else tok)
+    out, skip = [], False
+    for i, tok in enumerate(argv):
+        if skip:
+            skip = False
+            continue
+        if tok == "--a" and i + 1 < len(argv):
+            out.append(f"--a={argv[i + 1]}")
+            skip = True
+        else:
+            out.append(tok)
     return out
 
 

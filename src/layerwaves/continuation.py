@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import localbranch as lb
+from . import spectral as sp
 from . import steady as st
 from .errors import CannotStartError, CorrectionFailedError
 from .spectral import NormParams
@@ -185,8 +186,8 @@ def detect_termination(branch, opts=None):
         n = max(sol.state.count, first.solution.state.count)
         diff = (sol.state.with_count(n).cos
                 - first.solution.state.with_count(n).cos)
-        dist = abs(sol.c - first.solution.c) + st.coefficient_norm(
-            diff, opts.norm_params)
+        dist = abs(sol.c - first.solution.c) + np.max(
+            sp.norms(diff, 0.0, opts.norm_params))
         if dist <= LOOP_TOL:
             triggered.append(LOOP)
     if 1.0 + abs(sol.c) + norm_r >= BLOW_UP_CAP:
@@ -211,7 +212,8 @@ def _tail_heavy(state, opts):
         return False
     tail = state.cos.copy()
     tail[:, :head] = 0.0
-    return st.coefficient_norm(tail, opts.norm_params) > TAIL_NORM_TOL * total
+    tail_norm = np.max(sp.norms(tail, 0.0, opts.norm_params))
+    return tail_norm > TAIL_NORM_TOL * total
 
 
 def _advance(branch, u_prev, tangent, ds, opts):
@@ -260,16 +262,20 @@ def _advance(branch, u_prev, tangent, ds, opts):
 
 def _embed(u, old_count, new_count):
     """Zero-pad an augmented (c, 4 stacked coefficient blocks) vector."""
-    blocks = np.zeros((4, new_count))
-    blocks[:, :old_count] = u[1:].reshape(4, old_count)
-    return np.concatenate([u[:1], blocks.ravel()])
+    out = np.zeros(1 + 4 * new_count)
+    out[0] = u[0]
+    for i in range(4):
+        out[1 + i * new_count: 1 + i * new_count + old_count] = \
+            u[1 + i * old_count: 1 + (i + 1) * old_count]
+    return out
 
 
 def trace_arm(origin, arm, opts):
     """Continue one pitchfork arm (arm = +1 or -1) from its local expansion."""
     fold, count = origin.m, opts.count
     v = np.zeros(1 + 4 * count)
-    v[1::count] = origin.kernel_vec
+    for i in range(4):
+        v[1 + i * count] = origin.kernel_vec[i]
     vnorm = float(np.linalg.norm(v))
     tangent = (arm / vnorm) * v
     u0 = _stack(origin.c_star, st.InterfaceState.zero(fold, count))

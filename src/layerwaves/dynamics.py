@@ -22,42 +22,12 @@ J_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
 KIN_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])  # (-1)^k per component
 
 
-class PhaseState:
-    """Four full-parity, zero-mean series with a common fold and truncation.
+class PhaseState(sp.ComponentArrays):
+    """Four full-parity, zero-mean series with a common fold and
+    truncation; coefficient arrays `cos` and `sin`."""
 
-    The coefficients of harmonics 1..N are held as (4, N) read-only float
-    arrays `cos` and `sin`, one row per component; TrigSeries appear only
-    when a state is built from or read out as series.
-    """
-
-    __slots__ = ("fold", "cos", "sin")
-
-    def __init__(self, series):
-        series = tuple(series)
-        if len(series) != 4:
-            raise ValueError("expected four components")
-        fold, count = series[0].fold, series[0].count
-        for s in series:
-            if s.fold != fold or s.count != count:
-                raise ValueError("components must share fold and truncation")
-        self._set(fold, np.array([s.cos for s in series]),
-                  np.array([s.sin for s in series]))
-
-    def _set(self, fold, cos, sin):
-        cos.setflags(write=False)
-        sin.setflags(write=False)
-        self.fold, self.cos, self.sin = fold, cos, sin
-
-    @classmethod
-    def from_arrays(cls, fold, cos, sin):
-        """State owning the (4, N) coefficient arrays cos and sin."""
-        state = cls.__new__(cls)
-        state._set(fold, cos, sin)
-        return state
-
-    @classmethod
-    def zero(cls, fold, count):
-        return cls.from_arrays(fold, np.zeros((4, count)), np.zeros((4, count)))
+    ARRAYS = ("cos", "sin")
+    __slots__ = ARRAYS
 
     @classmethod
     def from_interface(cls, state):
@@ -68,17 +38,6 @@ class PhaseState:
         """The four components as full-parity TrigSeries."""
         return tuple(TrigSeries(self.fold, c, s)
                      for c, s in zip(self.cos, self.sin))
-
-    @property
-    def count(self):
-        return self.cos.shape[1]
-
-    def wavenumbers(self):
-        return self.fold * np.arange(1, self.count + 1, dtype=float)
-
-    def max_abs(self):
-        return float(max(np.max(np.abs(self.cos), initial=0.0),
-                         np.max(np.abs(self.sin), initial=0.0)))
 
     def grid_values(self, npts):
         """(4, npts) component values at the uniform points of one fold
@@ -212,8 +171,8 @@ def evolve(cfg, start, dt, steps, store_every=1):
     dt must respect the explicit stability limit of the initial state.
     Stores the start, every store_every-th step and the last step.
     Non-finite coefficients after a step (a non-finite stage value
-    reaches the step's result), then a non-finite start energy, abort
-    with DivergedError; overflow on the way is not warned about.
+    reaches the step's result) and a non-finite start energy abort with
+    DivergedError; overflow on the way is not warned about.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -238,11 +197,12 @@ def evolve(cfg, start, dt, steps, store_every=1):
         if not (np.all(np.isfinite(state.cos))
                 and np.all(np.isfinite(state.sin))):
             raise DivergedError(f"evolution diverged at step {k}")
-        if k == 1 and not np.isfinite(energies[0].e_total):
-            raise DivergedError("evolution diverged at step 0: "
-                                "non-finite start energy")
         if k % store_every == 0 or k == steps:
             times.append(k * dt)
             states.append(state)
             energies.append(energy(cfg, state))
+    # checked last, so coefficients that blow up report their own step
+    if not np.isfinite(energies[0].e_total):
+        raise DivergedError("evolution diverged at step 0: "
+                            "non-finite start energy")
     return Trajectory(np.asarray(times), states, energies)

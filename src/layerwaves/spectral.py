@@ -152,6 +152,58 @@ class TrigSeries:
         return cls(obj["fold"], obj["cos"], obj["sin"], obj["parity"])
 
 
+class ComponentArrays:
+    """Four series with a common fold and truncation, held as read-only
+    (4, N) float arrays of the coefficients of harmonics 1..N, one row per
+    component: one array per name in the subclass's ARRAYS ("cos", or
+    "cos" and "sin").  TrigSeries appear only when a state is built from
+    or read out as series."""
+
+    __slots__ = ("fold",)
+    ARRAYS = ()
+
+    def __init__(self, series):
+        series = tuple(series)
+        if len(series) != 4:
+            raise ValueError("expected four components")
+        fold, count = series[0].fold, series[0].count
+        for s in series:
+            if s.fold != fold or s.count != count:
+                raise ValueError("components must share fold and truncation")
+        self._set(fold, [np.array([getattr(s, name) for s in series])
+                         for name in self.ARRAYS])
+
+    def _set(self, fold, arrays):
+        self.fold = int(fold)
+        for name, arr in zip(self.ARRAYS, arrays):
+            arr.setflags(write=False)
+            setattr(self, name, arr)
+
+    @classmethod
+    def from_arrays(cls, fold, *arrays):
+        """State owning the (4, N) coefficient arrays, neither copied nor
+        checked."""
+        state = cls.__new__(cls)
+        state._set(fold, arrays)
+        return state
+
+    @classmethod
+    def zero(cls, fold, count):
+        return cls.from_arrays(fold, *(np.zeros((4, count))
+                                       for _ in cls.ARRAYS))
+
+    @property
+    def count(self):
+        return self.cos.shape[1]
+
+    def wavenumbers(self):
+        return self.fold * np.arange(1, self.count + 1, dtype=float)
+
+    def max_abs(self):
+        return float(max(np.max(np.abs(getattr(self, name)), initial=0.0)
+                         for name in self.ARRAYS))
+
+
 def _flip(parity):
     if parity == EVEN:
         return ODD
@@ -205,14 +257,24 @@ def multiply(f, g, out_count=None):
     return multiply_with_mean(f, g, out_count)[1]
 
 
-def norm(f, params):
-    """Sobolev-analytic coefficient norm (sum_j j^(2s) e^(2 sigma j) u_j^2)^(1/2).
+def norm_weight(count, params):
+    """Weights j^(2s) e^(2 sigma j) of harmonics j = 1..count in the norm;
+    j is the reduced index (harmonic j*fold counts as j)."""
+    j = np.arange(1, count + 1, dtype=float)
+    return j ** (2.0 * params.s) * np.exp(2.0 * params.sigma * j)
 
-    The weight uses the reduced index j (harmonic j*fold counts as j).
-    """
-    j = np.arange(1, f.count + 1, dtype=float)
-    weight = j ** (2.0 * params.s) * np.exp(2.0 * params.sigma * j)
-    return float(np.sqrt(np.sum(weight * (f.cos ** 2 + f.sin ** 2))))
+
+def norms(cos, sin, params):
+    """Sobolev-analytic coefficient norms (sum_j w_j (a_j^2 + b_j^2))^(1/2)
+    of the series whose cosine and sine coefficients are the rows of
+    (k, N) arrays (or of one row each; sin may be 0)."""
+    weight = norm_weight(np.shape(cos)[-1], params)
+    return np.sqrt(np.sum(weight * (cos ** 2 + sin ** 2), axis=-1))
+
+
+def norm(f, params):
+    """Coefficient norm of one series (see norms)."""
+    return float(norms(f.cos, f.sin, params))
 
 
 def shift_factors(fold, count, h):

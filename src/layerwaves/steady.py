@@ -30,49 +30,18 @@ MONITOR_GRID_FACTOR = 16
 RESIDUAL_GRID_FACTOR = 5
 
 
-def coefficient_norm(cos, params):
-    """Largest spectral.norm of the rows of a (k, N) cosine array."""
-    j = np.arange(1, cos.shape[1] + 1, dtype=float)
-    weight = j ** (2.0 * params.s) * np.exp(2.0 * params.sigma * j)
-    return float(np.max(np.sqrt(np.sum(weight * cos ** 2, axis=1))))
+class InterfaceState(sp.ComponentArrays):
+    """Four even, zero-mean cosine series with common fold and truncation;
+    coefficient array `cos`."""
 
-
-class InterfaceState:
-    """Four even, zero-mean cosine series with common fold and truncation.
-
-    The coefficients of harmonics 1..N are held as one (4, N) read-only
-    float array `cos`, one row per component; TrigSeries appear only
-    when a state is built from or read out as series.
-    """
-
-    __slots__ = ("fold", "cos")
+    ARRAYS = ("cos",)
+    __slots__ = ARRAYS
 
     def __init__(self, series):
         series = tuple(series)
-        if len(series) != 4:
-            raise ValueError("expected four components")
-        fold, count = series[0].fold, series[0].count
-        for s in series:
-            if s.parity != EVEN:
-                raise ValueError("interface components must be even-cosine")
-            if s.fold != fold or s.count != count:
-                raise ValueError("components must share fold and truncation")
-        self._set(fold, np.array([s.cos for s in series]))
-
-    def _set(self, fold, cos):
-        cos.setflags(write=False)
-        self.fold, self.cos = int(fold), cos
-
-    @classmethod
-    def from_arrays(cls, fold, cos):
-        """State on the (4, N) cosine array cos, neither copied nor checked."""
-        state = cls.__new__(cls)
-        state._set(fold, cos)
-        return state
-
-    @classmethod
-    def zero(cls, fold, count):
-        return cls.from_arrays(fold, np.zeros((4, count)))
+        if any(s.parity != EVEN for s in series):
+            raise ValueError("interface components must be even-cosine")
+        super().__init__(series)
 
     @classmethod
     def from_vector(cls, fold, count, vec):
@@ -86,13 +55,6 @@ class InterfaceState:
     def series(self):
         """The four components as even TrigSeries."""
         return tuple(TrigSeries.from_cos(self.fold, c) for c in self.cos)
-
-    @property
-    def count(self):
-        return self.cos.shape[1]
-
-    def wavenumbers(self):
-        return self.fold * np.arange(1, self.count + 1, dtype=float)
 
     def as_vector(self):
         return self.cos.flatten()
@@ -110,10 +72,7 @@ class InterfaceState:
         return InterfaceState.from_arrays(self.fold, factor * self.cos)
 
     def norm(self, params):
-        return coefficient_norm(self.cos, params)
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.cos), initial=0.0))
+        return float(np.max(sp.norms(self.cos, 0.0, params)))
 
     def to_json(self):
         """The components in the TrigSeries.to_json layout."""

@@ -79,6 +79,13 @@ def test_out_of_range_option_exits_2(args, message, tmp_path, capsys):
     assert not (tmp_path / "error.json").exists()
 
 
+@pytest.mark.parametrize("args", [["speeds", "--s", "100"],
+                                  ["local", "--sigma", "0.5", "--n", "1024"]])
+def test_norm_indices_only_bound_continue(args, tmp_path):
+    # s and sigma weigh harmonics only in continuation
+    assert run_cli(args + ["--a", "-1,1,-1,1"], tmp_path) == 0
+
+
 def test_unusable_paths_exit_2(tmp_path, capsys):
     # an output path that is a file, and a config file that is not text
     blocker = tmp_path / "file"

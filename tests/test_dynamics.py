@@ -233,8 +233,9 @@ def test_divergence_diagnosed_without_warnings(sym_cfg):
         start = dy.PhaseState([zero, big, zero, zero])
         dt = 0.5 * dy.cfl_limit(sym_cfg, start)
         assert np.all(np.isfinite(dy.rhs(sym_cfg, start).cos))
-        with pytest.raises(DivergedError, match="at step 0"):
-            dy.evolve(sym_cfg, start, dt, 3)
+        for steps in (3, 0):
+            with pytest.raises(DivergedError, match="at step 0"):
+                dy.evolve(sym_cfg, start, dt, steps)
 
 
 def test_divergence_detected_mid_run(sym_cfg, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from layerwaves import pencil as pc
 from layerwaves import spectral as sp
 from layerwaves import steady as st
-from layerwaves.spectral import ODD, TrigSeries
+from layerwaves.spectral import TrigSeries
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -103,11 +103,12 @@ def test_residual_parity_and_grid_oracle(gen_cfg):
     state = random_state(rng, fold=2, count=6)
     c = 0.8
     a = gen_cfg.as_array()
-    out = st.residual(gen_cfg, c, state)
-    assert out.shape == (4, 6)  # sine coefficients: odd by construction
-    assert all(f.parity == ODD for f in direct_residual(gen_cfg, c, state))
+    out, tail = st.residual(gen_cfg, c, state, with_tail=True)
+    assert out.shape == (4, 6)
+    # one product: the kept harmonics do not depend on the tail report
+    assert np.array_equal(st.residual(gen_cfg, c, state), out)
 
-    x = np.linspace(0.0, np.pi, 200)
+    x = np.linspace(-np.pi, np.pi, 401)
     pot = sp.antideriv(charge_difference(state))
     for i in range(4):
         exact = ((state.series[i].eval(x) + a[i] - c)
@@ -118,10 +119,15 @@ def test_residual_parity_and_grid_oracle(gen_cfg):
                 + (a[i] - c) * sp.deriv(state.series[i]).with_count(12)
                 + st.POT_SIGN[i] * pot.with_count(12))
         assert np.max(np.abs(full.eval(x) - exact)) < 1e-12
+        # the residual's own sine coefficients, completed by the discarded
+        # harmonics, give the odd defining formula on both sides of x = 0
+        own = TrigSeries.from_sin(2, np.concatenate([out[i], full.sin[6:]]))
+        assert np.max(np.abs(own.eval(x) - exact)) < 1e-12
+        # Galerkin: the first harmonics of the untruncated residual (an
+        # FFT product meets the convolution to round-off, not bitwise)
         assert np.max(np.abs(out[i] - full.sin[:6])) < 1e-15
 
     # the reported truncation tail is the sup of the discarded harmonics
-    _, tail = st.residual(gen_cfg, c, state, with_tail=True)
     worst = max(np.max(np.abs((sp.multiply(state.series[i],
                                            sp.deriv(state.series[i]),
                                            out_count=12)).sin[6:]))
