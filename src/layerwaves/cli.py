@@ -107,9 +107,13 @@ def _convert(key, val, kind):
 
 
 def _check_ranges(cfg):
-    pc.classify_config(cfg.a)  # raises ConfigError with the width message
+    layer = pc.classify_config(cfg.a)  # ConfigError names the widths
     if cfg.m < 1:
         raise ConfigError("fold m must be a positive integer")
+    if not pc.pencil_is_finite(cfg.m, layer):
+        raise ConfigError(f"fold m and velocities overflow the pencil: "
+                          f"20 m^2 (1 + max|a|) must stay below "
+                          f"{pc.MAX_PENCIL_ENTRY:.3g}")
     if cfg.n < 8:
         raise ConfigError("truncation n must be at least 8")
     if cfg.n > MAX_N:
@@ -349,6 +353,9 @@ def _load_wave(path):
         raise WaveFileError(f"invalid wave file {path}: c={c} is not finite")
     if state.count < 1:
         raise WaveFileError(f"invalid wave file {path}: no harmonics")
+    if not pc.pencil_is_finite(state.fold, layer):
+        raise WaveFileError(f"invalid wave file {path}: fold and "
+                            f"velocities overflow the pencil")
     return layer, c, state
 
 

@@ -67,6 +67,7 @@ class BranchPoint:
     next_step: float             # step size the loop would take next
     newton_iters: int
     compact_index: int           # smallest n with the point inside K_n
+                                 # (inf if in none: an infinite norm)
 
 
 @dataclass
@@ -167,6 +168,8 @@ def _compact_index(sol, norm_params):
     gap, slip = sol.monitors
     bound = max(1.0 / max(gap, 1e-300), 1.0 / max(slip, 1e-300),
                 abs(sol.c), sol.state.norm(norm_params))
+    if np.isinf(bound):  # detect_termination reads this as blow-up
+        return bound
     return int(max(1, np.ceil(bound - 1e-12)))
 
 

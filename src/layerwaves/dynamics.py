@@ -44,8 +44,8 @@ class PhaseState(sp.ComponentArrays):
         period, from one batched inverse FFT."""
         return sp.grid_values(self.cos, self.sin, npts)
 
-    def sup_norms(self, points=None):
-        vals = self.grid_values(points or 8 * self.count)
+    def sup_norms(self):
+        vals = self.grid_values(8 * self.count)
         return [float(v) for v in np.max(np.abs(vals), axis=1)]
 
     def combine(self, others, weights):
@@ -68,7 +68,6 @@ def _charge(state):
 class EnergyReport:
     e_kin: float
     e_pot: float
-    neutrality_defect: float
 
     @property
     def e_total(self):
@@ -113,34 +112,35 @@ def energy(cfg, state):
     qcos, qsin = _charge(state)
     e_pot = 0.25 * float(np.sum((qcos ** 2 + qsin ** 2)
                                 / state.wavenumbers() ** 2))
-    return EnergyReport(e_kin, e_pot, 0.0)
+    return EnergyReport(e_kin, e_pot)
 
 
 def grad_energy(cfg, state):
     """L2 gradient of the energy: component (k, kappa) is
-    (-1)^k [ (a + r)^2 / 2  -+  dxx^-1(d) ].  Returns (mean, series)
-    pairs; the means matter only for pairings, the Hamiltonian operator
-    annihilates them."""
+    (-1)^k [ (a + r)^2 / 2  -+  dxx^-1(d) ].  Returns the (4,) means and
+    the zero-mean parts as a PhaseState; the means matter only for
+    pairings, the Hamiltonian operator annihilates them.
+
+    r^2 goes through one round trip on 4N points of one fold period,
+    which give its harmonics 1..N and its mean exactly."""
     a = cfg.as_array()
-    n = state.count
-    s = state.series
-    d = (s[1] - s[0]) - (s[3] - s[2])
-    ddxx = sp.antideriv(sp.antideriv(d))
-    out = []
-    for i in range(4):
-        sq_mean, sq = sp.multiply_with_mean(s[i], s[i], out_count=n)
-        series = KIN_SIGN[i] * (0.5 * sq + a[i] * s[i]
-                                - COUPLING_SIGN[i] * ddxx)
-        mean = KIN_SIGN[i] * 0.5 * (a[i] * a[i] + sq_mean)
-        out.append((mean, series))
-    return out
+    vals = state.grid_values(4 * state.count)
+    sq_cos, sq_sin = sp.grid_coefficients(vals ** 2, state.count)
+    qcos, qsin = _charge(state)
+    pot = COUPLING_SIGN[:, None] / state.wavenumbers() ** 2  # -+ dxx^-1
+    kin, ac = KIN_SIGN[:, None], a[:, None]
+    cos = kin * (0.5 * sq_cos + ac * state.cos + pot * qcos)
+    sin = kin * (0.5 * sq_sin + ac * state.sin + pot * qsin)
+    means = KIN_SIGN * 0.5 * (a * a + np.mean(vals ** 2, axis=1))
+    return means, PhaseState.from_arrays(state.fold, cos, sin)
 
 
 def hamiltonian_rhs(cfg, state):
     """J grad E: the alternating-sign derivative of the energy gradient.
     Identical to rhs(); kept separate so the identity is testable."""
-    grads = grad_energy(cfg, state)
-    return PhaseState([J_SIGN[i] * sp.deriv(grads[i][1]) for i in range(4)])
+    _, grad = grad_energy(cfg, state)
+    jw = J_SIGN[:, None] * state.wavenumbers()
+    return PhaseState.from_arrays(state.fold, jw * grad.sin, -jw * grad.cos)
 
 
 def cfl_limit(cfg, state):

@@ -8,42 +8,53 @@ velocities are zero-mean.  The map (rho, u) = (a + (r2 - r1)/2,
 one half and one in the component-max norm.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import pencil as pc
 from . import spectral as sp
+from . import steady as st
 from .errors import ConfigError, DivergedError
 from .pencil import SYMMETRIC
 
-CUBIC_PRESSURE_COEF = 1.0 / 3.0
+EP_NAMES = ("rho_plus", "rho_minus", "u_plus", "u_minus")
+RESIDUAL_NAMES = ("continuity_plus", "momentum_plus",
+                  "continuity_minus", "momentum_minus")
+
+# TO_EP maps the interfaces (plus1, plus2, minus1, minus2) to the
+# zero-mean parts of (rho_+, rho_-, u_+, u_-); FROM_EP is its inverse.
+# Their entries are +-1/2, +-1 and 0, so both maps are exact.
+TO_EP = 0.5 * np.array([[-1.0, 1.0, 0.0, 0.0],
+                        [0.0, 0.0, -1.0, 1.0],
+                        [1.0, 1.0, 0.0, 0.0],
+                        [0.0, 0.0, 1.0, 1.0]])
+FROM_EP = np.array([[-1.0, 0.0, 1.0, 0.0],
+                    [1.0, 0.0, 1.0, 0.0],
+                    [0.0, -1.0, 0.0, 1.0],
+                    [0.0, 1.0, 0.0, 1.0]])
 
 
-@dataclass
-class EPState:
-    """Two-fluid state mapped from a symmetric-regime wave solution."""
+class EPState(sp.ComponentArrays):
+    """Two-fluid state mapped from a symmetric-regime wave solution: one
+    read-only (4, N) cosine array `cos` with rows rho_plus, rho_minus,
+    u_plus, u_minus (zero-mean parts; the density mean is base_a), plus
+    base_a and the speed c."""
 
-    base_a: float
-    c: float
-    rho_plus: sp.TrigSeries    # zero-mean part; density mean is base_a
-    rho_minus: sp.TrigSeries
-    u_plus: sp.TrigSeries
-    u_minus: sp.TrigSeries
+    ARRAYS = ("cos",)
+    __slots__ = ("cos", "base_a", "c")
 
     def to_json(self):
-        return {"a": self.base_a, "c": self.c,
-                "rho_plus": {"mean": self.base_a,
-                             "series": self.rho_plus.to_json()},
-                "rho_minus": {"mean": self.base_a,
-                              "series": self.rho_minus.to_json()},
-                "u_plus": {"mean": 0.0, "series": self.u_plus.to_json()},
-                "u_minus": {"mean": 0.0, "series": self.u_minus.to_json()}}
+        out = {"a": self.base_a, "c": self.c}
+        means = (self.base_a, self.base_a, 0.0, 0.0)
+        for name, mean, row in zip(EP_NAMES, means, self.cos):
+            out[name] = {"mean": mean, "series":
+                         sp.TrigSeries.from_cos(self.fold, row).to_json()}
+        return out
 
-    def min_density(self, points=512):
-        rho = (self.rho_plus, self.rho_minus)
-        vals = sp.grid_values(np.array([r.cos for r in rho]),
-                              np.array([r.sin for r in rho]), points)
+    def min_density(self):
+        """Smallest density, sampled on the monitors' grid of one fold
+        period."""
+        vals = sp.grid_values(self.cos[:2], np.zeros((2, self.count)),
+                              st.MONITOR_GRID_FACTOR * self.count)
         return float(np.min(vals) + self.base_a)
 
 
@@ -61,40 +72,14 @@ def _require_symmetric(cfg):
 def map_to_ep(cfg, sol):
     """Map a wave solution to two-fluid variables (affine, invertible)."""
     a = _require_symmetric(cfg)
-    s = sol.state.series
-    return EPState(base_a=a, c=sol.c,
-                   rho_plus=0.5 * (s[1] - s[0]),
-                   rho_minus=0.5 * (s[3] - s[2]),
-                   u_plus=0.5 * (s[1] + s[0]),
-                   u_minus=0.5 * (s[3] + s[2]))
+    state = EPState.from_arrays(sol.state.fold, TO_EP @ sol.state.cos)
+    state.base_a, state.c = a, sol.c
+    return state
 
 
 def map_from_ep(state):
     """Inverse map: r2 = u + rho - a, r1 = u - rho + a (per species)."""
-    plus_hi = state.u_plus + state.rho_plus
-    plus_lo = state.u_plus - state.rho_plus
-    minus_hi = state.u_minus + state.rho_minus
-    minus_lo = state.u_minus - state.rho_minus
-    return [plus_lo, plus_hi, minus_lo, minus_hi]
-
-
-class _MeanSeries:
-    """Series plus explicit mean; closed under the operations below."""
-
-    __slots__ = ("mean", "series")
-
-    def __init__(self, mean, series):
-        self.mean = float(mean)
-        self.series = series
-
-    def mul(self, other, out_count):
-        m, cross = sp.multiply_with_mean(self.series, other.series, out_count)
-        series = (self.mean * other.series + other.mean * self.series
-                  + cross).with_count(out_count)
-        return _MeanSeries(self.mean * other.mean + m, series)
-
-    def dx(self):
-        return sp.deriv(self.series)
+    return st.InterfaceState.from_arrays(state.fold, FROM_EP @ state.cos)
 
 
 def ep_residual(state):
@@ -103,38 +88,34 @@ def ep_residual(state):
     continuity: -c dx rho + dx(rho u)
     momentum:   -c dx(rho u) + dx(rho u^2) + dx(rho^3/3)
                 -+ 2 rho dx^-1(rho_+ - rho_-)
-    Products are evaluated at full convolution length; returns the four
-    residual series and their sup norms.  A product that overflows
-    raises DivergedError.
+    The residuals reach harmonic 3N.  rho, u, their derivatives and the
+    force dx^-1(rho_+ - rho_-) come from one inverse FFT on 8 (3N + 3)
+    uniform points of one fold period; the residuals are formed there
+    pointwise, and one forward FFT gives their sine coefficients on
+    harmonics 1..3N+3, all exact.  Returns the (4, 3N+3) coefficients,
+    rows in the order of RESIDUAL_NAMES, and the sup norms on the grid
+    by name.  A residual that overflows raises DivergedError.
     """
-    c = state.c
-    n = state.rho_plus.count
+    n = state.count
     out_n = 3 * n + 3
-    residuals = {}
-    force = sp.antideriv(state.rho_plus - state.rho_minus)
-    for tag, rho0, u0, sign in (("plus", state.rho_plus, state.u_plus, -1.0),
-                                ("minus", state.rho_minus, state.u_minus, 1.0)):
-        rho = _MeanSeries(state.base_a, rho0)
-        u = _MeanSeries(0.0, u0)
-        try:  # TrigSeries refuse the non-finite coefficients of an overflow
-            rho_u = rho.mul(u, out_n)
-            rho_u_u = rho_u.mul(u, out_n)
-            rho3 = rho.mul(rho, out_n).mul(rho, out_n)
-            cont = -c * sp.deriv(rho0).with_count(out_n) + rho_u.dx()
-            mom = (-c * rho_u.dx() + rho_u_u.dx()
-                   + CUBIC_PRESSURE_COEF * rho3.dx()
-                   + sign * 2.0 * (rho.mul(_MeanSeries(0.0, force),
-                                           out_n).series))
-        except ValueError:
-            raise DivergedError("Euler-Poisson residual overflows") from None
-        residuals[f"continuity_{tag}"] = cont
-        residuals[f"momentum_{tag}"] = mom
-    series = list(residuals.values())
-    vals = sp.grid_values(np.array([f.cos for f in series]),
-                          np.array([f.sin for f in series]), 8 * out_n)
-    sups = {name: float(v) for name, v
-            in zip(residuals, np.max(np.abs(vals), axis=1))}
-    return residuals, sups
+    w = state.wavenumbers()
+    zero = np.zeros((5, n))
+    force = (state.cos[0] - state.cos[1]) / w
+    vals = sp.grid_values(np.concatenate((state.cos, zero)),
+                          np.concatenate((zero[:4], -w * state.cos,
+                                          force[None])), 8 * out_n)
+    rho = vals[0:2] + state.base_a
+    u, drho, du, field = vals[2:4], vals[4:6], vals[6:8], vals[8]
+    flux = drho * u + rho * du  # dx(rho u)
+    cont = flux - state.c * drho
+    mom = ((u - state.c) * flux + rho * u * du + rho * rho * drho
+           + np.array([[-2.0], [2.0]]) * rho * field)
+    res = np.array([cont[0], mom[0], cont[1], mom[1]])
+    _, coeffs = sp.grid_coefficients(res, out_n)
+    if not (np.all(np.isfinite(res)) and np.all(np.isfinite(coeffs))):
+        raise DivergedError("Euler-Poisson residual overflows")
+    sups = dict(zip(RESIDUAL_NAMES, np.max(np.abs(res), axis=1).tolist()))
+    return coeffs, sups
 
 
 def ep_speeds(a, m):

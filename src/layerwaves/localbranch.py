@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pencil as pc
-from . import spectral as sp
 from .errors import ResonantHarmonicError
 from .steady import COMPONENT_NAMES, InterfaceState
 
@@ -43,25 +42,6 @@ class LocalExpansion:
                 "nearest_component": COMPONENT_NAMES[self.nearest_component]}
 
 
-def hessian_action(cfg, h, h2):
-    """Second derivative of the residual: component-wise dx(h_i * h2_i).
-
-    Independent of c and of the configuration; bilinear and symmetric.
-    The product is kept at full convolution length (no truncation).
-    """
-    out = []
-    for f, g in zip(h.series, h2.series):
-        out.append(sp.deriv(sp.multiply(f, g, out_count=f.count + g.count)))
-    return out
-
-
-def kernel_state(m, cfg, c_star, count=1):
-    """The kernel mode as an interface state: v_i cos(m x)."""
-    cos = np.zeros((4, count))
-    cos[:, 0] = pc.kernel_vector(m, cfg, c_star)
-    return InterfaceState.from_arrays(m, cos)
-
-
 def second_harmonic_amplitude(m, cfg, c_star):
     """Amplitude vector t of the correction t cos(2 m x): solves the
     doubled-mode system  M_{2m} t = 2 m^2 w,  w = (a-c)^-2 component-wise."""
@@ -74,23 +54,20 @@ def second_harmonic_amplitude(m, cfg, c_star):
     return np.linalg.solve(M2, rhs)
 
 
-def second_harmonic_state(m, cfg, c_star, count=2):
-    cos = np.zeros((4, count))
-    cos[:, 1] = second_harmonic_amplitude(m, cfg, c_star)
-    return InterfaceState.from_arrays(m, cos)
-
-
 def speed_curvature(m, cfg, c_star):
     """Second derivative of the speed along the branch (pitchfork
     coefficient): cokernel pairing of the mixed quadratic interaction
-    over the transversality value.  The first derivative vanishes."""
+    over the transversality value.  The first derivative vanishes.
+
+    The interaction of the kernel mode v cos(m x) with the correction
+    t cos(2 m x) is dx(v_i t_i cos(m x) cos(2 m x)), whose fundamental
+    part is -(m/2) v_i t_i sin(m x); the cokernel w pairs with that
+    alone."""
     trans = pc.transversality(m, cfg, c_star)
+    v = pc.kernel_vector(m, cfg, c_star)
     w = pc.cokernel_vector(m, cfg, c_star)
-    mixed = hessian_action(cfg, kernel_state(m, cfg, c_star, 2),
-                           second_harmonic_state(m, cfg, c_star, 2))
-    # cokernel profile lives on the fundamental harmonic only
-    numer = sum(w[i] * mixed[i].sin[0] for i in range(4))
-    return float(numer) / trans
+    t = second_harmonic_amplitude(m, cfg, c_star)
+    return -0.5 * m * float(np.sum(w * v * t)) / trans
 
 
 def nearest_component_index(cfg, c_star):

@@ -32,6 +32,13 @@ SUCCESSIVE = "successive"
 
 _EQ_TOL = 1e-12
 
+# Every speed of mode j is an eigenvalue of diag(a) + B / j^2, B the
+# fixed part of the pencil, so |c| <= max|a_i| + 4 and no entry of a
+# mode-j pencil at such a speed exceeds 5 j^2 s, s = LayerConfig.scale().
+# The determinant (24 products of four entries) and the coefficients of
+# its quartic stay finite while that entry bound stays below this one.
+MAX_PENCIL_ENTRY = (float(np.finfo(float).max) / 24.0) ** 0.25
+
 
 @dataclass(frozen=True)
 class LayerConfig:
@@ -77,6 +84,14 @@ class LayerConfig:
 
     def scale(self):
         return 1.0 + float(np.max(np.abs(self.as_array())))
+
+
+def pencil_is_finite(m, cfg):
+    """Whether the pencils of modes m and 2m (the doubled mode of the
+    local expansion), their determinants and speeds stay finite.  The
+    first test keeps the float conversion of a huge integer m finite."""
+    return (m <= MAX_PENCIL_ENTRY
+            and 20.0 * m * m * cfg.scale() <= MAX_PENCIL_ENTRY)
 
 
 def classify_config(a):

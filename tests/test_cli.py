@@ -86,6 +86,18 @@ def test_norm_indices_only_bound_continue(args, tmp_path):
     assert run_cli(args + ["--a", "-1,1,-1,1"], tmp_path) == 0
 
 
+@pytest.mark.parametrize("args", [
+    ["speeds", "--a=-1e200,1e200,-1e200,1e200"],
+    ["speeds", "--a", "0,1,2,3", "--m", str(10 ** 41)],
+    ["local", "--a", "-1,1,-1,1", "--m", str(10 ** 400)],
+])
+def test_overflowing_pencil_exits_2(args, tmp_path, capsys):
+    # the speeds would read inf, or the determinant quartic would overflow
+    assert run_cli(args, tmp_path) == 2
+    assert "overflow the pencil" in capsys.readouterr().err
+    assert not (tmp_path / "speeds.json").exists()
+
+
 def test_unusable_paths_exit_2(tmp_path, capsys):
     # an output path that is a file, and a config file that is not text
     blocker = tmp_path / "file"
@@ -110,6 +122,13 @@ def _wave_with_mismatched_counts():
     return json.dumps({"a": [-1, 1, -1, 1], "c": 2.2, "series": series})
 
 
+def _wave_with_huge_velocities():
+    tone = {"fold": 1, "cos": [0.01], "sin": [0.0], "parity": "even-cosine"}
+    return json.dumps({"a": [-1e200, 1e200, -1e200, 1e200], "c": 2.2,
+                       "series": {name: tone
+                                  for name in steady.COMPONENT_NAMES}})
+
+
 @pytest.mark.parametrize("command", ["evolve", "ep"])
 @pytest.mark.parametrize("text, reason", [
     (None, "No such file"),
@@ -117,6 +136,7 @@ def _wave_with_mismatched_counts():
     ('{"a": [-1, 1, -1, 1], "c": 2.2}', "lacks key 'series'"),
     (_wave_with_mismatched_counts(),
      "components must share fold and truncation"),
+    (_wave_with_huge_velocities(), "overflow the pencil"),
 ])
 def test_bad_wave_file_exits_1_with_error_json(command, text, reason,
                                                tmp_path, capsys):
@@ -320,7 +340,7 @@ FUZZ_VALUES = {
     "--a": ["-1,1,-1,1", "0,1,2.5,3.5", "0,1,1,2", "1.83,3.552,0.108,1.83",
             "-1,1,-1", "0,1,2,4", "a,b,c,d", "nan,1,2,3", "1e999,1,1,1",
             "-1e200,1e200,-1e200,1e200"],
-    "--m": ["1", "2", "3", "0", "-1", "7", "x"],
+    "--m": ["1", "2", "3", "0", "-1", "7", "x", str(10 ** 41)],
     "--n": ["8", "12", "16", "7", "0", "-3", "1e3", "x"],
     "--s": ["2", "0", "-1", "1e3", "nan"],
     "--sigma": ["0.1", "0", "-0.1", "50", "inf"],

@@ -7,6 +7,7 @@ from layerwaves import continuation as ct
 from layerwaves import localbranch as lb
 from layerwaves import steady as st
 from layerwaves.errors import CannotStartError, CorrectionFailedError
+from layerwaves.spectral import NormParams
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -251,3 +252,13 @@ def test_tail_guard_doubles_truncation(sym_expansion):
     counts = {p.solution.state.count for p in branch.points}
     assert 8 in counts
     assert max(counts) > 8
+
+
+def test_infinite_norm_ends_arm_as_blow_up(sym_expansion):
+    # the weight j^200 overflows once the truncation doubles past 8: the
+    # point lies in no K_n, and the arm stops as blow-up instead of raising
+    with np.errstate(over="ignore", invalid="ignore"):
+        branch = ct.trace_arm(sym_expansion, +1, ct.ContinuationOptions(
+            count=8, max_points=3, norm_params=NormParams(100.0, 0.1)))
+    assert branch.termination.kind == ct.BLOW_UP
+    assert branch.points[-1].compact_index == np.inf

@@ -105,7 +105,6 @@ def test_energy_flat_symmetric(sym_cfg):
     assert report.e_kin == pytest.approx(2.0 / 3.0)
     assert report.e_pot == 0.0
     assert report.e_total == pytest.approx(2.0 / 3.0)
-    assert report.neutrality_defect == 0.0
 
 
 def test_potential_energy_nonnegative_and_matches_quadrature(sym_cfg):
@@ -127,9 +126,9 @@ def test_gradient_matches_finite_difference(sym_cfg):
     rng = np.random.default_rng(5)
     state = random_phase(rng, fold=1, count=10, scale=0.2)
     direction = random_phase(rng, fold=1, count=10, scale=1.0)
-    grads = dy.grad_energy(sym_cfg, state)
-    pairing = sum(0.5 * (np.dot(g.cos, h.cos) + np.dot(g.sin, h.sin))
-                  for (_, g), h in zip(grads, direction.series))
+    _, grad = dy.grad_energy(sym_cfg, state)
+    pairing = 0.5 * float(np.sum(grad.cos * direction.cos)
+                          + np.sum(grad.sin * direction.sin))
     eps = 1e-5
     up = dy.energy(sym_cfg, state.combine([direction], [eps])).e_total
     down = dy.energy(sym_cfg, state.combine([direction], [-eps])).e_total
@@ -138,11 +137,47 @@ def test_gradient_matches_finite_difference(sym_cfg):
 
 
 def test_gradient_constant_at_flat_state(sym_cfg):
-    grads = dy.grad_energy(sym_cfg, dy.PhaseState.zero(1, 5))
+    means, grad = dy.grad_energy(sym_cfg, dy.PhaseState.zero(1, 5))
     a = sym_cfg.as_array()
-    for i, (mean, series) in enumerate(grads):
-        assert series.max_abs() == 0.0
-        assert mean == pytest.approx(dy.KIN_SIGN[i] * a[i] ** 2 / 2.0)
+    assert grad.max_abs() == 0.0
+    assert means.shape == (4,)
+    assert np.allclose(means, dy.KIN_SIGN * a ** 2 / 2.0, rtol=1e-15)
+
+
+def direct_grad_energy(cfg, state):
+    """Reference gradient on series: r_i^2 and its mean by exact
+    convolution (spectral.multiply_with_mean), dxx^-1 d by two
+    antiderivatives; returns (mean, series) per component."""
+    a = cfg.as_array()
+    s = state.series
+    ddxx = sp.antideriv(sp.antideriv((s[1] - s[0]) - (s[3] - s[2])))
+    out = []
+    for i in range(4):
+        sq_mean, sq = sp.multiply_with_mean(s[i], s[i], out_count=state.count)
+        series = dy.KIN_SIGN[i] * (0.5 * sq + a[i] * s[i]
+                                   - dy.COUPLING_SIGN[i] * ddxx)
+        out.append((dy.KIN_SIGN[i] * 0.5 * (a[i] * a[i] + sq_mean), series))
+    return out
+
+
+@pytest.mark.parametrize("fold", [1, 2])
+@pytest.mark.parametrize("count", [1, 8, 17, 64])
+def test_gradient_matches_direct_product_oracle(sym_cfg, gen_cfg, fold,
+                                                count):
+    rng = np.random.default_rng(10 * fold + count)
+    for cfg in (sym_cfg, gen_cfg):
+        state = random_phase(rng, fold, count, scale=1.0)
+        want = direct_grad_energy(cfg, state)
+        means, grad = dy.grad_energy(cfg, state)
+        want_means = np.array([m for m, _ in want])
+        want_cos = np.array([f.cos for _, f in want])
+        want_sin = np.array([f.sin for _, f in want])
+        scale = max(np.max(np.abs(want_means)), np.max(np.abs(want_cos)),
+                    np.max(np.abs(want_sin)))
+        assert grad.fold == fold and grad.count == count
+        assert np.max(np.abs(means - want_means)) <= 1e-13 * scale
+        assert np.max(np.abs(grad.cos - want_cos)) <= 1e-13 * scale
+        assert np.max(np.abs(grad.sin - want_sin)) <= 1e-13 * scale
 
 
 def test_evolve_preserves_flat_state(sym_cfg):

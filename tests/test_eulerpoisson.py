@@ -5,7 +5,7 @@ from layerwaves import eulerpoisson as ep
 from layerwaves import pencil as pc
 from layerwaves import spectral as sp
 from layerwaves import steady as st
-from layerwaves.errors import ConfigError
+from layerwaves.errors import ConfigError, DivergedError
 from layerwaves.spectral import NormParams
 
 from conftest import wave_at_amplitude
@@ -13,13 +13,56 @@ from conftest import wave_at_amplitude
 SQRT5 = float(np.sqrt(5.0))
 
 
+class _MeanSeries:
+    """Series plus explicit mean; closed under the operations below."""
+
+    def __init__(self, mean, series):
+        self.mean = float(mean)
+        self.series = series
+
+    def mul(self, other, out_count):
+        m, cross = sp.multiply_with_mean(self.series, other.series, out_count)
+        series = (self.mean * other.series + other.mean * self.series
+                  + cross).with_count(out_count)
+        return _MeanSeries(self.mean * other.mean + m, series)
+
+    def dx(self):
+        return sp.deriv(self.series)
+
+
+def direct_ep_residual(state):
+    """Reference residual: every product by exact convolution
+    (spectral.multiply_with_mean) on series with explicit means, kept at
+    3N + 3 harmonics; returns the four residual series by name."""
+    c, out_n = state.c, 3 * state.count + 3
+    rho_p, rho_m, u_p, u_m = (sp.TrigSeries.from_cos(state.fold, row)
+                              for row in state.cos)
+    force = sp.antideriv(rho_p - rho_m)
+    residuals = {}
+    for tag, rho0, u0, sign in (("plus", rho_p, u_p, -1.0),
+                                ("minus", rho_m, u_m, 1.0)):
+        rho = _MeanSeries(state.base_a, rho0)
+        u = _MeanSeries(0.0, u0)
+        rho_u = rho.mul(u, out_n)
+        rho3 = rho.mul(rho, out_n).mul(rho, out_n)
+        residuals[f"continuity_{tag}"] = (-c * sp.deriv(rho0).with_count(out_n)
+                                          + rho_u.dx())
+        residuals[f"momentum_{tag}"] = (
+            -c * rho_u.dx() + rho_u.mul(u, out_n).dx() + (1.0 / 3.0) * rho3.dx()
+            + sign * 2.0 * rho.mul(_MeanSeries(0.0, force), out_n).series)
+    return residuals
+
+
+def mapped_state(cfg, state, c=0.0):
+    return ep.map_to_ep(cfg, st.WaveSolution(cfg, c, state, 0.0, (1, 1)))
+
+
 def test_trivial_solution_maps_to_rest_state(sym_cfg):
     sol = st.solution_at(sym_cfg, 0.7, st.InterfaceState.zero(1, 6))
     state = ep.map_to_ep(sym_cfg, sol)
-    assert state.base_a == 1.0
-    for series in (state.rho_plus, state.rho_minus,
-                   state.u_plus, state.u_minus):
-        assert series.max_abs() == 0.0
+    assert state.base_a == 1.0 and state.c == 0.7
+    assert state.cos.shape == (4, 6) and state.max_abs() == 0.0
+    assert not state.cos.flags.writeable
     assert state.min_density() == pytest.approx(1.0)
     _, sups = ep.ep_residual(state)
     assert max(sups.values()) == 0.0
@@ -43,24 +86,22 @@ def test_map_is_affine_and_invertible(sym_cfg):
     base = st.InterfaceState.from_vector(1, 6, 0.1 * rng.standard_normal(24))
     bump = st.InterfaceState.from_vector(1, 6, rng.standard_normal(24))
 
-    def mapped(vec_state):
-        sol = st.WaveSolution(sym_cfg, 0.0, vec_state, 0.0, (1, 1))
-        return ep.map_to_ep(sym_cfg, sol)
-
-    m0 = mapped(base)
-    m1 = mapped(st.InterfaceState.from_vector(
+    m0 = mapped_state(sym_cfg, base)
+    m1 = mapped_state(sym_cfg, st.InterfaceState.from_vector(
         1, 6, base.as_vector() + bump.as_vector()))
-    m2 = mapped(st.InterfaceState.from_vector(
+    m2 = mapped_state(sym_cfg, st.InterfaceState.from_vector(
         1, 6, base.as_vector() + 2.0 * bump.as_vector()))
     # affine: second difference vanishes
-    for attr in ("rho_plus", "rho_minus", "u_plus", "u_minus"):
-        d1 = getattr(m1, attr) - getattr(m0, attr)
-        d2 = getattr(m2, attr) - getattr(m1, attr)
-        assert np.allclose(d1.cos, d2.cos, atol=1e-14)
+    assert np.allclose(m1.cos - m0.cos, m2.cos - m1.cos, atol=1e-14)
+    # the matrix map equals the per-species formulas bitwise
+    r = base.cos
+    assert np.array_equal(m0.cos, [0.5 * (r[1] - r[0]), 0.5 * (r[3] - r[2]),
+                                   0.5 * (r[1] + r[0]), 0.5 * (r[3] + r[2])])
+    assert np.array_equal(ep.FROM_EP @ ep.TO_EP, np.eye(4))
 
     back = ep.map_from_ep(m0)
-    for got, want in zip(back, base.series):
-        assert np.max(np.abs(got.cos - want.cos)) < 1e-15
+    assert isinstance(back, st.InterfaceState) and back.fold == 1
+    assert np.max(np.abs(back.cos - base.cos)) < 1e-15
 
 
 def test_map_is_bi_lipschitz(sym_cfg):
@@ -69,13 +110,67 @@ def test_map_is_bi_lipschitz(sym_cfg):
     for _ in range(10):
         sa = st.InterfaceState.from_vector(1, 5, rng.standard_normal(20))
         sb = st.InterfaceState.from_vector(1, 5, rng.standard_normal(20))
-        ma = ep.map_to_ep(sym_cfg, st.WaveSolution(sym_cfg, 0, sa, 0, (1, 1)))
-        mb = ep.map_to_ep(sym_cfg, st.WaveSolution(sym_cfg, 0, sb, 0, (1, 1)))
-        d_state = max(sp.norm(x - y, p) for x, y in zip(sa.series, sb.series))
-        d_map = max(sp.norm(getattr(ma, f) - getattr(mb, f), p)
-                    for f in ("rho_plus", "rho_minus", "u_plus", "u_minus"))
+        ma, mb = mapped_state(sym_cfg, sa), mapped_state(sym_cfg, sb)
+        d_state = np.max(sp.norms(sa.cos - sb.cos, 0.0, p))
+        d_map = np.max(sp.norms(ma.cos - mb.cos, 0.0, p))
         assert d_map <= d_state + 1e-12
         assert d_map >= 0.5 * d_state - 1e-12
+
+
+def assert_matches_direct(state):
+    """Sups and coefficients of ep_residual against direct_ep_residual,
+    to round-off on the scale of the residual terms."""
+    want = direct_ep_residual(state)
+    coeffs, sups = ep.ep_residual(state)
+    assert tuple(sups) == ep.RESIDUAL_NAMES == tuple(want)
+    assert coeffs.shape == (4, 3 * state.count + 3)
+    grid = 8 * (3 * state.count + 3)
+    want_sups = np.max(np.abs(sp.grid_values(
+        np.array([f.cos for f in want.values()]),
+        np.array([f.sin for f in want.values()]), grid)), axis=1)
+    scale = max(1.0, float(np.max(want_sups)))
+    for row, (name, f) in zip(coeffs, want.items()):
+        assert not np.any(f.cos)  # odd residuals
+        assert np.max(np.abs(row - f.sin)) <= 1e-14 * scale
+    got_sups = np.array([sups[name] for name in want])
+    assert np.max(np.abs(got_sups - want_sups)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("count", [1, 16, 64])
+@pytest.mark.parametrize("fold", [1, 3])
+def test_residual_matches_convolution_oracle_on_random_states(sym_cfg, fold,
+                                                              count):
+    rng = np.random.default_rng(10 * fold + count)
+    for c in (0.0, 1.7):
+        state = st.InterfaceState.from_vector(
+            fold, count, 0.3 * rng.standard_normal(4 * count))
+        assert_matches_direct(mapped_state(sym_cfg, state, c))
+
+
+@pytest.mark.parametrize("count", [16, 64])
+def test_residual_matches_convolution_oracle_on_branch_wave(
+        sym_cfg, sym_branch_pair, count):
+    plus, _ = sym_branch_pair
+    sol = wave_at_amplitude(plus, 0.1 * sym_cfg.width)
+    state = mapped_state(sym_cfg, sol.state.with_count(count), sol.c)
+    assert_matches_direct(state)
+
+
+def test_residual_overflow_is_diagnosed(sym_cfg):
+    state = st.InterfaceState.from_arrays(1, np.full((4, 4), 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergedError, match="overflows"):
+            ep.ep_residual(mapped_state(sym_cfg, state, 2.2))
+
+
+def test_min_density_grid_grows_with_truncation(sym_cfg):
+    # a dip carried by harmonic N = 1024 alone, min 1 - 0.01 at x = pi/N,
+    # falls between the points of any fixed grid of fewer than 2N points
+    n = 1024
+    cos = np.zeros((4, n))
+    cos[1, n - 1] = 0.02  # rho_plus = u_plus = 0.01 cos(N x)
+    state = mapped_state(sym_cfg, st.InterfaceState.from_arrays(1, cos))
+    assert state.min_density() == pytest.approx(0.99, abs=1e-15)
 
 
 def test_mapped_wave_satisfies_two_fluid_system(sym_cfg, sym_branch_pair):
@@ -89,9 +184,7 @@ def test_mapped_wave_satisfies_two_fluid_system(sym_cfg, sym_branch_pair):
 def test_random_state_is_not_a_solution(sym_cfg):
     rng = np.random.default_rng(2)
     state = st.InterfaceState.from_vector(1, 6, 0.1 * rng.standard_normal(24))
-    mapped = ep.map_to_ep(sym_cfg, st.WaveSolution(sym_cfg, 1.7, state, 0.0,
-                                                   (1, 1)))
-    _, sups = ep.ep_residual(mapped)
+    _, sups = ep.ep_residual(mapped_state(sym_cfg, state, 1.7))
     assert max(sups.values()) > 1e-4
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from layerwaves import localbranch as lb
 from layerwaves import pencil as pc
+from layerwaves import spectral as sp
 from layerwaves import steady as st
 from layerwaves.errors import ResonantHarmonicError
 
@@ -14,9 +15,42 @@ SQRT5 = float(np.sqrt(5.0))
 CURVATURE_SYM_M1 = 0.15372967345311
 
 
+def hessian_action(h, h2):
+    """Second derivative of the residual: component-wise dx(h_i * h2_i),
+    each product by exact convolution (spectral.multiply) at full length.
+    Independent of c and of the configuration; bilinear and symmetric."""
+    return [sp.deriv(sp.multiply(f, g, out_count=f.count + g.count))
+            for f, g in zip(h.series, h2.series)]
+
+
+def mode_state(m, vec, harmonic, count):
+    """The interface state vec_i cos(harmonic * m x)."""
+    cos = np.zeros((4, count))
+    cos[:, harmonic - 1] = vec
+    return st.InterfaceState.from_arrays(m, cos)
+
+
+def kernel_state(m, cfg, c_star, count=2):
+    return mode_state(m, pc.kernel_vector(m, cfg, c_star), 1, count)
+
+
+def second_harmonic_state(m, cfg, c_star, count=2):
+    return mode_state(m, lb.second_harmonic_amplitude(m, cfg, c_star), 2,
+                      count)
+
+
+def oracle_curvature(m, cfg, c_star):
+    """Cokernel pairing of the mixed interaction over the transversality."""
+    mixed = hessian_action(kernel_state(m, cfg, c_star),
+                           second_harmonic_state(m, cfg, c_star))
+    w = pc.cokernel_vector(m, cfg, c_star)
+    numer = sum(w[i] * mixed[i].sin[0] for i in range(4))
+    return numer / pc.transversality(m, cfg, c_star)
+
+
 def test_hessian_on_kernel_mode(sym_cfg):
-    k = lb.kernel_state(1, sym_cfg, SQRT5, count=2)
-    out = lb.hessian_action(sym_cfg, k, k)
+    k = kernel_state(1, sym_cfg, SQRT5)
+    out = hessian_action(k, k)
     wsq = pc.reciprocal_sq_weights(sym_cfg, SQRT5)
     for i in range(4):
         # concentrated on the doubled harmonic with weight -m (a-c)^-2
@@ -25,42 +59,55 @@ def test_hessian_on_kernel_mode(sym_cfg):
         assert np.max(np.abs(out[i].sin[2:]), initial=0.0) == 0.0
 
 
-def test_hessian_bilinear_symmetric(sym_cfg):
+def test_hessian_bilinear_symmetric():
     rng = np.random.default_rng(0)
     h = st.InterfaceState.from_vector(2, 5, rng.standard_normal(20))
     g = st.InterfaceState.from_vector(2, 5, rng.standard_normal(20))
     zero = st.InterfaceState.zero(2, 5)
-    assert all(f.max_abs() == 0.0 for f in lb.hessian_action(sym_cfg, h, zero))
-    ab = lb.hessian_action(sym_cfg, h, g)
-    ba = lb.hessian_action(sym_cfg, g, h)
+    assert all(f.max_abs() == 0.0 for f in hessian_action(h, zero))
+    ab = hessian_action(h, g)
+    ba = hessian_action(g, h)
     for a, b in zip(ab, ba):
         assert np.allclose(a.sin, b.sin, atol=1e-14)
 
 
 def test_hessian_output_orthogonal_to_cokernel_profile(sym_cfg):
     # no content on the fundamental harmonic, so the range pairing is 0
-    k = lb.kernel_state(1, sym_cfg, SQRT5, count=2)
-    out = lb.hessian_action(sym_cfg, k, k)
+    k = kernel_state(1, sym_cfg, SQRT5)
+    out = hessian_action(k, k)
     w = pc.cokernel_vector(1, sym_cfg, SQRT5)
     assert sum(w[i] * out[i].sin[0] for i in range(4)) == 0.0
 
 
 def test_second_harmonic_correction_solves_linearized_equation(sym_cfg):
     n = 6
-    theta = lb.second_harmonic_state(1, sym_cfg, SQRT5, count=n)
-    kernel = lb.kernel_state(1, sym_cfg, SQRT5, count=n)
+    theta = second_harmonic_state(1, sym_cfg, SQRT5, count=n)
+    kernel = kernel_state(1, sym_cfg, SQRT5, count=n)
     J = st.jacobian(sym_cfg, SQRT5, st.InterfaceState.zero(1, n))
     lhs = J @ theta.as_vector()
     rhs = np.concatenate([h.with_count(n).sin
-                          for h in lb.hessian_action(sym_cfg, kernel, kernel)])
+                          for h in hessian_action(kernel, kernel)])
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_second_harmonic_support(sym_cfg):
-    theta = lb.second_harmonic_state(1, sym_cfg, SQRT5, count=8)
-    for s in theta.series:
-        assert np.max(np.abs(np.delete(s.cos, 1))) == 0.0
-        assert s.cos[1] != 0.0
+def test_second_harmonic_support(sym_cfg, suc_cfg, gen_cfg):
+    # every component carries the doubled mode
+    for cfg in (sym_cfg, suc_cfg, gen_cfg):
+        for c_star in pc.bifurcation_speeds(1, cfg).admissible():
+            t = lb.second_harmonic_amplitude(1, cfg, c_star)
+            assert t.shape == (4,) and np.all(t != 0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 128])
+def test_curvature_matches_hessian_oracle(sym_cfg, suc_cfg, gen_cfg, m):
+    checked = 0
+    for cfg in (sym_cfg, suc_cfg, gen_cfg):
+        for c_star in pc.bifurcation_speeds(m, cfg).admissible():
+            want = oracle_curvature(m, cfg, c_star)
+            got = lb.speed_curvature(m, cfg, c_star)
+            assert got == pytest.approx(want, rel=1e-14)
+            checked += 1
+    assert checked >= 4
 
 
 def test_second_harmonic_near_component_asymptotics(gen_cfg):
