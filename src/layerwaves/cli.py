@@ -21,12 +21,15 @@ from . import eulerpoisson as ep
 from . import localbranch as lb
 from . import pencil as pc
 from . import steady as st
-from .errors import ConfigError, LayerError, WaveFileError
+from .errors import ConfigError, DivergedError, LayerError, WaveFileError
 from .spectral import NormParams, norm_weight
 
-# Largest accepted truncation --n.  The dense (4N+1)^2 Newton Jacobian
-# takes 134 MB at this bound and grows fourfold per doubling.
+# Largest accepted truncation --n.  The dense (4N+1)^2 Newton matrix,
+# built only when GMRES stalls, takes 134 MB at this bound.
 MAX_N = 1024
+# Largest number of RK4 steps `evolve` takes, given or computed from the
+# horizon.
+MAX_STEPS = 10 ** 7
 
 
 @dataclass
@@ -307,7 +310,8 @@ def _write_branch(branch, tag, run, outdir):
     rows = branch.csv_rows()
     footer = f"# termination: {branch.termination.label()}"
     _write_csv(outdir / f"branch_{tag}.csv",
-               ["s", "c", "amp", "norm_s_sigma", "m1", "m2", "n_K"],
+               ["s", "c", "amp", "norm_s_sigma", "m1", "m2", "n_K",
+                "krylov_iters", "dense_solves"],
                rows, run, footer)
     for i, point in enumerate(branch.points):
         if run.snapshot_every and i % run.snapshot_every == 0:
@@ -374,15 +378,23 @@ def _cmd_evolve(run, layer, outdir, wave=None):
         expansion = lb.local_expansion(run.m, layer, c)
         _, state = lb.predictor(expansion, run.amp, count=run.n)
     phase = dy.PhaseState.from_interface(state)
+    # a start of infinite energy has diverged, whatever its step count
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(dy.energy(layer, phase).e_total):
+            raise DivergedError("evolution diverged at step 0: "
+                                "non-finite start energy")
     horizon = run.periods * 2.0 * np.pi / (state.fold * max(abs(c), 1e-12))
     limit = dy.cfl_limit(layer, phase)
     dt = run.dt or 0.5 * limit
     if dt > limit:
         raise ConfigError(f"dt={dt:g} exceeds the stability limit {limit:g}")
-    if run.steps:
-        steps = run.steps  # explicit step count: horizon is ignored
-    else:
-        steps = max(int(np.ceil(horizon / dt)), 1)
+    # an explicit step count ignores the horizon
+    wanted = run.steps or np.ceil(horizon / dt)
+    if not wanted <= MAX_STEPS:
+        raise ConfigError(f"evolve needs {wanted:.0f} time steps, more "
+                          f"than the {MAX_STEPS} allowed")
+    steps = max(int(wanted), 1)
+    if not run.steps:
         dt = horizon / steps
     store = run.store_every or max(steps // 200, 1)
     trajectory = dy.evolve(layer, phase, dt, steps, store_every=store)

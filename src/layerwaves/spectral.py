@@ -267,9 +267,14 @@ def norm_weight(count, params):
 def norms(cos, sin, params):
     """Sobolev-analytic coefficient norms (sum_j w_j (a_j^2 + b_j^2))^(1/2)
     of the series whose cosine and sine coefficients are the rows of
-    (k, N) arrays (or of one row each; sin may be 0)."""
-    weight = norm_weight(np.shape(cos)[-1], params)
-    return np.sqrt(np.sum(weight * (cos ** 2 + sin ** 2), axis=-1))
+    (k, N) arrays (or of one row each; sin may be 0).  A weight that
+    overflows makes the norm infinite where it meets a nonzero
+    coefficient; zero coefficients add nothing."""
+    with np.errstate(over="ignore"):
+        sq = cos ** 2 + sin ** 2
+        weighted = np.multiply(norm_weight(np.shape(cos)[-1], params), sq,
+                               out=np.zeros(np.shape(sq)), where=sq != 0.0)
+    return np.sqrt(np.sum(weighted, axis=-1))
 
 
 def norm(f, params):
@@ -305,13 +310,17 @@ def grid_values(cos, sin, npts):
     every npts, also at or below 2N.
     """
     k, n = cos.shape
-    reps = n // npts + 1
-    z = np.zeros((k, reps * npts), dtype=complex)
-    z[:, 1:n + 1] = cos - 1j * sin
-    # g[q]: sum of c_j - i s_j over the harmonics j = q (mod npts)
-    g = z.reshape(k, reps, npts).sum(axis=1)
-    q = np.arange(npts // 2 + 1)
-    half = g[:, q] + np.conj(g[:, -q % npts])
+    if 2 * n < npts:  # every harmonic lies below the grid's Nyquist one
+        half = np.zeros((k, npts // 2 + 1), dtype=complex)
+        half[:, 1:n + 1] = cos - 1j * sin
+    else:
+        reps = n // npts + 1
+        z = np.zeros((k, reps * npts), dtype=complex)
+        z[:, 1:n + 1] = cos - 1j * sin
+        # g[q]: sum of c_j - i s_j over the harmonics j = q (mod npts)
+        g = z.reshape(k, reps, npts).sum(axis=1)
+        q = np.arange(npts // 2 + 1)
+        half = g[:, q] + np.conj(g[:, -q % npts])
     return np.fft.irfft(half, n=npts, axis=1) * (0.5 * npts)
 
 

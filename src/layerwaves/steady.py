@@ -28,6 +28,8 @@ MONITOR_GRID_FACTOR = 16
 # The residual's products reach harmonic 2N; on 5N > 4N points none of
 # them aliases onto another.
 RESIDUAL_GRID_FACTOR = 5
+# The linearization multiplies by r_i, reaching harmonic 2N: 4N points.
+LINEAR_GRID_FACTOR = 4
 
 
 class InterfaceState(sp.ComponentArrays):
@@ -94,13 +96,17 @@ class WaveSolution:
     state: InterfaceState
     residual_norm: float
     monitors: tuple  # (min strip gap, min relative speed)
+    krylov_iters: int = 0  # GMRES iterations of the correction
+    dense_solves: int = 0  # dense bordered solves of the correction
 
     def to_json(self):
         return {"a": self.cfg.as_array().tolist(),
                 "m": self.state.fold, "N": self.state.count, "c": self.c,
                 "series": dict(zip(COMPONENT_NAMES, self.state.to_json())),
                 "residual_norm": self.residual_norm,
-                "m1": self.monitors[0], "m2": self.monitors[1]}
+                "m1": self.monitors[0], "m2": self.monitors[1],
+                "krylov_iters": self.krylov_iters,
+                "dense_solves": self.dense_solves}
 
 
 def residual(cfg, c, state, with_tail=False):
@@ -173,6 +179,40 @@ def jacobian(cfg, c, state, out=None):
         out[i * n + k, i * n + k] -= (a[i] - c) * w
         out[i * n + k[:, None], cols] += POT_SIGN[i] * D_COEF / w[:, None]
     return out
+
+
+def linearization(cfg, c, state):
+    """Matrix-free Jacobian and transport preconditioner at a state:
+    two functions on (4, N) arrays, (matvec, precondition).
+
+    matvec(h) is jacobian(cfg, c, state) applied to the cosine
+    coefficients h: the sine coefficients of dx(q_i h_i) -+ dx^-1(d(h)),
+    q_i = r_i + a_i - c.  The product q_i h_i reaches harmonic 2N; on
+    LINEAR_GRID_FACTOR*N > 3N points it does not alias onto 1..N.
+    precondition(g) inverts h -> dx(q_i h) on that grid:
+    h = (dx^-1 g + kappa_i) / q_i with kappa_i making h zero-mean, then
+    cut to harmonics 1..N.  It leaves out the potential, which smooths.
+    q is sampled once, here; a zero of q shows as non-finite output.
+    """
+    n = state.count
+    w = state.wavenumbers()
+    npts = LINEAR_GRID_FACTOR * n
+    zero = np.zeros((4, n))
+    q = sp.grid_values(state.cos, zero, npts)
+    q += (cfg.as_array() - c)[:, None]
+    inv_q = 1.0 / q
+    sum_inv_q = np.sum(inv_q, axis=1, keepdims=True)
+
+    def matvec(h):
+        prod, _ = sp.grid_coefficients(q * sp.grid_values(h, zero, npts), n)
+        return POT_SIGN[:, None] * (D_COEF @ h) / w - w * prod
+
+    def precondition(g):
+        h = sp.grid_values(-g / w, zero, npts) * inv_q
+        h -= np.sum(h, axis=1, keepdims=True) / sum_inv_q * inv_q
+        return sp.grid_coefficients(h, n)[0]
+
+    return matvec, precondition
 
 
 def monitors(cfg, c, state):

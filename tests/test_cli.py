@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -217,6 +218,47 @@ def test_continue_writes_branch_and_diagram(tmp_path):
     assert len(snaps) == 2
     wave = json.loads(snaps[0].read_text())
     assert wave["m"] == 1 and wave["N"] == 24
+
+
+@pytest.mark.parametrize("n, krylov", [("16", False), ("64", True)])
+def test_continue_reports_solver_work_per_point(n, krylov, tmp_path):
+    # N >= 64 solves each Newton step by GMRES, smaller N densely
+    assert run_cli(["continue", "--a", "-1,1,-1,1", "--arm", "+", "--n", n,
+                    "--max-points", "3", "--snapshot-every", "1"],
+                   tmp_path) == 0
+    rows = read_csv(tmp_path / "branch_plus.csv")
+    assert list(rows[0])[-2:] == ["krylov_iters", "dense_solves"]
+    for i, row in enumerate(rows):
+        wave = json.loads((tmp_path / f"wave_plus_{i:04d}.json").read_text())
+        used = (int(row["krylov_iters"]), int(row["dense_solves"]))
+        assert used == (wave["krylov_iters"], wave["dense_solves"])
+        assert (used[0] > 0, used[1] > 0) == (krylov, not krylov)
+
+
+def _wave_file(path, a, c=2.2):
+    tone = {"fold": 1, "cos": [0.01] + [0.0] * 7, "sin": [0.0] * 8,
+            "parity": "even-cosine"}
+    path.write_text(json.dumps({"a": a, "c": c, "series": {
+        name: tone for name in steady.COMPONENT_NAMES}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("a, extra", [
+    # a = +-1e10 gives dt ~ 3e-12 against a horizon of 2.9: ~9e11 steps
+    ([-1e10, 1e10, -1e10, 1e10], []),
+    ([-1, 1, -1, 1], ["--steps", str(cli.MAX_STEPS + 1)]),
+])
+def test_evolve_refuses_too_many_steps(a, extra, tmp_path, capsys):
+    wave = _wave_file(tmp_path / "wave.json", a)
+    code = run_cli(["evolve", "--a", "-1,1,-1,1", "--from-wave", wave]
+                   + extra, tmp_path)
+    assert code == 2
+    found = re.search(r"evolve needs (\d+) time steps, more than the "
+                      r"(\d+) allowed", capsys.readouterr().err)
+    assert int(found[2]) == cli.MAX_STEPS
+    want = int(extra[1]) if extra else 9e11
+    assert int(found[1]) == pytest.approx(want, rel=0.1)
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_evolve_from_snapshot(tmp_path):

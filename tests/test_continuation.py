@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -262,3 +263,106 @@ def test_infinite_norm_ends_arm_as_blow_up(sym_expansion):
             count=8, max_points=3, norm_params=NormParams(100.0, 0.1)))
     assert branch.termination.kind == ct.BLOW_UP
     assert branch.points[-1].compact_index == np.inf
+
+
+class _Forward:
+    """Attribute proxy: overrides first, everything else from `base`."""
+
+    def __init__(self, base, **overrides):
+        self.__dict__.update(overrides)
+        self._base = base
+
+    def __getattr__(self, name):
+        return getattr(self._base, name)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("dense bordered solve")
+
+
+@pytest.fixture(scope="module")
+def default_plus_arms(sym_expansion):
+    """The default + arm (N 64 to 256) by GMRES and by dense solves."""
+    opts = ct.ContinuationOptions()
+    krylov = ct.trace_arm(sym_expansion, +1, opts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ct, "KRYLOV_MIN_COUNT", 10 ** 9)
+        dense = ct.trace_arm(sym_expansion, +1, opts)
+    return krylov, dense
+
+
+class TestKrylovNewton:
+    def test_krylov_arm_matches_dense_arm(self, default_plus_arms):
+        krylov, dense = default_plus_arms
+        assert krylov.termination.label() == dense.termination.label()
+        assert len(krylov.points) == len(dense.points)
+        assert krylov.points[-1].solution.state.count == 256
+        for p, q in zip(krylov.points, dense.points):
+            assert p.newton_iters == q.newton_iters
+            assert abs(p.s - q.s) <= 1e-12 * abs(q.s)
+            assert abs(p.solution.c - q.solution.c) <= 1e-12 * abs(q.solution.c)
+            assert p.solution.dense_solves == 0
+            assert p.solution.krylov_iters >= p.newton_iters
+            assert q.solution.krylov_iters == 0
+            assert q.solution.dense_solves == q.newton_iters
+
+    def _correction(self, branch, k):
+        """Guess and constraint of one predictor step off point k - 1."""
+        prev = branch.points[k - 1]
+        sol = prev.solution
+        u = np.concatenate([[sol.c], sol.state.as_vector()])
+        constraint = ct.ArclengthConstraint(prev.tangent, u, prev.next_step)
+        guess = u + prev.next_step * prev.tangent
+        count = sol.state.count
+        return ((guess[0], st.InterfaceState.from_vector(1, count, guess[1:])),
+                constraint, count)
+
+    def test_stalled_gmres_falls_back_to_dense(self, default_plus_arms,
+                                               sym_cfg, monkeypatch):
+        krylov, _ = default_plus_arms
+        guess, constraint, count = self._correction(krylov, 12)
+        assert count >= ct.KRYLOV_MIN_COUNT
+        sol, iters = ct.newton_correct(sym_cfg, guess, constraint, 1, count)
+        assert sol.dense_solves == 0 and iters >= 1
+        monkeypatch.setattr(ct, "KRYLOV_MAX_ITERS", 1)
+        stalled, stalled_iters = ct.newton_correct(sym_cfg, guess,
+                                                   constraint, 1, count)
+        assert stalled_iters == iters
+        assert stalled.dense_solves == iters
+        assert stalled.krylov_iters == 2 * iters  # two one-step cycles each
+        assert abs(stalled.c - sol.c) <= 1e-12 * abs(sol.c)
+        assert np.max(np.abs(stalled.state.cos - sol.state.cos)) <= 1e-12
+
+    def test_large_truncation_needs_no_dense_matrix(self, default_plus_arms,
+                                                    sym_cfg, monkeypatch):
+        # a resolved state padded to N = 512 and pushed off the branch is
+        # corrected without the (4N+1)^2 matrix: the dense solve and the
+        # Jacobian refuse to run, and the peak allocation stays far below
+        # the 34 MB that matrix takes
+        krylov, _ = default_plus_arms
+        sol = krylov.points[15].solution
+        n = 512
+        rng = np.random.default_rng(50)
+        cos = sol.state.with_count(n).cos.copy()
+        cos[:, :8] += 1e-6 * rng.standard_normal((4, 8))
+        tangent = np.zeros(1 + 4 * n)
+        tangent[0] = 1.0
+        constraint = ct.ArclengthConstraint(
+            tangent, np.concatenate([[sol.c], np.zeros(4 * n)]), 0.0)
+        monkeypatch.setattr(ct, "np", _Forward(np, linalg=_Forward(
+            np.linalg, solve=_refuse)))
+        monkeypatch.setattr(st, "jacobian", _refuse)
+        tracemalloc.start()
+        try:
+            got, iters = ct.newton_correct(
+                sym_cfg, (sol.c, st.InterfaceState.from_arrays(1, cos)),
+                constraint, 1, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert iters >= 1 and got.dense_solves == 0 and got.krylov_iters > 0
+        assert got.residual_norm <= 1e-11
+        assert abs(got.c - sol.c) <= 1e-14 * abs(sol.c)
+        assert np.max(np.abs(got.state.cos[:, :sol.state.count]
+                             - sol.state.cos)) <= 1e-9
+        assert peak < 0.1 * 8 * (4 * n + 1) ** 2

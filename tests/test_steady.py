@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -387,3 +389,65 @@ def test_interface_state_arrays():
     assert state.norm(params) == max(sp.norm(s, params) for s in series)
     with pytest.raises(ValueError, match="even"):
         st.InterfaceState(series[:3] + [TrigSeries.zeros(2, 5)])
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 8, 17, 64, 256])
+def test_matvec_matches_jacobian_and_direct_gathers(gen_cfg, fold, count):
+    rng = np.random.default_rng(40 * fold + count)
+    state = full_band_state(rng, fold, count)
+    h = rng.uniform(-1, 1, (4, count))
+    matvec, _ = st.linearization(gen_cfg, 1.9, state)
+    got = matvec(h).ravel()
+    for J in (st.jacobian(gen_cfg, 1.9, state),
+              direct_jacobian(gen_cfg, 1.9, state)):
+        want = J @ h.ravel()
+        scale = np.max(np.abs(J)) * np.max(np.abs(h))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_preconditioner_inverts_transport(gen_cfg):
+    # without the potential, the linearization is h -> dx(q h); at a flat
+    # state q_i = a_i - c is constant and the inverse is exact
+    rng = np.random.default_rng(41)
+    n, c = 16, 1.9
+    w = 2.0 * np.arange(1, n + 1)
+    g = rng.uniform(-1, 1, (4, n))
+    flat = st.InterfaceState.zero(2, n)
+    matvec, precondition = st.linearization(gen_cfg, c, flat)
+    h = precondition(g)
+    transport = matvec(h) - st.POT_SIGN[:, None] * (st.D_COEF @ h) / w
+    assert np.max(np.abs(transport - g)) <= 1e-14
+    # at a smooth state the inverse is exact up to the cut at harmonic N:
+    # the defect is the (tiny) projection of dx(q h) beyond the kept band
+    state = st.InterfaceState.from_vector(
+        2, n, (0.2 * rng.uniform(-1, 1, (4, n))
+               * np.exp(-2.0 * np.arange(1, n + 1))).ravel())
+    matvec, precondition = st.linearization(gen_cfg, c, state)
+    g[:, 4:] = 0.0
+    h = precondition(g)
+    transport = matvec(h) - st.POT_SIGN[:, None] * (st.D_COEF @ h) / w
+    assert np.max(np.abs(transport - g)) <= 1e-12
+
+
+def test_preconditioner_at_a_zero_of_q_is_not_finite(sym_cfg):
+    # q_i = a_i - c vanishes everywhere when c equals a velocity
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, precondition = st.linearization(sym_cfg, 1.0,
+                                           st.InterfaceState.zero(1, 8))
+        assert not np.all(np.isfinite(precondition(np.ones((4, 8)))))
+
+
+def test_norm_skips_zero_coefficients_under_an_overflowing_weight():
+    # j^200 overflows beyond harmonic 34: zero coefficients there add
+    # nothing (inf * 0 used to make the norm NaN), nonzero ones make it inf
+    cos = np.zeros((4, 64))
+    cos[:, 0] = [0.5, -0.25, 0.125, 1.0]
+    params = sp.NormParams(100.0, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = st.InterfaceState.from_arrays(1, cos).norm(params)
+        assert got == pytest.approx(np.exp(0.1), rel=1e-15)
+        cos = cos.copy()
+        cos[2, 50] = 1e-3
+        assert st.InterfaceState.from_arrays(1, cos).norm(params) == np.inf
