@@ -37,17 +37,17 @@ class RunConfig:
     command: str
     a: tuple
     m: int = 1
-    n: int = 64
-    s: float = 2.0
-    sigma: float = 0.1
-    tol: float = 1e-11
+    n: int = ct.ContinuationOptions.count
+    s: float = NormParams.s
+    sigma: float = NormParams.sigma
+    tol: float = ct.ContinuationOptions.newton_tol
     out: str = "out"
     speed_index: str = "+"
     arm: str = "both"
-    s0: float = 1e-3
-    h_min: float = 1e-7
-    h_max: float = 0.1
-    max_points: int = 200
+    s0: float = ct.ContinuationOptions.s0
+    h_min: float = ct.ContinuationOptions.h_min
+    h_max: float = ct.ContinuationOptions.h_max
+    max_points: int = ct.ContinuationOptions.max_points
     snapshot_every: int = 10
     from_wave: str = ""
     amp: float = 0.01
@@ -60,6 +60,54 @@ class RunConfig:
         d = asdict(self)
         d["a"] = list(self.a)
         return d
+
+
+# The flags of every command, and each command's help and own flags.
+# A flag --x-y sets the RunConfig field x_y; --config names a flat
+# key = value file of the same fields, which the flags override.
+COMMON_OPTIONS = ("a", "m", "n", "s", "sigma", "tol", "config", "out")
+COMMANDS = {
+    "speeds": ("bifurcation speeds of one mode", ()),
+    "local": ("local pitchfork data at one speed", ("speed_index",)),
+    "continue": ("continue a branch to large amplitude",
+                 ("speed_index", "arm", "s0", "h_min", "h_max",
+                  "max_points", "snapshot_every")),
+    "evolve": ("Hamiltonian time evolution",
+               ("from_wave", "speed_index", "amp", "dt", "steps", "periods",
+                "store_every")),
+    "ep": ("two-fluid correspondence and residuals", ("from_wave",)),
+}
+HELP = {
+    "a": "four interface velocities w,x,y,z",
+    "m": "fold symmetry",
+    "n": f"harmonic truncation (8 to {MAX_N})",
+    "s": "regularity index of the coefficient norm",
+    "sigma": "analyticity width of the coefficient norm",
+    "tol": "Newton residual tolerance",
+    "config": "flat key=value file; command-line flags override it",
+    "out": "output directory",
+    "speed_index": "admissible speed: +, -, or 0-based index (ascending)",
+    "arm": "pitchfork arm: both, + or -",
+    "s0": "kernel amplitude of the first point",
+    "h_min": "smallest arclength step",
+    "h_max": "largest arclength step",
+    "max_points": "branch points per arm",
+    "snapshot_every": "write every k-th point as a wave file (0: none)",
+    "from_wave": "wave snapshot JSON to start from",
+    "amp": "kernel-mode amplitude when no snapshot is given",
+    "dt": "time step (default: half the stability limit)",
+    "steps": "time steps (default: from the horizon)",
+    "periods": "horizon in spatial periods (used without --steps)",
+    "store_every": "store every k-th step (default: about 200 stored)",
+}
+# Simple bounds; the checks between fields are in _check_ranges.
+AT_LEAST = {"m": 1, "n": 8, "max_points": 1}
+POSITIVE = ("tol", "s0", "h_min", "h_max", "periods")
+NONNEGATIVE = ("s", "sigma", "dt", "steps", "store_every", "snapshot_every")
+
+
+def flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def _read_config_file(path):
@@ -79,52 +127,45 @@ def _read_config_file(path):
     return values
 
 
-def _to_float(key, val):
-    try:
-        out = float(val)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {val!r}") from None
-    if not np.isfinite(out):
-        raise ConfigError(f"{key} must be finite, got {val!r}")
-    return out
-
-
 def _parse_velocities(text):
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != 4:
         raise ConfigError("expected four interface velocities w,x,y,z")
-    return tuple(_to_float("a", p) for p in parts)
+    return tuple(_convert("a", p, float) for p in parts)
 
 
 def _convert(key, val, kind):
-    """Typed value of one option given on the command line or in a file."""
-    if kind is float:
-        return _to_float(key, val)
-    if kind is int:
-        try:
-            return int(val)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, "
-                              f"got {val!r}") from None
-    return str(val)
+    """Typed value (str, int or finite float) of one option given on the
+    command line or in a file."""
+    if kind is str:
+        return str(val)
+    try:
+        out = kind(val)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {val!r}") from None
+    if kind is float and not np.isfinite(out):
+        raise ConfigError(f"{key} must be finite, got {val!r}")
+    return out
 
 
 def _check_ranges(cfg):
     layer = pc.classify_config(cfg.a)  # ConfigError names the widths
-    if cfg.m < 1:
-        raise ConfigError("fold m must be a positive integer")
+    for key, low in AT_LEAST.items():
+        if getattr(cfg, key) < low:
+            raise ConfigError(f"{key} must be at least {low}")
+    if cfg.n > MAX_N:
+        raise ConfigError(f"n must be at most {MAX_N}")
+    for key in POSITIVE:
+        if getattr(cfg, key) <= 0:
+            raise ConfigError(f"{key} must be positive")
+    for key in NONNEGATIVE:
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"{key} must be nonnegative")
     if not pc.pencil_is_finite(cfg.m, layer):
         raise ConfigError(f"fold m and velocities overflow the pencil: "
                           f"20 m^2 (1 + max|a|) must stay below "
                           f"{pc.MAX_PENCIL_ENTRY:.3g}")
-    if cfg.n < 8:
-        raise ConfigError("truncation n must be at least 8")
-    if cfg.n > MAX_N:
-        raise ConfigError(f"truncation n must be at most {MAX_N}")
-    if cfg.tol <= 0 or cfg.s0 <= 0:
-        raise ConfigError("tolerances and steps must be positive")
-    if cfg.s < 0 or cfg.sigma < 0:
-        raise ConfigError("norm indices s and sigma must be nonnegative")
     if cfg.command == "continue":  # the one command that weighs harmonics
         top = max(cfg.n, ct.ContinuationOptions.max_count)
         with np.errstate(over="ignore"):
@@ -132,81 +173,22 @@ def _check_ranges(cfg):
         if not np.all(np.isfinite(weight)):
             raise ConfigError(f"norm weight j^(2s) e^(2 sigma j) overflows "
                               f"below harmonic {top}")
-    if cfg.h_min <= 0 or cfg.h_max <= 0:
-        raise ConfigError("step bounds h_min and h_max must be positive")
     if cfg.h_min > cfg.h_max:
         raise ConfigError(f"h_min={cfg.h_min:g} exceeds h_max={cfg.h_max:g}")
-    if cfg.max_points < 1:
-        raise ConfigError("max_points must be at least 1")
-    if cfg.periods <= 0:
-        raise ConfigError("periods must be positive")
     if cfg.arm not in ("both", "+", "-"):
         raise ConfigError(f"arm must be both, + or -, got {cfg.arm!r}")
-    for key in ("dt", "steps", "store_every", "snapshot_every"):
-        if getattr(cfg, key) < 0:
-            raise ConfigError(f"{key} must be nonnegative")
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default="", help="flat key=value file; "
-                        "command-line flags override it")
-    common.add_argument("--a", dest="a", default=None,
-                        help="four interface velocities w,x,y,z")
-    common.add_argument("--m", type=int, default=None, help="fold symmetry")
-    common.add_argument("--n", type=int, default=None,
-                        help=f"harmonic truncation (8 to {MAX_N})")
-    common.add_argument("--s", type=float, default=None,
-                        help="regularity index of the coefficient norm")
-    common.add_argument("--sigma", type=float, default=None,
-                        help="analyticity width of the coefficient norm")
-    common.add_argument("--tol", type=float, default=None,
-                        help="Newton residual tolerance")
-    common.add_argument("--out", default=None, help="output directory")
-
     parser = argparse.ArgumentParser(
         prog="layerwaves",
         description="Traveling waves and bifurcation branches of "
                     "two-species plasma interface layers")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("speeds", parents=[common],
-                   help="bifurcation speeds of one mode")
-
-    p_local = sub.add_parser("local", parents=[common],
-                             help="local pitchfork data at one speed")
-    p_local.add_argument("--speed-index", default=None,
-                         help="admissible speed: +, -, or 0-based index "
-                              "(ascending)")
-
-    p_cont = sub.add_parser("continue", parents=[common],
-                            help="continue a branch to large amplitude")
-    p_cont.add_argument("--speed-index", default=None)
-    p_cont.add_argument("--arm", default=None, choices=["both", "+", "-"])
-    p_cont.add_argument("--s0", type=float, default=None)
-    p_cont.add_argument("--h-min", type=float, default=None)
-    p_cont.add_argument("--h-max", type=float, default=None)
-    p_cont.add_argument("--max-points", type=int, default=None)
-    p_cont.add_argument("--snapshot-every", type=int, default=None)
-
-    p_ev = sub.add_parser("evolve", parents=[common],
-                          help="Hamiltonian time evolution")
-    p_ev.add_argument("--from-wave", default=None,
-                      help="wave snapshot JSON to propagate")
-    p_ev.add_argument("--speed-index", default=None)
-    p_ev.add_argument("--amp", type=float, default=None,
-                      help="kernel-mode amplitude when no snapshot is given")
-    p_ev.add_argument("--dt", type=float, default=None,
-                      help="time step (default: half the stability limit)")
-    p_ev.add_argument("--steps", type=int, default=None)
-    p_ev.add_argument("--periods", type=float, default=None,
-                      help="horizon in spatial periods (used when --steps "
-                           "is not given)")
-    p_ev.add_argument("--store-every", type=int, default=None)
-
-    p_ep = sub.add_parser("ep", parents=[common],
-                          help="two-fluid correspondence and residuals")
-    p_ep.add_argument("--from-wave", default=None)
+    for command, (text, own) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name in COMMON_OPTIONS + own:
+            p.add_argument(flag(name), action="append", help=HELP[name])
     return parser
 
 
@@ -227,25 +209,30 @@ def _merge_value_flags(argv):
 
 
 def parse(argv):
-    parser = build_parser()
-    ns = parser.parse_args(_merge_value_flags(argv))
-    values = _read_config_file(ns.config) if ns.config else {}
-    for key, val in vars(ns).items():
-        if isinstance(val, list):  # argparse's value of "--key=--"
-            raise ConfigError(f"option {key!r} needs a value")
-        if key in ("config", "command") or val is None:
+    ns = build_parser().parse_args(_merge_value_flags(argv))
+    flags = {}  # every value given to each flag, in order
+    for key, given in vars(ns).items():
+        if key == "command" or given is None:
             continue
-        values[key] = val
+        if isinstance(given[-1], list):  # argparse's value of "--key=--"
+            raise ConfigError(f"option {key!r} needs a value")
+        flags[key] = [val for val in given if not isinstance(val, list)]
+    config = flags.pop("config", [""])[-1]
+    values = {key: [val] for key, val in
+              (_read_config_file(config) if config else {}).items()}
+    values.update(flags)  # a flag overrides the file
 
     if "a" not in values:
         raise ConfigError("missing interface velocities (--a w,x,y,z)")
-    cfg = RunConfig(command=ns.command, a=_parse_velocities(values.pop("a")))
+    cfg = RunConfig(command=ns.command,
+                    a=_parse_velocities(values.pop("a")[-1]))
     kinds = {f.name: type(getattr(cfg, f.name)) for f in fields(cfg)
              if f.name not in ("a", "command")}
-    for key, val in values.items():
+    for key, given in values.items():
         if key not in kinds:
             raise ConfigError(f"unknown option {key!r}")
-        setattr(cfg, key, _convert(key, val, kinds[key]))
+        for val in given:  # every value is checked; the last one counts
+            setattr(cfg, key, _convert(key, val, kinds[key]))
     _check_ranges(cfg)
     return cfg
 
@@ -276,11 +263,12 @@ def _write_json(path, payload, run):
     path.write_text(json.dumps(payload, indent=1))
 
 
-def _write_csv(path, header, rows, run, footer=None):
+def _write_csv(path, rows, run, footer=None):
+    """Rows keyed by column name, under one header of the first row's keys."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# config: {json.dumps(run.to_json())}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
         writer.writerows(rows)
         if footer:
             fh.write(footer + "\n")
@@ -309,10 +297,7 @@ def _make_options(run):
 def _write_branch(branch, tag, run, outdir):
     rows = branch.csv_rows()
     footer = f"# termination: {branch.termination.label()}"
-    _write_csv(outdir / f"branch_{tag}.csv",
-               ["s", "c", "amp", "norm_s_sigma", "m1", "m2", "n_K",
-                "krylov_iters", "dense_solves"],
-               rows, run, footer)
+    _write_csv(outdir / f"branch_{tag}.csv", rows, run, footer)
     for i, point in enumerate(branch.points):
         if run.snapshot_every and i % run.snapshot_every == 0:
             _write_json(outdir / f"wave_{tag}_{i:04d}.json",
@@ -332,9 +317,9 @@ def _cmd_continue(run, layer, outdir):
     diagram = []
     for tag, branch in arms:
         rows = _write_branch(branch, tag, run, outdir)
-        diagram += [(tag, r[0], r[1], r[2]) for r in rows]
-    _write_csv(outdir / "diagram.csv", ["arm", "s", "c", "amp"],
-               diagram, run)
+        diagram += [{"arm": tag, "s": r["s"], "c": r["c"], "amp": r["amp"]}
+                    for r in rows]
+    _write_csv(outdir / "diagram.csv", diagram, run)
     return 0
 
 
@@ -398,10 +383,7 @@ def _cmd_evolve(run, layer, outdir, wave=None):
         dt = horizon / steps
     store = run.store_every or max(steps // 200, 1)
     trajectory = dy.evolve(layer, phase, dt, steps, store_every=store)
-    _write_csv(outdir / "trajectory.csv",
-               ["t", "e_kin", "e_pot", "e_total",
-                "sup_plus1", "sup_plus2", "sup_minus1", "sup_minus2"],
-               trajectory.csv_rows(), run)
+    _write_csv(outdir / "trajectory.csv", trajectory.csv_rows(), run)
     return 0
 
 
@@ -418,8 +400,9 @@ def _cmd_ep(run, layer, outdir, wave=None):
     payload["speeds_report"] = report
     payload["min_density"] = mapped.min_density()
     _write_json(outdir / "ep.json", payload, run)
-    _write_csv(outdir / "ep_residual.csv", ["component", "sup"],
-               sorted(sups.items()), run)
+    _write_csv(outdir / "ep_residual.csv",
+               [{"component": k, "sup": v} for k, v in sorted(sups.items())],
+               run)
     return 0
 
 
@@ -453,17 +436,12 @@ def execute(run):
 
 def main(argv=None):
     try:
-        run = parse(sys.argv[1:] if argv is None else argv)
+        return execute(parse(sys.argv[1:] if argv is None else argv))
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse: --help, or a malformed command
         return exc.code if exc.code is not None else 2
-    try:
-        return execute(run)
-    except ConfigError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

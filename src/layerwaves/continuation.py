@@ -87,13 +87,17 @@ class Branch:
     options: ContinuationOptions
 
     def csv_rows(self):
+        """One row per point, keyed by column name."""
         rows = []
         for p in self.points:
             sol = p.solution
-            rows.append((p.s, sol.c, sol.state.cos[0, 0],
-                         sol.state.norm(self.options.norm_params),
-                         sol.monitors[0], sol.monitors[1], p.compact_index,
-                         sol.krylov_iters, sol.dense_solves))
+            rows.append({"s": p.s, "c": sol.c, "amp": sol.state.cos[0, 0],
+                         "norm_s_sigma": sol.state.norm(
+                             self.options.norm_params),
+                         "m1": sol.monitors[0], "m2": sol.monitors[1],
+                         "n_K": p.compact_index,
+                         "krylov_iters": sol.krylov_iters,
+                         "dense_solves": sol.dense_solves})
         return rows
 
 
@@ -291,8 +295,9 @@ def detect_termination(branch, opts=None):
     """Classify the current branch end; first trigger wins, simultaneous
     triggers are reported together."""
     opts = opts or branch.options
+    at_limit = len(branch.points) >= opts.max_points
     if len(branch.points) < 2:
-        return RUNNING
+        return TerminationReport(STEP_LIMIT) if at_limit else RUNNING
     first = branch.points[0]
     last = branch.points[-1]
     sol = last.solution
@@ -313,7 +318,7 @@ def detect_termination(branch, opts=None):
         triggered.append(COLLISION)
     if sol.monitors[1] <= DEGENERACY_TOL:
         triggered.append(DEGENERACY)
-    if len(branch.points) >= opts.max_points:
+    if at_limit:
         triggered.append(STEP_LIMIT)
     if not triggered:
         return RUNNING

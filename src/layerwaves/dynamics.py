@@ -158,9 +158,14 @@ class Trajectory:
     energies: list  # EnergyReport per stored state
 
     def csv_rows(self):
+        """One row per stored state, keyed by column name."""
         rows = []
         for t, state, e in zip(self.times, self.states, self.energies):
-            rows.append((t, e.e_kin, e.e_pot, e.e_total, *state.sup_norms()))
+            sup = state.sup_norms()
+            rows.append({"t": t, "e_kin": e.e_kin, "e_pot": e.e_pot,
+                         "e_total": e.e_total, "sup_plus1": sup[0],
+                         "sup_plus2": sup[1], "sup_minus1": sup[2],
+                         "sup_minus2": sup[3]})
         return rows
 
 

@@ -45,7 +45,7 @@ class LocalExpansion:
 def second_harmonic_amplitude(m, cfg, c_star):
     """Amplitude vector t of the correction t cos(2 m x): solves the
     doubled-mode system  M_{2m} t = 2 m^2 w,  w = (a-c)^-2 component-wise."""
-    M2 = pc.mode_matrix(2 * m, cfg, c_star).entries
+    M2 = pc.mode_matrix(2 * m, cfg, c_star)
     scale = np.max(np.abs(M2))
     if abs(np.linalg.det(M2)) <= 1e-12 * scale ** 4:
         raise ResonantHarmonicError(

@@ -102,24 +102,14 @@ def classify_config(a):
     return LayerConfig(*a)
 
 
-@dataclass(frozen=True)
-class ModeMatrix:
-    """The 4x4 pencil of a single Fourier mode at speed c."""
-
-    j: int
-    config: LayerConfig
-    c: float
-    entries: np.ndarray
-
-
 def mode_matrix(j, cfg, c):
-    """Assemble the pencil for wavenumber j: diag j^2(a_i - c) + sign_i
-    plus the fixed off-diagonal coupling pattern."""
+    """The 4x4 pencil of wavenumber j at speed c: diag j^2(a_i - c) +
+    sign_i plus the fixed off-diagonal coupling pattern."""
     if j < 1:
         raise ValueError("mode index must be >= 1")
     entries = OFFDIAG.copy()
     entries[np.diag_indices(4)] = j * j * (cfg.as_array() - c) + DIAG_SIGN
-    return ModeMatrix(int(j), cfg, float(c), entries)
+    return entries
 
 
 def determinant_poly(m, cfg):

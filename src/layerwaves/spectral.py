@@ -305,22 +305,14 @@ def grid_values(cos, sin, npts):
     Row i of the (k, N) arrays cos and sin holds the coefficients of
     harmonics 1..N of one series; column p of the (k, npts) result is
     its value at x = 2 pi p / (fold * npts).  All rows go through one
-    inverse real FFT.  Harmonics at or above npts/2 are first folded
-    onto the grid frequency they alias to, so the values are exact for
-    every npts, also at or below 2N.
+    inverse real FFT.  Every harmonic must lie below the grid's Nyquist
+    one: npts > 2N.
     """
     k, n = cos.shape
-    if 2 * n < npts:  # every harmonic lies below the grid's Nyquist one
-        half = np.zeros((k, npts // 2 + 1), dtype=complex)
-        half[:, 1:n + 1] = cos - 1j * sin
-    else:
-        reps = n // npts + 1
-        z = np.zeros((k, reps * npts), dtype=complex)
-        z[:, 1:n + 1] = cos - 1j * sin
-        # g[q]: sum of c_j - i s_j over the harmonics j = q (mod npts)
-        g = z.reshape(k, reps, npts).sum(axis=1)
-        q = np.arange(npts // 2 + 1)
-        half = g[:, q] + np.conj(g[:, -q % npts])
+    if 2 * n >= npts:
+        raise ValueError(f"{npts} points cannot resolve {n} harmonics")
+    half = np.zeros((k, npts // 2 + 1), dtype=complex)
+    half[:, 1:n + 1] = cos - 1j * sin
     return np.fft.irfft(half, n=npts, axis=1) * (0.5 * npts)
 
 

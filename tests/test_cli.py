@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st_
 
 from layerwaves import cli, steady
+from layerwaves.errors import ConfigError
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -178,6 +179,64 @@ def test_config_file_unparsable_value_exits_2(line, message, tmp_path,
     assert message in capsys.readouterr().err
 
 
+# One valid value of every option but --config, none of them the default.
+OPTION_VALUES = {
+    "a": "0,1,2.5,3.5", "m": "2", "n": "16", "s": "1.5", "sigma": "0.2",
+    "tol": "1e-10", "out": "elsewhere", "speed_index": "-", "arm": "+",
+    "s0": "0.002", "h_min": "1e-6", "h_max": "0.05", "max_points": "5",
+    "snapshot_every": "2", "from_wave": "wave.json", "amp": "0.02",
+    "dt": "0.001", "steps": "7", "periods": "0.5", "store_every": "3"}
+
+
+def _options_of(command):
+    return [name for name in cli.COMMON_OPTIONS + cli.COMMANDS[command][1]
+            if name != "config"]
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_flags_and_config_file_give_the_same_run(command, tmp_path):
+    names = _options_of(command)
+    argv = [command]
+    for name in names:
+        argv += [cli.flag(name), OPTION_VALUES[name]]
+    conf = tmp_path / "run.conf"
+    conf.write_text("".join(f"{name} = {OPTION_VALUES[name]}\n"
+                            for name in names))
+    by_flags = cli.parse(argv)
+    assert by_flags == cli.parse([command, "--config", str(conf)])
+    default = cli.RunConfig(command=command, a=())
+    for name in names:  # every value took effect
+        assert getattr(by_flags, name) != getattr(default, name), name
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("m", "1.5", "m must be an integer, got '1.5'"),
+    ("n", "1e3", "n must be an integer, got '1e3'"),
+    ("periods", "inf", "periods must be finite, got 'inf'"),
+    ("sigma", "-0.1", "sigma must be nonnegative"),
+    ("arm", "up", "arm must be both, + or -, got 'up'"),
+])
+def test_flags_and_config_file_fail_alike(name, value, message, tmp_path):
+    command = next(c for c in sorted(cli.COMMANDS) if name in _options_of(c))
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"a = -1,1,-1,1\n{name} = {value}\n")
+    for argv in ([command, "--a", "-1,1,-1,1", cli.flag(name), value],
+                 [command, "--config", str(conf)]):
+        with pytest.raises(ConfigError) as exc:
+            cli.parse(argv)
+        assert str(exc.value) == message, argv
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_help_lists_the_table_flags(command, capsys):
+    assert cli.main([command, "--help"]) == 0
+    listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out,
+                        re.MULTILINE)
+    assert listed == ["--help"] + [
+        cli.flag(name)
+        for name in cli.COMMON_OPTIONS + cli.COMMANDS[command][1]]
+
+
 def test_missing_subcommand_exits_2(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()
@@ -233,6 +292,17 @@ def test_continue_reports_solver_work_per_point(n, krylov, tmp_path):
         used = (int(row["krylov_iters"]), int(row["dense_solves"]))
         assert used == (wave["krylov_iters"], wave["dense_solves"])
         assert (used[0] > 0, used[1] > 0) == (krylov, not krylov)
+
+
+def test_continue_one_point_budget(tmp_path):
+    assert run_cli(["continue", "--a", "-1,1,-1,1", "--n", "16",
+                    "--max-points", "1"], tmp_path) == 0
+    for tag in ("plus", "minus"):
+        path = tmp_path / f"branch_{tag}.csv"
+        assert len(read_csv(path)) == 1
+        last = path.read_text().splitlines()[-1]
+        assert last == "# termination: step_limit"
+    assert len(read_csv(tmp_path / "diagram.csv")) == 2
 
 
 def _wave_file(path, a, c=2.2):
@@ -401,15 +471,9 @@ FUZZ_VALUES = {
     "--store-every": ["0", "1", "3", "-1"],
 }
 FUZZ_OPTIONS = {  # options of each command besides the common ones
-    "speeds": [], "local": ["--speed-index"],
-    "continue": ["--speed-index", "--arm", "--s0", "--h-min", "--h-max",
-                 "--max-points", "--snapshot-every"],
-    "evolve": ["--from-wave", "--speed-index", "--amp", "--dt", "--steps",
-               "--periods", "--store-every"],
-    "ep": ["--from-wave"],
-}
-FUZZ_COMMON = ["--a", "--m", "--n", "--s", "--sigma", "--tol", "--config",
-               "--out"]
+    command: [cli.flag(name) for name in own]
+    for command, (_, own) in cli.COMMANDS.items()}
+FUZZ_COMMON = [cli.flag(name) for name in cli.COMMON_OPTIONS]
 FUZZ_JUNK = ["", "-", "--", "--bogus", "--help", "-h", "x", "=", "--a=",
              "--n=", "é", "1,2", "None", "\x00"]
 

@@ -245,6 +245,13 @@ class TestTerminationTaxonomy:
         assert report == ct.RUNNING
 
 
+def test_one_point_budget_stops_at_the_first_point(sym_expansion):
+    branch = ct.trace_arm(sym_expansion, +1,
+                          ct.ContinuationOptions(max_points=1))
+    assert len(branch.points) == 1
+    assert branch.termination.label() == ct.STEP_LIMIT
+
+
 def test_tail_guard_doubles_truncation(sym_expansion):
     # push far enough that the analytic tail outgrows a deliberately
     # small truncation: the loop must re-correct at doubled counts

@@ -34,7 +34,7 @@ class TestClassify:
 class TestModeMatrix:
     def test_hand_assembled_entries(self):
         cfg = pc.classify_config([0, 1, 2, 3])
-        M = pc.mode_matrix(1, cfg, -1.0).entries
+        M = pc.mode_matrix(1, cfg, -1.0)
         assert np.allclose(np.diag(M), [0.0, 3.0, 2.0, 5.0])
 
     def test_fixed_offdiagonal_pattern(self):
@@ -42,14 +42,14 @@ class TestModeMatrix:
         for _ in range(5):
             cfg = random_config(rng)
             M = pc.mode_matrix(int(rng.integers(1, 9)), cfg,
-                               rng.uniform(-4, 4)).entries
+                               rng.uniform(-4, 4))
             off = M - np.diag(np.diag(M))
             assert np.array_equal(off, pc.OFFDIAG)
             assert M[0, 1] == 1.0 and M[1, 0] == -1.0
 
     def test_singular_at_bifurcation_speed(self):
         cfg = pc.classify_config([-1, 1, -1, 1])
-        M = pc.mode_matrix(1, cfg, SQRT5).entries
+        M = pc.mode_matrix(1, cfg, SQRT5)
         assert abs(np.linalg.det(M)) < 1e-12
 
 
@@ -71,7 +71,7 @@ class TestDeterminant:
             m = int(rng.integers(1, 65))
             c = rng.uniform(-5.0, 5.0)
             closed = np.polyval(pc.determinant_poly(m, cfg), c)
-            brute = np.linalg.det(pc.mode_matrix(m, cfg, c).entries)
+            brute = np.linalg.det(pc.mode_matrix(m, cfg, c))
             assert closed == pytest.approx(brute, rel=1e-10)
 
 
@@ -162,7 +162,7 @@ class TestKernelVectors:
                 continue
             m = pc.min_admissible_mode(cfg, 64)
             for c in pc.bifurcation_speeds(m, cfg).admissible():
-                M = pc.mode_matrix(m, cfg, c).entries
+                M = pc.mode_matrix(m, cfg, c)
                 v = pc.kernel_vector(m, cfg, c)
                 w = pc.cokernel_vector(m, cfg, c)
                 bound = 1e-12 * np.linalg.norm(M, 2)
@@ -176,7 +176,7 @@ class TestKernelVectors:
     def test_kernel_aligns_with_svd_nullspace(self):
         cfg = pc.classify_config([-1, 1, -1, 1])
         for c in pc.bifurcation_speeds(3, cfg).admissible():
-            M = pc.mode_matrix(3, cfg, c).entries
+            M = pc.mode_matrix(3, cfg, c)
             _, _, vt = np.linalg.svd(M)
             null = vt[-1]
             v = pc.kernel_vector(3, cfg, c)
@@ -187,7 +187,7 @@ class TestKernelVectors:
         rng = np.random.default_rng(8)
         cfg = pc.classify_config([0, 1, 1, 2])
         c = 1.0 + SQRT3
-        M = pc.mode_matrix(1, cfg, c).entries
+        M = pc.mode_matrix(1, cfg, c)
         w = pc.cokernel_vector(1, cfg, c)
         for _ in range(20):
             y = rng.standard_normal(4)

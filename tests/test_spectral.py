@@ -120,10 +120,14 @@ def test_grid_values_match_direct_evaluation(parity, fold, count):
     cos = np.array([f.cos for f in rows])
     sin = np.array([f.sin for f in rows])
     scale = max(np.sum(np.abs(f.cos)) + np.sum(np.abs(f.sin)) for f in rows)
-    # above 2N (padded), exactly 2N (Nyquist), below 2N (folded), and
-    # sizes that are not powers of two on both sides
+    # above 2N, powers of two or not; at or below 2N (the Nyquist harmonic
+    # and beyond) the grid cannot hold the series and is refused
     for npts in sorted({16 * count, 4 * count + 3, 2 * count + 1, 2 * count,
                         2 * count - 1, count + 1, 7, 3, 1}):
+        if npts <= 2 * count:
+            with pytest.raises(ValueError, match="cannot resolve"):
+                sp.grid_values(cos, sin, npts)
+            continue
         x = np.linspace(0.0, 2.0 * np.pi / fold, npts, endpoint=False)
         got = sp.grid_values(cos, sin, npts)
         assert got.shape == (3, npts)
