@@ -7,6 +7,7 @@ against the global-curve alternatives: loop, blow-up, boundary
 collision, degeneracy, plus a step budget.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,9 +35,10 @@ DEGENERACY_TOL = 1e-6
 TAIL_FRACTION = 0.25         # share of the harmonics checked as the tail
 TAIL_NORM_TOL = 1e-8         # double N when the tail exceeds this share
 # Newton steps at N >= KRYLOV_MIN_COUNT go through GMRES.  One step of
-# 10 GMRES iterations against one dense solve (2-core VM, 1 BLAS thread):
-# 2.0 against 0.5 ms at N = 32, 2.2 against 1.8 ms at N = 64, where the
-# default arm takes 4-10 iterations, and 3.9 against 50 ms at N = 256.
+# 10 GMRES iterations against one dense solve (2-core VM, 1 BLAS thread,
+# best of 15): 1.1 against 0.4 ms at N = 32, 1.5 against 1.2 ms at
+# N = 64, where the default arm takes 4-10 iterations, and 2.2 against
+# 33 ms at N = 256.
 KRYLOV_MIN_COUNT = 64
 KRYLOV_TOL = 1e-13           # GMRES stop, relative to the Newton residual
 KRYLOV_TRUE_TOL = 1e-12      # true residual that accepts a GMRES step
@@ -125,17 +127,20 @@ def _unstack(u, fold, count):
 def _gmres(apply, precondition, rhs, tol, max_iters):
     """Right-preconditioned GMRES from x = 0 (Saad & Schultz 1986).
 
-    Stops when the Arnoldi estimate of ||rhs - apply(x)|| is at most tol
-    or after max_iters; returns (x, iterations).  Orthogonalizes by
-    classical Gram-Schmidt twice and solves the small triangular system
-    by back-substitution.
+    Stops when the Arnoldi estimate of ||rhs - apply(x)|| is at most tol,
+    after max_iters, or when the new Arnoldi vector vanishes: then the
+    Krylov space is invariant and x solves the system, unless the
+    rotated Hessenberg column vanishes too (a singular operator).
+    Returns (x, iterations).  Orthogonalizes by classical Gram-Schmidt
+    twice, rotates each new Hessenberg column by Givens rotations on
+    Python floats, and solves the small triangular system by
+    back-substitution.
     """
-    beta = np.linalg.norm(rhs)
+    beta = float(np.linalg.norm(rhs))
     V = np.empty((max_iters + 1, rhs.size))
-    R = np.zeros((max_iters + 1, max_iters))  # Hessenberg, rotated
-    rot = np.zeros((max_iters, 2))            # Givens (cos, sin)
-    g = np.zeros(max_iters + 1)
-    g[0] = beta
+    R = np.zeros((max_iters, max_iters))  # rotated Hessenberg, triangular
+    rot = []                              # Givens (cos, sin)
+    g = [beta]
     V[0] = rhs / beta
     k = 0
     while k < max_iters and abs(g[k]) > tol:
@@ -144,19 +149,24 @@ def _gmres(apply, precondition, rhs, tol, max_iters):
         v -= h @ V[:k + 1]
         h2 = V[:k + 1] @ v
         v -= h2 @ V[:k + 1]
-        col = R[:, k]
-        col[:k + 1] = h + h2
-        col[k + 1] = np.linalg.norm(v)
-        V[k + 1] = v / col[k + 1]
-        for j in range(k):
-            cs, sn = rot[j]
+        col = (h + h2).tolist()
+        below = math.sqrt(v @ v)
+        for j, (cs, sn) in enumerate(rot):
             col[j], col[j + 1] = (cs * col[j] + sn * col[j + 1],
                                   cs * col[j + 1] - sn * col[j])
-        rho = np.hypot(col[k], col[k + 1])
-        cs, sn = rot[k] = col[k] / rho, col[k + 1] / rho
-        col[k], col[k + 1] = rho, 0.0
-        g[k], g[k + 1] = cs * g[k], -sn * g[k]
+        rho = math.hypot(col[k], below)
+        if rho == 0.0:
+            break
+        cs, sn = col[k] / rho, below / rho
+        rot.append((cs, sn))
+        col[k] = rho
+        R[:k + 1, k] = col
+        g.append(-sn * g[k])
+        g[k] *= cs
         k += 1
+        if below == 0.0:
+            break
+        V[k] = v / below
     y = np.zeros(k)
     for j in range(k - 1, -1, -1):
         y[j] = (g[j] - R[j, j + 1:k] @ y[j + 1:]) / R[j, j]
@@ -244,7 +254,8 @@ def newton_correct(cfg, guess, constraint, fold, count, tol=1e-11):
     sup = np.max(np.abs(res))
     for it in range(MAX_NEWTON + 1):
         if sup <= tol:
-            sol = st.solution_at(cfg, *_unstack(u, fold, count))
+            sol = st.solution_at(cfg, *_unstack(u, fold, count),
+                                 float(np.max(np.abs(res[:-1]))))
             sol.krylov_iters, sol.dense_solves = krylov_iters, dense_solves
             return sol, it
         if it == MAX_NEWTON:

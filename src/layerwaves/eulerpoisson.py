@@ -53,7 +53,7 @@ class EPState(sp.ComponentArrays):
     def min_density(self):
         """Smallest density, sampled on the monitors' grid of one fold
         period."""
-        vals = sp.grid_values(self.cos[:2], np.zeros((2, self.count)),
+        vals = sp.grid_values(self.cos[:2], None,
                               st.MONITOR_GRID_FACTOR * self.count)
         return float(np.min(vals) + self.base_a)
 

@@ -299,21 +299,36 @@ def shift(f, h):
                       FULL if np.any(sw) else f.parity)
 
 
-def grid_values(cos, sin, npts):
+def grid_values(cos, sin, npts, work=None):
     """Values of stacked series at the npts uniform points of one fold period.
 
     Row i of the (k, N) arrays cos and sin holds the coefficients of
-    harmonics 1..N of one series; column p of the (k, npts) result is
-    its value at x = 2 pi p / (fold * npts).  All rows go through one
-    inverse real FFT.  Every harmonic must lie below the grid's Nyquist
-    one: npts > 2N.
+    harmonics 1..N of one series; sin may be None for series with no
+    sine part.  Column p of the (k, npts) result is the value at
+    x = 2 pi p / (fold * npts).  All rows go through one inverse real
+    FFT of the half spectrum (cos - i sin) / 2, unnormalized.  Every
+    harmonic must lie below the grid's Nyquist one: npts > 2N.
+
+    work, if given, is that half spectrum's complex (k, npts // 2 + 1)
+    array, zero outside columns 1..N (as from half_spectrum); columns
+    1..N are overwritten, so repeated calls of one size allocate no
+    spectrum.
     """
     k, n = cos.shape
     if 2 * n >= npts:
         raise ValueError(f"{npts} points cannot resolve {n} harmonics")
-    half = np.zeros((k, npts // 2 + 1), dtype=complex)
-    half[:, 1:n + 1] = cos - 1j * sin
-    return np.fft.irfft(half, n=npts, axis=1) * (0.5 * npts)
+    half = half_spectrum(k, npts) if work is None else work
+    if sin is None:
+        half[:, 1:n + 1] = 0.5 * cos
+    else:
+        np.multiply(cos, 0.5, out=half.real[:, 1:n + 1])
+        np.multiply(sin, -0.5, out=half.imag[:, 1:n + 1])
+    return np.fft.irfft(half, n=npts, axis=1, norm="forward")
+
+
+def half_spectrum(k, npts):
+    """Zeroed work array of grid_values for k series on npts points."""
+    return np.zeros((k, npts // 2 + 1), dtype=complex)
 
 
 def grid_coefficients(vals, count):

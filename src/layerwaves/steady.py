@@ -192,24 +192,27 @@ def linearization(cfg, c, state):
     precondition(g) inverts h -> dx(q_i h) on that grid:
     h = (dx^-1 g + kappa_i) / q_i with kappa_i making h zero-mean, then
     cut to harmonics 1..N.  It leaves out the potential, which smooths.
-    q is sampled once, here; a zero of q shows as non-finite output.
+    q is sampled once, here, and every call of the two functions reuses
+    one half-spectrum work array of spectral.grid_values; a zero of q
+    shows as non-finite output.
     """
     n = state.count
     w = state.wavenumbers()
     npts = LINEAR_GRID_FACTOR * n
-    zero = np.zeros((4, n))
-    q = sp.grid_values(state.cos, zero, npts)
+    work = sp.half_spectrum(4, npts)
+    q = sp.grid_values(state.cos, None, npts, work)
     q += (cfg.as_array() - c)[:, None]
     inv_q = 1.0 / q
     sum_inv_q = np.sum(inv_q, axis=1, keepdims=True)
 
     def matvec(h):
-        prod, _ = sp.grid_coefficients(q * sp.grid_values(h, zero, npts), n)
+        prod, _ = sp.grid_coefficients(
+            q * sp.grid_values(h, None, npts, work), n)
         return POT_SIGN[:, None] * (D_COEF @ h) / w - w * prod
 
     def precondition(g):
-        h = sp.grid_values(-g / w, zero, npts) * inv_q
-        h -= np.sum(h, axis=1, keepdims=True) / sum_inv_q * inv_q
+        h = sp.grid_values(-g / w, None, npts, work) * inv_q
+        h -= h.sum(axis=1, keepdims=True) / sum_inv_q * inv_q
         return sp.grid_coefficients(h, n)[0]
 
     return matvec, precondition
@@ -256,9 +259,11 @@ def monitors(cfg, c, state):
     return gap, slip
 
 
-def solution_at(cfg, c, state):
-    """Bundle a state with its residual sup and monitor values."""
-    res = residual_vector(cfg, c, state)
-    return WaveSolution(cfg, float(c), state,
-                        float(np.max(np.abs(res), initial=0.0)),
+def solution_at(cfg, c, state, residual_norm=None):
+    """Bundle a state with its residual sup and monitor values; the sup
+    is computed unless the caller already holds it."""
+    if residual_norm is None:
+        res = residual_vector(cfg, c, state)
+        residual_norm = float(np.max(np.abs(res), initial=0.0))
+    return WaveSolution(cfg, float(c), state, residual_norm,
                         monitors(cfg, c, state))

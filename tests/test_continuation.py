@@ -33,6 +33,31 @@ class TestNewtonCorrect:
         assert sol.c == 0.3
         assert sol.residual_norm == 0.0
 
+    def test_accepted_point_reuses_its_residual(self, sym_expansion, sym_cfg,
+                                                monkeypatch):
+        # the residual of the converged iterate is evaluated once, by the
+        # Newton loop, and not again to bundle the solution; the recorded
+        # sup is that of the returned state, bit for bit
+        calls = []
+        residual = st.residual
+
+        def counted(cfg, c, state, **kwargs):
+            calls.append((float(c), state.cos.copy()))
+            return residual(cfg, c, state, **kwargs)
+
+        monkeypatch.setattr(st, "residual", counted)
+        n = 16
+        c_g, state_g = lb.predictor(sym_expansion, 1e-2, count=n)
+        u0 = np.concatenate([[c_g], state_g.as_vector()])
+        sol, iters = ct.newton_correct(
+            sym_cfg, (c_g, state_g),
+            ct.ArclengthConstraint(u0 / np.linalg.norm(u0), u0, 0.0), 1, n)
+        assert iters >= 1
+        assert sum(c == sol.c and np.array_equal(cos, sol.state.cos)
+                   for c, cos in calls) == 1
+        assert sol.residual_norm == float(np.max(np.abs(
+            st.residual_vector(sym_cfg, sol.c, sol.state))))
+
     def test_quadratic_convergence_from_predictor(self, sym_expansion, sym_cfg):
         n = 16
         c_g, state_g = lb.predictor(sym_expansion, 1e-2, count=n)
@@ -272,6 +297,36 @@ def test_infinite_norm_ends_arm_as_blow_up(sym_expansion):
     assert branch.points[-1].compact_index == np.inf
 
 
+def test_gmres_stops_at_an_exact_breakdown():
+    # the identity makes the first Arnoldi vector vanish: GMRES returns
+    # b in one iteration instead of dividing 0 by 0; a singular operator
+    # that annihilates b ends with x = 0
+    b = np.array([1.0, -1.0, 1.0, -1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, k = ct._gmres(lambda v: np.eye(5) @ v, lambda v: v, b, 1e-13, 10)
+        assert k == 1 and np.array_equal(x, b)
+        singular = np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
+        x, k = ct._gmres(lambda v: singular @ v, lambda v: v,
+                         np.eye(5)[4], 1e-13, 10)
+        assert k == 0 and np.array_equal(x, np.zeros(5))
+
+
+def test_gmres_matches_dense_solve():
+    # nonsymmetric, diagonally dominant, Jacobi-preconditioned: at most
+    # 40 iterations to a true residual of 1e-12 relative
+    rng = np.random.default_rng(60)
+    n = 40
+    A = rng.uniform(-1, 1, (n, n)) + np.diag(rng.uniform(n, 2 * n, n))
+    b = rng.standard_normal(n)
+    x, k = ct._gmres(lambda v: A @ v, lambda v: v / np.diag(A), b,
+                     1e-14 * np.linalg.norm(b), n)
+    assert k <= n
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+    want = np.linalg.solve(A, b)
+    assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class _Forward:
     """Attribute proxy: overrides first, everything else from `base`."""
 
@@ -312,6 +367,14 @@ class TestKrylovNewton:
             assert p.solution.krylov_iters >= p.newton_iters
             assert q.solution.krylov_iters == 0
             assert q.solution.dense_solves == q.newton_iters
+
+    def test_residual_norm_is_the_residual_of_the_point(self,
+                                                         default_plus_arms,
+                                                         sym_cfg):
+        for p in default_plus_arms[0].points:
+            sol = p.solution
+            assert sol.residual_norm == float(np.max(np.abs(
+                st.residual_vector(sym_cfg, sol.c, sol.state))))
 
     def _correction(self, branch, k):
         """Guess and constraint of one predictor step off point k - 1."""

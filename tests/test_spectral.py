@@ -127,12 +127,32 @@ def test_grid_values_match_direct_evaluation(parity, fold, count):
         if npts <= 2 * count:
             with pytest.raises(ValueError, match="cannot resolve"):
                 sp.grid_values(cos, sin, npts)
+            with pytest.raises(ValueError, match="cannot resolve"):
+                sp.grid_values(cos, None, npts)
             continue
         x = np.linspace(0.0, 2.0 * np.pi / fold, npts, endpoint=False)
         got = sp.grid_values(cos, sin, npts)
         assert got.shape == (3, npts)
         want = np.array([f.eval(x) for f in rows])
         assert np.max(np.abs(got - want)) < 1e-13 * scale, npts
+        if parity == EVEN:  # no sine part: None is the zero array
+            assert np.array_equal(sp.grid_values(cos, None, npts), got)
+
+
+@pytest.mark.parametrize("count", [1, 8, 17, 64])
+def test_grid_values_work_array_keeps_no_state(count):
+    # calls with and without a sine part alternate on one work array;
+    # each must equal a fresh call bitwise (a stale imaginary band from
+    # the previous call would show)
+    rng = np.random.default_rng(70 + count)
+    npts = 4 * count + 1
+    work = sp.half_spectrum(3, npts)
+    for sine in (True, False, False, True, True, False):
+        cos = rng.standard_normal((3, count))
+        sin = rng.standard_normal((3, count)) if sine else None
+        got = sp.grid_values(cos, sin, npts, work)
+        assert np.array_equal(got, sp.grid_values(cos, sin, npts))
+        assert np.all(work[:, 0] == 0.0) and np.all(work[:, count + 1:] == 0.0)
 
 
 @pytest.mark.parametrize("count", [1, 8, 17, 64, 256])

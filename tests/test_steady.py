@@ -406,6 +406,27 @@ def test_matvec_matches_jacobian_and_direct_gathers(gen_cfg, fold, count):
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
+def test_linearization_calls_leave_earlier_results_alone(gen_cfg):
+    # matvec and precondition share one work array: what they return
+    # must not change under later calls, and a repeated call must give
+    # the same bits
+    rng = np.random.default_rng(42)
+    state = st.InterfaceState.from_vector(2, 32,
+                                          0.01 * rng.uniform(-1, 1, 128))
+    matvec, precondition = st.linearization(gen_cfg, 1.9, state)
+    h, g = rng.uniform(-1, 1, (2, 4, 32))
+    first_mv, first_pc = matvec(h), precondition(g)
+    kept_mv, kept_pc = first_mv.copy(), first_pc.copy()
+    for _ in range(2):
+        other = rng.uniform(-1, 1, (4, 32))
+        matvec(other)
+        precondition(other)
+    assert np.array_equal(first_mv, kept_mv)
+    assert np.array_equal(first_pc, kept_pc)
+    assert np.array_equal(matvec(h), kept_mv)
+    assert np.array_equal(precondition(g), kept_pc)
+
+
 def test_preconditioner_inverts_transport(gen_cfg):
     # without the potential, the linearization is h -> dx(q h); at a flat
     # state q_i = a_i - c is constant and the inverse is exact
