@@ -222,7 +222,8 @@ def _krylov_step(cfg, u, state, tangent, res):
     return None, iters
 
 
-def newton_correct(cfg, guess, constraint, fold, count, tol=1e-11):
+def newton_correct(cfg, guess, constraint, fold, count,
+                   tol=ContinuationOptions.newton_tol):
     """Damped Newton on [residual; arclength constraint].
 
     Iterates on u alone (residual and Jacobian see its coefficients as a
@@ -302,10 +303,10 @@ def _compact_index(sol, norm_params):
     return int(max(1, np.ceil(bound - 1e-12)))
 
 
-def detect_termination(branch, opts=None):
+def detect_termination(branch):
     """Classify the current branch end; first trigger wins, simultaneous
     triggers are reported together."""
-    opts = opts or branch.options
+    opts = branch.options
     at_limit = len(branch.points) >= opts.max_points
     if len(branch.points) < 2:
         return TerminationReport(STEP_LIMIT) if at_limit else RUNNING
@@ -349,88 +350,68 @@ def _tail_heavy(state, opts):
     return tail_norm > TAIL_NORM_TOL * total
 
 
-def _advance(branch, u_prev, tangent, ds, opts):
+def _accept(branch, u_prev, sol, iters, next_step):
+    """Append the corrected point, its arclength counted on from the last
+    point (or 0), with the unit secant from u_prev.  Returns the point's
+    augmented vector and that secant."""
+    u = _stack(sol.c, sol.state)
+    step_len = float(np.linalg.norm(u - u_prev))
+    tangent = (u - u_prev) / step_len
+    s = branch.points[-1].s if branch.points else 0.0
+    branch.points.append(BranchPoint(
+        s=s + step_len, solution=sol, tangent=tangent, next_step=next_step,
+        newton_iters=iters,
+        compact_index=_compact_index(sol, branch.options.norm_params)))
+    return u, tangent
+
+
+def _advance(branch, u_prev, tangent, ds):
     """Core predictor-corrector loop; mutates branch.points in place."""
-    cfg = branch.origin.cfg
-    fold = branch.origin.m
+    opts = branch.options
+    cfg, fold = branch.origin.cfg, branch.origin.m
     count = branch.points[-1].solution.state.count
-    s_acc = branch.points[-1].s
-    while True:
-        status = detect_termination(branch, opts)
-        if status != RUNNING:
-            branch.termination = status
-            return
-        guess_u = u_prev + ds * tangent
-        constraint = ArclengthConstraint(tangent, u_prev, ds)
-        c_g, state_g = _unstack(guess_u, fold, count)
+    while (status := detect_termination(branch)) == RUNNING:
         try:
-            sol, iters = newton_correct(cfg, (c_g, state_g), constraint,
-                                        fold, count, opts.newton_tol)
+            sol, iters = newton_correct(
+                cfg, _unstack(u_prev + ds * tangent, fold, count),
+                ArclengthConstraint(tangent, u_prev, ds), fold, count,
+                opts.newton_tol)
         except CorrectionFailedError:
             ds *= 0.5
             if ds < opts.h_min:
                 # cannot resolve a further step: treat as exhausted budget
-                branch.termination = TerminationReport(STEP_LIMIT)
-                return
+                status = TerminationReport(STEP_LIMIT)
+                break
             continue
-
         if _tail_heavy(sol.state, opts) and count * 2 <= opts.max_count:
-            u_prev = _embed(u_prev, count, 2 * count)
-            tangent = _embed(tangent, count, 2 * count)
+            u_prev, tangent = (
+                _stack(v[0], _unstack(v, fold, count)[1].with_count(2 * count))
+                for v in (u_prev, tangent))
             count *= 2
             continue
-
-        u_new = _stack(sol.c, sol.state)
-        step_len = float(np.linalg.norm(u_new - u_prev))
-        s_acc += step_len
-        tangent = (u_new - u_prev) / step_len
-        u_prev = u_new
         if iters <= FAST_ITERS:
             ds = min(ds * GROWTH, opts.h_max)
-        branch.points.append(BranchPoint(
-            s=s_acc, solution=sol, tangent=tangent, next_step=ds,
-            newton_iters=iters,
-            compact_index=_compact_index(sol, opts.norm_params)))
-
-
-def _embed(u, old_count, new_count):
-    """Zero-pad an augmented (c, 4 stacked coefficient blocks) vector."""
-    out = np.zeros(1 + 4 * new_count)
-    out[0] = u[0]
-    for i in range(4):
-        out[1 + i * new_count: 1 + i * new_count + old_count] = \
-            u[1 + i * old_count: 1 + (i + 1) * old_count]
-    return out
+        u_prev, tangent = _accept(branch, u_prev, sol, iters, ds)
+    branch.termination = status
 
 
 def trace_arm(origin, arm, opts):
     """Continue one pitchfork arm (arm = +1 or -1) from its local expansion."""
     fold, count = origin.m, opts.count
-    v = np.zeros(1 + 4 * count)
-    for i in range(4):
-        v[1 + i * count] = origin.kernel_vec[i]
-    vnorm = float(np.linalg.norm(v))
-    tangent = (arm / vnorm) * v
     u0 = _stack(origin.c_star, st.InterfaceState.zero(fold, count))
-
-    c_g, state_g = lb.predictor(origin, arm * opts.s0, count=count)
+    kernel = _stack(0.0, lb.predictor(origin, 1.0, count=count)[1])
+    vnorm = float(np.linalg.norm(kernel))
     ds = opts.s0 * vnorm
-    constraint = ArclengthConstraint(tangent, u0, ds)
+    constraint = ArclengthConstraint((arm / vnorm) * kernel, u0, ds)
     try:
-        sol, iters = newton_correct(origin.cfg, (c_g, state_g), constraint,
-                                    fold, count, opts.newton_tol)
+        sol, iters = newton_correct(
+            origin.cfg, lb.predictor(origin, arm * opts.s0, count=count),
+            constraint, fold, count, opts.newton_tol)
     except CorrectionFailedError as exc:
         raise CannotStartError(f"cannot-start: {exc}") from exc
-
-    u1 = _stack(sol.c, sol.state)
-    step_len = float(np.linalg.norm(u1 - u0))
-    tangent = (u1 - u0) / step_len
-    branch = Branch(points=[BranchPoint(
-        s=step_len, solution=sol, tangent=tangent, next_step=ds,
-        newton_iters=iters,
-        compact_index=_compact_index(sol, opts.norm_params))],
-        origin=origin, arm=arm, termination=RUNNING, options=opts)
-    _advance(branch, u1, tangent, ds, opts)
+    branch = Branch(points=[], origin=origin, arm=arm, termination=RUNNING,
+                    options=opts)
+    _advance(branch, *_accept(branch, u0, sol, iters, ds), ds)
     return branch
 
 
@@ -449,6 +430,6 @@ def restart(branch, index, opts=None):
     new = Branch(points=[replace(pt, tangent=pt.tangent.copy())],
                  origin=branch.origin, arm=branch.arm,
                  termination=RUNNING, options=opts)
-    u_prev = _stack(pt.solution.c, pt.solution.state)
-    _advance(new, u_prev, pt.tangent.copy(), pt.next_step, opts)
+    _advance(new, _stack(pt.solution.c, pt.solution.state),
+             pt.tangent.copy(), pt.next_step)
     return new

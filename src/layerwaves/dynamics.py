@@ -13,13 +13,14 @@ import numpy as np
 
 from . import spectral as sp
 from .errors import DivergedError
+from .pencil import CHARGE, SPECIES
 from .spectral import TrigSeries
 
 # Sign of the nonlocal coupling per component (+ species positive) and
 # the alternating signs of the Hamiltonian operator J = diag(+-d/dx).
-COUPLING_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
-J_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
-KIN_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])  # (-1)^k per component
+COUPLING_SIGN = SPECIES
+J_SIGN = -SPECIES * CHARGE
+KIN_SIGN = SPECIES * CHARGE  # (-1)^k per component
 
 
 class PhaseState(sp.ComponentArrays):

@@ -77,7 +77,7 @@ def nearest_component_index(cfg, c_star):
     dist = np.abs(a - c_star)
     # preference order: plus1, minus1, plus2, minus2 (k before species)
     order = [0, 2, 1, 3]
-    best = min(order, key=lambda i: (dist[i], order.index(i)))
+    best = min(order, key=lambda i: dist[i])
     return int(best)
 
 

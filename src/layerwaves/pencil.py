@@ -17,14 +17,10 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSpeedError, NoAdmissibleModeError
 
-# Fixed off-diagonal coupling pattern and diagonal signs of the pencil.
-OFFDIAG = np.array([
-    [0.0, 1.0, 1.0, -1.0],
-    [-1.0, 0.0, 1.0, -1.0],
-    [1.0, -1.0, 0.0, 1.0],
-    [1.0, -1.0, -1.0, 0.0],
-])
-DIAG_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
+# Species sign and charge weight of each component: the pencil couples the
+# components by the rank-one matrix outer(SPECIES, CHARGE).
+SPECIES = np.array([1.0, 1.0, -1.0, -1.0])
+CHARGE = np.array([-1.0, 1.0, 1.0, -1.0])
 
 GENERIC = "generic"
 SYMMETRIC = "symmetric"
@@ -103,21 +99,21 @@ def classify_config(a):
 
 
 def mode_matrix(j, cfg, c):
-    """The 4x4 pencil of wavenumber j at speed c: diag j^2(a_i - c) +
-    sign_i plus the fixed off-diagonal coupling pattern."""
+    """The 4x4 pencil of wavenumber j at speed c: diag j^2(a_i - c) plus
+    the rank-one coupling outer(SPECIES, CHARGE)."""
     if j < 1:
         raise ValueError("mode index must be >= 1")
-    entries = OFFDIAG.copy()
-    entries[np.diag_indices(4)] = j * j * (cfg.as_array() - c) + DIAG_SIGN
-    return entries
+    return np.diag(j * j * (cfg.as_array() - c)) + np.outer(SPECIES, CHARGE)
 
 
 def determinant_poly(m, cfg):
     """Quartic coefficients (highest first) of det of the mode-m pencil.
 
-    Built from the closed form: m^8 prod_i (a_i - c) plus an m^6 sum of
-    signed cofactor products.  The brute-force 4x4 determinant is kept
-    as an independent oracle in the tests.
+    The coupling is rank one, so det(D + u w^T) = det D + sum_i u_i w_i
+    prod_{k != i} D_k with D = diag m^2 (a_i - c), u = SPECIES, w = CHARGE:
+    m^8 prod_i (a_i - c) plus an m^6 sum of signed cubics.  The
+    brute-force 4x4 determinant is kept as an independent oracle in the
+    tests.
     """
     a = cfg.as_array()
     poly = float(m) ** 8 * np.poly(a)
@@ -125,7 +121,7 @@ def determinant_poly(m, cfg):
         # prod over the three other factors: (a_k - c) = -(c - a_k) each,
         # so three factors contribute a global -1 relative to np.poly.
         cubic = -np.poly(np.delete(a, i))
-        poly[1:] += float(m) ** 6 * DIAG_SIGN[i] * cubic
+        poly[1:] += float(m) ** 6 * (SPECIES[i] * CHARGE[i]) * cubic
     return poly
 
 
@@ -242,14 +238,12 @@ def _reciprocal_gaps(cfg, c_star):
 
 def kernel_vector(m, cfg, c_star):
     """Null vector of the mode-m pencil at an admissible speed."""
-    inv = _reciprocal_gaps(cfg, c_star)
-    return inv * np.array([1.0, 1.0, -1.0, -1.0])
+    return _reciprocal_gaps(cfg, c_star) * SPECIES
 
 
 def cokernel_vector(m, cfg, c_star):
     """Null vector of the transposed pencil (range orthogonal)."""
-    inv = _reciprocal_gaps(cfg, c_star)
-    return inv * np.array([1.0, -1.0, -1.0, 1.0])
+    return -_reciprocal_gaps(cfg, c_star) * CHARGE
 
 
 def reciprocal_sq_weights(cfg, c_star):
@@ -264,7 +258,7 @@ def transversality(m, cfg, c_star):
     at an admissible speed) and raises DegenerateSpeedError.
     """
     wsq = reciprocal_sq_weights(cfg, c_star)
-    value = float(m) * float(np.dot(np.array([1.0, -1.0, 1.0, -1.0]), wsq))
+    value = float(m) * float(np.dot(-SPECIES * CHARGE, wsq))
     if abs(value) < 1e-10:
         raise DegenerateSpeedError(
             f"transversality ~ 0 at c={c_star!r}; speed is numerically degenerate")

@@ -14,12 +14,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import spectral as sp
+from .pencil import CHARGE, SPECIES
 from .spectral import EVEN, TrigSeries
 
 # Signs in front of the nonlocal potential term per component, and the
 # coefficients of each component inside the charge difference d.
-POT_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])
-D_COEF = np.array([-1.0, 1.0, 1.0, -1.0])
+POT_SIGN = -SPECIES
+D_COEF = CHARGE
 
 COMPONENT_NAMES = ("plus1", "plus2", "minus1", "minus2")
 
