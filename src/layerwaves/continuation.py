@@ -78,6 +78,7 @@ class BranchPoint:
     newton_iters: int
     compact_index: int           # smallest n with the point inside K_n
                                  # (inf if in none: an infinite norm)
+    norm: float                  # (s, sigma) coefficient norm of the state
 
 
 @dataclass
@@ -94,8 +95,7 @@ class Branch:
         for p in self.points:
             sol = p.solution
             rows.append({"s": p.s, "c": sol.c, "amp": sol.state.cos[0, 0],
-                         "norm_s_sigma": sol.state.norm(
-                             self.options.norm_params),
+                         "norm_s_sigma": p.norm,
                          "m1": sol.monitors[0], "m2": sol.monitors[1],
                          "n_K": p.compact_index,
                          "krylov_iters": sol.krylov_iters,
@@ -294,10 +294,10 @@ def newton_correct(cfg, guess, constraint, fold, count,
         f"correction-failed: residual {sup:.3e} after {MAX_NEWTON} iterations")
 
 
-def _compact_index(sol, norm_params):
+def _compact_index(sol, norm):
     gap, slip = sol.monitors
     bound = max(1.0 / max(gap, 1e-300), 1.0 / max(slip, 1e-300),
-                abs(sol.c), sol.state.norm(norm_params))
+                abs(sol.c), norm)
     if np.isinf(bound):  # detect_termination reads this as blow-up
         return bound
     return int(max(1, np.ceil(bound - 1e-12)))
@@ -313,7 +313,6 @@ def detect_termination(branch):
     first = branch.points[0]
     last = branch.points[-1]
     sol = last.solution
-    norm_r = sol.state.norm(opts.norm_params)
     triggered = []
     traveled = last.s - first.s
     if traveled >= 10.0 * opts.s0:
@@ -324,7 +323,7 @@ def detect_termination(branch):
             sp.norms(diff, 0.0, opts.norm_params))
         if dist <= LOOP_TOL:
             triggered.append(LOOP)
-    if 1.0 + abs(sol.c) + norm_r >= BLOW_UP_CAP:
+    if 1.0 + abs(sol.c) + last.norm >= BLOW_UP_CAP:
         triggered.append(BLOW_UP)
     if sol.monitors[0] <= COLLISION_TOL:
         triggered.append(COLLISION)
@@ -338,10 +337,11 @@ def detect_termination(branch):
     return TerminationReport(triggered[0], tuple(triggered[1:]), period)
 
 
-def _tail_heavy(state, opts):
+def _tail_heavy(state, total, opts):
+    """Whether the last TAIL_FRACTION of the harmonics carry more than
+    TAIL_NORM_TOL of the state's norm `total`."""
     n = state.count
     head = int(np.ceil((1.0 - TAIL_FRACTION) * n))
-    total = state.norm(opts.norm_params)
     if total == 0.0:
         return False
     tail = state.cos.copy()
@@ -350,18 +350,18 @@ def _tail_heavy(state, opts):
     return tail_norm > TAIL_NORM_TOL * total
 
 
-def _accept(branch, u_prev, sol, iters, next_step):
+def _accept(branch, u_prev, sol, iters, next_step, norm):
     """Append the corrected point, its arclength counted on from the last
-    point (or 0), with the unit secant from u_prev.  Returns the point's
-    augmented vector and that secant."""
+    point (or 0), with the unit secant from u_prev and its state's norm.
+    Returns the point's augmented vector and that secant."""
     u = _stack(sol.c, sol.state)
     step_len = float(np.linalg.norm(u - u_prev))
     tangent = (u - u_prev) / step_len
     s = branch.points[-1].s if branch.points else 0.0
     branch.points.append(BranchPoint(
         s=s + step_len, solution=sol, tangent=tangent, next_step=next_step,
-        newton_iters=iters,
-        compact_index=_compact_index(sol, branch.options.norm_params)))
+        newton_iters=iters, compact_index=_compact_index(sol, norm),
+        norm=norm))
     return u, tangent
 
 
@@ -383,7 +383,8 @@ def _advance(branch, u_prev, tangent, ds):
                 status = TerminationReport(STEP_LIMIT)
                 break
             continue
-        if _tail_heavy(sol.state, opts) and count * 2 <= opts.max_count:
+        norm = sol.state.norm(opts.norm_params)
+        if _tail_heavy(sol.state, norm, opts) and count * 2 <= opts.max_count:
             u_prev, tangent = (
                 _stack(v[0], _unstack(v, fold, count)[1].with_count(2 * count))
                 for v in (u_prev, tangent))
@@ -391,7 +392,7 @@ def _advance(branch, u_prev, tangent, ds):
             continue
         if iters <= FAST_ITERS:
             ds = min(ds * GROWTH, opts.h_max)
-        u_prev, tangent = _accept(branch, u_prev, sol, iters, ds)
+        u_prev, tangent = _accept(branch, u_prev, sol, iters, ds, norm)
     branch.termination = status
 
 
@@ -411,7 +412,8 @@ def trace_arm(origin, arm, opts):
         raise CannotStartError(f"cannot-start: {exc}") from exc
     branch = Branch(points=[], origin=origin, arm=arm, termination=RUNNING,
                     options=opts)
-    _advance(branch, *_accept(branch, u0, sol, iters, ds), ds)
+    _advance(branch, *_accept(branch, u0, sol, iters, ds,
+                              sol.state.norm(opts.norm_params)), ds)
     return branch
 
 
@@ -426,8 +428,11 @@ def restart(branch, index, opts=None):
     stepping makes the result reproduce the original tail of the branch."""
     opts = opts or branch.options
     pt = branch.points[index]
-    # keep the accumulated arclength so loop bookkeeping matches
-    new = Branch(points=[replace(pt, tangent=pt.tangent.copy())],
+    # keep the accumulated arclength so loop bookkeeping matches; the
+    # norm follows the weights of opts
+    start = replace(pt, tangent=pt.tangent.copy(),
+                    norm=pt.solution.state.norm(opts.norm_params))
+    new = Branch(points=[start],
                  origin=branch.origin, arm=branch.arm,
                  termination=RUNNING, options=opts)
     _advance(new, _stack(pt.solution.c, pt.solution.state),

@@ -6,6 +6,7 @@ Parity is tracked explicitly: even series carry only cosine
 coefficients, odd series only sine coefficients.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,11 +258,15 @@ def multiply(f, g, out_count=None):
     return multiply_with_mean(f, g, out_count)[1]
 
 
+@functools.lru_cache(maxsize=32)
 def norm_weight(count, params):
     """Weights j^(2s) e^(2 sigma j) of harmonics j = 1..count in the norm;
-    j is the reduced index (harmonic j*fold counts as j)."""
+    j is the reduced index (harmonic j*fold counts as j).  Built once
+    per (count, params) and returned read-only."""
     j = np.arange(1, count + 1, dtype=float)
-    return j ** (2.0 * params.s) * np.exp(2.0 * params.sigma * j)
+    weight = j ** (2.0 * params.s) * np.exp(2.0 * params.sigma * j)
+    weight.setflags(write=False)
+    return weight
 
 
 def norms(cos, sin, params):
@@ -323,6 +328,23 @@ def grid_values(cos, sin, npts, work=None):
     else:
         np.multiply(cos, 0.5, out=half.real[:, 1:n + 1])
         np.multiply(sin, -0.5, out=half.imag[:, 1:n + 1])
+    return np.fft.irfft(half, n=npts, axis=1, norm="forward")
+
+
+def even_odd_grid_values(cos, sin, npts):
+    """Values of k even series stacked over those of k odd series.
+
+    Row i of the (k, N) array cos holds the cosine coefficients of one
+    even series, row i of sin the sine coefficients of one odd series;
+    the (2k, npts) result is grid_values(cos over zeros, zeros over sin),
+    from one inverse real FFT of a half spectrum filled in place.
+    """
+    k, n = cos.shape
+    if 2 * n >= npts:
+        raise ValueError(f"{npts} points cannot resolve {n} harmonics")
+    half = half_spectrum(2 * k, npts)
+    np.multiply(cos, 0.5, out=half.real[:k, 1:n + 1])
+    np.multiply(sin, -0.5, out=half.imag[k:, 1:n + 1])
     return np.fft.irfft(half, n=npts, axis=1, norm="forward")
 
 

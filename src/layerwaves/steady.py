@@ -11,7 +11,7 @@ back (Galerkin), so the only discretization error is the reported tail.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import spectral as sp
 from .pencil import CHARGE, SPECIES
@@ -125,10 +125,7 @@ def residual(cfg, c, state, with_tail=False):
     n = state.count
     w = state.wavenumbers()
     dsin = -w * state.cos  # sine coefficients of dx r
-    zero = np.zeros_like(dsin)
-    vals = sp.grid_values(np.concatenate((state.cos, zero)),
-                          np.concatenate((zero, dsin)),
-                          RESIDUAL_GRID_FACTOR * n)
+    vals = sp.even_odd_grid_values(state.cos, dsin, RESIDUAL_GRID_FACTOR * n)
     _, full = sp.grid_coefficients(vals[:4] * vals[4:], 2 * n)
     pot = (D_COEF @ state.cos) / w  # sine coefficients of dx^-1(d)
     out = full[:, :n] + (a - c) * dsin + POT_SIGN[:, None] * pot
@@ -155,8 +152,9 @@ def jacobian(cfg, c, state, out=None):
     Block i maps h to dx((r_i + a_i - c) h): with u the coefficients of
     r_i, its entry (k, j) is -w_k ((u_|k-j| + u_k+j) / 2 + (a_i - c) d_kj),
     a Toeplitz plus a Hankel matrix scaled by rows.  Both are windows of
-    one zero-padded coefficient sequence per component; the potential
-    adds diagonal couplings between the blocks.
+    one zero-padded (4, 3N) coefficient sequence, so the four blocks are
+    formed as one (4, N, N) batch; the potential adds diagonal couplings
+    between the blocks, written through a strided view of `out`.
     """
     n = state.count
     w = state.wavenumbers()
@@ -166,19 +164,19 @@ def jacobian(cfg, c, state, out=None):
     seq = np.zeros((4, 3 * n))
     seq[:, n:2 * n] = state.cos
     seq[:, :n - 1] = state.cos[:, :n - 1][:, ::-1]
-    win = sliding_window_view(seq, n, axis=1)  # win[:, s, j] = seq[:, s + j]
-    toeplitz, hankel = win[:, :n, ::-1], win[:, n + 1:]
-    a = cfg.as_array()
-    k = np.arange(n)
-    cols = k[:, None] + n * np.arange(4)
+    # win[:, s, j] = seq[:, s + j]: sliding_window_view costs more per
+    # call than the rest of the assembly at N = 16
+    step = seq.strides[1]
+    win = as_strided(seq, (4, 2 * n + 1, n), (seq.strides[0], step, step))
+    blocks = np.add(win[:, :n, ::-1], win[:, n + 1:])
+    blocks *= -0.5 * w[:, None]
+    blocks.reshape(4, n * n)[:, ::n + 1] -= (cfg.as_array() - c)[:, None] * w
+    out[...] = 0.0
     for i in range(4):
-        rows = slice(i * n, (i + 1) * n)
-        out[rows] = 0.0
-        block = out[rows, rows]
-        np.add(toeplitz[i], hankel[i], out=block)
-        block *= -0.5 * w[:, None]
-        out[i * n + k, i * n + k] -= (a[i] - c) * w
-        out[i * n + k[:, None], cols] += POT_SIGN[i] * D_COEF / w[:, None]
+        out[i * n:(i + 1) * n, i * n:(i + 1) * n] = blocks[i]
+    row, col = out.strides  # couple[i, l, k] = out[i n + k, l n + k]
+    couple = as_strided(out, (4, 4, n), (n * row, n * col, row + col))
+    couple += (POT_SIGN[:, None] * D_COEF)[:, :, None] / w
     return out
 
 
@@ -224,9 +222,12 @@ def monitors(cfg, c, state):
 
     The six monitored series (two strip widths, four relative speeds)
     and their derivatives are evaluated on a grid of MONITOR_GRID_FACTOR*N
-    points by one batched inverse FFT (spectral.grid_values).  The
-    located minimum (an interior extremum or a sign crossing) then gets
-    one Newton polish by direct evaluation off the grid.
+    points by one inverse FFT (spectral.even_odd_grid_values).  Each
+    series' grid minimum of |value| then gets one Newton polish by direct
+    evaluation off the grid, all six at once: a step on the value if the
+    series changes sign, on the derivative (an interior extremum)
+    otherwise.  A series whose step would divide by zero keeps its grid
+    minimum.
     """
     n, u = state.count, state.cos
     npts = MONITOR_GRID_FACTOR * n
@@ -234,30 +235,29 @@ def monitors(cfg, c, state):
     w = state.wavenumbers()
     rows = np.concatenate(([u[1] - u[0], u[3] - u[2]], u))
     offsets = np.concatenate([[cfg.width, cfg.width], cfg.as_array() - c])
-    zero = np.zeros_like(rows)
-    vals = sp.grid_values(np.concatenate((rows, zero)),
-                          np.concatenate((zero, -w * rows)), npts)
-    vals[:6] += offsets[:, None]
+    vals = sp.even_odd_grid_values(rows, -w * rows, npts)
+    v, dv = vals[:6], vals[6:]
+    v += offsets[:, None]
+    idx = np.argmin(np.abs(v), axis=1)
+    at = np.arange(6), idx
+    x0 = x[idx]
+    best = np.abs(v[at])
+    cross = (np.min(v, axis=1) < 0.0) & (0.0 < np.max(v, axis=1))
+    d2 = _row_dots(np.cos(w * x0[:, None]), -w * (w * rows))  # at x0
+    num = np.where(cross, v[at], dv[at])
+    den = np.where(cross, dv[at], d2)
+    polish = den != 0.0
+    step = np.divide(num, den, out=np.zeros(6), where=polish)
+    off_grid = np.abs(_row_dots(np.cos(w * (x0 - step)[:, None]), rows)
+                      + offsets)
+    best[polish] = np.fmin(best, off_grid)[polish]
+    return np.min(best[:2]), np.min(best[2:])
 
-    def min_abs(i):
-        v, dv = vals[i], vals[6 + i]
-        idx = int(np.argmin(np.abs(v)))
-        best = abs(v[idx])
-        if np.min(v) < 0.0 < np.max(v):
-            # zero crossing: one Newton step on the value
-            step = v[idx] / dv[idx] if dv[idx] != 0.0 else None
-        else:
-            # interior extremum: one Newton step on the derivative
-            d2 = np.cos(w * x[idx]) @ (-w * (w * rows[i]))
-            step = dv[idx] / d2 if d2 != 0.0 else None
-        if step is not None:
-            x1 = x[idx] - step
-            best = min(best, abs(np.cos(w * x1) @ rows[i] + offsets[i]))
-        return best
 
-    gap = min(min_abs(0), min_abs(1))
-    slip = min(min_abs(i) for i in range(2, 6))
-    return gap, slip
+def _row_dots(a, b):
+    """Dot products of the rows of two (k, N) arrays: k vector-vector
+    products of one batched matmul, the same sums as a[i] @ b[i]."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def solution_at(cfg, c, state, residual_norm=None):

@@ -246,7 +246,7 @@ def test_criterion_11_termination_taxonomy(sym_cfg, sym_branch_pair):
         sol = st.WaveSolution(sym_cfg, c, z, 0.0, monitors)
         return ct.BranchPoint(s=s, solution=sol,
                               tangent=np.zeros(1 + 4 * n), next_step=1e-3,
-                              newton_iters=1, compact_index=1)
+                              newton_iters=1, compact_index=1, norm=0.0)
 
     def branch(points):
         return ct.Branch(points=points, origin=origin, arm=+1,

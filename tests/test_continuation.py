@@ -115,13 +115,13 @@ class TestBranch:
                 assert n_k >= 1
                 assert min(sol.monitors) >= 1.0 / n_k - 1e-12
                 assert abs(sol.c) <= n_k
-                assert sol.state.norm(branch_options.norm_params) <= n_k
+                # the point's norm is its state's, computed once
+                assert p.norm == sol.state.norm(branch_options.norm_params)
+                assert p.norm <= n_k
                 # the reported n is the smallest such integer
                 if n_k > 1:
                     bad = (min(sol.monitors) < 1.0 / (n_k - 1)
-                           or abs(sol.c) > n_k - 1
-                           or sol.state.norm(branch_options.norm_params)
-                           > n_k - 1)
+                           or abs(sol.c) > n_k - 1 or p.norm > n_k - 1)
                     assert bad
 
     def test_small_amplitude_curvature_fit(self, sym_branch_pair,
@@ -201,7 +201,8 @@ def _fabricate_point(cfg, c, state, monitors, s, count):
     sol = st.WaveSolution(cfg, c, state, 0.0, monitors)
     return ct.BranchPoint(s=s, solution=sol,
                           tangent=np.zeros(1 + 4 * count), next_step=1e-3,
-                          newton_iters=1, compact_index=1)
+                          newton_iters=1, compact_index=1,
+                          norm=state.norm(NormParams()))
 
 
 class TestTerminationTaxonomy:
@@ -272,7 +273,7 @@ class TestTerminationTaxonomy:
             pts.append(ct.BranchPoint(s=0.01 * i, solution=sol,
                                       tangent=np.zeros(1 + 4 * n),
                                       next_step=1e-3, newton_iters=1,
-                                      compact_index=1))
+                                      compact_index=1, norm=0.0))
         report = ct.detect_termination(self._branch(sym_cfg, pts))
         assert report == ct.RUNNING
 

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from layerwaves import pencil as pc
 from layerwaves import spectral as sp
@@ -79,6 +80,33 @@ def direct_jacobian(cfg, c, state):
             J[i * n + idx, l * n + idx] += (st.POT_SIGN[i] * st.D_COEF[l]
                                             * inv_w)
     return J
+
+
+def loop_jacobian(cfg, c, state):
+    """Jacobian block by block from Toeplitz and Hankel windows, with
+    fancy-index writes of the diagonal couplings (test oracle; the same
+    floating-point operations as steady.jacobian, one block at a time)."""
+    n = state.count
+    w = state.wavenumbers()
+    out = np.empty((4 * n, 4 * n))
+    seq = np.zeros((4, 3 * n))
+    seq[:, n:2 * n] = state.cos
+    seq[:, :n - 1] = state.cos[:, :n - 1][:, ::-1]
+    win = sliding_window_view(seq, n, axis=1)
+    toeplitz, hankel = win[:, :n, ::-1], win[:, n + 1:]
+    a = cfg.as_array()
+    k = np.arange(n)
+    cols = k[:, None] + n * np.arange(4)
+    for i in range(4):
+        rows = slice(i * n, (i + 1) * n)
+        out[rows] = 0.0
+        block = out[rows, rows]
+        np.add(toeplitz[i], hankel[i], out=block)
+        block *= -0.5 * w[:, None]
+        out[i * n + k, i * n + k] -= (a[i] - c) * w
+        out[i * n + k[:, None], cols] += (st.POT_SIGN[i] * st.D_COEF
+                                          / w[:, None])
+    return out
 
 
 def full_band_state(rng, fold, count):
@@ -271,6 +299,38 @@ def direct_monitors(cfg, c, state):
     return gap, slip
 
 
+def loop_monitors(cfg, c, state):
+    """Monitors one series at a time from the same grid values and
+    off-grid sums as steady.monitors (test oracle for its bits)."""
+    n, u = state.count, state.cos
+    npts = st.MONITOR_GRID_FACTOR * n
+    x = np.linspace(0.0, 2.0 * np.pi / state.fold, npts, endpoint=False)
+    w = state.wavenumbers()
+    rows = np.concatenate(([u[1] - u[0], u[3] - u[2]], u))
+    offsets = np.concatenate([[cfg.width, cfg.width], cfg.as_array() - c])
+    zero = np.zeros_like(rows)
+    vals = sp.grid_values(np.concatenate((rows, zero)),
+                          np.concatenate((zero, -w * rows)), npts)
+    vals[:6] += offsets[:, None]
+
+    def min_abs(i):
+        v, dv = vals[i], vals[6 + i]
+        idx = int(np.argmin(np.abs(v)))
+        best = abs(v[idx])
+        if np.min(v) < 0.0 < np.max(v):
+            step = v[idx] / dv[idx] if dv[idx] != 0.0 else None
+        else:
+            d2 = np.cos(w * x[idx]) @ (-w * (w * rows[i]))
+            step = dv[idx] / d2 if d2 != 0.0 else None
+        if step is not None:
+            x1 = x[idx] - step
+            best = min(best, abs(np.cos(w * x1) @ rows[i] + offsets[i]))
+        return best
+
+    return (min(min_abs(0), min_abs(1)),
+            min(min_abs(i) for i in range(2, 6)))
+
+
 def test_monitors_match_direct_evaluation(sym_cfg, gen_cfg, sym_branch_pair):
     rng = np.random.default_rng(11)
     cases = [(gen_cfg, 1.7, random_state(rng, fold, count, scale))
@@ -280,10 +340,19 @@ def test_monitors_match_direct_evaluation(sym_cfg, gen_cfg, sym_branch_pair):
     for arm in sym_branch_pair:
         cases += [(sym_cfg, p.solution.c, p.solution.state)
                   for p in arm.points[::8]]
-    for cfg, c, state in cases:
-        got = st.monitors(cfg, c, state)
-        want = direct_monitors(cfg, c, state)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+    # a flat state (every derivative vanishes, so no Newton polish) and
+    # one flat component next to three curved ones
+    flat = np.zeros((4, 16))
+    flat[1:] = 0.05 * rng.standard_normal((3, 16))
+    cases += [(gen_cfg, 1.7, st.InterfaceState.zero(2, 16)),
+              (gen_cfg, 1.7, st.InterfaceState.from_arrays(2, flat))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cfg, c, state in cases:
+            got = st.monitors(cfg, c, state)
+            assert got == loop_monitors(cfg, c, state)
+            want = direct_monitors(cfg, c, state)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 def test_monitor_grid_resolves_narrow_dip(sym_cfg):
@@ -356,6 +425,24 @@ def test_jacobian_matches_direct_gathers(gen_cfg, fold, count):
     want = direct_jacobian(gen_cfg, 1.9, state)
     got = st.jacobian(gen_cfg, 1.9, state)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 2, 8, 17, 64, 256])
+def test_jacobian_equals_block_loop_bitwise(gen_cfg, fold, count):
+    # the batched blocks give the bits of the block-by-block loop, in a
+    # fresh matrix and in the bordered matrix Newton solves with, whose
+    # own memory must receive them (a reshaped copy of the view would not)
+    rng = np.random.default_rng(50 * fold + count)
+    state = full_band_state(rng, fold, count)
+    want = loop_jacobian(gen_cfg, 1.9, state)
+    assert np.array_equal(st.jacobian(gen_cfg, 1.9, state), want)
+    n = 4 * count
+    A = np.full((n + 1, n + 1), np.nan)
+    got = st.jacobian(gen_cfg, 1.9, state, out=A[:n, 1:])
+    assert got.base is A and np.shares_memory(got, A)
+    assert np.array_equal(A[:n, 1:], want)
+    assert np.all(np.isnan(A[:, 0])) and np.all(np.isnan(A[n]))
 
 
 def test_jacobian_fills_a_bordered_view(gen_cfg):
