@@ -336,12 +336,10 @@ def _load_wave(path):
             [obj["series"][name] for name in st.COMPONENT_NAMES])
     except KeyError as exc:
         raise WaveFileError(f"wave file {path} lacks key {exc}") from None
-    except (ConfigError, TypeError, ValueError) as exc:
+    except (ConfigError, OverflowError, TypeError, ValueError) as exc:
         raise WaveFileError(f"invalid wave file {path}: {exc}") from None
     if not np.isfinite(c):
         raise WaveFileError(f"invalid wave file {path}: c={c} is not finite")
-    if state.count < 1:
-        raise WaveFileError(f"invalid wave file {path}: no harmonics")
     if not pc.pencil_is_finite(state.fold, layer):
         raise WaveFileError(f"invalid wave file {path}: fold and "
                             f"velocities overflow the pencil")

@@ -25,10 +25,6 @@ class CannotStartError(LayerError):
     """Branch continuation failed on the very first corrected point."""
 
 
-class NoAdmissibleModeError(LayerError):
-    """Scan exhausted without finding a mode with four simple real speeds."""
-
-
 class WaveFileError(LayerError):
     """A wave snapshot file cannot be read or does not hold a valid wave."""
 

@@ -45,9 +45,9 @@ class EPState(sp.ComponentArrays):
     def to_json(self):
         out = {"a": self.base_a, "c": self.c}
         means = (self.base_a, self.base_a, 0.0, 0.0)
-        for name, mean, row in zip(EP_NAMES, means, self.cos):
-            out[name] = {"mean": mean, "series":
-                         sp.TrigSeries.from_cos(self.fold, row).to_json()}
+        series = sp.series_json(self.fold, self.cos, None, sp.EVEN)
+        for name, mean, obj in zip(EP_NAMES, means, series):
+            out[name] = {"mean": mean, "series": obj}
         return out
 
     def min_density(self):

@@ -45,29 +45,23 @@ class LocalExpansion:
 def second_harmonic_amplitude(m, cfg, c_star):
     """Amplitude vector t of the correction t cos(2 m x): solves the
     doubled-mode system  M_{2m} t = 2 m^2 w,  w = (a-c)^-2 component-wise."""
+    return _doubled_mode_solve(m, cfg, c_star,
+                               pc.reciprocal_sq_weights(cfg, c_star))
+
+
+def _doubled_mode_solve(m, cfg, c_star, recip_sq):
     M2 = pc.mode_matrix(2 * m, cfg, c_star)
     scale = np.max(np.abs(M2))
     if abs(np.linalg.det(M2)) <= 1e-12 * scale ** 4:
         raise ResonantHarmonicError(
             f"doubled mode 2m={2 * m} is singular at c={c_star!r}")
-    rhs = 2.0 * m * m * pc.reciprocal_sq_weights(cfg, c_star)
-    return np.linalg.solve(M2, rhs)
+    return np.linalg.solve(M2, 2.0 * m * m * recip_sq)
 
 
 def speed_curvature(m, cfg, c_star):
     """Second derivative of the speed along the branch (pitchfork
-    coefficient): cokernel pairing of the mixed quadratic interaction
-    over the transversality value.  The first derivative vanishes.
-
-    The interaction of the kernel mode v cos(m x) with the correction
-    t cos(2 m x) is dx(v_i t_i cos(m x) cos(2 m x)), whose fundamental
-    part is -(m/2) v_i t_i sin(m x); the cokernel w pairs with that
-    alone."""
-    trans = pc.transversality(m, cfg, c_star)
-    v = pc.kernel_vector(m, cfg, c_star)
-    w = pc.cokernel_vector(m, cfg, c_star)
-    t = second_harmonic_amplitude(m, cfg, c_star)
-    return -0.5 * m * float(np.sum(w * v * t)) / trans
+    coefficient); see local_expansion."""
+    return local_expansion(m, cfg, c_star).speed_curvature
 
 
 def nearest_component_index(cfg, c_star):
@@ -82,14 +76,24 @@ def nearest_component_index(cfg, c_star):
 
 
 def local_expansion(m, cfg, c_star):
-    """Assemble the full local data at an admissible speed."""
-    curv = speed_curvature(m, cfg, c_star)
+    """Assemble the full local data at an admissible speed, each part
+    computed once.
+
+    The speed curvature is the cokernel pairing of the mixed quadratic
+    interaction over the transversality value; the first derivative of
+    the speed vanishes.  The interaction of the kernel mode v cos(m x)
+    with the correction t cos(2 m x) is dx(v_i t_i cos(m x) cos(2 m x)),
+    whose fundamental part is -(m/2) v_i t_i sin(m x); the cokernel w
+    pairs with that alone."""
+    trans = pc.transversality(m, cfg, c_star)
+    v = pc.kernel_vector(m, cfg, c_star)
+    w = pc.cokernel_vector(m, cfg, c_star)
+    recip_sq = pc.reciprocal_sq_weights(cfg, c_star)
+    t = _doubled_mode_solve(m, cfg, c_star, recip_sq)
+    curv = -0.5 * m * float(np.sum(w * v * t)) / trans
     return LocalExpansion(
-        m=int(m), cfg=cfg, c_star=float(c_star),
-        kernel_vec=pc.kernel_vector(m, cfg, c_star),
-        cokernel_vec=pc.cokernel_vector(m, cfg, c_star),
-        recip_sq=pc.reciprocal_sq_weights(cfg, c_star),
-        second_harmonic_amp=second_harmonic_amplitude(m, cfg, c_star),
+        m=int(m), cfg=cfg, c_star=float(c_star), kernel_vec=v,
+        cokernel_vec=w, recip_sq=recip_sq, second_harmonic_amp=t,
         speed_curvature=curv,
         pitchfork="supercritical" if curv > 0 else "subcritical",
         nearest_component=nearest_component_index(cfg, c_star))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSpeedError, NoAdmissibleModeError
+from .errors import ConfigError, DegenerateSpeedError
 
 # Species sign and charge weight of each component: the pencil couples the
 # components by the rank-one matrix outer(SPECIES, CHARGE).
@@ -263,23 +263,3 @@ def transversality(m, cfg, c_star):
         raise DegenerateSpeedError(
             f"transversality ~ 0 at c={c_star!r}; speed is numerically degenerate")
     return value
-
-
-def min_admissible_mode(cfg, cap):
-    """Smallest mode (scanned 1..cap) whose quartic has four simple real
-    roots, all separated from the interface velocities."""
-    if cfg.regime != GENERIC:
-        raise ValueError("mode scan applies to the generic regime only")
-    sep = 1e-8 * cfg.scale()
-    a = cfg.as_array()
-    for m in range(1, int(cap) + 1):
-        roots = quartic_roots(m, cfg)
-        if not all(_is_real(z) for z in roots):
-            continue
-        re = np.sort(roots.real)
-        if np.min(np.diff(re)) <= sep:
-            continue
-        if np.min(np.abs(re[:, None] - a[None, :])) <= sep:
-            continue
-        return m
-    raise NoAdmissibleModeError(f"no admissible mode found with m <= {cap}")

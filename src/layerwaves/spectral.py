@@ -3,10 +3,13 @@
 A series stores the reduced harmonics j = 1..count of the fundamental
 j*fold; the mean is never stored, so every series averages to zero.
 Parity is tracked explicitly: even series carry only cosine
-coefficients, odd series only sine coefficients.
+coefficients, odd series only sine coefficients.  Series are written
+to and read from JSON as coefficient arrays, by series_json and
+series_from_json alone.
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,23 +41,11 @@ class TrigSeries:
     __slots__ = ("fold", "cos", "sin", "parity")
 
     def __init__(self, fold, cos, sin, parity=FULL):
-        if fold < 1:
-            raise ValueError("fold must be a positive integer")
-        cos = np.ascontiguousarray(cos, dtype=float)
-        sin = np.ascontiguousarray(sin, dtype=float)
-        if cos.ndim != 1 or sin.shape != cos.shape:
-            raise ValueError("cos/sin must be 1d arrays of equal length")
-        if not (np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))):
-            raise ValueError("non-finite coefficients")
-        if parity not in _PARITIES:
-            raise ValueError(f"unknown parity {parity!r}")
-        if parity == EVEN and np.any(sin != 0.0):
-            raise ValueError("even series must have zero sine coefficients")
-        if parity == ODD and np.any(cos != 0.0):
-            raise ValueError("odd series must have zero cosine coefficients")
+        fold = _fold(fold)
+        cos, sin = _coefficients(cos, sin, parity)
         cos.setflags(write=False)
         sin.setflags(write=False)
-        self.fold = int(fold)
+        self.fold = fold
         self.cos = cos
         self.sin = sin
         self.parity = parity  # assigned last; later writes are rejected
@@ -67,19 +58,9 @@ class TrigSeries:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zeros(cls, fold, count, parity=FULL):
-        z = np.zeros(count)
-        return cls(fold, z, z.copy(), parity)
-
-    @classmethod
     def from_cos(cls, fold, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
         return cls(fold, coeffs, np.zeros_like(coeffs), EVEN)
-
-    @classmethod
-    def from_sin(cls, fold, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        return cls(fold, np.zeros_like(coeffs), coeffs, ODD)
 
     # -- basic queries -----------------------------------------------
 
@@ -94,17 +75,6 @@ class TrigSeries:
         return max(np.max(np.abs(self.cos), initial=0.0),
                    np.max(np.abs(self.sin), initial=0.0))
 
-    def with_count(self, count):
-        """Pad with zeros or truncate to the requested harmonic count."""
-        if count == self.count:
-            return self
-        c = np.zeros(count)
-        s = np.zeros(count)
-        n = min(count, self.count)
-        c[:n] = self.cos[:n]
-        s[:n] = self.sin[:n]
-        return TrigSeries(self.fold, c, s, self.parity)
-
     def eval(self, x):
         """Evaluate the series at the points x (radians on the torus).
 
@@ -114,43 +84,63 @@ class TrigSeries:
         phase = np.multiply.outer(x, self.wavenumbers())
         return np.cos(phase) @ self.cos + np.sin(phase) @ self.sin
 
-    # -- arithmetic ----------------------------------------------------
 
-    def _binary(self, other, op):
-        if not isinstance(other, TrigSeries):
-            return NotImplemented
-        if other.fold != self.fold:
-            raise ValueError("fold mismatch")
-        n = max(self.count, other.count)
-        a, b = self.with_count(n), other.with_count(n)
-        parity = self.parity if self.parity == other.parity else FULL
-        return TrigSeries(self.fold, op(a.cos, b.cos), op(a.sin, b.sin), parity)
+def _fold(value):
+    """A fold symmetry as an int: an integral number >= 1."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ValueError("fold must be a positive integer")
+    return int(value)
 
-    def __add__(self, other):
-        return self._binary(other, np.add)
 
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
+def _coefficients(cos, sin, parity):
+    """cos and sin as float arrays, checked as the coefficients of one
+    series of the given parity."""
+    cos = np.ascontiguousarray(cos, dtype=float)
+    sin = np.ascontiguousarray(sin, dtype=float)
+    if cos.ndim != 1 or sin.shape != cos.shape:
+        raise ValueError("cos/sin must be 1d arrays of equal length")
+    if not (np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))):
+        raise ValueError("non-finite coefficients")
+    if parity not in _PARITIES:
+        raise ValueError(f"unknown parity {parity!r}")
+    if parity == EVEN and np.any(sin != 0.0):
+        raise ValueError("even series must have zero sine coefficients")
+    if parity == ODD and np.any(cos != 0.0):
+        raise ValueError("odd series must have zero cosine coefficients")
+    return cos, sin
 
-    def __mul__(self, scalar):
-        scalar = float(scalar)
-        return TrigSeries(self.fold, scalar * self.cos, scalar * self.sin,
-                          self.parity)
 
-    __rmul__ = __mul__
+def series_json(fold, cos, sin, parity):
+    """JSON objects, keys fold, count, parity, cos, sin in that order,
+    of the series of one fold and parity whose coefficients are the rows
+    of the (k, N) arrays cos and sin (sin None: no sine part)."""
+    if sin is None:
+        sin = np.zeros_like(cos)
+    return [{"fold": fold, "count": len(c), "parity": parity,
+             "cos": c.tolist(), "sin": s.tolist()} for c, s in zip(cos, sin)]
 
-    def __neg__(self):
-        return self * -1.0
 
-    # -- snapshots -----------------------------------------------------
-
-    def to_json(self):
-        return {"fold": self.fold, "count": self.count, "parity": self.parity,
-                "cos": self.cos.tolist(), "sin": self.sin.tolist()}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["fold"], obj["cos"], obj["sin"], obj["parity"])
+def series_from_json(objs, parity):
+    """Fold and (k, N) cos and sin arrays of the series_json objects
+    objs, all of the given parity.  Raises KeyError for a missing key,
+    ValueError for a malformed series (_fold, _coefficients), another
+    parity, different folds or counts, or no harmonic.  The count key
+    is not read: the coefficient lists set it."""
+    folds, rows = [], []
+    for obj in objs:
+        folds.append(_fold(obj["fold"]))
+        rows.append(_coefficients(obj["cos"], obj["sin"], obj["parity"]))
+    if any(obj["parity"] != parity for obj in objs):
+        raise ValueError(f"components must be {parity}")
+    if len(set(folds)) > 1 or len({c.shape for c, _ in rows}) > 1:
+        raise ValueError("components must share fold and truncation")
+    if not rows or rows[0][0].size == 0:
+        raise ValueError("no harmonics")
+    cos, sin = zip(*rows)
+    return folds[0], np.array(cos), np.array(sin)
 
 
 class ComponentArrays:
@@ -219,12 +209,6 @@ def deriv(f):
     return TrigSeries(f.fold, w * f.sin, -w * f.cos, _flip(f.parity))
 
 
-def antideriv(f):
-    """Zero-mean antiderivative: cos(jmx) -> sin(jmx)/(jm), sin -> -cos/(jm)."""
-    w = f.wavenumbers().astype(float)
-    return TrigSeries(f.fold, -f.sin / w, f.cos / w, _flip(f.parity))
-
-
 def _product_parity(pf, pg):
     if pf == FULL or pg == FULL:
         return FULL
@@ -280,11 +264,6 @@ def norms(cos, sin, params):
         weighted = np.multiply(norm_weight(np.shape(cos)[-1], params), sq,
                                out=np.zeros(np.shape(sq)), where=sq != 0.0)
     return np.sqrt(np.sum(weighted, axis=-1))
-
-
-def norm(f, params):
-    """Coefficient norm of one series (see norms)."""
-    return float(norms(f.cos, f.sin, params))
 
 
 def shift_factors(fold, count, h):

@@ -78,14 +78,15 @@ class InterfaceState(sp.ComponentArrays):
         return float(np.max(sp.norms(self.cos, 0.0, params)))
 
     def to_json(self):
-        """The components in the TrigSeries.to_json layout."""
-        zeros = [0.0] * self.count
-        return [{"fold": self.fold, "count": self.count, "parity": EVEN,
-                 "cos": c.tolist(), "sin": zeros} for c in self.cos]
+        """The four components' JSON objects (spectral.series_json)."""
+        return sp.series_json(self.fold, self.cos, None, EVEN)
 
     @classmethod
     def from_json(cls, obj):
-        return cls([TrigSeries.from_json(s) for s in obj])
+        """State from four JSON objects of even series; raises KeyError
+        or ValueError as spectral.series_from_json does."""
+        fold, cos, _ = sp.series_from_json(obj, EVEN)
+        return cls.from_arrays(fold, cos)
 
 
 @dataclass

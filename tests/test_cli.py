@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st_
 
-from layerwaves import cli, steady
+from layerwaves import cli, spectral, steady
 from layerwaves.errors import ConfigError
 
 SQRT5 = float(np.sqrt(5.0))
@@ -131,6 +131,13 @@ def _wave_with_huge_velocities():
                                   for name in steady.COMPONENT_NAMES}})
 
 
+def _wave_with_fold(fold):
+    tone = {"fold": fold, "cos": [0.01], "sin": [0.0],
+            "parity": "even-cosine"}
+    return json.dumps({"a": [-1, 1, -1, 1], "c": 2.2, "series": {
+        name: tone for name in steady.COMPONENT_NAMES}})
+
+
 @pytest.mark.parametrize("command", ["evolve", "ep"])
 @pytest.mark.parametrize("text, reason", [
     (None, "No such file"),
@@ -139,6 +146,15 @@ def _wave_with_huge_velocities():
     (_wave_with_mismatched_counts(),
      "components must share fold and truncation"),
     (_wave_with_huge_velocities(), "overflow the pencil"),
+    (_wave_with_fold(float("inf")), "fold must be a positive integer"),
+    (_wave_with_fold(1.5), "fold must be a positive integer"),
+    # integers beyond the float range, as a coefficient, a speed, a velocity
+    pytest.param(_wave_with_fold(1).replace("0.01", "1" + "0" * 400),
+                 "too large", id="huge-int-coefficient"),
+    pytest.param(_wave_with_fold(1).replace("2.2", "1" + "0" * 400),
+                 "too large", id="huge-int-speed"),
+    pytest.param(_wave_with_fold(1).replace("-1,", "-1" + "0" * 400 + ",", 1),
+                 "too large", id="huge-int-velocity"),
 ])
 def test_bad_wave_file_exits_1_with_error_json(command, text, reason,
                                                tmp_path, capsys):
@@ -343,6 +359,43 @@ def test_evolve_from_snapshot(tmp_path):
     e0 = float(rows[0]["e_total"])
     e1 = float(rows[-1]["e_total"])
     assert e1 == pytest.approx(e0, rel=1e-8)
+
+
+def test_wave_file_rewrites_to_the_same_bytes(tmp_path):
+    # write -> read -> write: the snapshot read back and written in the
+    # same way (cli._write_json) gives the file's bytes
+    assert run_cli(["continue", "--a", "-1,1,-1,1", "--n", "16", "--arm",
+                    "+", "--max-points", "2", "--snapshot-every", "1"],
+                   tmp_path) == 0
+    path = tmp_path / "wave_plus_0001.json"
+    text = path.read_text()
+    obj = json.loads(text)
+    layer, c, state = cli._load_wave(path)
+    sol = steady.WaveSolution(layer, c, state, obj["residual_norm"],
+                              (obj["m1"], obj["m2"]), obj["krylov_iters"],
+                              obj["dense_solves"])
+    payload = dict(sol.to_json(), config=obj["config"])
+    assert json.dumps(payload, indent=1) == text
+
+
+def test_program_path_builds_no_series(tmp_path, monkeypatch):
+    # continuation, wave snapshots and both --from-wave commands work on
+    # coefficient arrays alone: a TrigSeries built anywhere would fail
+    def refuse(*args, **kwargs):
+        raise AssertionError("a TrigSeries was built")
+
+    monkeypatch.setattr(spectral.TrigSeries, "__init__", refuse)
+    assert run_cli(["continue", "--a", "-1,1,-1,1", "--n", "16",
+                    "--max-points", "3", "--snapshot-every", "1"],
+                   tmp_path) == 0
+    wave = str(tmp_path / "wave_plus_0002.json")
+    assert run_cli(["evolve", "--a", "-1,1,-1,1", "--from-wave", wave,
+                    "--periods", "0.05"], tmp_path) == 0
+    assert run_cli(["ep", "--a", "-1,1,-1,1", "--from-wave", wave],
+                   tmp_path) == 0
+    assert not (tmp_path / "error.json").exists()
+    with pytest.raises(AssertionError, match="TrigSeries"):
+        spectral.TrigSeries.from_cos(1, [1.0])
 
 
 def read_config_header(path):

@@ -9,6 +9,7 @@ from layerwaves import spectral as sp
 from layerwaves.errors import DivergedError
 
 from conftest import wave_at_amplitude
+from oracle import add, antideriv, scale, sub, zeros
 
 
 def random_phase(rng, fold=2, count=8, scale=0.3):
@@ -27,12 +28,13 @@ def direct_rhs(cfg, state):
     convolution (spectral.multiply), cut at the state's truncation."""
     a = cfg.as_array()
     s = state.series
-    pot = sp.antideriv((s[1] - s[0]) - (s[3] - s[2]))
+    pot = antideriv(sub(sub(s[1], s[0]), sub(s[3], s[2])))
     out = []
     for i in range(4):
         dr = sp.deriv(s[i])
-        adv = sp.multiply(s[i], dr, out_count=state.count) + a[i] * dr
-        out.append(-1.0 * adv + dy.COUPLING_SIGN[i] * pot)
+        adv = add(sp.multiply(s[i], dr, out_count=state.count),
+                  scale(a[i], dr))
+        out.append(add(scale(-1.0, adv), scale(dy.COUPLING_SIGN[i], pot)))
     return dy.PhaseState(out)
 
 
@@ -55,7 +57,7 @@ def test_phase_state_series_round_trip():
     with pytest.raises(ValueError, match="four"):
         dy.PhaseState(series[:3])
     with pytest.raises(ValueError, match="share"):
-        dy.PhaseState(series[:3] + [sp.TrigSeries.zeros(2, 6)])
+        dy.PhaseState(series[:3] + [zeros(2, 6)])
 
 
 @pytest.mark.parametrize("fold", [1, 2, 3])
@@ -94,7 +96,7 @@ def test_rhs_of_wave_is_rigid_translation(sym_cfg, sym_branch_pair):
     sol = wave_at_amplitude(plus, 0.05)
     phase = dy.PhaseState.from_interface(sol.state)
     vel = dy.rhs(sym_cfg, phase)
-    expect = [-sol.c * sp.deriv(s) for s in phase.series]
+    expect = [scale(-sol.c, sp.deriv(s)) for s in phase.series]
     for got, want in zip(vel.series, expect):
         assert np.max(np.abs(got.sin - want.sin)) < 1e-10
         assert np.max(np.abs(got.cos - want.cos)) < 1e-10
@@ -114,9 +116,9 @@ def test_potential_energy_nonnegative_and_matches_quadrature(sym_cfg):
         report = dy.energy(sym_cfg, state)
         assert report.e_pot >= 0.0
         # quadrature oracle:  -(1/2) mean(d * dxx^-1 d)
-        d = ((state.series[1] - state.series[0])
-             - (state.series[3] - state.series[2]))
-        lap = sp.antideriv(sp.antideriv(d))
+        d = sub(sub(state.series[1], state.series[0]),
+                sub(state.series[3], state.series[2]))
+        lap = antideriv(antideriv(d))
         x = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         oracle = -0.5 * np.mean(d.eval(x) * lap.eval(x))
         assert report.e_pot == pytest.approx(oracle, rel=1e-12)
@@ -150,12 +152,13 @@ def direct_grad_energy(cfg, state):
     antiderivatives; returns (mean, series) per component."""
     a = cfg.as_array()
     s = state.series
-    ddxx = sp.antideriv(sp.antideriv((s[1] - s[0]) - (s[3] - s[2])))
+    ddxx = antideriv(antideriv(sub(sub(s[1], s[0]), sub(s[3], s[2]))))
     out = []
     for i in range(4):
         sq_mean, sq = sp.multiply_with_mean(s[i], s[i], out_count=state.count)
-        series = dy.KIN_SIGN[i] * (0.5 * sq + a[i] * s[i]
-                                   - dy.COUPLING_SIGN[i] * ddxx)
+        series = scale(dy.KIN_SIGN[i],
+                       sub(add(scale(0.5, sq), scale(a[i], s[i])),
+                           scale(dy.COUPLING_SIGN[i], ddxx)))
         out.append((dy.KIN_SIGN[i] * 0.5 * (a[i] * a[i] + sq_mean), series))
     return out
 
@@ -260,7 +263,7 @@ def test_divergence_diagnosed_without_warnings(sym_cfg):
     # while its first step stays finite fails at step 0
     huge = sp.TrigSeries(1, np.full(4, 1e200), np.zeros(4))
     big = sp.TrigSeries(1, [1e103, 0.0, 0.0, 0.0], np.zeros(4))
-    zero = sp.TrigSeries.zeros(1, 4)
+    zero = zeros(1, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergedError, match="at step 1"):

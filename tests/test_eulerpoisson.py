@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from layerwaves.errors import ConfigError, DivergedError
 from layerwaves.spectral import NormParams
 
 from conftest import wave_at_amplitude
+from oracle import add, antideriv, scale, sub, with_count
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -22,8 +25,9 @@ class _MeanSeries:
 
     def mul(self, other, out_count):
         m, cross = sp.multiply_with_mean(self.series, other.series, out_count)
-        series = (self.mean * other.series + other.mean * self.series
-                  + cross).with_count(out_count)
+        series = with_count(add(add(scale(self.mean, other.series),
+                                    scale(other.mean, self.series)), cross),
+                            out_count)
         return _MeanSeries(self.mean * other.mean + m, series)
 
     def dx(self):
@@ -37,7 +41,7 @@ def direct_ep_residual(state):
     c, out_n = state.c, 3 * state.count + 3
     rho_p, rho_m, u_p, u_m = (sp.TrigSeries.from_cos(state.fold, row)
                               for row in state.cos)
-    force = sp.antideriv(rho_p - rho_m)
+    force = antideriv(sub(rho_p, rho_m))
     residuals = {}
     for tag, rho0, u0, sign in (("plus", rho_p, u_p, -1.0),
                                 ("minus", rho_m, u_m, 1.0)):
@@ -45,11 +49,12 @@ def direct_ep_residual(state):
         u = _MeanSeries(0.0, u0)
         rho_u = rho.mul(u, out_n)
         rho3 = rho.mul(rho, out_n).mul(rho, out_n)
-        residuals[f"continuity_{tag}"] = (-c * sp.deriv(rho0).with_count(out_n)
-                                          + rho_u.dx())
-        residuals[f"momentum_{tag}"] = (
-            -c * rho_u.dx() + rho_u.mul(u, out_n).dx() + (1.0 / 3.0) * rho3.dx()
-            + sign * 2.0 * rho.mul(_MeanSeries(0.0, force), out_n).series)
+        residuals[f"continuity_{tag}"] = add(
+            scale(-c, with_count(sp.deriv(rho0), out_n)), rho_u.dx())
+        residuals[f"momentum_{tag}"] = add(add(add(
+            scale(-c, rho_u.dx()), rho_u.mul(u, out_n).dx()),
+            scale(1.0 / 3.0, rho3.dx())),
+            scale(sign * 2.0, rho.mul(_MeanSeries(0.0, force), out_n).series))
     return residuals
 
 
@@ -226,3 +231,30 @@ def test_ep_state_json(sym_cfg):
     assert obj["a"] == 1.0 and obj["c"] == 0.3
     assert obj["rho_plus"]["mean"] == 1.0
     assert obj["u_plus"]["mean"] == 0.0
+
+
+def test_ep_entry_json_layout(sym_cfg):
+    # rho_plus = (plus2 - plus1) / 2 around the base level a = 1
+    cos = np.array([[0.5, 0.25], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    state = mapped_state(sym_cfg, st.InterfaceState.from_arrays(2, cos), 0.3)
+    obj = state.to_json()
+    assert list(obj) == ["a", "c", *ep.EP_NAMES]
+    assert obj["rho_plus"] == {"mean": 1.0, "series": {
+        "fold": 2, "count": 2, "parity": "even-cosine",
+        "cos": [0.25, -0.125], "sin": [0.0, 0.0]}}
+    assert list(obj["rho_plus"]) == ["mean", "series"]
+    assert list(obj["rho_plus"]["series"]) == ["fold", "count", "parity",
+                                               "cos", "sin"]
+
+
+def test_ep_json_rewrites_to_the_same_bytes(sym_cfg, sym_branch_pair):
+    # write -> read (spectral.series_from_json) -> write gives the bytes
+    plus, _ = sym_branch_pair
+    text = json.dumps(ep.map_to_ep(sym_cfg, plus.points[10].solution)
+                      .to_json(), indent=1)
+    obj = json.loads(text)
+    fold, cos, _ = sp.series_from_json(
+        [obj[name]["series"] for name in ep.EP_NAMES], sp.EVEN)
+    again = ep.EPState.from_arrays(fold, cos)
+    again.base_a, again.c = obj["a"], obj["c"]
+    assert json.dumps(again.to_json(), indent=1) == text

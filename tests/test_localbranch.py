@@ -7,6 +7,8 @@ from layerwaves import spectral as sp
 from layerwaves import steady as st
 from layerwaves.errors import ResonantHarmonicError
 
+from oracle import with_count
+
 SQRT5 = float(np.sqrt(5.0))
 
 # pitchfork curvature at the symmetric configuration (-1,1,-1,1), m=1,
@@ -85,7 +87,7 @@ def test_second_harmonic_correction_solves_linearized_equation(sym_cfg):
     kernel = kernel_state(1, sym_cfg, SQRT5, count=n)
     J = st.jacobian(sym_cfg, SQRT5, st.InterfaceState.zero(1, n))
     lhs = J @ theta.as_vector()
-    rhs = np.concatenate([h.with_count(n).sin
+    rhs = np.concatenate([with_count(h, n).sin
                           for h in hessian_action(kernel, kernel)])
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 

@@ -6,6 +6,9 @@ import pytest
 from layerwaves import spectral as sp
 from layerwaves.spectral import EVEN, FULL, ODD, NormParams, TrigSeries
 
+from oracle import (add, antideriv, from_sin, norm, scale, with_count,
+                    zeros)
+
 
 def random_series(rng, fold=3, count=8, parity=FULL, scale=1.0):
     cos = scale * rng.standard_normal(count)
@@ -23,12 +26,12 @@ def test_deriv_basis_elements():
     assert df.parity == ODD
     assert np.allclose(df.sin, [-2.0]) and np.allclose(df.cos, [0.0])
 
-    g = TrigSeries.from_sin(3, [1.0])
+    g = from_sin(3, [1.0])
     dg = sp.deriv(g)
     assert dg.parity == EVEN
     assert np.allclose(dg.cos, [3.0])
 
-    z = TrigSeries.zeros(2, 4, EVEN)
+    z = zeros(2, 4, EVEN)
     assert sp.deriv(z).max_abs() == 0.0
 
 
@@ -37,12 +40,12 @@ def test_antideriv_basis_elements():
         coeffs = np.zeros(6)
         coeffs[j - 1] = 1.0
         f = TrigSeries.from_cos(1, coeffs)
-        g = sp.antideriv(f)
+        g = antideriv(f)
         assert g.sin[j - 1] == pytest.approx(1.0 / j)
-        h = sp.antideriv(TrigSeries.from_sin(1, coeffs))
+        h = antideriv(from_sin(1, coeffs))
         assert h.cos[j - 1] == pytest.approx(-1.0 / j)
         # twice the antiderivative is the inverse Laplacian on the basis
-        gg = sp.antideriv(g)
+        gg = antideriv(g)
         assert gg.cos[j - 1] == pytest.approx(-1.0 / j ** 2)
 
 
@@ -51,7 +54,7 @@ def test_deriv_antideriv_roundtrip():
     rng = np.random.default_rng(11)
     for parity in (EVEN, ODD, FULL):
         f = random_series(rng, fold=4, count=10, parity=parity)
-        g = sp.deriv(sp.antideriv(f))
+        g = sp.deriv(antideriv(f))
         assert np.allclose(g.cos, f.cos, rtol=1e-15, atol=0.0)
         assert np.allclose(g.sin, f.sin, rtol=1e-15, atol=0.0)
 
@@ -64,11 +67,11 @@ def test_multiply_trig_identities():
     assert sq.parity == EVEN
 
     g = TrigSeries.from_cos(2, [0.0, 1.0, 0.0])
-    prod = sp.multiply(f.with_count(3), g, out_count=3)
+    prod = sp.multiply(with_count(f, 3), g, out_count=3)
     assert np.allclose(prod.cos, [0.5, 0.0, 0.5])
 
-    zero = TrigSeries.zeros(2, 3, EVEN)
-    assert sp.multiply(f.with_count(3), zero).max_abs() == 0.0
+    zero = zeros(2, 3, EVEN)
+    assert sp.multiply(with_count(f, 3), zero).max_abs() == 0.0
 
 
 def test_multiply_parity_table():
@@ -172,21 +175,21 @@ def test_grid_coefficients_invert_grid_values(count):
 
 def test_norm_values_and_properties():
     f = TrigSeries.from_cos(5, [1.0])
-    assert sp.norm(f, NormParams(1.0, 0.5)) == pytest.approx(np.exp(0.5))
-    assert sp.norm(TrigSeries.zeros(5, 4), NormParams()) == 0.0
+    assert norm(f, NormParams(1.0, 0.5)) == pytest.approx(np.exp(0.5))
+    assert norm(zeros(5, 4), NormParams()) == 0.0
 
     rng = np.random.default_rng(2)
     g = random_series(rng, count=12)
     p = NormParams(1.5, 0.2)
-    assert sp.norm(2.0 * g, p) == pytest.approx(2.0 * sp.norm(g, p))
+    assert norm(scale(2.0, g), p) == pytest.approx(2.0 * norm(g, p))
     # monotone in both indices
-    assert sp.norm(g, NormParams(2.0, 0.2)) >= sp.norm(g, p)
-    assert sp.norm(g, NormParams(1.5, 0.4)) >= sp.norm(g, p)
+    assert norm(g, NormParams(2.0, 0.2)) >= norm(g, p)
+    assert norm(g, NormParams(1.5, 0.4)) >= norm(g, p)
     # triangle inequality on random pairs
     for _ in range(10):
         u = random_series(rng, count=12)
         v = random_series(rng, count=12)
-        assert sp.norm(u + v, p) <= sp.norm(u, p) + sp.norm(v, p) + 1e-12
+        assert norm(add(u, v), p) <= norm(u, p) + norm(v, p) + 1e-12
 
 
 def test_shift_special_cases():
@@ -225,7 +228,64 @@ def test_series_validation():
 def test_json_roundtrip():
     rng = np.random.default_rng(4)
     f = random_series(rng, fold=3, count=5)
-    obj = json.loads(json.dumps(f.to_json()))
-    g = TrigSeries.from_json(obj)
+    objs = sp.series_json(f.fold, f.cos[None], f.sin[None], f.parity)
+    fold, cos, sin = sp.series_from_json(json.loads(json.dumps(objs)),
+                                         f.parity)
+    g = TrigSeries(fold, cos[0], sin[0], f.parity)
     assert g.fold == f.fold and g.parity == f.parity
     assert np.array_equal(g.cos, f.cos) and np.array_equal(g.sin, f.sin)
+
+
+def _even_objs(count=2):
+    return [{"fold": 2, "count": count, "parity": EVEN,
+             "cos": [0.5 * (i + 1)] + [0.0] * (count - 1),
+             "sin": [0.0] * count} for i in range(4)]
+
+
+def test_series_from_json_reads_even_components():
+    fold, cos, sin = sp.series_from_json(_even_objs(3), EVEN)
+    assert fold == 2 and isinstance(fold, int)
+    assert np.array_equal(cos, [[0.5, 0, 0], [1.0, 0, 0], [1.5, 0, 0],
+                                [2.0, 0, 0]])
+    assert np.array_equal(sin, np.zeros((4, 3)))
+    # an integral float fold is that integer; the count key is not read
+    objs = _even_objs(3)
+    for obj in objs:
+        obj.update(fold=2.0, count=7)
+    assert sp.series_from_json(objs, EVEN)[0] == 2
+
+
+@pytest.mark.parametrize("index, change, message", [
+    (0, {"fold": float("inf")}, "fold must be a positive integer"),
+    (0, {"fold": float("nan")}, "fold must be a positive integer"),
+    (1, {"fold": 1.5}, "fold must be a positive integer"),
+    (2, {"fold": 0}, "fold must be a positive integer"),
+    (3, {"fold": "2"}, "fold must be a positive integer"),
+    (3, {"fold": True}, "fold must be a positive integer"),
+    (0, {"parity": "cosine"}, "unknown parity 'cosine'"),
+    (1, {"sin": [0.0, 0.1]}, "even series must have zero sine"),
+    (1, {"parity": ODD}, "odd series must have zero cosine"),
+    (2, {"parity": FULL}, "components must be even-cosine"),
+    (2, {"cos": [[0.1, 0.0]]}, "1d arrays of equal length"),
+    (2, {"sin": [0.0]}, "1d arrays of equal length"),
+    (3, {"cos": [0.1, float("nan")]}, "non-finite coefficients"),
+    (3, {"cos": [float("inf"), 0.0]}, "non-finite coefficients"),
+    (0, {"fold": 3}, "components must share fold and truncation"),
+    (0, {"cos": [0.1], "sin": [0.0]},
+     "components must share fold and truncation"),
+])
+def test_series_from_json_refuses_malformed_fields(index, change, message):
+    objs = _even_objs()
+    objs[index] = dict(objs[index], **change)
+    with pytest.raises(ValueError, match=message):
+        sp.series_from_json(objs, EVEN)
+
+
+def test_series_from_json_needs_a_harmonic_and_every_key():
+    empty = [dict(obj, count=0, cos=[], sin=[]) for obj in _even_objs()]
+    with pytest.raises(ValueError, match="no harmonics"):
+        sp.series_from_json(empty, EVEN)
+    objs = _even_objs()
+    del objs[2]["sin"]
+    with pytest.raises(KeyError, match="sin"):
+        sp.series_from_json(objs, EVEN)

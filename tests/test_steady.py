@@ -9,6 +9,9 @@ from layerwaves import spectral as sp
 from layerwaves import steady as st
 from layerwaves.spectral import TrigSeries
 
+from oracle import (add, antideriv, from_sin, norm, scale, sub, with_count,
+                    zeros)
+
 SQRT5 = float(np.sqrt(5.0))
 
 
@@ -19,7 +22,7 @@ def random_state(rng, fold=2, count=10, scale=0.1):
 
 def charge_difference(state):
     s = state.series
-    return s[1] - s[0] - s[3] + s[2]
+    return add(sub(sub(s[1], s[0]), s[3]), s[2])
 
 
 def direct_residual(cfg, c, state, with_tail=False):
@@ -27,13 +30,14 @@ def direct_residual(cfg, c, state, with_tail=False):
     series, and with with_tail the sup of harmonics count+1..2*count."""
     a = cfg.as_array()
     n = state.count
-    pot = sp.antideriv(charge_difference(state)).with_count(2 * n)
+    pot = with_count(antideriv(charge_difference(state)), 2 * n)
     out, tail = [], 0.0
     for i, r in enumerate(state.series):
         dr = sp.deriv(r)
         quad = sp.multiply(r, dr, out_count=2 * n)
-        full = quad + (a[i] - c) * dr.with_count(2 * n) + st.POT_SIGN[i] * pot
-        out.append(full.with_count(n))
+        full = add(add(quad, scale(a[i] - c, with_count(dr, 2 * n))),
+                   scale(st.POT_SIGN[i], pot))
+        out.append(with_count(full, n))
         tail = max(tail, float(np.max(np.abs(full.sin[n:]), initial=0.0)))
     if with_tail:
         return out, tail
@@ -139,19 +143,20 @@ def test_residual_parity_and_grid_oracle(gen_cfg):
     assert np.array_equal(st.residual(gen_cfg, c, state), out)
 
     x = np.linspace(-np.pi, np.pi, 401)
-    pot = sp.antideriv(charge_difference(state))
+    pot = antideriv(charge_difference(state))
     for i in range(4):
         exact = ((state.series[i].eval(x) + a[i] - c)
                  * sp.deriv(state.series[i]).eval(x)
                  + st.POT_SIGN[i] * pot.eval(x))
-        full = (sp.multiply(state.series[i], sp.deriv(state.series[i]),
-                            out_count=12)
-                + (a[i] - c) * sp.deriv(state.series[i]).with_count(12)
-                + st.POT_SIGN[i] * pot.with_count(12))
+        full = add(add(sp.multiply(state.series[i], sp.deriv(state.series[i]),
+                                   out_count=12),
+                       scale(a[i] - c,
+                             with_count(sp.deriv(state.series[i]), 12))),
+                   scale(st.POT_SIGN[i], with_count(pot, 12)))
         assert np.max(np.abs(full.eval(x) - exact)) < 1e-12
         # the residual's own sine coefficients, completed by the discarded
         # harmonics, give the odd defining formula on both sides of x = 0
-        own = TrigSeries.from_sin(2, np.concatenate([out[i], full.sin[6:]]))
+        own = from_sin(2, np.concatenate([out[i], full.sin[6:]]))
         assert np.max(np.abs(own.eval(x) - exact)) < 1e-12
         # Galerkin: the first harmonics of the untruncated residual (an
         # FFT product meets the convolution to round-off, not bitwise)
@@ -294,7 +299,8 @@ def direct_monitors(cfg, c, state):
 
     s = state.series
     a = cfg.as_array()
-    gap = min(min_abs(s[1] - s[0], cfg.width), min_abs(s[3] - s[2], cfg.width))
+    gap = min(min_abs(sub(s[1], s[0]), cfg.width),
+              min_abs(sub(s[3], s[2]), cfg.width))
     slip = min(min_abs(s[i], a[i] - c) for i in range(4))
     return gap, slip
 
@@ -361,10 +367,10 @@ def test_monitor_grid_resolves_narrow_dip(sym_cfg):
     coeffs = np.zeros(n)
     coeffs[n - 1] = 0.4 / n
     upper = sp.TrigSeries.from_cos(1, -coeffs)
-    state = st.InterfaceState([sp.TrigSeries.zeros(1, n, "even-cosine"),
+    state = st.InterfaceState([zeros(1, n, "even-cosine"),
                                upper,
-                               sp.TrigSeries.zeros(1, n, "even-cosine"),
-                               sp.TrigSeries.zeros(1, n, "even-cosine")])
+                               zeros(1, n, "even-cosine"),
+                               zeros(1, n, "even-cosine")])
     gap, _ = st.monitors(sym_cfg, 0.0, state)
     x = np.linspace(0, 2 * np.pi, 100001)
     brute = np.min(np.abs(upper.eval(x) + 2.0))
@@ -377,7 +383,7 @@ def test_residual_translation_equivariance(sym_cfg):
     c = 1.1
     h = np.pi / 2  # half period of the fold
     left = st.residual(sym_cfg, c, state.shifted(h))
-    right = [sp.shift(TrigSeries.from_sin(2, f), h)
+    right = [sp.shift(from_sin(2, f), h)
              for f in st.residual(sym_cfg, c, state)]
     for a, b in zip(left, right):
         assert np.max(np.abs(a - b.sin)) < 1e-14
@@ -393,6 +399,16 @@ def test_wave_solution_json_roundtrip(sym_cfg):
     state2 = st.InterfaceState.from_json(
         [obj["series"][k] for k in st.COMPONENT_NAMES])
     assert np.array_equal(state2.as_vector(), state.as_vector())
+
+
+def test_interface_component_json_layout():
+    cos = np.array([[0.5, -0.25], [1.0, 0.0], [0.0, 0.125], [-2.0, 3.0]])
+    objs = st.InterfaceState.from_arrays(3, cos).to_json()
+    assert objs[0] == {"fold": 3, "count": 2, "parity": "even-cosine",
+                       "cos": [0.5, -0.25], "sin": [0.0, 0.0]}
+    assert [list(obj) for obj in objs] == [
+        ["fold", "count", "parity", "cos", "sin"]] * 4
+    assert [obj["cos"] for obj in objs] == cos.tolist()
 
 
 @pytest.mark.parametrize("fold", [1, 2, 3])
@@ -466,16 +482,18 @@ def test_interface_state_arrays():
     assert state.cos.shape == (4, 5) and not state.cos.flags.writeable
     for got, want in zip(state.series, series):
         assert got.parity == sp.EVEN and np.array_equal(got.cos, want.cos)
-    assert state.to_json() == [s.to_json() for s in series]
+    assert state.to_json() == [{"fold": s.fold, "count": s.count,
+                                "parity": s.parity, "cos": s.cos.tolist(),
+                                "sin": s.sin.tolist()} for s in series]
     assert np.array_equal(state.with_count(7).with_count(5).cos, state.cos)
     assert np.array_equal(state.with_count(3).cos, state.cos[:, :3])
     for h in (np.pi / 2, 0.3):  # exact signs, then a generic shift
         want = [sp.shift(s, h).cos for s in series]
         assert np.array_equal(state.shifted(h).cos, want)
     params = sp.NormParams(2.0, 0.1)
-    assert state.norm(params) == max(sp.norm(s, params) for s in series)
+    assert state.norm(params) == max(norm(s, params) for s in series)
     with pytest.raises(ValueError, match="even"):
-        st.InterfaceState(series[:3] + [TrigSeries.zeros(2, 5)])
+        st.InterfaceState(series[:3] + [zeros(2, 5)])
 
 
 @pytest.mark.parametrize("fold", [1, 2, 3])
