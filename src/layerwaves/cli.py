@@ -309,13 +309,14 @@ def _cmd_continue(run, layer, outdir):
     c_star = _pick_speed(run, layer)
     expansion = lb.local_expansion(run.m, layer, c_star)
     opts = _make_options(run)
-    arms = []
+    arms = {}
     if run.arm in ("both", "+"):
-        arms.append(("plus", ct.trace_arm(expansion, +1, opts)))
-    if run.arm in ("both", "-"):
-        arms.append(("minus", ct.trace_arm(expansion, -1, opts)))
+        arms["plus"] = ct.trace_arm(expansion, +1, opts)
+    if run.arm in ("both", "-"):  # with both, the image of the + arm
+        arms["minus"] = ct.trace_arm(expansion, -1, opts,
+                                     plus=arms.get("plus"))
     diagram = []
-    for tag, branch in arms:
+    for tag, branch in arms.items():
         rows = _write_branch(branch, tag, run, outdir)
         diagram += [{"arm": tag, "s": r["s"], "c": r["c"], "amp": r["amp"]}
                     for r in rows]

@@ -396,8 +396,50 @@ def _advance(branch, u_prev, tangent, ds):
     branch.termination = status
 
 
-def trace_arm(origin, arm, opts):
-    """Continue one pitchfork arm (arm = +1 or -1) from its local expansion."""
+def _mirror(plus, opts):
+    """The - arm as the half-period image of the + arm, or None.
+
+    The shift x -> x + pi/m maps the kernel cos(mx) to -cos(mx) and the
+    steady system to itself, so it carries the + arm onto the - arm.
+    Each image point shifts the + point's state and secant (an exact
+    sign flip of the odd harmonics; c and its tangent entry stay) and
+    recomputes its residual sup and monitors, which is its convergence
+    check: None if a sup exceeds opts.newton_tol.  The arclength, norm,
+    compact index, next step and Newton count are the + point's, and the
+    solver counters are those of the one correction that produced both.
+    """
+    fold = plus.origin.m
+    half = math.pi / fold
+    points = []
+    for p in plus.points:
+        sol = p.solution
+        image = st.solution_at(sol.cfg, sol.c, sol.state.shifted(half))
+        if not image.residual_norm <= opts.newton_tol:
+            return None
+        image.krylov_iters, image.dense_solves = (sol.krylov_iters,
+                                                  sol.dense_solves)
+        t_c, t_h = _unstack(p.tangent, fold, sol.state.count)
+        points.append(replace(p, solution=image,
+                              tangent=_stack(t_c, t_h.shifted(half))))
+    return Branch(points=points, origin=plus.origin, arm=-1,
+                  termination=plus.termination, options=opts)
+
+
+def trace_arm(origin, arm, opts, plus=None):
+    """Continue one pitchfork arm (arm = +1 or -1) from its local expansion.
+
+    Given `plus`, the + arm traced from the same origin with the same
+    options, the - arm is built as its half-period image (_mirror); it
+    is traced instead if an image point fails its residual check.
+    """
+    if plus is not None:
+        if arm != -1 or plus.arm != +1 or plus.origin is not origin \
+                or plus.options != opts:
+            raise ValueError("plus must be the + arm of the same origin "
+                             "and options")
+        image = _mirror(plus, opts)
+        if image is not None:
+            return image
     fold, count = origin.m, opts.count
     u0 = _stack(origin.c_star, st.InterfaceState.zero(fold, count))
     kernel = _stack(0.0, lb.predictor(origin, 1.0, count=count)[1])
@@ -417,15 +459,10 @@ def trace_arm(origin, arm, opts):
     return branch
 
 
-def continue_branch(origin, opts=None):
-    """Trace both pitchfork arms; returns (plus arm, minus arm)."""
-    opts = opts or ContinuationOptions()
-    return trace_arm(origin, +1, opts), trace_arm(origin, -1, opts)
-
-
 def restart(branch, index, opts=None):
     """Re-run continuation from the stored point `index`; deterministic
-    stepping makes the result reproduce the original tail of the branch."""
+    stepping makes the result reproduce the original tail of the branch,
+    to round-off if the branch is the image of a + arm."""
     opts = opts or branch.options
     pt = branch.points[index]
     # keep the accumulated arclength so loop bookkeeping matches; the

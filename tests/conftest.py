@@ -33,8 +33,13 @@ def branch_options():
 
 @pytest.fixture(scope="session")
 def sym_branch_pair(sym_expansion, branch_options):
-    """One moderate continuation run shared by the branch-dependent tests."""
-    return ct.continue_branch(sym_expansion, branch_options)
+    """One moderate continuation run shared by the branch-dependent tests.
+
+    Both arms are traced, neither is the image of the other, so the
+    tests that compare them check that the solver is shift-equivariant.
+    """
+    return (ct.trace_arm(sym_expansion, +1, branch_options),
+            ct.trace_arm(sym_expansion, -1, branch_options))
 
 
 def wave_at_amplitude(branch, target):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st_
 
-from layerwaves import cli, spectral, steady
+from layerwaves import (cli, continuation, localbranch, pencil, spectral,
+                        steady)
 from layerwaves.errors import ConfigError
 
 SQRT5 = float(np.sqrt(5.0))
@@ -308,6 +309,52 @@ def test_continue_reports_solver_work_per_point(n, krylov, tmp_path):
         used = (int(row["krylov_iters"]), int(row["dense_solves"]))
         assert used == (wave["krylov_iters"], wave["dense_solves"])
         assert (used[0] > 0, used[1] > 0) == (krylov, not krylov)
+
+
+@pytest.mark.parametrize("n", ["16", "64"])
+def test_continue_minus_arm_is_the_image_of_the_plus_arm(n, tmp_path):
+    # dense (N = 16) and GMRES (N = 64) arms: the - arm of --arm both is
+    # the + arm shifted by pi/m, with its monitors recomputed
+    assert run_cli(["continue", "--a", "-1,1,-1,1", "--n", n,
+                    "--max-points", "6", "--snapshot-every", "2"],
+                   tmp_path) == 0
+    plus = read_csv(tmp_path / "branch_plus.csv")
+    minus = read_csv(tmp_path / "branch_minus.csv")
+    assert len(minus) == len(plus) == 6
+    for p, q in zip(plus, minus):
+        assert float(q.pop("amp")) == -float(p.pop("amp"))
+        for key in ("m1", "m2"):
+            assert float(q.pop(key)) == pytest.approx(float(p.pop(key)),
+                                                      rel=1e-12)
+        assert q == p
+    footers = {(tmp_path / f"branch_{tag}.csv").read_text().splitlines()[-1]
+               for tag in ("plus", "minus")}
+    assert len(footers) == 1
+    snaps = sorted(tmp_path.glob("wave_plus_*.json"))
+    assert len(snaps) == 3
+    for path in snaps:
+        _, c, state = cli._load_wave(path)
+        _, c_minus, state_minus = cli._load_wave(
+            path.with_name(path.name.replace("plus", "minus")))
+        assert c_minus == c
+        assert np.array_equal(state_minus.cos,
+                              state.shifted(np.pi / state.fold).cos)
+
+
+def test_continue_minus_arm_alone_is_traced(tmp_path):
+    # --arm - traces the arm: its rows are those of continuation.trace_arm
+    # without a + arm, bit for bit
+    args = ["continue", "--a", "-1,1,-1,1", "--n", "16", "--arm", "-",
+            "--max-points", "6"]
+    assert run_cli(args, tmp_path) == 0
+    assert not (tmp_path / "branch_plus.csv").exists()
+    run = cli.parse(args)
+    layer = pencil.classify_config(run.a)
+    origin = localbranch.local_expansion(run.m, layer,
+                                         cli._pick_speed(run, layer))
+    traced = continuation.trace_arm(origin, -1, cli._make_options(run))
+    want = [{k: str(v) for k, v in row.items()} for row in traced.csv_rows()]
+    assert read_csv(tmp_path / "branch_minus.csv") == want
 
 
 def test_continue_one_point_budget(tmp_path):

@@ -1,11 +1,13 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from layerwaves import continuation as ct
 from layerwaves import localbranch as lb
+from layerwaves import pencil as pc
 from layerwaves import steady as st
 from layerwaves.errors import CannotStartError, CorrectionFailedError
 from layerwaves.spectral import NormParams
@@ -444,3 +446,124 @@ class TestKrylovNewton:
         assert np.max(np.abs(got.state.cos[:, :sol.state.count]
                              - sol.state.cos)) <= 1e-9
         assert peak < 0.1 * 8 * (4 * n + 1) ** 2
+
+
+# (layer, fold, options) of arms, at the highest admissible speed, whose
+# - arm is checked against the half-period image of the + arm: the
+# default arm (GMRES, N 64 -> 256), a dense N = 16 arm, the symmetric
+# m = 3 arm whose last point needs dense solves after GMRES stalls, and
+# a generic layer
+MIRROR_CASES = {
+    "default": ((-1.0, 1.0, -1.0, 1.0), 1, ct.ContinuationOptions()),
+    "dense-16": ((-1.0, 1.0, -1.0, 1.0), 1,
+                 ct.ContinuationOptions(count=16, max_count=16,
+                                        max_points=20)),
+    "sym-m3": ((-1.0, 1.0, -1.0, 1.0), 3,
+               ct.ContinuationOptions(count=64, max_points=11)),
+    "generic": ((0.0, 1.0, 2.5, 3.5), 1,
+                ct.ContinuationOptions(count=16, max_points=12)),
+}
+
+
+def _origin(a, m):
+    cfg = pc.classify_config(a)
+    return lb.local_expansion(m, cfg, pc.bifurcation_speeds(m, cfg)
+                              .admissible()[-1])
+
+
+@pytest.fixture(scope="module", params=list(MIRROR_CASES))
+def mirror_arms(request):
+    """(+ arm, traced - arm, image - arm) of one MIRROR_CASES entry."""
+    a, m, opts = MIRROR_CASES[request.param]
+    origin = _origin(a, m)
+    plus = ct.trace_arm(origin, +1, opts)
+    return (plus, ct.trace_arm(origin, -1, opts),
+            ct.trace_arm(origin, -1, opts, plus=plus))
+
+
+class TestMirroredArm:
+    def test_image_matches_the_traced_arm(self, mirror_arms):
+        _, traced, image = mirror_arms
+        assert image.arm == -1
+        assert image.termination.label() == traced.termination.label()
+        assert len(image.points) == len(traced.points)
+        for p, q in zip(traced.points, image.points):
+            scale = max(abs(p.solution.c), p.solution.state.max_abs())
+            assert abs(p.solution.c - q.solution.c) <= 1e-12 * scale
+            assert q.solution.state.count == p.solution.state.count
+            assert np.max(np.abs(p.solution.state.cos
+                                 - q.solution.state.cos)) <= 1e-12 * scale
+
+    def test_image_points_are_checked_shifts(self, mirror_arms):
+        # the state is the + state shifted by pi/m, which flips the signs
+        # of the odd harmonics; its residual and monitors are its own
+        plus, _, image = mirror_arms
+        m = plus.origin.m
+        for p, q in zip(plus.points, image.points):
+            sol = q.solution
+            assert np.array_equal(
+                sol.state.cos, p.solution.state.shifted(np.pi / m).cos)
+            assert sol.c == p.solution.c
+            sup = float(np.max(np.abs(st.residual_vector(sol.cfg, sol.c,
+                                                         sol.state))))
+            assert sol.residual_norm == sup <= image.options.newton_tol
+            assert sol.monitors == st.monitors(sol.cfg, sol.c, sol.state)
+            odd = np.tile(np.arange(1, sol.state.count + 1) % 2 == 1, 4)
+            assert np.array_equal(q.tangent[1:][odd], -p.tangent[1:][odd])
+            assert np.array_equal(q.tangent[1:][~odd], p.tangent[1:][~odd])
+            assert q.tangent[0] == p.tangent[0]
+            assert (q.s, q.norm, q.compact_index, q.next_step,
+                    q.newton_iters) == (p.s, p.norm, p.compact_index,
+                                        p.next_step, p.newton_iters)
+            assert (sol.krylov_iters, sol.dense_solves) == (
+                p.solution.krylov_iters, p.solution.dense_solves)
+        assert image.termination == plus.termination
+
+
+def test_unconverged_image_falls_back_to_tracing():
+    # a + point pushed off the branch fails its image's residual check:
+    # the whole - arm is then traced, bit for bit as without plus=
+    a, m, opts = MIRROR_CASES["dense-16"]
+    origin = _origin(a, m)
+    plus = ct.trace_arm(origin, +1, opts)
+    bad = plus.points[5]
+    cos = bad.solution.state.cos.copy()
+    cos[0, 0] += 1e-6
+    moved = replace(bad, solution=replace(
+        bad.solution, state=st.InterfaceState.from_arrays(m, cos)))
+    plus.points[5] = moved
+    got = ct.trace_arm(origin, -1, opts, plus=plus)
+    want = ct.trace_arm(origin, -1, opts)
+    assert got.termination.label() == want.termination.label()
+    assert len(got.points) == len(want.points)
+    for p, q in zip(want.points, got.points):
+        assert p.solution.c == q.solution.c
+        assert np.array_equal(p.solution.state.cos, q.solution.state.cos)
+        assert p.solution.residual_norm == q.solution.residual_norm
+
+
+def test_plus_must_match_origin_and_options(sym_expansion):
+    opts = ct.ContinuationOptions(count=16, max_points=3)
+    plus = ct.trace_arm(sym_expansion, +1, opts)
+    for arm, other in ((+1, opts), (-1, replace(opts, newton_tol=1e-12))):
+        with pytest.raises(ValueError, match="same origin and options"):
+            ct.trace_arm(sym_expansion, arm, other, plus=plus)
+
+
+def test_restart_from_an_image_point_reproduces_its_tail(sym_expansion):
+    # traced from a mirrored point (GMRES, across the doublings to 256),
+    # the tail agrees with the image tail to round-off
+    opts = ct.ContinuationOptions()
+    image = ct.trace_arm(sym_expansion, -1, opts,
+                         plus=ct.trace_arm(sym_expansion, +1, opts))
+    k = 15
+    redo = ct.restart(image, k)
+    assert redo.termination.label() == image.termination.label()
+    assert len(redo.points) == len(image.points) - k
+    assert image.points[-1].solution.state.count > (
+        image.points[k].solution.state.count)
+    for p, q in zip(image.points[k:], redo.points):
+        assert q.solution.state.count == p.solution.state.count
+        assert abs(p.solution.c - q.solution.c) <= 1e-9
+        assert np.max(np.abs(p.solution.state.cos
+                             - q.solution.state.cos)) <= 1e-9
