@@ -1,10 +1,12 @@
-"""Series code that only the tests use, as plain functions on
-spectral.TrigSeries: zero series, sine series, padding, linear
-combinations, the antiderivative, the one-series norm, and the scan for
-the smallest admissible mode of a generic layer."""
+"""Code that only the tests use.  Plain functions on spectral.TrigSeries:
+zero series, sine series, padding, linear combinations, the
+antiderivative, the one-series norm, and the scan for the smallest
+admissible mode of a generic layer.  And RK4 on PhaseState objects, one
+rhs call and one combine per stage, as the oracle of dynamics.evolve."""
 
 import numpy as np
 
+from layerwaves import dynamics as dy
 from layerwaves import pencil as pc
 from layerwaves import spectral as sp
 from layerwaves.errors import LayerError
@@ -91,3 +93,23 @@ def min_admissible_mode(cfg, cap):
             continue
         return m
     raise NoAdmissibleModeError(f"no admissible mode found with m <= {cap}")
+
+
+def rk4_evolve(cfg, start, dt, steps, store_every=1):
+    """Classical RK4 stage by stage on PhaseState objects; stores the
+    start, every store_every-th step and the last step, as evolve does.
+    Returns the stored times, states and energies."""
+    state = start
+    times, states, energies = [0.0], [state], [dy.energy(cfg, state)]
+    for k in range(1, steps + 1):
+        k1 = dy.rhs(cfg, state)
+        k2 = dy.rhs(cfg, state.combine([k1], [0.5 * dt]))
+        k3 = dy.rhs(cfg, state.combine([k2], [0.5 * dt]))
+        k4 = dy.rhs(cfg, state.combine([k3], [dt]))
+        state = state.combine([k1, k2, k3, k4],
+                              [dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0])
+        if k % store_every == 0 or k == steps:
+            times.append(k * dt)
+            states.append(state)
+            energies.append(dy.energy(cfg, state))
+    return np.asarray(times), states, energies

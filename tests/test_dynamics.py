@@ -3,13 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
+from layerwaves import continuation as ct
 from layerwaves import dynamics as dy
 from layerwaves import pencil as pc
 from layerwaves import spectral as sp
 from layerwaves.errors import DivergedError
 
 from conftest import wave_at_amplitude
-from oracle import add, antideriv, scale, sub, zeros
+from oracle import add, antideriv, rk4_evolve, scale, sub, zeros
 
 
 def random_phase(rng, fold=2, count=8, scale=0.3):
@@ -278,24 +279,88 @@ def test_divergence_diagnosed_without_warnings(sym_cfg):
 
 def test_divergence_detected_mid_run(sym_cfg, monkeypatch):
     # a NaN that first appears in the second stage of step 2 is caught by
-    # the check after that step, without any check inside the stages
-    exact = dy.rhs
+    # the check after that step, without any check inside the stages;
+    # evolve makes its stage function once, so the NaN goes in there
+    exact = dy._tendency
     calls = []
 
-    def rhs(cfg, state):
-        out = exact(cfg, state)
-        calls.append(np.all(np.isfinite(state.cos)))
-        if len(calls) == 6:
-            cos = out.cos.copy()
-            cos[2, 1] = np.nan
-            out = dy.PhaseState.from_arrays(out.fold, cos, out.sin)
-        return out
+    def tendency(cfg, fold, count):
+        stage = exact(cfg, fold, count)
 
-    monkeypatch.setattr(dy, "rhs", rhs)
+        def f(x):
+            out = stage(x)
+            calls.append(np.all(np.isfinite(x)))
+            if len(calls) == 6:
+                out[0, 2, 1] = np.nan
+            return out
+
+        return f
+
+    monkeypatch.setattr(dy, "_tendency", tendency)
     state = random_phase(np.random.default_rng(9), fold=1, count=8, scale=0.05)
     with pytest.raises(DivergedError, match="at step 2"):
         dy.evolve(sym_cfg, state, 1e-3, 5)
     assert len(calls) == 8 and not any(calls[6:])  # stages 3, 4 saw the NaN
+
+
+@pytest.fixture(scope="module")
+def snapshot64(sym_cfg, sym_expansion):
+    """The 20th point of the default + arm at N = 64, translated so that
+    its sine coefficients are not zero."""
+    opts = ct.ContinuationOptions(count=64, max_points=20)
+    sol = ct.trace_arm(sym_expansion, +1, opts).points[-1].solution
+    start = dy.PhaseState([sp.shift(s, 0.7) for s in sol.state.series])
+    return start, sol.c
+
+
+def assert_matches_oracle(cfg, start, dt, steps, store_every):
+    traj = dy.evolve(cfg, start, dt, steps, store_every=store_every)
+    times, states, energies = rk4_evolve(cfg, start, dt, steps, store_every)
+    assert np.array_equal(traj.times, times)
+    assert len(traj.states) == len(states) == len(traj.energies)
+    for got, want, e_got, e_want in zip(traj.states, states, traj.energies,
+                                        energies):
+        scale = want.max_abs()
+        assert got.fold == want.fold and got.count == want.count
+        assert np.max(np.abs(got.cos - want.cos)) <= 1e-13 * scale
+        assert np.max(np.abs(got.sin - want.sin)) <= 1e-13 * scale
+        assert abs(e_got.e_kin - e_want.e_kin) <= 1e-13 * abs(e_want.e_total)
+        assert abs(e_got.e_pot - e_want.e_pot) <= 1e-13 * abs(e_want.e_total)
+    return traj
+
+
+def test_evolve_matches_stage_oracle_on_branch_snapshot(sym_cfg, snapshot64):
+    start, c = snapshot64
+    horizon = 0.1 * 2.0 * np.pi / (start.fold * abs(c))
+    steps = int(np.ceil(horizon / (0.5 * dy.cfl_limit(sym_cfg, start))))
+    traj = assert_matches_oracle(sym_cfg, start, horizon / steps, steps, 7)
+    assert len(traj.times) == steps // 7 + 1 + (steps % 7 != 0)
+
+
+def test_evolve_matches_stage_oracle_odd_count(gen_cfg):
+    start = random_phase(np.random.default_rng(17), fold=2, count=17,
+                         scale=0.1)
+    dt = 0.5 * dy.cfl_limit(gen_cfg, start)
+    assert_matches_oracle(gen_cfg, start, dt, 40, 3)
+
+
+@pytest.mark.parametrize("steps", [0, 1])
+def test_evolve_matches_stage_oracle_few_steps(sym_cfg, steps):
+    start = random_phase(np.random.default_rng(3), fold=1, count=8)
+    dt = 0.5 * dy.cfl_limit(sym_cfg, start)
+    traj = assert_matches_oracle(sym_cfg, start, dt, steps, 5)
+    assert traj.states[0] is start and len(traj.states) == steps + 1
+
+
+def test_stored_states_are_not_overwritten(sym_cfg):
+    start = random_phase(np.random.default_rng(5), fold=1, count=8)
+    traj = dy.evolve(sym_cfg, start, 1e-3, 6, store_every=1)
+    again = dy.evolve(sym_cfg, traj.states[3], 1e-3, 3).states[-1]
+    assert np.array_equal(again.cos, traj.states[-1].cos)
+    assert np.array_equal(again.sin, traj.states[-1].sin)
+    for state in traj.states[1:]:
+        assert not state.cos.flags.writeable
+        assert not state.sin.flags.writeable
 
 
 def test_trajectory_csv_rows(sym_cfg):
