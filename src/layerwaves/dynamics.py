@@ -13,7 +13,7 @@ import numpy as np
 
 from . import spectral as sp
 from .errors import DivergedError
-from .pencil import CHARGE, SPECIES
+from .pencil import CHARGE, COMPONENT_NAMES, SPECIES
 from .spectral import TrigSeries
 
 # Sign of the nonlocal coupling per component (+ species positive) and
@@ -40,13 +40,8 @@ class PhaseState(sp.ComponentArrays):
         return tuple(TrigSeries(self.fold, c, s)
                      for c, s in zip(self.cos, self.sin))
 
-    def grid_values(self, npts):
-        """(4, npts) component values at the uniform points of one fold
-        period, from one batched inverse FFT."""
-        return sp.grid_values(self.cos, self.sin, npts)
-
     def sup_norms(self):
-        vals = self.grid_values(8 * self.count)
+        vals = sp.grid_values(self.cos, self.sin, 8 * self.count)
         return [float(v) for v in np.max(np.abs(vals), axis=1)]
 
     def combine(self, others, weights):
@@ -122,7 +117,7 @@ def energy(cfg, state):
     the cubic integrand has harmonics up to 3N, so the mean over 4N
     uniform points of one fold period is still its exact integral."""
     a = cfg.as_array()
-    vals = state.grid_values(4 * state.count) + a[:, None]
+    vals = sp.grid_values(state.cos, state.sin, 4 * state.count) + a[:, None]
     e_kin = float(np.mean((vals[1] ** 3 - vals[0] ** 3
                            + vals[3] ** 3 - vals[2] ** 3) / 6.0))
     qcos, qsin = _charge(state.cos), _charge(state.sin)
@@ -140,7 +135,7 @@ def grad_energy(cfg, state):
     r^2 goes through one round trip on 4N points of one fold period,
     which give its harmonics 1..N and its mean exactly."""
     a = cfg.as_array()
-    vals = state.grid_values(4 * state.count)
+    vals = sp.grid_values(state.cos, state.sin, 4 * state.count)
     sq_cos, sq_sin = sp.grid_coefficients(vals ** 2, state.count)
     qcos, qsin = _charge(state.cos), _charge(state.sin)
     pot = COUPLING_SIGN[:, None] / state.wavenumbers() ** 2  # -+ dxx^-1
@@ -164,7 +159,7 @@ def cfl_limit(cfg, state):
     k_max the largest wavenumber: about 5.7 times inside classical RK4's
     imaginary-axis stability limit 2 sqrt(2) / (k_max * max |a + r|)."""
     a = cfg.as_array()
-    vals = state.grid_values(8 * state.count) + a[:, None]
+    vals = sp.grid_values(state.cos, state.sin, 8 * state.count) + a[:, None]
     vmax = float(np.max(np.abs(vals)))
     return 0.5 / (state.fold * state.count * max(vmax, 1e-300))
 
@@ -179,11 +174,10 @@ class Trajectory:
         """One row per stored state, keyed by column name."""
         rows = []
         for t, state, e in zip(self.times, self.states, self.energies):
-            sup = state.sup_norms()
+            sups = zip(COMPONENT_NAMES, state.sup_norms())
             rows.append({"t": t, "e_kin": e.e_kin, "e_pot": e.e_pot,
-                         "e_total": e.e_total, "sup_plus1": sup[0],
-                         "sup_plus2": sup[1], "sup_minus1": sup[2],
-                         "sup_minus2": sup[3]})
+                         "e_total": e.e_total,
+                         **{f"sup_{name}": sup for name, sup in sups}})
         return rows
 
 

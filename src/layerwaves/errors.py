@@ -6,7 +6,8 @@ class LayerError(Exception):
 
 
 class ConfigError(LayerError):
-    """Interface velocities do not form a valid equal-width configuration."""
+    """A usage error (exit 2): invalid velocities, options, config file
+    or output directory, or a layer outside a command's regime."""
 
 
 class DegenerateSpeedError(LayerError):

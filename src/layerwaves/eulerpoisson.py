@@ -45,7 +45,7 @@ class EPState(sp.ComponentArrays):
     def to_json(self):
         out = {"a": self.base_a, "c": self.c}
         means = (self.base_a, self.base_a, 0.0, 0.0)
-        series = sp.series_json(self.fold, self.cos, None, sp.EVEN)
+        series = sp.series_json(self.fold, self.cos)
         for name, mean, obj in zip(EP_NAMES, means, series):
             out[name] = {"mean": mean, "series": obj}
         return out
@@ -90,20 +90,19 @@ def ep_residual(state):
                 -+ 2 rho dx^-1(rho_+ - rho_-)
     The residuals reach harmonic 3N.  rho, u, their derivatives and the
     force dx^-1(rho_+ - rho_-) come from one inverse FFT on 8 (3N + 3)
-    uniform points of one fold period; the residuals are formed there
-    pointwise, and one forward FFT gives their sine coefficients on
-    harmonics 1..3N+3, all exact.  Returns the (4, 3N+3) coefficients,
+    uniform points of one fold period (spectral.even_odd_grid_values of
+    4 even and 5 odd rows); the residuals are formed there pointwise,
+    and one forward FFT gives their sine coefficients on harmonics
+    1..3N+3, all exact.  Returns the (4, 3N+3) coefficients,
     rows in the order of RESIDUAL_NAMES, and the sup norms on the grid
     by name.  A residual that overflows raises DivergedError.
     """
     n = state.count
     out_n = 3 * n + 3
     w = state.wavenumbers()
-    zero = np.zeros((5, n))
     force = (state.cos[0] - state.cos[1]) / w
-    vals = sp.grid_values(np.concatenate((state.cos, zero)),
-                          np.concatenate((zero[:4], -w * state.cos,
-                                          force[None])), 8 * out_n)
+    vals = sp.even_odd_grid_values(
+        state.cos, np.concatenate((-w * state.cos, force[None])), 8 * out_n)
     rho = vals[0:2] + state.base_a
     u, drho, du, field = vals[2:4], vals[4:6], vals[6:8], vals[8]
     flux = drho * u + rho * du  # dx(rho u)

@@ -12,7 +12,8 @@ import numpy as np
 
 from . import pencil as pc
 from .errors import ResonantHarmonicError
-from .steady import COMPONENT_NAMES, InterfaceState
+from .pencil import COMPONENT_NAMES
+from .steady import InterfaceState
 
 
 @dataclass(frozen=True)
@@ -42,26 +43,15 @@ class LocalExpansion:
                 "nearest_component": COMPONENT_NAMES[self.nearest_component]}
 
 
-def second_harmonic_amplitude(m, cfg, c_star):
+def _doubled_mode_solve(m, cfg, c_star, recip_sq):
     """Amplitude vector t of the correction t cos(2 m x): solves the
     doubled-mode system  M_{2m} t = 2 m^2 w,  w = (a-c)^-2 component-wise."""
-    return _doubled_mode_solve(m, cfg, c_star,
-                               pc.reciprocal_sq_weights(cfg, c_star))
-
-
-def _doubled_mode_solve(m, cfg, c_star, recip_sq):
     M2 = pc.mode_matrix(2 * m, cfg, c_star)
     scale = np.max(np.abs(M2))
     if abs(np.linalg.det(M2)) <= 1e-12 * scale ** 4:
         raise ResonantHarmonicError(
             f"doubled mode 2m={2 * m} is singular at c={c_star!r}")
     return np.linalg.solve(M2, 2.0 * m * m * recip_sq)
-
-
-def speed_curvature(m, cfg, c_star):
-    """Second derivative of the speed along the branch (pitchfork
-    coefficient); see local_expansion."""
-    return local_expansion(m, cfg, c_star).speed_curvature
 
 
 def nearest_component_index(cfg, c_star):
@@ -99,14 +89,12 @@ def local_expansion(m, cfg, c_star):
         nearest_component=nearest_component_index(cfg, c_star))
 
 
-def predictor(origin, s, count=None):
+def predictor(origin, s, count):
     """First-order branch point: (c* + curvature s^2 / 2, s * kernel mode).
 
     The quadratic state correction is omitted; Newton correction
     recovers it.  `count` sets the truncation of the returned state.
     """
-    if count is None:
-        count = 2
     c = origin.c_star + 0.5 * origin.speed_curvature * s * s
     cos = np.zeros((4, count))
     cos[:, 0] = s * origin.kernel_vec

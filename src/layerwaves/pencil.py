@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSpeedError
 
-# Species sign and charge weight of each component: the pencil couples the
-# components by the rank-one matrix outer(SPECIES, CHARGE).
+# Name, species sign and charge weight of each component: the pencil
+# couples the components by the rank-one matrix outer(SPECIES, CHARGE).
+COMPONENT_NAMES = ("plus1", "plus2", "minus1", "minus2")
 SPECIES = np.array([1.0, 1.0, -1.0, -1.0])
 CHARGE = np.array([-1.0, 1.0, 1.0, -1.0])
 
@@ -182,7 +183,7 @@ def bifurcation_speeds(m, cfg):
     """All four determinant roots with multiplicities and admissibility.
 
     Symmetric and successive regimes use the closed forms (robust near
-    the double root) and are cross-checked against the quartic roots.
+    the double root); the tests compare them with the quartic roots.
     """
     a = cfg.as_array()
     if cfg.regime == SYMMETRIC:

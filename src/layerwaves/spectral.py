@@ -3,8 +3,8 @@
 A series stores the reduced harmonics j = 1..count of the fundamental
 j*fold; the mean is never stored, so every series averages to zero.
 Parity is tracked explicitly: even series carry only cosine
-coefficients, odd series only sine coefficients.  Series are written
-to and read from JSON as coefficient arrays, by series_json and
+coefficients, odd series only sine coefficients.  Even series are
+written to and read from JSON as cosine arrays, by series_json and
 series_from_json alone.
 """
 
@@ -113,34 +113,30 @@ def _coefficients(cos, sin, parity):
     return cos, sin
 
 
-def series_json(fold, cos, sin, parity):
+def series_json(fold, cos):
     """JSON objects, keys fold, count, parity, cos, sin in that order,
-    of the series of one fold and parity whose coefficients are the rows
-    of the (k, N) arrays cos and sin (sin None: no sine part)."""
-    if sin is None:
-        sin = np.zeros_like(cos)
-    return [{"fold": fold, "count": len(c), "parity": parity,
-             "cos": c.tolist(), "sin": s.tolist()} for c, s in zip(cos, sin)]
+    of the even series of one fold whose cosine coefficients are the
+    rows of the (k, N) array cos; their sine lists are zero."""
+    return [{"fold": fold, "count": len(c), "parity": EVEN,
+             "cos": c.tolist(), "sin": [0.0] * len(c)} for c in cos]
 
 
-def series_from_json(objs, parity):
-    """Fold and (k, N) cos and sin arrays of the series_json objects
-    objs, all of the given parity.  Raises KeyError for a missing key,
-    ValueError for a malformed series (_fold, _coefficients), another
-    parity, different folds or counts, or no harmonic.  The count key
-    is not read: the coefficient lists set it."""
+def series_from_json(objs):
+    """Fold and (k, N) cosine array of the series_json objects objs.
+    Raises KeyError for a missing key, ValueError for a malformed series
+    (_fold, _coefficients), one not even, different folds or counts, or
+    no harmonic.  The coefficient lists, not the count key, set N."""
     folds, rows = [], []
     for obj in objs:
         folds.append(_fold(obj["fold"]))
-        rows.append(_coefficients(obj["cos"], obj["sin"], obj["parity"]))
-    if any(obj["parity"] != parity for obj in objs):
-        raise ValueError(f"components must be {parity}")
-    if len(set(folds)) > 1 or len({c.shape for c, _ in rows}) > 1:
+        rows.append(_coefficients(obj["cos"], obj["sin"], obj["parity"])[0])
+    if any(obj["parity"] != EVEN for obj in objs):
+        raise ValueError(f"components must be {EVEN}")
+    if len(set(folds)) > 1 or len({c.shape for c in rows}) > 1:
         raise ValueError("components must share fold and truncation")
-    if not rows or rows[0][0].size == 0:
+    if not rows or rows[0].size == 0:
         raise ValueError("no harmonics")
-    cos, sin = zip(*rows)
-    return folds[0], np.array(cos), np.array(sin)
+    return folds[0], np.array(rows)
 
 
 class ComponentArrays:
@@ -311,17 +307,17 @@ def grid_values(cos, sin, npts, work=None):
 
 
 def even_odd_grid_values(cos, sin, npts):
-    """Values of k even series stacked over those of k odd series.
+    """Values of k even series stacked over those of l odd series.
 
     Row i of the (k, N) array cos holds the cosine coefficients of one
-    even series, row i of sin the sine coefficients of one odd series;
-    the (2k, npts) result is grid_values(cos over zeros, zeros over sin),
-    from one inverse real FFT of a half spectrum filled in place.
+    even series, row i of the (l, N) array sin the sine coefficients of
+    one odd series; the (k + l, npts) result is grid_values(cos over
+    zeros, zeros over sin), from one inverse real FFT.
     """
     k, n = cos.shape
     if 2 * n >= npts:
         raise ValueError(f"{npts} points cannot resolve {n} harmonics")
-    half = half_spectrum(2 * k, npts)
+    half = half_spectrum(k + len(sin), npts)
     np.multiply(cos, 0.5, out=half.real[:k, 1:n + 1])
     np.multiply(sin, -0.5, out=half.imag[k:, 1:n + 1])
     return np.fft.irfft(half, n=npts, axis=1, norm="forward")

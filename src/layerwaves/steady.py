@@ -14,15 +14,13 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import spectral as sp
-from .pencil import CHARGE, SPECIES
+from .pencil import CHARGE, COMPONENT_NAMES, SPECIES
 from .spectral import EVEN, TrigSeries
 
 # Signs in front of the nonlocal potential term per component, and the
 # coefficients of each component inside the charge difference d.
 POT_SIGN = -SPECIES
 D_COEF = CHARGE
-
-COMPONENT_NAMES = ("plus1", "plus2", "minus1", "minus2")
 
 # The monitors sample one fold period at this many points per harmonic.
 MONITOR_GRID_FACTOR = 16
@@ -79,13 +77,13 @@ class InterfaceState(sp.ComponentArrays):
 
     def to_json(self):
         """The four components' JSON objects (spectral.series_json)."""
-        return sp.series_json(self.fold, self.cos, None, EVEN)
+        return sp.series_json(self.fold, self.cos)
 
     @classmethod
     def from_json(cls, obj):
         """State from four JSON objects of even series; raises KeyError
         or ValueError as spectral.series_from_json does."""
-        fold, cos, _ = sp.series_from_json(obj, EVEN)
+        fold, cos = sp.series_from_json(obj)
         return cls.from_arrays(fold, cos)
 
 

@@ -7,6 +7,7 @@ from layerwaves import continuation as ct
 from layerwaves import dynamics as dy
 from layerwaves import pencil as pc
 from layerwaves import spectral as sp
+from layerwaves import steady as st
 from layerwaves.errors import DivergedError
 
 from conftest import wave_at_amplitude
@@ -101,6 +102,27 @@ def test_rhs_of_wave_is_rigid_translation(sym_cfg, sym_branch_pair):
     for got, want in zip(vel.series, expect):
         assert np.max(np.abs(got.sin - want.sin)) < 1e-10
         assert np.max(np.abs(got.cos - want.cos)) < 1e-10
+
+
+@pytest.mark.parametrize("count", [1, 16, 64])
+@pytest.mark.parametrize("fold", [1, 2, 3])
+def test_steady_residual_is_rhs_in_the_moving_frame(sym_cfg, gen_cfg, fold,
+                                                    count):
+    # off the branch too: the traveling-wave residual of an even state is
+    # c w cos - rhs.sin, and the rhs of an even state is odd
+    rng = np.random.default_rng(20 * fold + count)
+    c = 0.7
+    decay = np.exp(-0.3 * np.arange(count))
+    for cfg in (sym_cfg, gen_cfg):
+        state = st.InterfaceState.from_arrays(
+            fold, 0.3 * decay * rng.standard_normal((4, count)))
+        vel = dy.rhs(cfg, dy.PhaseState.from_interface(state))
+        moving = c * state.wavenumbers() * state.cos
+        res = st.residual(cfg, c, state)
+        scale = max(1.0, float(np.max(np.abs(moving))),
+                    float(np.max(np.abs(vel.sin))))
+        assert np.max(np.abs(res - (moving - vel.sin))) <= 1e-13 * scale
+        assert np.max(np.abs(vel.cos)) <= 1e-13 * scale
 
 
 def test_energy_flat_symmetric(sym_cfg):

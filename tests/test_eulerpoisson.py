@@ -122,11 +122,38 @@ def test_map_is_bi_lipschitz(sym_cfg):
         assert d_map >= 0.5 * d_state - 1e-12
 
 
+def zero_padded_ep_residual(state):
+    """ep_residual with its transform built from zero-padded stacks
+    through spectral.grid_values: 4 even state rows over 5 zero rows,
+    4 zero rows over 5 odd rows (the derivatives and the force)."""
+    n = state.count
+    out_n = 3 * n + 3
+    w = state.wavenumbers()
+    zero = np.zeros((5, n))
+    force = (state.cos[0] - state.cos[1]) / w
+    vals = sp.grid_values(np.concatenate((state.cos, zero)),
+                          np.concatenate((zero[:4], -w * state.cos,
+                                          force[None])), 8 * out_n)
+    rho = vals[0:2] + state.base_a
+    u, drho, du, field = vals[2:4], vals[4:6], vals[6:8], vals[8]
+    flux = drho * u + rho * du
+    cont = flux - state.c * drho
+    mom = ((u - state.c) * flux + rho * u * du + rho * rho * drho
+           + np.array([[-2.0], [2.0]]) * rho * field)
+    res = np.array([cont[0], mom[0], cont[1], mom[1]])
+    _, coeffs = sp.grid_coefficients(res, out_n)
+    sups = dict(zip(ep.RESIDUAL_NAMES, np.max(np.abs(res), axis=1).tolist()))
+    return coeffs, sups
+
+
 def assert_matches_direct(state):
     """Sups and coefficients of ep_residual against direct_ep_residual,
-    to round-off on the scale of the residual terms."""
+    to round-off on the scale of the residual terms, and against
+    zero_padded_ep_residual bit for bit."""
     want = direct_ep_residual(state)
     coeffs, sups = ep.ep_residual(state)
+    padded_coeffs, padded_sups = zero_padded_ep_residual(state)
+    assert np.array_equal(coeffs, padded_coeffs) and sups == padded_sups
     assert tuple(sups) == ep.RESIDUAL_NAMES == tuple(want)
     assert coeffs.shape == (4, 3 * state.count + 3)
     grid = 8 * (3 * state.count + 3)
@@ -253,8 +280,8 @@ def test_ep_json_rewrites_to_the_same_bytes(sym_cfg, sym_branch_pair):
     text = json.dumps(ep.map_to_ep(sym_cfg, plus.points[10].solution)
                       .to_json(), indent=1)
     obj = json.loads(text)
-    fold, cos, _ = sp.series_from_json(
-        [obj[name]["series"] for name in ep.EP_NAMES], sp.EVEN)
+    fold, cos = sp.series_from_json(
+        [obj[name]["series"] for name in ep.EP_NAMES])
     again = ep.EPState.from_arrays(fold, cos)
     again.base_a, again.c = obj["a"], obj["c"]
     assert json.dumps(again.to_json(), indent=1) == text

@@ -37,8 +37,8 @@ def kernel_state(m, cfg, c_star, count=2):
 
 
 def second_harmonic_state(m, cfg, c_star, count=2):
-    return mode_state(m, lb.second_harmonic_amplitude(m, cfg, c_star), 2,
-                      count)
+    t = lb.local_expansion(m, cfg, c_star).second_harmonic_amp
+    return mode_state(m, t, 2, count)
 
 
 def oracle_curvature(m, cfg, c_star):
@@ -96,7 +96,7 @@ def test_second_harmonic_support(sym_cfg, suc_cfg, gen_cfg):
     # every component carries the doubled mode
     for cfg in (sym_cfg, suc_cfg, gen_cfg):
         for c_star in pc.bifurcation_speeds(1, cfg).admissible():
-            t = lb.second_harmonic_amplitude(1, cfg, c_star)
+            t = lb.local_expansion(1, cfg, c_star).second_harmonic_amp
             assert t.shape == (4,) and np.all(t != 0.0)
 
 
@@ -106,7 +106,7 @@ def test_curvature_matches_hessian_oracle(sym_cfg, suc_cfg, gen_cfg, m):
     for cfg in (sym_cfg, suc_cfg, gen_cfg):
         for c_star in pc.bifurcation_speeds(m, cfg).admissible():
             want = oracle_curvature(m, cfg, c_star)
-            got = lb.speed_curvature(m, cfg, c_star)
+            got = lb.local_expansion(m, cfg, c_star).speed_curvature
             assert got == pytest.approx(want, rel=1e-14)
             checked += 1
     assert checked >= 4
@@ -122,7 +122,7 @@ def test_second_harmonic_near_component_asymptotics(gen_cfg):
     a = gen_cfg.as_array()
     for c_star in roots:
         q = int(np.argmin(np.abs(a - c_star)))
-        t = lb.second_harmonic_amplitude(m, gen_cfg, c_star)
+        t = lb.local_expansion(m, gen_cfg, c_star).second_harmonic_amp
         g = a[q] - c_star
         assert t[q] == pytest.approx((2.0 / 3.0) / g ** 3, rel=0.1)
 
@@ -131,16 +131,16 @@ def test_resonant_doubled_mode_detected(sym_cfg):
     # a speed that makes the doubled mode itself singular trips the guard
     c_double = pc.bifurcation_speeds(2, sym_cfg).admissible()[-1]
     with pytest.raises(ResonantHarmonicError):
-        lb.second_harmonic_amplitude(1, sym_cfg, c_double)
+        lb.local_expansion(1, sym_cfg, c_double)
 
 
 def test_curvature_value_and_sign_symmetric(sym_cfg):
-    curv = lb.speed_curvature(1, sym_cfg, SQRT5)
+    curv = lb.local_expansion(1, sym_cfg, SQRT5).speed_curvature
     assert curv == pytest.approx(CURVATURE_SYM_M1, rel=1e-10)
     assert curv > 0.0  # supercritical: the speed exceeds both interfaces
     # mirror arm bifurcates downward
-    assert lb.speed_curvature(1, sym_cfg, -SQRT5) == pytest.approx(
-        -CURVATURE_SYM_M1, rel=1e-10)
+    assert lb.local_expansion(1, sym_cfg, -SQRT5).speed_curvature == (
+        pytest.approx(-CURVATURE_SYM_M1, rel=1e-10))
 
 
 def test_curvature_large_mode_asymptotics(gen_cfg):
@@ -150,7 +150,7 @@ def test_curvature_large_mode_asymptotics(gen_cfg):
     a = gen_cfg.as_array()
     for c_star in np.sort(pc.quartic_roots(m, gen_cfg).real):
         q = int(np.argmin(np.abs(a - c_star)))
-        curv = lb.speed_curvature(m, gen_cfg, c_star)
+        curv = lb.local_expansion(m, gen_cfg, c_star).speed_curvature
         g = a[q] - c_star
         assert curv == pytest.approx(-(1.0 / 3.0) / g ** 3, rel=0.1)
         assert (curv > 0) == (c_star > a[q])

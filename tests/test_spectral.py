@@ -142,6 +142,26 @@ def test_grid_values_match_direct_evaluation(parity, fold, count):
             assert np.array_equal(sp.grid_values(cos, None, npts), got)
 
 
+@pytest.mark.parametrize("k, l", [(4, 5), (1, 3), (6, 6)])
+@pytest.mark.parametrize("count", [1, 16, 64])
+def test_even_odd_grid_values_are_padded_grid_values(k, l, count):
+    # k even rows over l odd ones: grid_values of the stacks padded with
+    # zero rows, bit for bit, just above 2N points and on the
+    # Euler-Poisson residual's grid
+    rng = np.random.default_rng(100 * k + 10 * l + count)
+    cos = rng.standard_normal((k, count))
+    sin = rng.standard_normal((l, count))
+    for npts in (2 * count + 1, 2 * count + 2, 8 * (3 * count + 3)):
+        got = sp.even_odd_grid_values(cos, sin, npts)
+        want = sp.grid_values(
+            np.concatenate((cos, np.zeros((l, count)))),
+            np.concatenate((np.zeros((k, count)), sin)), npts)
+        assert got.shape == (k + l, npts)
+        assert np.array_equal(got, want), npts
+    with pytest.raises(ValueError, match="cannot resolve"):
+        sp.even_odd_grid_values(cos, sin, 2 * count)
+
+
 @pytest.mark.parametrize("count", [1, 8, 17, 64])
 def test_grid_values_work_array_keeps_no_state(count):
     # calls with and without a sine part alternate on one work array;
@@ -227,13 +247,14 @@ def test_series_validation():
 
 def test_json_roundtrip():
     rng = np.random.default_rng(4)
-    f = random_series(rng, fold=3, count=5)
-    objs = sp.series_json(f.fold, f.cos[None], f.sin[None], f.parity)
-    fold, cos, sin = sp.series_from_json(json.loads(json.dumps(objs)),
-                                         f.parity)
-    g = TrigSeries(fold, cos[0], sin[0], f.parity)
-    assert g.fold == f.fold and g.parity == f.parity
-    assert np.array_equal(g.cos, f.cos) and np.array_equal(g.sin, f.sin)
+    cos = rng.standard_normal((4, 5))
+    objs = sp.series_json(3, cos)
+    assert [list(obj) for obj in objs] == [
+        ["fold", "count", "parity", "cos", "sin"]] * 4
+    assert all(obj["parity"] == EVEN and obj["count"] == 5
+               and obj["sin"] == [0.0] * 5 for obj in objs)
+    fold, back = sp.series_from_json(json.loads(json.dumps(objs)))
+    assert fold == 3 and np.array_equal(back, cos)
 
 
 def _even_objs(count=2):
@@ -243,16 +264,15 @@ def _even_objs(count=2):
 
 
 def test_series_from_json_reads_even_components():
-    fold, cos, sin = sp.series_from_json(_even_objs(3), EVEN)
+    fold, cos = sp.series_from_json(_even_objs(3))
     assert fold == 2 and isinstance(fold, int)
     assert np.array_equal(cos, [[0.5, 0, 0], [1.0, 0, 0], [1.5, 0, 0],
                                 [2.0, 0, 0]])
-    assert np.array_equal(sin, np.zeros((4, 3)))
     # an integral float fold is that integer; the count key is not read
     objs = _even_objs(3)
     for obj in objs:
         obj.update(fold=2.0, count=7)
-    assert sp.series_from_json(objs, EVEN)[0] == 2
+    assert sp.series_from_json(objs)[0] == 2
 
 
 @pytest.mark.parametrize("index, change, message", [
@@ -278,14 +298,14 @@ def test_series_from_json_refuses_malformed_fields(index, change, message):
     objs = _even_objs()
     objs[index] = dict(objs[index], **change)
     with pytest.raises(ValueError, match=message):
-        sp.series_from_json(objs, EVEN)
+        sp.series_from_json(objs)
 
 
 def test_series_from_json_needs_a_harmonic_and_every_key():
     empty = [dict(obj, count=0, cos=[], sin=[]) for obj in _even_objs()]
     with pytest.raises(ValueError, match="no harmonics"):
-        sp.series_from_json(empty, EVEN)
+        sp.series_from_json(empty)
     objs = _even_objs()
     del objs[2]["sin"]
     with pytest.raises(KeyError, match="sin"):
-        sp.series_from_json(objs, EVEN)
+        sp.series_from_json(objs)
