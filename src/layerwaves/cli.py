@@ -24,8 +24,8 @@ from . import steady as st
 from .errors import ConfigError, DivergedError, LayerError, WaveFileError
 from .spectral import NormParams, norm_weight
 
-# Largest accepted truncation --n.  The dense (4N+1)^2 Newton matrix,
-# built only when GMRES stalls, takes 134 MB at this bound.
+# Largest accepted truncation, --n or a wave file's N.  The dense (4N+1)^2
+# Newton matrix, built only when GMRES stalls, takes 134 MB at this bound.
 MAX_N = 1024
 # Largest number of RK4 steps `evolve` takes, given or computed from the
 # horizon.
@@ -341,6 +341,9 @@ def _load_wave(path):
         raise WaveFileError(f"invalid wave file {path}: {exc}") from None
     if not np.isfinite(c):
         raise WaveFileError(f"invalid wave file {path}: c={c} is not finite")
+    if state.count > MAX_N:
+        raise WaveFileError(f"invalid wave file {path}: N={state.count} "
+                            f"exceeds the bound {MAX_N}")
     if not pc.pencil_is_finite(state.fold, layer):
         raise WaveFileError(f"invalid wave file {path}: fold and "
                             f"velocities overflow the pencil")
@@ -418,7 +421,7 @@ def execute(run):
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from None
     try:
-        if run.from_wave and run.command in ("evolve", "ep"):
+        if run.from_wave and "from_wave" in COMMANDS[run.command][1]:
             # from here on, outputs and error.json record the wave's run
             layer, c, state = _load_wave(run.from_wave)
             run = _wave_run(run, layer, state)

@@ -121,7 +121,10 @@ def _stack(c, state):
 
 
 def _unstack(u, fold, count):
-    return float(u[0]), st.InterfaceState.from_vector(fold, count, u[1:])
+    """c and the state of u = (c, stacked coefficients): a read-only (4, N)
+    view of u's coefficients, unchecked; u must not change while in use."""
+    return float(u[0]), st.InterfaceState.from_arrays(
+        fold, u[1:].reshape(4, count))
 
 
 def _gmres(apply, precondition, rhs, tol, max_iters):
@@ -226,8 +229,8 @@ def newton_correct(cfg, guess, constraint, fold, count,
                    tol=ContinuationOptions.newton_tol):
     """Damped Newton on [residual; arclength constraint].
 
-    Iterates on u alone (residual and Jacobian see its coefficients as a
-    (4, N) view).  From KRYLOV_MIN_COUNT harmonics on, each step is a
+    Iterates on u alone; residual and Jacobian see its state through
+    _unstack.  From KRYLOV_MIN_COUNT harmonics on, each step is a
     matrix-free GMRES solve (_krylov_step); below it, or when GMRES
     stalls, the Jacobian is written into the one bordered matrix and
     solved densely.  An overflowing trial shows as a non-finite sup and
@@ -243,12 +246,9 @@ def newton_correct(cfg, guess, constraint, fold, count,
     A = None
     krylov_iters = dense_solves = 0
 
-    def view(u):
-        return st.InterfaceState.from_arrays(fold, u[1:].reshape(4, count))
-
     def full_residual(u):
         with np.errstate(over="ignore", invalid="ignore"):
-            r = st.residual_vector(cfg, u[0], view(u))
+            r = st.residual_vector(cfg, *_unstack(u, fold, count))
             return np.append(r, constraint.value(u))
 
     res = full_residual(u)
@@ -261,7 +261,7 @@ def newton_correct(cfg, guess, constraint, fold, count,
             return sol, it
         if it == MAX_NEWTON:
             break
-        state = view(u)
+        c, state = _unstack(u, fold, count)
         step = None
         if count >= KRYLOV_MIN_COUNT:
             step, k = _krylov_step(cfg, u, state, constraint.tangent, res)
@@ -269,8 +269,8 @@ def newton_correct(cfg, guess, constraint, fold, count,
         if step is None:
             if A is None:
                 A = np.empty((n + 1, n + 1))
-            A[:n, 0] = st.speed_derivative_vector(cfg, u[0], state)
-            st.jacobian(cfg, u[0], state, out=A[:n, 1:])
+            A[:n, 0] = st.speed_derivative_vector(cfg, c, state)
+            st.jacobian(cfg, c, state, out=A[:n, 1:])
             A[n, :] = constraint.tangent
             dense_solves += 1
             try:
@@ -319,8 +319,8 @@ def detect_termination(branch):
         n = max(sol.state.count, first.solution.state.count)
         diff = (sol.state.with_count(n).cos
                 - first.solution.state.with_count(n).cos)
-        dist = abs(sol.c - first.solution.c) + np.max(
-            sp.norms(diff, 0.0, opts.norm_params))
+        dist = (abs(sol.c - first.solution.c)
+                + sp.norm(diff, opts.norm_params))
         if dist <= LOOP_TOL:
             triggered.append(LOOP)
     if 1.0 + abs(sol.c) + last.norm >= BLOW_UP_CAP:
@@ -346,8 +346,7 @@ def _tail_heavy(state, total, opts):
         return False
     tail = state.cos.copy()
     tail[:, :head] = 0.0
-    tail_norm = np.max(sp.norms(tail, 0.0, opts.norm_params))
-    return tail_norm > TAIL_NORM_TOL * total
+    return sp.norm(tail, opts.norm_params) > TAIL_NORM_TOL * total
 
 
 def _accept(branch, u_prev, sol, iters, next_step, norm):
@@ -458,20 +457,3 @@ def trace_arm(origin, arm, opts, plus=None):
                               sol.state.norm(opts.norm_params)), ds)
     return branch
 
-
-def restart(branch, index, opts=None):
-    """Re-run continuation from the stored point `index`; deterministic
-    stepping makes the result reproduce the original tail of the branch,
-    to round-off if the branch is the image of a + arm."""
-    opts = opts or branch.options
-    pt = branch.points[index]
-    # keep the accumulated arclength so loop bookkeeping matches; the
-    # norm follows the weights of opts
-    start = replace(pt, tangent=pt.tangent.copy(),
-                    norm=pt.solution.state.norm(opts.norm_params))
-    new = Branch(points=[start],
-                 origin=branch.origin, arm=branch.arm,
-                 termination=RUNNING, options=opts)
-    _advance(new, _stack(pt.solution.c, pt.solution.state),
-             pt.tangent.copy(), pt.next_step)
-    return new

@@ -18,6 +18,7 @@ from .spectral import TrigSeries
 
 # Sign of the nonlocal coupling per component (+ species positive) and
 # the alternating signs of the Hamiltonian operator J = diag(+-d/dx).
+# CHARGE @ r is the charge difference d = (r_+^2 - r_+^1) - (r_-^2 - r_-^1).
 COUPLING_SIGN = SPECIES
 J_SIGN = -SPECIES * CHARGE
 KIN_SIGN = SPECIES * CHARGE  # (-1)^k per component
@@ -40,10 +41,6 @@ class PhaseState(sp.ComponentArrays):
         return tuple(TrigSeries(self.fold, c, s)
                      for c, s in zip(self.cos, self.sin))
 
-    def sup_norms(self):
-        vals = sp.grid_values(self.cos, self.sin, 8 * self.count)
-        return [float(v) for v in np.max(np.abs(vals), axis=1)]
-
     def combine(self, others, weights):
         """Linear combination self + sum_i weights[i] * others[i]."""
         cos = self.cos.copy()
@@ -52,12 +49,6 @@ class PhaseState(sp.ComponentArrays):
             cos += w * o.cos
             sin += w * o.sin
         return PhaseState.from_arrays(self.fold, cos, sin)
-
-
-def _charge(coeffs):
-    """Coefficients of d = (r_+^2 - r_+^1) - (r_-^2 - r_-^1) = CHARGE . r;
-    the components are the rows of the next-to-last axis of coeffs."""
-    return CHARGE @ coeffs
 
 
 @dataclass
@@ -91,7 +82,7 @@ def _tendency(cfg, fold, count):
         cos, sin = x
         vals = sp.grid_values(cos, sin, npts, work)
         sq_cos, sq_sin = sp.grid_coefficients(vals * vals, count)
-        qcos, qsin = _charge(x)
+        qcos, qsin = CHARGE @ x
         out = np.empty_like(x)
         out[0] = -(half_w * sq_sin + aw * sin + coupling * qsin)
         out[1] = half_w * sq_cos + aw * cos + coupling * qcos
@@ -120,7 +111,7 @@ def energy(cfg, state):
     vals = sp.grid_values(state.cos, state.sin, 4 * state.count) + a[:, None]
     e_kin = float(np.mean((vals[1] ** 3 - vals[0] ** 3
                            + vals[3] ** 3 - vals[2] ** 3) / 6.0))
-    qcos, qsin = _charge(state.cos), _charge(state.sin)
+    qcos, qsin = CHARGE @ state.cos, CHARGE @ state.sin
     e_pot = 0.25 * float(np.sum((qcos ** 2 + qsin ** 2)
                                 / state.wavenumbers() ** 2))
     return EnergyReport(e_kin, e_pot)
@@ -137,7 +128,7 @@ def grad_energy(cfg, state):
     a = cfg.as_array()
     vals = sp.grid_values(state.cos, state.sin, 4 * state.count)
     sq_cos, sq_sin = sp.grid_coefficients(vals ** 2, state.count)
-    qcos, qsin = _charge(state.cos), _charge(state.sin)
+    qcos, qsin = CHARGE @ state.cos, CHARGE @ state.sin
     pot = COUPLING_SIGN[:, None] / state.wavenumbers() ** 2  # -+ dxx^-1
     kin, ac = KIN_SIGN[:, None], a[:, None]
     cos = kin * (0.5 * sq_cos + ac * state.cos + pot * qcos)
@@ -174,7 +165,8 @@ class Trajectory:
         """One row per stored state, keyed by column name."""
         rows = []
         for t, state, e in zip(self.times, self.states, self.energies):
-            sups = zip(COMPONENT_NAMES, state.sup_norms())
+            vals = sp.grid_values(state.cos, state.sin, 8 * state.count)
+            sups = zip(COMPONENT_NAMES, np.max(np.abs(vals), axis=1).tolist())
             rows.append({"t": t, "e_kin": e.e_kin, "e_pot": e.e_pot,
                          "e_total": e.e_total,
                          **{f"sup_{name}": sup for name, sup in sups}})

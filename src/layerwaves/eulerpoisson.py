@@ -1,11 +1,12 @@
-"""Affine correspondence with the two-component isentropic Euler-Poisson
-system (cubic pressure) in the symmetric regime, and a traveling-wave
+"""Affine map of symmetric-regime wave solutions to the two-component
+isentropic Euler-Poisson system (cubic pressure), and a traveling-wave
 residual checker for the mapped solutions.
 
 Densities are stored as zero-mean series around the base level a;
 velocities are zero-mean.  The map (rho, u) = (a + (r2 - r1)/2,
-(r2 + r1)/2) is affine, invertible, and bi-Lipschitz with constants
-one half and one in the component-max norm.
+(r2 + r1)/2) is affine, invertible (r2 = u + rho - a, r1 = u - rho + a
+per species), and bi-Lipschitz with constants one half and one in the
+component-max norm.
 """
 
 import numpy as np
@@ -21,16 +22,12 @@ RESIDUAL_NAMES = ("continuity_plus", "momentum_plus",
                   "continuity_minus", "momentum_minus")
 
 # TO_EP maps the interfaces (plus1, plus2, minus1, minus2) to the
-# zero-mean parts of (rho_+, rho_-, u_+, u_-); FROM_EP is its inverse.
-# Their entries are +-1/2, +-1 and 0, so both maps are exact.
+# zero-mean parts of (rho_+, rho_-, u_+, u_-).  Its entries are +-1/2
+# and 0, so the map is exact.
 TO_EP = 0.5 * np.array([[-1.0, 1.0, 0.0, 0.0],
                         [0.0, 0.0, -1.0, 1.0],
                         [1.0, 1.0, 0.0, 0.0],
                         [0.0, 0.0, 1.0, 1.0]])
-FROM_EP = np.array([[-1.0, 0.0, 1.0, 0.0],
-                    [1.0, 0.0, 1.0, 0.0],
-                    [0.0, -1.0, 0.0, 1.0],
-                    [0.0, 1.0, 0.0, 1.0]])
 
 
 class EPState(sp.ComponentArrays):
@@ -75,11 +72,6 @@ def map_to_ep(cfg, sol):
     state = EPState.from_arrays(sol.state.fold, TO_EP @ sol.state.cos)
     state.base_a, state.c = a, sol.c
     return state
-
-
-def map_from_ep(state):
-    """Inverse map: r2 = u + rho - a, r1 = u - rho + a (per species)."""
-    return st.InterfaceState.from_arrays(state.fold, FROM_EP @ state.cos)
 
 
 def ep_residual(state):

@@ -249,17 +249,16 @@ def norm_weight(count, params):
     return weight
 
 
-def norms(cos, sin, params):
-    """Sobolev-analytic coefficient norms (sum_j w_j (a_j^2 + b_j^2))^(1/2)
-    of the series whose cosine and sine coefficients are the rows of
-    (k, N) arrays (or of one row each; sin may be 0).  A weight that
-    overflows makes the norm infinite where it meets a nonzero
-    coefficient; zero coefficients add nothing."""
+def norm(cos, params):
+    """Largest Sobolev-analytic coefficient norm (sum_j w_j a_j^2)^(1/2)
+    over the even series whose cosine coefficients are the rows of the
+    (k, N) array cos.  A weight that overflows makes the norm infinite
+    where it meets a nonzero coefficient; zero coefficients add nothing."""
     with np.errstate(over="ignore"):
-        sq = cos ** 2 + sin ** 2
-        weighted = np.multiply(norm_weight(np.shape(cos)[-1], params), sq,
-                               out=np.zeros(np.shape(sq)), where=sq != 0.0)
-    return np.sqrt(np.sum(weighted, axis=-1))
+        sq = cos ** 2
+        weighted = np.multiply(norm_weight(cos.shape[1], params), sq,
+                               out=np.zeros(sq.shape), where=sq != 0.0)
+    return float(np.max(np.sqrt(np.sum(weighted, axis=1))))
 
 
 def shift_factors(fold, count, h):

@@ -44,14 +44,6 @@ class InterfaceState(sp.ComponentArrays):
             raise ValueError("interface components must be even-cosine")
         super().__init__(series)
 
-    @classmethod
-    def from_vector(cls, fold, count, vec):
-        """State from 4N stacked cosine coefficients; refuses non-finite."""
-        cos = np.array(vec, dtype=float).reshape(4, count)
-        if not np.all(np.isfinite(cos)):
-            raise ValueError("non-finite coefficients")
-        return cls.from_arrays(fold, cos)
-
     @property
     def series(self):
         """The four components as even TrigSeries."""
@@ -73,7 +65,7 @@ class InterfaceState(sp.ComponentArrays):
         return InterfaceState.from_arrays(self.fold, factor * self.cos)
 
     def norm(self, params):
-        return float(np.max(sp.norms(self.cos, 0.0, params)))
+        return sp.norm(self.cos, params)
 
     def to_json(self):
         """The four components' JSON objects (spectral.series_json)."""

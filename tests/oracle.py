@@ -1,16 +1,29 @@
 """Code that only the tests use.  Plain functions on spectral.TrigSeries:
 zero series, sine series, padding, linear combinations, the
-antiderivative, the one-series norm, and the scan for the smallest
-admissible mode of a generic layer.  And RK4 on PhaseState objects, one
-rhs call and one combine per stage, as the oracle of dynamics.evolve."""
+antiderivative, the full-series (cosine and sine) norm, and the scan for
+the smallest admissible mode of a generic layer.  A checked state from
+stacked coefficients (from_vector), a branch restarted from one of its
+points (restart), and the inverse Euler-Poisson map (map_from_ep with
+its matrix FROM_EP).  And RK4 on PhaseState objects, one rhs call and
+one combine per stage, as the oracle of dynamics.evolve."""
+
+from dataclasses import replace
 
 import numpy as np
 
+from layerwaves import continuation as ct
 from layerwaves import dynamics as dy
 from layerwaves import pencil as pc
 from layerwaves import spectral as sp
+from layerwaves import steady as st
 from layerwaves.errors import LayerError
 from layerwaves.spectral import FULL, ODD, TrigSeries
+
+# Inverse of eulerpoisson.TO_EP: entries +-1 and 0, so it is exact.
+FROM_EP = np.array([[-1.0, 0.0, 1.0, 0.0],
+                    [1.0, 0.0, 1.0, 0.0],
+                    [0.0, -1.0, 0.0, 1.0],
+                    [0.0, 1.0, 0.0, 1.0]])
 
 
 class NoAdmissibleModeError(LayerError):
@@ -71,8 +84,42 @@ def antideriv(f):
 
 
 def norm(f, params):
-    """Coefficient norm of one series (see spectral.norms)."""
-    return float(sp.norms(f.cos, f.sin, params))
+    """Coefficient norm (sum_j w_j (a_j^2 + b_j^2))^(1/2) of one series,
+    with the weights w_j of spectral.norm_weight."""
+    weighted = sp.norm_weight(f.count, params) * (f.cos ** 2 + f.sin ** 2)
+    return float(np.sqrt(np.sum(weighted)))
+
+
+def from_vector(fold, count, vec):
+    """InterfaceState from 4N stacked cosine coefficients, copied;
+    refuses non-finite ones."""
+    cos = np.array(vec, dtype=float).reshape(4, count)
+    if not np.all(np.isfinite(cos)):
+        raise ValueError("non-finite coefficients")
+    return st.InterfaceState.from_arrays(fold, cos)
+
+
+def restart(branch, index, opts=None):
+    """Re-run continuation from the stored point `index`; deterministic
+    stepping makes the result reproduce the original tail of the branch,
+    to round-off if the branch is the image of a + arm."""
+    opts = opts or branch.options
+    pt = branch.points[index]
+    # keep the accumulated arclength so loop bookkeeping matches; the
+    # norm follows the weights of opts
+    start = replace(pt, tangent=pt.tangent.copy(),
+                    norm=pt.solution.state.norm(opts.norm_params))
+    new = ct.Branch(points=[start], origin=branch.origin, arm=branch.arm,
+                    termination=ct.RUNNING, options=opts)
+    ct._advance(new, ct._stack(pt.solution.c, pt.solution.state),
+                pt.tangent.copy(), pt.next_step)
+    return new
+
+
+def map_from_ep(state):
+    """Inverse Euler-Poisson map: r2 = u + rho - a, r1 = u - rho + a (per
+    species), as an InterfaceState."""
+    return st.InterfaceState.from_arrays(state.fold, FROM_EP @ state.cos)
 
 
 def min_admissible_mode(cfg, cap):

