@@ -64,7 +64,7 @@ class RunConfig:
 
 # The flags of every command, and each command's help and own flags.
 # A flag --x-y sets the RunConfig field x_y; --config names a flat
-# key = value file of the same fields, which the flags override.
+# key = value file of the command's own fields, which flags override.
 COMMON_OPTIONS = ("a", "m", "n", "s", "sigma", "tol", "config", "out")
 COMMANDS = {
     "speeds": ("bifurcation speeds of one mode", ()),
@@ -231,6 +231,8 @@ def parse(argv):
     for key, given in values.items():
         if key not in kinds:
             raise ConfigError(f"unknown option {key!r}")
+        if key not in COMMANDS[ns.command][1] + COMMON_OPTIONS:
+            raise ConfigError(f"{ns.command} takes no option {key!r}")
         for val in given:  # every value is checked; the last one counts
             setattr(cfg, key, _convert(key, val, kinds[key]))
     _check_ranges(cfg)

@@ -67,15 +67,13 @@ def _tendency(cfg, fold, count):
     array are made once, here.
 
     Each product r_i dx r_i is formed as (1/2) dx(r_i^2): one inverse
-    FFT of the four states to 4N points of one fold period, a pointwise
-    square, one forward FFT back to harmonics 1..N.  r_i^2 reaches
-    harmonic 2N, whose grid alias 4N - 2N lies above N, so the kept
-    harmonics are those of the exact square."""
+    FFT of the four states to spectral's product grid, a pointwise
+    square, one forward FFT back to the exact harmonics 1..N."""
     w = fold * np.arange(1, count + 1, dtype=float)
     aw = cfg.as_array()[:, None] * w
     half_w = 0.5 * w
     coupling = COUPLING_SIGN[:, None] / w
-    npts = 4 * count
+    npts = sp.PRODUCT_GRID_FACTOR * count
     work = sp.half_spectrum(4, npts)
 
     def f(x):
@@ -104,11 +102,11 @@ def energy(cfg, state):
     """Total energy: strip-integrated kinetic energy by exact grid
     quadrature plus the nonnegative electrostatic energy in coefficients.
 
-    The grid values come from one inverse FFT of all four components;
-    the cubic integrand has harmonics up to 3N, so the mean over 4N
-    uniform points of one fold period is still its exact integral."""
+    The grid values come from one inverse FFT of all four components to
+    spectral's product grid, where the cubic integrand's mean is exact."""
     a = cfg.as_array()
-    vals = sp.grid_values(state.cos, state.sin, 4 * state.count) + a[:, None]
+    npts = sp.PRODUCT_GRID_FACTOR * state.count
+    vals = sp.grid_values(state.cos, state.sin, npts) + a[:, None]
     e_kin = float(np.mean((vals[1] ** 3 - vals[0] ** 3
                            + vals[3] ** 3 - vals[2] ** 3) / 6.0))
     qcos, qsin = CHARGE @ state.cos, CHARGE @ state.sin
@@ -123,10 +121,11 @@ def grad_energy(cfg, state):
     the zero-mean parts as a PhaseState; the means matter only for
     pairings, the Hamiltonian operator annihilates them.
 
-    r^2 goes through one round trip on 4N points of one fold period,
-    which give its harmonics 1..N and its mean exactly."""
+    r^2 makes one round trip on spectral's product grid, which gives its
+    harmonics 1..N and its mean exactly."""
     a = cfg.as_array()
-    vals = sp.grid_values(state.cos, state.sin, 4 * state.count)
+    npts = sp.PRODUCT_GRID_FACTOR * state.count
+    vals = sp.grid_values(state.cos, state.sin, npts)
     sq_cos, sq_sin = sp.grid_coefficients(vals ** 2, state.count)
     qcos, qsin = CHARGE @ state.cos, CHARGE @ state.sin
     pot = COUPLING_SIGN[:, None] / state.wavenumbers() ** 2  # -+ dxx^-1

@@ -47,8 +47,8 @@ def _doubled_mode_solve(m, cfg, c_star, recip_sq):
     """Amplitude vector t of the correction t cos(2 m x): solves the
     doubled-mode system  M_{2m} t = 2 m^2 w,  w = (a-c)^-2 component-wise."""
     M2 = pc.mode_matrix(2 * m, cfg, c_star)
-    scale = np.max(np.abs(M2))
-    if abs(np.linalg.det(M2)) <= 1e-12 * scale ** 4:
+    # Hadamard's bound: |det M2| is at most the product of its row norms
+    if abs(np.linalg.det(M2)) <= 1e-12 * np.prod(np.linalg.norm(M2, axis=1)):
         raise ResonantHarmonicError(
             f"doubled mode 2m={2 * m} is singular at c={c_star!r}")
     return np.linalg.solve(M2, 2.0 * m * m * recip_sq)

@@ -191,8 +191,8 @@ def bifurcation_speeds(m, cfg):
         records = [
             SpeedRecord(complex(a[0]), 1, False, "closed-form"),
             SpeedRecord(complex(a[1]), 1, False, "closed-form"),
-            SpeedRecord(complex(lo), 1, True, "closed-form"),
-            SpeedRecord(complex(hi), 1, True, "closed-form"),
+            SpeedRecord(complex(lo), 1, not _near_component(lo, cfg), "closed-form"),
+            SpeedRecord(complex(hi), 1, not _near_component(hi, cfg), "closed-form"),
         ]
     elif cfg.regime == SUCCESSIVE:
         if abs(cfg.a_plus_2 - cfg.a_minus_1) <= _EQ_TOL:

@@ -21,6 +21,10 @@ ODD = "odd-sine"
 FULL = "full"
 
 _PARITIES = (EVEN, ODD, FULL)
+# Points per harmonic of the product grid.  On 4N points a square of
+# series cut at N is exact on harmonics 0..N (harmonic k <= 2N aliases to
+# 4N - k >= 2N), and a cubic, reaching 3N < 4N, has its exact mean.
+PRODUCT_GRID_FACTOR = 4
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ monitors.
 A state is a quadruple of even cosine series sharing fold and
 truncation, held as one (4, N) coefficient array; residuals are the
 (4, N) sine coefficients of four odd series.  The quadratic transport
-term is formed exactly up to twice the truncation and then projected
-back (Galerkin), so the only discretization error is the reported tail.
+term is formed exactly on harmonics 1..N (Galerkin); its harmonics
+N+1..2N, the truncation's discarded tail, are not formed.
 """
 
 from dataclasses import dataclass
@@ -24,11 +24,6 @@ D_COEF = CHARGE
 
 # The monitors sample one fold period at this many points per harmonic.
 MONITOR_GRID_FACTOR = 16
-# The residual's products reach harmonic 2N; on 5N > 4N points none of
-# them aliases onto another.
-RESIDUAL_GRID_FACTOR = 5
-# The linearization multiplies by r_i, reaching harmonic 2N: 4N points.
-LINEAR_GRID_FACTOR = 4
 
 
 class InterfaceState(sp.ComponentArrays):
@@ -101,28 +96,23 @@ class WaveSolution:
                 "dense_solves": self.dense_solves}
 
 
-def residual(cfg, c, state, with_tail=False):
+def residual(cfg, c, state):
     """Galerkin residual of the traveling-wave system: the (4, N) sine
     coefficients of its four odd components.
 
     Component i: (r_i + a_i - c) dx r_i  -+  dx^-1(d), with the minus
-    sign on the plus species.  The products r_i dx r_i are formed on one
-    grid of RESIDUAL_GRID_FACTOR*N points of one fold period: one inverse
-    FFT of the states and derivatives, a pointwise product, one forward
-    FFT back to harmonics 1..2N, all of them exact.  If with_tail is
-    set, also returns the sup of the discarded harmonics N+1..2N.
+    sign on the plus species.  Each product r_i dx r_i is formed as
+    (1/2) dx(r_i^2): one inverse FFT of the states to the product grid
+    (spectral.PRODUCT_GRID_FACTOR*N points of one fold period), a
+    pointwise square, one forward FFT back to the exact harmonics 1..N.
     """
     a = cfg.as_array()[:, None]
     n = state.count
     w = state.wavenumbers()
-    dsin = -w * state.cos  # sine coefficients of dx r
-    vals = sp.even_odd_grid_values(state.cos, dsin, RESIDUAL_GRID_FACTOR * n)
-    _, full = sp.grid_coefficients(vals[:4] * vals[4:], 2 * n)
+    vals = sp.grid_values(state.cos, None, sp.PRODUCT_GRID_FACTOR * n)
+    sq, _ = sp.grid_coefficients(vals * vals, n)
     pot = (D_COEF @ state.cos) / w  # sine coefficients of dx^-1(d)
-    out = full[:, :n] + (a - c) * dsin + POT_SIGN[:, None] * pot
-    if with_tail:
-        return out, float(np.max(np.abs(full[:, n:]), initial=0.0))
-    return out
+    return POT_SIGN[:, None] * pot - w * (0.5 * sq + (a - c) * state.cos)
 
 
 def residual_vector(cfg, c, state):
@@ -177,8 +167,8 @@ def linearization(cfg, c, state):
 
     matvec(h) is jacobian(cfg, c, state) applied to the cosine
     coefficients h: the sine coefficients of dx(q_i h_i) -+ dx^-1(d(h)),
-    q_i = r_i + a_i - c.  The product q_i h_i reaches harmonic 2N; on
-    LINEAR_GRID_FACTOR*N > 3N points it does not alias onto 1..N.
+    q_i = r_i + a_i - c.  The product q_i h_i reaches harmonic 2N; on the
+    product grid (spectral.PRODUCT_GRID_FACTOR) it does not alias onto 1..N.
     precondition(g) inverts h -> dx(q_i h) on that grid:
     h = (dx^-1 g + kappa_i) / q_i with kappa_i making h zero-mean, then
     cut to harmonics 1..N.  It leaves out the potential, which smooths.
@@ -188,7 +178,7 @@ def linearization(cfg, c, state):
     """
     n = state.count
     w = state.wavenumbers()
-    npts = LINEAR_GRID_FACTOR * n
+    npts = sp.PRODUCT_GRID_FACTOR * n
     work = sp.half_spectrum(4, npts)
     q = sp.grid_values(state.cos, None, npts, work)
     q += (cfg.as_array() - c)[:, None]
@@ -212,11 +202,11 @@ def monitors(cfg, c, state):
     """(min strip gap, min relative speed) over one fold period.
 
     The six monitored series (two strip widths, four relative speeds)
-    and their derivatives are evaluated on a grid of MONITOR_GRID_FACTOR*N
-    points by one inverse FFT (spectral.even_odd_grid_values).  Each
-    series' grid minimum of |value| then gets one Newton polish by direct
-    evaluation off the grid, all six at once: a step on the value if the
-    series changes sign, on the derivative (an interior extremum)
+    are evaluated on a grid of MONITOR_GRID_FACTOR*N points by one
+    inverse FFT.  Each series' grid minimum of |value| then gets one
+    Newton polish, all six at once, with the derivatives at the minimum
+    and the value off the grid by direct sums: a step on the value if
+    the series changes sign, on the derivative (an interior extremum)
     otherwise.  A series whose step would divide by zero keeps its grid
     minimum.
     """
@@ -226,17 +216,16 @@ def monitors(cfg, c, state):
     w = state.wavenumbers()
     rows = np.concatenate(([u[1] - u[0], u[3] - u[2]], u))
     offsets = np.concatenate([[cfg.width, cfg.width], cfg.as_array() - c])
-    vals = sp.even_odd_grid_values(rows, -w * rows, npts)
-    v, dv = vals[:6], vals[6:]
-    v += offsets[:, None]
+    v = sp.grid_values(rows, None, npts) + offsets[:, None]
     idx = np.argmin(np.abs(v), axis=1)
-    at = np.arange(6), idx
     x0 = x[idx]
-    best = np.abs(v[at])
+    v0 = v[np.arange(6), idx]
+    best = np.abs(v0)
     cross = (np.min(v, axis=1) < 0.0) & (0.0 < np.max(v, axis=1))
-    d2 = _row_dots(np.cos(w * x0[:, None]), -w * (w * rows))  # at x0
-    num = np.where(cross, v[at], dv[at])
-    den = np.where(cross, dv[at], d2)
+    d1 = _row_dots(np.sin(w * x0[:, None]), -w * rows)  # at x0
+    d2 = _row_dots(np.cos(w * x0[:, None]), -w * (w * rows))
+    num = np.where(cross, v0, d1)
+    den = np.where(cross, d1, d2)
     polish = den != 0.0
     step = np.divide(num, den, out=np.zeros(6), where=polish)
     off_grid = np.abs(_row_dots(np.cos(w * (x0 - step)[:, None]), rows)

@@ -199,9 +199,11 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
 ])
 def test_config_file_unparsable_value_exits_2(line, message, tmp_path,
                                               capsys):
+    # speeds takes no --arm
+    command = "continue" if line.startswith("arm") else "speeds"
     conf = tmp_path / "run.conf"
     conf.write_text(f"a = -1,1,-1,1\n{line}\n")
-    code = cli.main(["speeds", "--config", str(conf), "--out", str(tmp_path)])
+    code = cli.main([command, "--config", str(conf), "--out", str(tmp_path)])
     assert code == 2
     assert message in capsys.readouterr().err
 
@@ -252,6 +254,22 @@ def test_flags_and_config_file_fail_alike(name, value, message, tmp_path):
         with pytest.raises(ConfigError) as exc:
             cli.parse(argv)
         assert str(exc.value) == message, argv
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_config_file_takes_only_the_command_table(command, tmp_path, capsys):
+    # a file key outside the command's flags (speeds with max_points or
+    # from_wave, say) is refused by name before anything is written; the
+    # run would otherwise record a value it never used
+    conf = tmp_path / "run.conf"
+    for name in sorted(set(OPTION_VALUES) - set(_options_of(command))):
+        conf.write_text(f"a = -1,1,-1,1\n{name} = {OPTION_VALUES[name]}\n")
+        code = cli.main([command, "--config", str(conf),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2, name
+        err = capsys.readouterr().err
+        assert err == f"usage error: {command} takes no option {name!r}\n"
+    assert list(tmp_path.iterdir()) == [conf]
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
@@ -507,6 +525,18 @@ def test_ep_outputs(tmp_path):
     rows = read_csv(tmp_path / "ep_residual.csv")
     assert len(rows) == 4
     assert max(float(r["sup"]) for r in rows) < 1e-10
+
+
+def test_large_symmetric_modes_exit_by_admissibility(tmp_path, capsys):
+    # m = 1000: the doubled mode is regular and the expansion is written;
+    # m = 10^6: both speeds lie within round-off of an interface, which
+    # is a usage error, not a resonance of the doubled mode
+    argv = ["local", "--a", "-1,1,-1,1", "--speed-index", "-"]
+    assert run_cli(argv + ["--m", "1000"], tmp_path) == 0
+    assert json.loads((tmp_path / "local.json").read_text())["m"] == 1000
+    capsys.readouterr()
+    assert run_cli(argv + ["--m", "1000000"], tmp_path / "far") == 2
+    assert "no admissible speed" in capsys.readouterr().err
 
 
 def test_solver_failure_maps_to_exit_1(tmp_path):

@@ -134,6 +134,17 @@ def test_resonant_doubled_mode_detected(sym_cfg):
         lb.local_expansion(1, sym_cfg, c_double)
 
 
+def test_large_mode_doubled_mode_is_not_resonant(sym_cfg):
+    # two gaps a_i - c* shrink like 1/m^2, so |det M_2m| grows like m^4
+    # and max|M_2m|^4 like m^8: their ratio is below 1e-12 from m = 931
+    # on.  The product of the row norms (Hadamard's bound) grows like m^4
+    for m in (931, 1000):
+        for c_star in pc.bifurcation_speeds(m, sym_cfg).admissible():
+            expansion = lb.local_expansion(m, sym_cfg, c_star)
+            assert isinstance(expansion, lb.LocalExpansion)
+            assert np.all(np.isfinite(expansion.second_harmonic_amp))
+
+
 def test_curvature_value_and_sign_symmetric(sym_cfg):
     curv = lb.local_expansion(1, sym_cfg, SQRT5).speed_curvature
     assert curv == pytest.approx(CURVATURE_SYM_M1, rel=1e-10)

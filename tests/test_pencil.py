@@ -248,6 +248,14 @@ class TestModeScan:
         for m in range(1, 33):
             assert len(pc.bifurcation_speeds(m, cfg).admissible()) == 2
 
+    def test_symmetric_speed_near_an_interface_is_inadmissible(self):
+        # at m = 10^6 the closed-form pair lies 2e-12 from the interfaces
+        # +-1, inside the near-interface tolerance of every regime
+        cfg = pc.classify_config([-1, 1, -1, 1])
+        speeds = pc.bifurcation_speeds(10 ** 6, cfg)
+        assert len(speeds.speeds) == 4
+        assert speeds.admissible() == []
+
     def test_cap_zero_errors(self, gen_cfg):
         with pytest.raises(NoAdmissibleModeError):
             min_admissible_mode(gen_cfg, 0)

@@ -25,22 +25,17 @@ def charge_difference(state):
     return add(sub(sub(s[1], s[0]), s[3]), s[2])
 
 
-def direct_residual(cfg, c, state, with_tail=False):
+def direct_residual(cfg, c, state):
     """Residual by exact convolution of series (test oracle): four odd
-    series, and with with_tail the sup of harmonics count+1..2*count."""
+    series."""
     a = cfg.as_array()
-    n = state.count
-    pot = with_count(antideriv(charge_difference(state)), 2 * n)
-    out, tail = [], 0.0
+    pot = antideriv(charge_difference(state))
+    out = []
     for i, r in enumerate(state.series):
         dr = sp.deriv(r)
-        quad = sp.multiply(r, dr, out_count=2 * n)
-        full = add(add(quad, scale(a[i] - c, with_count(dr, 2 * n))),
-                   scale(st.POT_SIGN[i], pot))
-        out.append(with_count(full, n))
-        tail = max(tail, float(np.max(np.abs(full.sin[n:]), initial=0.0)))
-    if with_tail:
-        return out, tail
+        quad = sp.multiply(r, dr)
+        out.append(add(add(quad, scale(a[i] - c, dr)),
+                       scale(st.POT_SIGN[i], pot)))
     return out
 
 
@@ -137,10 +132,8 @@ def test_residual_parity_and_grid_oracle(gen_cfg):
     state = random_state(rng, fold=2, count=6)
     c = 0.8
     a = gen_cfg.as_array()
-    out, tail = st.residual(gen_cfg, c, state, with_tail=True)
+    out = st.residual(gen_cfg, c, state)
     assert out.shape == (4, 6)
-    # one product: the kept harmonics do not depend on the tail report
-    assert np.array_equal(st.residual(gen_cfg, c, state), out)
 
     x = np.linspace(-np.pi, np.pi, 401)
     pot = antideriv(charge_difference(state))
@@ -161,13 +154,6 @@ def test_residual_parity_and_grid_oracle(gen_cfg):
         # Galerkin: the first harmonics of the untruncated residual (an
         # FFT product meets the convolution to round-off, not bitwise)
         assert np.max(np.abs(out[i] - full.sin[:6])) < 1e-15
-
-    # the reported truncation tail is the sup of the discarded harmonics
-    worst = max(np.max(np.abs((sp.multiply(state.series[i],
-                                           sp.deriv(state.series[i]),
-                                           out_count=12)).sin[6:]))
-                for i in range(4))
-    assert tail == pytest.approx(worst)
 
 
 def test_linearization_matches_mode_matrices(gen_cfg):
@@ -307,27 +293,25 @@ def direct_monitors(cfg, c, state):
 
 def loop_monitors(cfg, c, state):
     """Monitors one series at a time from the same grid values and
-    off-grid sums as steady.monitors (test oracle for its bits)."""
+    direct sums as steady.monitors (test oracle for its bits)."""
     n, u = state.count, state.cos
     npts = st.MONITOR_GRID_FACTOR * n
     x = np.linspace(0.0, 2.0 * np.pi / state.fold, npts, endpoint=False)
     w = state.wavenumbers()
     rows = np.concatenate(([u[1] - u[0], u[3] - u[2]], u))
     offsets = np.concatenate([[cfg.width, cfg.width], cfg.as_array() - c])
-    zero = np.zeros_like(rows)
-    vals = sp.grid_values(np.concatenate((rows, zero)),
-                          np.concatenate((zero, -w * rows)), npts)
-    vals[:6] += offsets[:, None]
+    vals = sp.grid_values(rows, None, npts) + offsets[:, None]
 
     def min_abs(i):
-        v, dv = vals[i], vals[6 + i]
+        v = vals[i]
         idx = int(np.argmin(np.abs(v)))
         best = abs(v[idx])
+        dv = np.sin(w * x[idx]) @ (-w * rows[i])
         if np.min(v) < 0.0 < np.max(v):
-            step = v[idx] / dv[idx] if dv[idx] != 0.0 else None
+            step = v[idx] / dv if dv != 0.0 else None
         else:
             d2 = np.cos(w * x[idx]) @ (-w * (w * rows[i]))
-            step = dv[idx] / d2 if d2 != 0.0 else None
+            step = dv / d2 if d2 != 0.0 else None
         if step is not None:
             x1 = x[idx] - step
             best = min(best, abs(np.cos(w * x1) @ rows[i] + offsets[i]))
@@ -414,21 +398,18 @@ def test_interface_component_json_layout():
 @pytest.mark.parametrize("fold", [1, 2, 3])
 @pytest.mark.parametrize("count", [1, 2, 8, 17, 64, 256])
 def test_residual_matches_direct_convolution(gen_cfg, fold, count):
-    # the products reach harmonic 2N, so the tail is exact only if no
-    # harmonic up to 2N aliases on the grid: full-band coefficients, and
-    # a top harmonic alone, whose whole tail is harmonic 2N
+    # the products reach harmonic 2N, so harmonics 1..N are exact only if
+    # none up to 2N aliases onto them on the grid: full-band coefficients,
+    # and a top harmonic alone, whose square is harmonic 2N
     rng = np.random.default_rng(10 * fold + count)
     top = np.zeros((4, count))
     top[:, -1] = rng.uniform(0.5, 1.0, 4)
     for state in (full_band_state(rng, fold, count),
                   from_vector(fold, count, top.ravel())):
-        got, tail = st.residual(gen_cfg, 0.7, state, with_tail=True)
-        series, want_tail = direct_residual(gen_cfg, 0.7, state,
-                                            with_tail=True)
-        want = np.array([f.sin for f in series])
-        scale = max(np.max(np.abs(want)), want_tail)
+        got = st.residual(gen_cfg, 0.7, state)
+        want = np.array([f.sin for f in direct_residual(gen_cfg, 0.7, state)])
+        scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
-        assert abs(tail - want_tail) <= 1e-13 * scale
         assert np.array_equal(st.residual_vector(gen_cfg, 0.7, state),
                               got.ravel())
 
