@@ -13,15 +13,8 @@ import numpy as np
 
 from . import spectral as sp
 from .errors import DivergedError
-from .pencil import CHARGE, COMPONENT_NAMES, SPECIES
+from .pencil import CHARGE, COMPONENT_NAMES, SIDE, SPECIES
 from .spectral import TrigSeries
-
-# Sign of the nonlocal coupling per component (+ species positive) and
-# the alternating signs of the Hamiltonian operator J = diag(+-d/dx).
-# CHARGE @ r is the charge difference d = (r_+^2 - r_+^1) - (r_-^2 - r_-^1).
-COUPLING_SIGN = SPECIES
-J_SIGN = -SPECIES * CHARGE
-KIN_SIGN = SPECIES * CHARGE  # (-1)^k per component
 
 
 class PhaseState(sp.ComponentArrays):
@@ -72,7 +65,7 @@ def _tendency(cfg, fold, count):
     w = fold * np.arange(1, count + 1, dtype=float)
     aw = cfg.as_array()[:, None] * w
     half_w = 0.5 * w
-    coupling = COUPLING_SIGN[:, None] / w
+    coupling = SPECIES[:, None] / w
     npts = sp.PRODUCT_GRID_FACTOR * count
     work = sp.half_spectrum(4, npts)
 
@@ -116,10 +109,10 @@ def energy(cfg, state):
 
 
 def grad_energy(cfg, state):
-    """L2 gradient of the energy: component (k, kappa) is
-    (-1)^k [ (a + r)^2 / 2  -+  dxx^-1(d) ].  Returns the (4,) means and
-    the zero-mean parts as a PhaseState; the means matter only for
-    pairings, the Hamiltonian operator annihilates them.
+    """L2 gradient of the energy: component i is
+    SIDE_i [ (a_i + r_i)^2 / 2 - SPECIES_i dxx^-1(d) ].  Returns the (4,)
+    means and the zero-mean parts as a PhaseState; the means matter only
+    for pairings, the Hamiltonian operator annihilates them.
 
     r^2 makes one round trip on spectral's product grid, which gives its
     harmonics 1..N and its mean exactly."""
@@ -128,20 +121,21 @@ def grad_energy(cfg, state):
     vals = sp.grid_values(state.cos, state.sin, npts)
     sq_cos, sq_sin = sp.grid_coefficients(vals ** 2, state.count)
     qcos, qsin = CHARGE @ state.cos, CHARGE @ state.sin
-    pot = COUPLING_SIGN[:, None] / state.wavenumbers() ** 2  # -+ dxx^-1
-    kin, ac = KIN_SIGN[:, None], a[:, None]
+    pot = SPECIES[:, None] / state.wavenumbers() ** 2  # -+ dxx^-1
+    kin, ac = SIDE[:, None], a[:, None]
     cos = kin * (0.5 * sq_cos + ac * state.cos + pot * qcos)
     sin = kin * (0.5 * sq_sin + ac * state.sin + pot * qsin)
-    means = KIN_SIGN * 0.5 * (a * a + np.mean(vals ** 2, axis=1))
+    means = SIDE * 0.5 * (a * a + np.mean(vals ** 2, axis=1))
     return means, PhaseState.from_arrays(state.fold, cos, sin)
 
 
 def hamiltonian_rhs(cfg, state):
-    """J grad E: the alternating-sign derivative of the energy gradient.
-    Identical to rhs(); kept separate so the identity is testable."""
+    """J grad E, J = -SIDE dx: the alternating-sign derivative of the
+    energy gradient.  Identical to rhs(); kept separate so the identity
+    is testable."""
     _, grad = grad_energy(cfg, state)
-    jw = J_SIGN[:, None] * state.wavenumbers()
-    return PhaseState.from_arrays(state.fold, jw * grad.sin, -jw * grad.cos)
+    jw = SIDE[:, None] * state.wavenumbers()
+    return PhaseState.from_arrays(state.fold, -jw * grad.sin, jw * grad.cos)
 
 
 def cfl_limit(cfg, state):

@@ -30,14 +30,27 @@ TO_EP = 0.5 * np.array([[-1.0, 1.0, 0.0, 0.0],
                         [0.0, 0.0, 1.0, 1.0]])
 
 
-class EPState(sp.ComponentArrays):
-    """Two-fluid state mapped from a symmetric-regime wave solution: one
-    read-only (4, N) cosine array `cos` with rows rho_plus, rho_minus,
-    u_plus, u_minus (zero-mean parts; the density mean is base_a), plus
-    base_a and the speed c."""
+class EPState:
+    """Two-fluid state mapped from a symmetric-regime wave solution: the
+    fold, one read-only (4, N) cosine array `cos` of harmonics 1..N with
+    rows rho_plus, rho_minus, u_plus, u_minus (zero-mean parts; the
+    density mean is base_a), base_a and the speed c."""
 
-    ARRAYS = ("cos",)
-    __slots__ = ("cos", "base_a", "c")
+    __slots__ = ("fold", "cos", "base_a", "c")
+
+    def __init__(self, fold, cos, base_a, c):
+        cos.setflags(write=False)
+        self.fold, self.cos, self.base_a, self.c = int(fold), cos, base_a, c
+
+    @property
+    def count(self):
+        return self.cos.shape[1]
+
+    def wavenumbers(self):
+        return self.fold * np.arange(1, self.count + 1, dtype=float)
+
+    def max_abs(self):
+        return float(np.max(np.abs(self.cos), initial=0.0))
 
     def to_json(self):
         out = {"a": self.base_a, "c": self.c}
@@ -69,9 +82,7 @@ def _require_symmetric(cfg):
 def map_to_ep(cfg, sol):
     """Map a wave solution to two-fluid variables (affine, invertible)."""
     a = _require_symmetric(cfg)
-    state = EPState.from_arrays(sol.state.fold, TO_EP @ sol.state.cos)
-    state.base_a, state.c = a, sol.c
-    return state
+    return EPState(sol.state.fold, TO_EP @ sol.state.cos, a, sol.c)
 
 
 def ep_residual(state):

@@ -18,10 +18,13 @@ import numpy as np
 from .errors import ConfigError, DegenerateSpeedError
 
 # Name, species sign and charge weight of each component: the pencil
-# couples the components by the rank-one matrix outer(SPECIES, CHARGE).
+# couples the components by the rank-one matrix outer(SPECIES, CHARGE),
+# and CHARGE @ r is the charge difference d.  SIDE is -1 on the lower
+# and +1 on the upper interface of a strip.
 COMPONENT_NAMES = ("plus1", "plus2", "minus1", "minus2")
 SPECIES = np.array([1.0, 1.0, -1.0, -1.0])
 CHARGE = np.array([-1.0, 1.0, 1.0, -1.0])
+SIDE = SPECIES * CHARGE
 
 GENERIC = "generic"
 SYMMETRIC = "symmetric"
@@ -122,15 +125,8 @@ def determinant_poly(m, cfg):
         # prod over the three other factors: (a_k - c) = -(c - a_k) each,
         # so three factors contribute a global -1 relative to np.poly.
         cubic = -np.poly(np.delete(a, i))
-        poly[1:] += float(m) ** 6 * (SPECIES[i] * CHARGE[i]) * cubic
+        poly[1:] += float(m) ** 6 * SIDE[i] * cubic
     return poly
-
-
-def _closed_form_pair(alpha, beta, width, m):
-    """The two simple roots (alpha+beta)/2 -+ sqrt((beta-alpha)^2 + 8*width/m^2)/2."""
-    half = 0.5 * math.sqrt((beta - alpha) ** 2 + 8.0 * width / m ** 2)
-    mid = 0.5 * (alpha + beta)
-    return mid - half, mid + half
 
 
 @dataclass(frozen=True)
@@ -183,29 +179,11 @@ def bifurcation_speeds(m, cfg):
     """All four determinant roots with multiplicities and admissibility.
 
     Symmetric and successive regimes use the closed forms (robust near
-    the double root); the tests compare them with the quartic roots.
+    the double root): inadmissible roots at interface velocities and the
+    pair (alpha+beta)/2 -+ sqrt((beta-alpha)^2 + 8*width/m^2)/2; the
+    tests compare them with the quartic roots of the generic regime.
     """
-    a = cfg.as_array()
-    if cfg.regime == SYMMETRIC:
-        lo, hi = _closed_form_pair(a[0], a[1], cfg.width, m)
-        records = [
-            SpeedRecord(complex(a[0]), 1, False, "closed-form"),
-            SpeedRecord(complex(a[1]), 1, False, "closed-form"),
-            SpeedRecord(complex(lo), 1, not _near_component(lo, cfg), "closed-form"),
-            SpeedRecord(complex(hi), 1, not _near_component(hi, cfg), "closed-form"),
-        ]
-    elif cfg.regime == SUCCESSIVE:
-        if abs(cfg.a_plus_2 - cfg.a_minus_1) <= _EQ_TOL:
-            double, pair = cfg.a_plus_2, (cfg.a_plus_1, cfg.a_minus_2)
-        else:
-            double, pair = cfg.a_plus_1, (cfg.a_plus_2, cfg.a_minus_1)
-        lo, hi = _closed_form_pair(pair[0], pair[1], cfg.width, m)
-        records = [
-            SpeedRecord(complex(double), 2, False, "closed-form"),
-            SpeedRecord(complex(lo), 1, not _near_component(lo, cfg), "closed-form"),
-            SpeedRecord(complex(hi), 1, not _near_component(hi, cfg), "closed-form"),
-        ]
-    else:
+    if cfg.regime == GENERIC:
         roots = quartic_roots(m, cfg)
         records = []
         used = np.zeros(len(roots), dtype=bool)
@@ -226,6 +204,20 @@ def bifurcation_speeds(m, cfg):
                           and not _near_component(center.real, cfg))
             records.append(SpeedRecord(center, len(cluster), admissible,
                                        "quartic-root"))
+        return SpeedSet(int(m), cfg.regime, tuple(records))
+    a = cfg.as_array()
+    if cfg.regime == SYMMETRIC:  # simple roots a_+^1 and a_+^2
+        fixed, multiplicity, (alpha, beta) = a[:2], 1, a[:2]
+    elif abs(a[1] - a[2]) <= _EQ_TOL:  # double root a_+^2 = a_-^1
+        fixed, multiplicity, (alpha, beta) = a[1:2], 2, a[[0, 3]]
+    else:  # double root a_+^1 = a_-^2
+        fixed, multiplicity, (alpha, beta) = a[:1], 2, a[1:3]
+    half = 0.5 * math.sqrt((beta - alpha) ** 2 + 8.0 * cfg.width / m ** 2)
+    mid = 0.5 * (alpha + beta)
+    records = [SpeedRecord(complex(c), multiplicity, False, "closed-form")
+               for c in fixed]
+    records += [SpeedRecord(complex(c), 1, not _near_component(c, cfg),
+                            "closed-form") for c in (mid - half, mid + half)]
     return SpeedSet(int(m), cfg.regime, tuple(records))
 
 
@@ -259,7 +251,7 @@ def transversality(m, cfg, c_star):
     at an admissible speed) and raises DegenerateSpeedError.
     """
     wsq = reciprocal_sq_weights(cfg, c_star)
-    value = float(m) * float(np.dot(-SPECIES * CHARGE, wsq))
+    value = float(m) * float(np.dot(-SIDE, wsq))
     if abs(value) < 1e-10:
         raise DegenerateSpeedError(
             f"transversality ~ 0 at c={c_star!r}; speed is numerically degenerate")

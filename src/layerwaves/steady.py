@@ -17,11 +17,6 @@ from . import spectral as sp
 from .pencil import CHARGE, COMPONENT_NAMES, SPECIES
 from .spectral import EVEN, TrigSeries
 
-# Signs in front of the nonlocal potential term per component, and the
-# coefficients of each component inside the charge difference d.
-POT_SIGN = -SPECIES
-D_COEF = CHARGE
-
 # The monitors sample one fold period at this many points per harmonic.
 MONITOR_GRID_FACTOR = 16
 
@@ -111,8 +106,8 @@ def residual(cfg, c, state):
     w = state.wavenumbers()
     vals = sp.grid_values(state.cos, None, sp.PRODUCT_GRID_FACTOR * n)
     sq, _ = sp.grid_coefficients(vals * vals, n)
-    pot = (D_COEF @ state.cos) / w  # sine coefficients of dx^-1(d)
-    return POT_SIGN[:, None] * pot - w * (0.5 * sq + (a - c) * state.cos)
+    pot = (CHARGE @ state.cos) / w  # sine coefficients of dx^-1(d)
+    return -SPECIES[:, None] * pot - w * (0.5 * sq + (a - c) * state.cos)
 
 
 def residual_vector(cfg, c, state):
@@ -157,7 +152,7 @@ def jacobian(cfg, c, state, out=None):
         out[i * n:(i + 1) * n, i * n:(i + 1) * n] = blocks[i]
     row, col = out.strides  # couple[i, l, k] = out[i n + k, l n + k]
     couple = as_strided(out, (4, 4, n), (n * row, n * col, row + col))
-    couple += (POT_SIGN[:, None] * D_COEF)[:, :, None] / w
+    couple -= np.outer(SPECIES, CHARGE)[:, :, None] / w
     return out
 
 
@@ -188,7 +183,7 @@ def linearization(cfg, c, state):
     def matvec(h):
         prod, _ = sp.grid_coefficients(
             q * sp.grid_values(h, None, npts, work), n)
-        return POT_SIGN[:, None] * (D_COEF @ h) / w - w * prod
+        return -SPECIES[:, None] * (CHARGE @ h) / w - w * prod
 
     def precondition(g):
         h = sp.grid_values(-g / w, None, npts, work) * inv_q

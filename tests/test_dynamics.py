@@ -36,7 +36,7 @@ def direct_rhs(cfg, state):
         dr = sp.deriv(s[i])
         adv = add(sp.multiply(s[i], dr, out_count=state.count),
                   scale(a[i], dr))
-        out.append(add(scale(-1.0, adv), scale(dy.COUPLING_SIGN[i], pot)))
+        out.append(add(scale(-1.0, adv), scale(pc.SPECIES[i], pot)))
     return dy.PhaseState(out)
 
 
@@ -166,7 +166,7 @@ def test_gradient_constant_at_flat_state(sym_cfg):
     a = sym_cfg.as_array()
     assert grad.max_abs() == 0.0
     assert means.shape == (4,)
-    assert np.allclose(means, dy.KIN_SIGN * a ** 2 / 2.0, rtol=1e-15)
+    assert np.allclose(means, pc.SIDE * a ** 2 / 2.0, rtol=1e-15)
 
 
 def direct_grad_energy(cfg, state):
@@ -179,10 +179,10 @@ def direct_grad_energy(cfg, state):
     out = []
     for i in range(4):
         sq_mean, sq = sp.multiply_with_mean(s[i], s[i], out_count=state.count)
-        series = scale(dy.KIN_SIGN[i],
+        series = scale(pc.SIDE[i],
                        sub(add(scale(0.5, sq), scale(a[i], s[i])),
-                           scale(dy.COUPLING_SIGN[i], ddxx)))
-        out.append((dy.KIN_SIGN[i] * 0.5 * (a[i] * a[i] + sq_mean), series))
+                           scale(pc.SPECIES[i], ddxx)))
+        out.append((pc.SIDE[i] * 0.5 * (a[i] * a[i] + sq_mean), series))
     return out
 
 

@@ -283,6 +283,19 @@ def test_ep_json_rewrites_to_the_same_bytes(sym_cfg, sym_branch_pair):
     obj = json.loads(text)
     fold, cos = sp.series_from_json(
         [obj[name]["series"] for name in ep.EP_NAMES])
-    again = ep.EPState.from_arrays(fold, cos)
-    again.base_a, again.c = obj["a"], obj["c"]
+    again = ep.EPState(fold, cos, obj["a"], obj["c"])
     assert json.dumps(again.to_json(), indent=1) == text
+
+
+def test_ep_state_needs_base_level_and_speed():
+    # one constructor: no EPState lacks base_a or c, which to_json,
+    # min_density and ep_residual read
+    cos = np.zeros((4, 3))
+    with pytest.raises(TypeError):
+        ep.EPState(1, cos)
+    with pytest.raises(TypeError):
+        ep.EPState([sp.TrigSeries.from_cos(1, row) for row in cos])
+    assert not hasattr(ep.EPState, "from_arrays")
+    assert not hasattr(ep.EPState, "zero")
+    state = ep.EPState(1, cos, 1.0, 0.5)
+    assert (state.fold, state.count, state.base_a, state.c) == (1, 3, 1.0, 0.5)

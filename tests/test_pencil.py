@@ -90,20 +90,22 @@ class TestSpeeds:
         assert all(s.multiplicity == 1 for s in speeds.speeds)
 
     def test_successive_double_root(self):
-        cfg = pc.classify_config([0, 1, 1, 2])
-        speeds = pc.bifurcation_speeds(1, cfg)
-        assert len(speeds.speeds) == 3
-        double = [s for s in speeds.speeds if s.multiplicity == 2]
-        assert len(double) == 1
-        assert double[0].real_value() == pytest.approx(1.0)
-        assert not double[0].admissible
-        assert speeds.admissible() == pytest.approx([1.0 - SQRT3, 1.0 + SQRT3])
+        # a_+^2 = a_-^1 and a_+^1 = a_-^2: both double roots sit at 1
+        for a in ([0, 1, 1, 2], [1, 2, 0, 1]):
+            speeds = pc.bifurcation_speeds(1, pc.classify_config(a))
+            assert len(speeds.speeds) == 3
+            double = [s for s in speeds.speeds if s.multiplicity == 2]
+            assert len(double) == 1
+            assert double[0].real_value() == pytest.approx(1.0)
+            assert not double[0].admissible
+            assert speeds.admissible() == pytest.approx([1.0 - SQRT3,
+                                                         1.0 + SQRT3])
 
     @pytest.mark.parametrize("m", [1, 2, 5, 16, 64])
     def test_closed_forms_match_quartic_roots(self, m):
         # companion eigenvalues split double roots by ~sqrt(eps); the
         # cluster mean recovers them to ~1e-14, so compare collapsed roots
-        for a in ([-1, 1, -1, 1], [0, 1, 1, 2]):
+        for a in ([-1, 1, -1, 1], [0, 1, 1, 2], [1, 2, 0, 1]):
             cfg = pc.classify_config(a)
             closed = sorted(s.real_value() for s in pc.bifurcation_speeds(m, cfg).speeds
                             for _ in range(s.multiplicity))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from layerwaves import dynamics as dy
 from layerwaves import pencil as pc
 from layerwaves import spectral as sp
 from layerwaves import steady as st
@@ -35,7 +36,7 @@ def direct_residual(cfg, c, state):
         dr = sp.deriv(r)
         quad = sp.multiply(r, dr)
         out.append(add(add(quad, scale(a[i] - c, dr)),
-                       scale(st.POT_SIGN[i], pot)))
+                       scale(-pc.SPECIES[i], pot)))
     return out
 
 
@@ -76,7 +77,7 @@ def direct_jacobian(cfg, c, state):
         J[rows, rows] += (_mult_op_even_to_odd(a[i] - c, r.cos, n, fold)
                           + _mult_op_odd_factor(sp.deriv(r).sin, n, fold))
         for l in range(4):
-            J[i * n + idx, l * n + idx] += (st.POT_SIGN[i] * st.D_COEF[l]
+            J[i * n + idx, l * n + idx] += (-pc.SPECIES[i] * pc.CHARGE[l]
                                             * inv_w)
     return J
 
@@ -103,7 +104,7 @@ def loop_jacobian(cfg, c, state):
         np.add(toeplitz[i], hankel[i], out=block)
         block *= -0.5 * w[:, None]
         out[i * n + k, i * n + k] -= (a[i] - c) * w
-        out[i * n + k[:, None], cols] += (st.POT_SIGN[i] * st.D_COEF
+        out[i * n + k[:, None], cols] += (-pc.SPECIES[i] * pc.CHARGE
                                           / w[:, None])
     return out
 
@@ -140,12 +141,12 @@ def test_residual_parity_and_grid_oracle(gen_cfg):
     for i in range(4):
         exact = ((state.series[i].eval(x) + a[i] - c)
                  * sp.deriv(state.series[i]).eval(x)
-                 + st.POT_SIGN[i] * pot.eval(x))
+                 - pc.SPECIES[i] * pot.eval(x))
         full = add(add(sp.multiply(state.series[i], sp.deriv(state.series[i]),
                                    out_count=12),
                        scale(a[i] - c,
                              with_count(sp.deriv(state.series[i]), 12))),
-                   scale(st.POT_SIGN[i], with_count(pot, 12)))
+                   scale(-pc.SPECIES[i], with_count(pot, 12)))
         assert np.max(np.abs(full.eval(x) - exact)) < 1e-12
         # the residual's own sine coefficients, completed by the discarded
         # harmonics, give the odd defining formula on both sides of x = 0
@@ -373,6 +374,52 @@ def test_residual_translation_equivariance(sym_cfg):
         assert np.max(np.abs(a - b.sin)) < 1e-14
 
 
+# The species swap sigma exchanges plus_i and minus_i.  It flips SPECIES
+# and CHARGE, so it maps the steady and evolution equations of a
+# symmetric layer (a_+ = a_-) to themselves, and those of no other layer.
+SWAP = [2, 3, 0, 1]
+SWAP_LAYERS = [((-1.0, 1.0, -1.0, 1.0), True), ((0.5, 2.0, 0.5, 2.0), True),
+               ((0.0, 1.0, 2.5, 3.5), False), ((0.0, 1.0, 1.0, 2.0), False)]
+
+
+@pytest.mark.parametrize("a, commutes", SWAP_LAYERS)
+def test_species_swap_commutes_on_symmetric_layers(a, commutes):
+    cfg = pc.classify_config(a)
+    rng = np.random.default_rng(5)
+    c = 1.3
+    res_dev = jac_dev = rhs_dev = 0.0
+    for fold in (1, 2, 3):
+        for n in (1, 16, 64):
+            u, v = 0.2 * rng.uniform(-1, 1, (2, 4, n))
+            state = st.InterfaceState.from_arrays(fold, u)
+            swapped = st.InterfaceState.from_arrays(fold, u[SWAP])
+            res = st.residual(cfg, c, state)
+            dev = st.residual(cfg, c, swapped) - res[SWAP]
+            res_dev = max(res_dev, np.max(np.abs(dev)) / np.max(np.abs(res)))
+            perm = np.arange(4 * n).reshape(4, n)[SWAP].ravel()
+            jac = st.jacobian(cfg, c, state)
+            dev = st.jacobian(cfg, c, swapped) - jac[np.ix_(perm, perm)]
+            jac_dev = max(jac_dev, np.max(np.abs(dev)) / np.max(np.abs(jac)))
+            f = dy.rhs(cfg, dy.PhaseState.from_arrays(fold, u, v))
+            g = dy.rhs(cfg, dy.PhaseState.from_arrays(fold, u[SWAP], v[SWAP]))
+            dev = np.concatenate((g.cos - f.cos[SWAP], g.sin - f.sin[SWAP]))
+            rhs_dev = max(rhs_dev, np.max(np.abs(dev)) / f.max_abs())
+    if commutes:
+        assert max(res_dev, jac_dev, rhs_dev) <= 1e-14
+    else:
+        assert min(res_dev, jac_dev, rhs_dev) > 0.1
+
+
+def test_symmetric_arm_is_fixed_by_the_swap_and_half_shift(sym_branch_pair):
+    # sigma maps the + arm to itself composed with the half-period shift:
+    # r_minus_i = T r_plus_i, T = (-1)^j on reduced harmonic j
+    plus, _ = sym_branch_pair
+    for point in plus.points:
+        u = point.solution.state.cos
+        t = (-1.0) ** np.arange(1, u.shape[1] + 1)
+        assert np.max(np.abs(u[2:] - t * u[:2])) <= 1e-13 * np.max(np.abs(u))
+
+
 def test_wave_solution_json_roundtrip(sym_cfg):
     rng = np.random.default_rng(7)
     state = random_state(rng, fold=1, count=5, scale=0.02)
@@ -523,7 +570,7 @@ def test_preconditioner_inverts_transport(gen_cfg):
     flat = st.InterfaceState.zero(2, n)
     matvec, precondition = st.linearization(gen_cfg, c, flat)
     h = precondition(g)
-    transport = matvec(h) - st.POT_SIGN[:, None] * (st.D_COEF @ h) / w
+    transport = matvec(h) + pc.SPECIES[:, None] * (pc.CHARGE @ h) / w
     assert np.max(np.abs(transport - g)) <= 1e-14
     # at a smooth state the inverse is exact up to the cut at harmonic N:
     # the defect is the (tiny) projection of dx(q h) beyond the kept band
@@ -533,7 +580,7 @@ def test_preconditioner_inverts_transport(gen_cfg):
     matvec, precondition = st.linearization(gen_cfg, c, state)
     g[:, 4:] = 0.0
     h = precondition(g)
-    transport = matvec(h) - st.POT_SIGN[:, None] * (st.D_COEF @ h) / w
+    transport = matvec(h) + pc.SPECIES[:, None] * (pc.CHARGE @ h) / w
     assert np.max(np.abs(transport - g)) <= 1e-12
 
 
