@@ -176,21 +176,21 @@ def _gmres(apply, precondition, rhs, tol, max_iters):
     return precondition(y @ V[:k]), k
 
 
-def _krylov_step(cfg, u, state, tangent, res):
+def _krylov_step(layout, c, rows, col, tangent, res):
     """Newton step of the bordered system by matrix-free GMRES, or None.
 
-    The preconditioner is the transport inverse of steady.linearization,
-    bordered by the c column and the arclength row by elimination.  The
-    true residual is checked after the solve and, if it is short of
-    KRYLOV_TRUE_TOL, one more GMRES cycle runs on it.  Returns
-    (step or None, GMRES iterations); None on a stall or a non-finite
-    value, such as a zero of q_i.
+    The system acts on u = (c, carried rows) of the layout; col is its
+    c column.  The preconditioner is the transport inverse of
+    Layout.linearization, bordered by the c column and the arclength row
+    by elimination.  The true residual is checked after the solve and,
+    if it is short of KRYLOV_TRUE_TOL, one more GMRES cycle runs on it.
+    Returns (step or None, GMRES iterations); None on a stall or a
+    non-finite value, such as a zero of q_i.
     """
-    shape = state.cos.shape
+    shape = rows.shape
     iters = 0
     with np.errstate(all="ignore"):
-        matvec, transport_inv = st.linearization(cfg, u[0], state)
-        col = st.speed_derivative_vector(cfg, u[0], state)
+        matvec, transport_inv = layout.linearization(c, rows)
         t_c, t_h = tangent[0], tangent[1:]
         z_col = transport_inv(col.reshape(shape)).ravel()
         pivot = t_c - t_h @ z_col
@@ -225,56 +225,89 @@ def _krylov_step(cfg, u, state, tangent, res):
     return None, iters
 
 
+def _on_fixed_space(cfg, *coefficients):
+    """Whether the layer has a_plus == a_minus bit for bit and each (4, N)
+    coefficient array lies exactly on its fixed space r_minus_i =
+    T r_plus_i (steady.Layout)."""
+    a = cfg.as_array()
+    if not np.array_equal(a[:2], a[2:]):
+        return False
+    shift = st.half_shift(coefficients[0].shape[1])
+    return all(np.array_equal(cos[2:], shift * cos[:2])
+               for cos in coefficients)
+
+
 def newton_correct(cfg, guess, constraint, fold, count,
                    tol=ContinuationOptions.newton_tol):
     """Damped Newton on [residual; arclength constraint].
 
-    Iterates on u alone; residual and Jacobian see its state through
-    _unstack.  From KRYLOV_MIN_COUNT harmonics on, each step is a
+    Iterates on u = (c, carried rows) of one steady.Layout: the plus
+    rows alone, 2N + 1 unknowns, if the guess, the constraint's tangent
+    and its base lie on a symmetric layer's fixed space
+    (_on_fixed_space), else all four rows.  The constraint is restated
+    on u, and the residual rows are weighted by the layout's scale in
+    the linear solves, so every inner product and norm is that of the
+    4N + 1 system.  From KRYLOV_MIN_COUNT harmonics on, each step is a
     matrix-free GMRES solve (_krylov_step); below it, or when GMRES
     stalls, the Jacobian is written into the one bordered matrix and
     solved densely.  An overflowing trial shows as a non-finite sup and
-    is damped.  Returns (WaveSolution, iterations); the solution records
-    its GMRES iterations and dense solves.  Raises CorrectionFailedError
-    on non-finite input or no convergence.
+    is damped.  The converged rows are embedded back into four.
+    Returns (WaveSolution, iterations); the solution records its GMRES
+    iterations and dense solves.  Raises CorrectionFailedError on
+    non-finite input or no convergence.
     """
     c0, state0 = guess
-    u = _stack(c0, state0.with_count(count))
+    cos = state0.with_count(count).cos
+    t_cos, b_cos = (v[1:].reshape(4, count)
+                    for v in (constraint.tangent, constraint.base))
+    layout = st.Layout(cfg, fold, count,
+                       _on_fixed_space(cfg, cos, t_cos, b_cos))
+    u = layout.stack(c0, cos)
     if not np.all(np.isfinite(u)):
         raise CorrectionFailedError("correction-failed: non-finite guess")
-    n = 4 * count
+    constraint = ArclengthConstraint(
+        layout.stack(constraint.tangent[0], t_cos),
+        layout.stack(constraint.base[0], b_cos), constraint.ds)
+    n = u.size - 1
+    weight = np.append(np.full(n, layout.scale), 1.0)
     A = None
     krylov_iters = dense_solves = 0
 
     def full_residual(u):
         with np.errstate(over="ignore", invalid="ignore"):
-            r = st.residual_vector(cfg, *_unstack(u, fold, count))
+            r = layout.residual(*layout.unstack(u))
             return np.append(r, constraint.value(u))
 
     res = full_residual(u)
     sup = np.max(np.abs(res))
     for it in range(MAX_NEWTON + 1):
+        c, rows = layout.unstack(u)
         if sup <= tol:
-            sol = st.solution_at(cfg, *_unstack(u, fold, count),
-                                 float(np.max(np.abs(res[:-1]))))
+            # the sup of the plus rows is not that of the four embedded
+            # rows bit for bit, so solution_at forms the latter
+            known = float(np.max(np.abs(res[:-1]))) if n == 4 * count else None
+            sol = st.solution_at(cfg, c, st.InterfaceState.from_arrays(
+                fold, layout.embed(rows)), known)
             sol.krylov_iters, sol.dense_solves = krylov_iters, dense_solves
             return sol, it
         if it == MAX_NEWTON:
             break
-        c, state = _unstack(u, fold, count)
+        col = (layout.w * u[1:].reshape(rows.shape)).ravel()  # c column
+        rhs = weight * res
         step = None
         if count >= KRYLOV_MIN_COUNT:
-            step, k = _krylov_step(cfg, u, state, constraint.tangent, res)
+            step, k = _krylov_step(layout, c, rows, col, constraint.tangent,
+                                   rhs)
             krylov_iters += k
         if step is None:
             if A is None:
                 A = np.empty((n + 1, n + 1))
-            A[:n, 0] = st.speed_derivative_vector(cfg, c, state)
-            st.jacobian(cfg, c, state, out=A[:n, 1:])
+            A[:n, 0] = col
+            layout.jacobian(c, rows, out=A[:n, 1:])
             A[n, :] = constraint.tangent
             dense_solves += 1
             try:
-                step = np.linalg.solve(A, -res)
+                step = np.linalg.solve(A, -rhs)
             except np.linalg.LinAlgError as exc:
                 raise CorrectionFailedError(
                     f"correction-failed: {exc}") from exc

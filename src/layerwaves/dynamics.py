@@ -100,8 +100,7 @@ def energy(cfg, state):
     a = cfg.as_array()
     npts = sp.PRODUCT_GRID_FACTOR * state.count
     vals = sp.grid_values(state.cos, state.sin, npts) + a[:, None]
-    e_kin = float(np.mean((vals[1] ** 3 - vals[0] ** 3
-                           + vals[3] ** 3 - vals[2] ** 3) / 6.0))
+    e_kin = float(np.mean((SIDE @ vals ** 3) / 6.0))
     qcos, qsin = CHARGE @ state.cos, CHARGE @ state.sin
     e_pot = 0.25 * float(np.sum((qcos ** 2 + qsin ** 2)
                                 / state.wavenumbers() ** 2))

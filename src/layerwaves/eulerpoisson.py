@@ -111,7 +111,7 @@ def ep_residual(state):
     flux = drho * u + rho * du  # dx(rho u)
     cont = flux - state.c * drho
     mom = ((u - state.c) * flux + rho * u * du + rho * rho * drho
-           + np.array([[-2.0], [2.0]]) * rho * field)
+           - 2.0 * pc.SPECIES[::2, None] * rho * field)
     res = np.array([cont[0], mom[0], cont[1], mom[1]])
     _, coeffs = sp.grid_coefficients(res, out_n)
     if not (np.all(np.isfinite(res)) and np.all(np.isfinite(coeffs))):

@@ -5,9 +5,12 @@ A state is a quadruple of even cosine series sharing fold and
 truncation, held as one (4, N) coefficient array; residuals are the
 (4, N) sine coefficients of four odd series.  The quadratic transport
 term is formed exactly on harmonics 1..N (Galerkin); its harmonics
-N+1..2N, the truncation's discarded tail, are not formed.
+N+1..2N, the truncation's discarded tail, are not formed.  Newton
+works on the rows of a Layout: all four, or the two plus rows of a
+symmetric layer's swap-and-half-shift fixed space.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,23 +94,151 @@ class WaveSolution:
                 "dense_solves": self.dense_solves}
 
 
-def residual(cfg, c, state):
-    """Galerkin residual of the traveling-wave system: the (4, N) sine
-    coefficients of its four odd components.
+class Layout:
+    """The coefficient rows one Newton solve carries, at one fold and
+    truncation N.
 
-    Component i: (r_i + a_i - c) dx r_i  -+  dx^-1(d), with the minus
-    sign on the plus species.  Each product r_i dx r_i is formed as
-    (1/2) dx(r_i^2): one inverse FFT of the states to the product grid
-    (spectral.PRODUCT_GRID_FACTOR*N points of one fold period), a
-    pointwise square, one forward FFT back to the exact harmonics 1..N.
+    Either the four components (k = 4), or, on a layer with a_plus ==
+    a_minus, the two plus rows (k = 2) of a state on the fixed space
+    r_minus_i = T r_plus_i of the species swap composed with the
+    half-period shift T (half_shift).  Row i has velocity a[i] and
+    species sign species[i]; the charge difference is
+    d = charge_weight * (charge @ rows), with charge_weight 1 on four
+    rows and 1 - T per harmonic on two: d = (1 - T)(r_plus2 - r_plus1),
+    twice the difference on odd harmonics and 0 on even ones.  Newton
+    carries scale * rows, scale = sqrt(2) on two rows, so that Euclidean
+    products of carried vectors are those of the (4, N) states they
+    embed (embed).
     """
-    a = cfg.as_array()[:, None]
-    n = state.count
-    w = state.wavenumbers()
-    vals = sp.grid_values(state.cos, None, sp.PRODUCT_GRID_FACTOR * n)
-    sq, _ = sp.grid_coefficients(vals * vals, n)
-    pot = (CHARGE @ state.cos) / w  # sine coefficients of dx^-1(d)
-    return -SPECIES[:, None] * pot - w * (0.5 * sq + (a - c) * state.cos)
+
+    def __init__(self, cfg, fold, count, symmetric=False):
+        k = 2 if symmetric else 4
+        self.w = fold * np.arange(1, count + 1, dtype=float)
+        self.a = cfg.as_array()[:k, None]
+        self.species, self.charge = SPECIES[:k], CHARGE[:k]
+        self.shift = half_shift(count) if symmetric else None
+        self.charge_weight = 1.0 - self.shift if symmetric else 1.0
+        self.scale = math.sqrt(2.0) if symmetric else 1.0
+
+    def stack(self, c, cos):
+        """u = (c, carried rows) of c and a (4, N) coefficient array."""
+        rows = cos[:len(self.species)]
+        return np.concatenate([[c], (self.scale * rows).ravel()])
+
+    def unstack(self, u):
+        """c and the (k, N) rows of u = (c, carried rows)."""
+        return float(u[0]), u[1:].reshape(len(self.species), -1) / self.scale
+
+    def embed(self, rows):
+        """The (4, N) components of the state with these rows."""
+        if self.shift is None:
+            return rows
+        return np.concatenate([rows, self.shift * rows])
+
+    def residual(self, c, rows):
+        """Galerkin residual of the traveling-wave system: the (k, N) sine
+        coefficients of its odd components.
+
+        Component i: (r_i + a_i - c) dx r_i  -+  dx^-1(d), with the minus
+        sign on the plus species.  Each product r_i dx r_i is formed as
+        (1/2) dx(r_i^2): one inverse FFT of the rows to the product grid
+        (spectral.PRODUCT_GRID_FACTOR*N points of one fold period), a
+        pointwise square, one forward FFT back to the exact harmonics 1..N.
+        """
+        n = rows.shape[1]
+        w = self.w
+        vals = sp.grid_values(rows, None, sp.PRODUCT_GRID_FACTOR * n)
+        sq, _ = sp.grid_coefficients(vals * vals, n)
+        # sine coefficients of dx^-1(d)
+        pot = self.charge_weight * (self.charge @ rows) / w
+        return -self.species[:, None] * pot - w * (
+            0.5 * sq + (self.a - c) * rows)
+
+    def jacobian(self, c, rows, out=None):
+        """Dense (kN, kN) Jacobian of the residual in the rows, acting on
+        stacked cosine coefficients and producing stacked sine
+        coefficients; written into `out` (any (kN, kN) float view) if
+        given.
+
+        Block i maps h to dx((r_i + a_i - c) h): with u the coefficients
+        of r_i, its entry (p, j) is -w_p ((u_|p-j| + u_p+j) / 2
+        + (a_i - c) d_pj), a Toeplitz plus a Hankel matrix scaled by rows.
+        Both are windows of one zero-padded (k, 3N) coefficient sequence,
+        so the blocks are formed as one (k, N, N) batch; the potential
+        adds diagonal couplings between the blocks, written through a
+        strided view of `out`.
+        """
+        k, n = rows.shape
+        w = self.w
+        if out is None:
+            out = np.empty((k * n, k * n))
+        # seq[:, n - 1 + d] = u_|d|, with u_0 = 0 and u_p = 0 beyond N
+        seq = np.zeros((k, 3 * n))
+        seq[:, n:2 * n] = rows
+        seq[:, :n - 1] = rows[:, :n - 1][:, ::-1]
+        # win[:, s, j] = seq[:, s + j]: sliding_window_view costs more per
+        # call than the rest of the assembly at N = 16
+        step = seq.strides[1]
+        win = as_strided(seq, (k, 2 * n + 1, n), (seq.strides[0], step, step))
+        blocks = np.add(win[:, :n, ::-1], win[:, n + 1:])
+        blocks *= -0.5 * w[:, None]
+        blocks.reshape(k, n * n)[:, ::n + 1] -= (self.a - c) * w
+        out[...] = 0.0
+        for i in range(k):
+            out[i * n:(i + 1) * n, i * n:(i + 1) * n] = blocks[i]
+        row, col = out.strides  # couple[i, l, p] = out[i n + p, l n + p]
+        couple = as_strided(out, (k, k, n), (n * row, n * col, row + col))
+        couple -= (np.outer(self.species, self.charge)[:, :, None]
+                   * self.charge_weight / w)
+        return out
+
+    def linearization(self, c, rows):
+        """Matrix-free Jacobian and transport preconditioner at the rows:
+        two functions on (k, N) arrays, (matvec, precondition).
+
+        matvec(h) is jacobian(c, rows) applied to the cosine coefficients
+        h: the sine coefficients of dx(q_i h_i) -+ dx^-1(d(h)),
+        q_i = r_i + a_i - c.  The product q_i h_i reaches harmonic 2N; on
+        the product grid (spectral.PRODUCT_GRID_FACTOR) it does not alias
+        onto 1..N.  precondition(g) inverts h -> dx(q_i h) on that grid:
+        h = (dx^-1 g + kappa_i) / q_i with kappa_i making h zero-mean,
+        then cut to harmonics 1..N.  It leaves out the potential, which
+        smooths.  q is sampled once, here, and every call of the two
+        functions reuses one half-spectrum work array of
+        spectral.grid_values; a zero of q shows as non-finite output.
+        """
+        k, n = rows.shape
+        w = self.w
+        npts = sp.PRODUCT_GRID_FACTOR * n
+        work = sp.half_spectrum(k, npts)
+        q = sp.grid_values(rows, None, npts, work)
+        q += self.a - c
+        inv_q = 1.0 / q
+        sum_inv_q = np.sum(inv_q, axis=1, keepdims=True)
+
+        def matvec(h):
+            prod, _ = sp.grid_coefficients(
+                q * sp.grid_values(h, None, npts, work), n)
+            d = self.charge_weight * (self.charge @ h)
+            return -self.species[:, None] * d / w - w * prod
+
+        def precondition(g):
+            h = sp.grid_values(-g / w, None, npts, work) * inv_q
+            h -= h.sum(axis=1, keepdims=True) / sum_inv_q * inv_q
+            return sp.grid_coefficients(h, n)[0]
+
+        return matvec, precondition
+
+
+def half_shift(count):
+    """T on harmonics 1..count: the factors (-1)^j by which the shift
+    x -> x + pi/m multiplies reduced harmonic j of a fold-m series."""
+    return (-1.0) ** np.arange(1, count + 1)
+
+
+def residual(cfg, c, state):
+    """(4, N) sine coefficients of the residual (Layout.residual)."""
+    return Layout(cfg, state.fold, state.count).residual(c, state.cos)
 
 
 def residual_vector(cfg, c, state):
@@ -121,76 +252,9 @@ def speed_derivative_vector(cfg, c, state):
 
 
 def jacobian(cfg, c, state, out=None):
-    """Dense (4N,4N) Jacobian of the residual in the state, acting on
-    stacked cosine coefficients and producing stacked sine coefficients;
-    written into `out` (any (4N,4N) float view) if given.
-
-    Block i maps h to dx((r_i + a_i - c) h): with u the coefficients of
-    r_i, its entry (k, j) is -w_k ((u_|k-j| + u_k+j) / 2 + (a_i - c) d_kj),
-    a Toeplitz plus a Hankel matrix scaled by rows.  Both are windows of
-    one zero-padded (4, 3N) coefficient sequence, so the four blocks are
-    formed as one (4, N, N) batch; the potential adds diagonal couplings
-    between the blocks, written through a strided view of `out`.
-    """
-    n = state.count
-    w = state.wavenumbers()
-    if out is None:
-        out = np.empty((4 * n, 4 * n))
-    # seq[:, n - 1 + d] = u_|d|, with u_0 = 0 and u_p = 0 beyond N
-    seq = np.zeros((4, 3 * n))
-    seq[:, n:2 * n] = state.cos
-    seq[:, :n - 1] = state.cos[:, :n - 1][:, ::-1]
-    # win[:, s, j] = seq[:, s + j]: sliding_window_view costs more per
-    # call than the rest of the assembly at N = 16
-    step = seq.strides[1]
-    win = as_strided(seq, (4, 2 * n + 1, n), (seq.strides[0], step, step))
-    blocks = np.add(win[:, :n, ::-1], win[:, n + 1:])
-    blocks *= -0.5 * w[:, None]
-    blocks.reshape(4, n * n)[:, ::n + 1] -= (cfg.as_array() - c)[:, None] * w
-    out[...] = 0.0
-    for i in range(4):
-        out[i * n:(i + 1) * n, i * n:(i + 1) * n] = blocks[i]
-    row, col = out.strides  # couple[i, l, k] = out[i n + k, l n + k]
-    couple = as_strided(out, (4, 4, n), (n * row, n * col, row + col))
-    couple -= np.outer(SPECIES, CHARGE)[:, :, None] / w
-    return out
-
-
-def linearization(cfg, c, state):
-    """Matrix-free Jacobian and transport preconditioner at a state:
-    two functions on (4, N) arrays, (matvec, precondition).
-
-    matvec(h) is jacobian(cfg, c, state) applied to the cosine
-    coefficients h: the sine coefficients of dx(q_i h_i) -+ dx^-1(d(h)),
-    q_i = r_i + a_i - c.  The product q_i h_i reaches harmonic 2N; on the
-    product grid (spectral.PRODUCT_GRID_FACTOR) it does not alias onto 1..N.
-    precondition(g) inverts h -> dx(q_i h) on that grid:
-    h = (dx^-1 g + kappa_i) / q_i with kappa_i making h zero-mean, then
-    cut to harmonics 1..N.  It leaves out the potential, which smooths.
-    q is sampled once, here, and every call of the two functions reuses
-    one half-spectrum work array of spectral.grid_values; a zero of q
-    shows as non-finite output.
-    """
-    n = state.count
-    w = state.wavenumbers()
-    npts = sp.PRODUCT_GRID_FACTOR * n
-    work = sp.half_spectrum(4, npts)
-    q = sp.grid_values(state.cos, None, npts, work)
-    q += (cfg.as_array() - c)[:, None]
-    inv_q = 1.0 / q
-    sum_inv_q = np.sum(inv_q, axis=1, keepdims=True)
-
-    def matvec(h):
-        prod, _ = sp.grid_coefficients(
-            q * sp.grid_values(h, None, npts, work), n)
-        return -SPECIES[:, None] * (CHARGE @ h) / w - w * prod
-
-    def precondition(g):
-        h = sp.grid_values(-g / w, None, npts, work) * inv_q
-        h -= h.sum(axis=1, keepdims=True) / sum_inv_q * inv_q
-        return sp.grid_coefficients(h, n)[0]
-
-    return matvec, precondition
+    """Dense (4N, 4N) Jacobian of the residual in the state
+    (Layout.jacobian), written into `out` if given."""
+    return Layout(cfg, state.fold, state.count).jacobian(c, state.cos, out)
 
 
 def monitors(cfg, c, state):

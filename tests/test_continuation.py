@@ -39,28 +39,38 @@ class TestNewtonCorrect:
 
     def test_accepted_point_reuses_its_residual(self, sym_expansion, sym_cfg,
                                                 monkeypatch):
-        # the residual of the converged iterate is evaluated once, by the
-        # Newton loop, and not again to bundle the solution; the recorded
-        # sup is that of the returned state, bit for bit
+        # the residual of the converged state is evaluated once: on four
+        # rows by the Newton loop, and not again to bundle the solution;
+        # on the plus rows of the fixed space by the bundling, as the
+        # loop's residual of those rows is not the embedded state's bit
+        # for bit.  The recorded sup is that of the returned state, bit
+        # for bit
         calls = []
-        residual = st.residual
+        residual = st.Layout.residual
 
-        def counted(cfg, c, state, **kwargs):
-            calls.append((float(c), state.cos.copy()))
-            return residual(cfg, c, state, **kwargs)
+        def counted(layout, c, rows):
+            calls.append((float(c), rows.copy()))
+            return residual(layout, c, rows)
 
-        monkeypatch.setattr(st, "residual", counted)
+        monkeypatch.setattr(st.Layout, "residual", counted)
         n = 16
         c_g, state_g = lb.predictor(sym_expansion, 1e-2, count=n)
         u0 = np.concatenate([[c_g], state_g.as_vector()])
-        sol, iters = ct.newton_correct(
-            sym_cfg, (c_g, state_g),
-            ct.ArclengthConstraint(u0 / np.linalg.norm(u0), u0, 0.0), 1, n)
-        assert iters >= 1
-        assert sum(c == sol.c and np.array_equal(cos, sol.state.cos)
-                   for c, cos in calls) == 1
-        assert sol.residual_norm == float(np.max(np.abs(
-            st.residual_vector(sym_cfg, sol.c, sol.state))))
+        constraint = ct.ArclengthConstraint(u0 / np.linalg.norm(u0), u0, 0.0)
+        for four_rows in (False, True):
+            if four_rows:
+                monkeypatch.setattr(ct, "_on_fixed_space",
+                                    lambda cfg, *cos: False)
+            calls.clear()
+            sol, iters = ct.newton_correct(sym_cfg, (c_g, state_g),
+                                           constraint, 1, n)
+            assert iters >= 1
+            assert {len(rows) for _, rows in calls} == (
+                {4} if four_rows else {2, 4})
+            assert sum(c == sol.c and np.array_equal(rows, sol.state.cos)
+                       for c, rows in calls) == 1
+            assert sol.residual_norm == float(np.max(np.abs(
+                st.residual_vector(sym_cfg, sol.c, sol.state))))
 
     def test_quadratic_convergence_from_predictor(self, sym_expansion, sym_cfg):
         n = 16
@@ -437,7 +447,7 @@ class TestKrylovNewton:
             tangent, np.concatenate([[sol.c], np.zeros(4 * n)]), 0.0)
         monkeypatch.setattr(ct, "np", _Forward(np, linalg=_Forward(
             np.linalg, solve=_refuse)))
-        monkeypatch.setattr(st, "jacobian", _refuse)
+        monkeypatch.setattr(st.Layout, "jacobian", _refuse)
         tracemalloc.start()
         try:
             got, iters = ct.newton_correct(
@@ -573,3 +583,96 @@ def test_restart_from_an_image_point_reproduces_its_tail(sym_expansion):
         assert abs(p.solution.c - q.solution.c) <= 1e-9
         assert np.max(np.abs(p.solution.state.cos
                              - q.solution.state.cos)) <= 1e-9
+
+
+# (layer, fold, options) of symmetric arms at the highest admissible
+# speed, traced on the plus rows of the fixed space and on all four rows:
+# the default arm, m = 2, the m = 3 arm whose last point needs dense
+# solves after GMRES stalls, and a layer of other velocities
+FIXED_SPACE_CASES = {
+    "default": ((-1.0, 1.0, -1.0, 1.0), 1, ct.ContinuationOptions()),
+    "m2": ((-1.0, 1.0, -1.0, 1.0), 2, ct.ContinuationOptions()),
+    "m3": ((-1.0, 1.0, -1.0, 1.0), 3,
+           ct.ContinuationOptions(count=64, max_points=11)),
+    "a2": ((-2.0, 0.5, -2.0, 0.5), 1, ct.ContinuationOptions()),
+}
+# the symmetric layers of the benchmark's scan-small workload
+SCAN_LAYERS = [(-1.741, 1.741, -1.741, 1.741), (-1.467, 1.467, -1.467, 1.467),
+               (-0.524, 0.524, -0.524, 0.524), (-0.592, 0.592, -0.592, 0.592),
+               (-0.634, 0.634, -0.634, 0.634), (-1.183, 1.183, -1.183, 1.183)]
+
+
+def _trace_on_four_rows(origin, arm, opts):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ct, "_on_fixed_space", lambda cfg, *cos: False)
+        return ct.trace_arm(origin, arm, opts)
+
+
+def _assert_same_arm(got, want):
+    assert got.termination.label() == want.termination.label()
+    assert len(got.points) == len(want.points)
+    for p, q in zip(got.points, want.points):
+        assert p.newton_iters == q.newton_iters
+        assert p.solution.state.count == q.solution.state.count
+        scale = max(abs(q.s), abs(q.solution.c), q.solution.state.max_abs())
+        assert abs(p.s - q.s) <= 1e-12 * scale
+        assert abs(p.solution.c - q.solution.c) <= 1e-12 * scale
+        assert np.max(np.abs(p.solution.state.cos
+                             - q.solution.state.cos)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("case", list(FIXED_SPACE_CASES))
+def test_fixed_space_arm_matches_the_four_row_arm(case):
+    a, m, opts = FIXED_SPACE_CASES[case]
+    origin = _origin(a, m)
+    _assert_same_arm(ct.trace_arm(origin, +1, opts),
+                     _trace_on_four_rows(origin, +1, opts))
+
+
+def test_scan_arms_match_four_row_arms():
+    opts = ct.ContinuationOptions(count=16, max_count=16, max_points=12)
+    arms = 0
+    for a in SCAN_LAYERS:
+        cfg = pc.classify_config(a)
+        for m in (1, 2, 3):
+            for c_star in pc.bifurcation_speeds(m, cfg).admissible():
+                origin = lb.local_expansion(m, cfg, c_star)
+                _assert_same_arm(ct.trace_arm(origin, +1, opts),
+                                 _trace_on_four_rows(origin, +1, opts))
+                arms += 1
+    assert arms == 36
+
+
+def test_four_rows_off_the_fixed_space(monkeypatch):
+    # a layer symmetric within the classification tolerance but not bit
+    # for bit, and a guess off the fixed space, are solved on four rows;
+    # Newton builds one layout, and solution_at four rows after two
+    rows = []
+    layout = st.Layout
+
+    def spy(cfg, fold, count, symmetric=False):
+        rows.append(2 if symmetric else 4)
+        return layout(cfg, fold, count, symmetric)
+
+    monkeypatch.setattr(st, "Layout", spy)
+    opts = ct.ContinuationOptions(count=16, max_points=6)
+    near = _origin((-1.0, 1.0, -1.0 + 1e-13, 1.0 + 1e-13), 1)
+    assert near.cfg.regime == pc.SYMMETRIC
+    arm = ct.trace_arm(near, +1, opts)
+    assert len(arm.points) == 6 and set(rows) == {4}
+    for p in arm.points:
+        assert p.solution.residual_norm <= opts.newton_tol
+    sym = _origin((-1.0, 1.0, -1.0, 1.0), 1)
+    c, state = lb.predictor(sym, 1e-2, count=16)
+    u0 = np.concatenate([[c], state.as_vector()])
+    constraint = ct.ArclengthConstraint(u0 / np.linalg.norm(u0), u0, 0.0)
+    rows.clear()
+    ct.newton_correct(sym.cfg, (c, state), constraint, 1, 16)
+    assert rows == [2, 4]
+    cos = state.cos.copy()
+    cos[3, 2] = 1e-9
+    rows.clear()
+    sol, iters = ct.newton_correct(
+        sym.cfg, (c, st.InterfaceState.from_arrays(1, cos)), constraint, 1, 16)
+    assert rows == [4] and iters >= 1
+    assert sol.residual_norm <= 1e-11

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from layerwaves import continuation as ct
 from layerwaves import dynamics as dy
 from layerwaves import pencil as pc
 from layerwaves import spectral as sp
@@ -19,6 +20,11 @@ SQRT5 = float(np.sqrt(5.0))
 def random_state(rng, fold=2, count=10, scale=0.1):
     return from_vector(
         fold, count, scale * rng.standard_normal(4 * count))
+
+
+def linearization(cfg, c, state):
+    """(matvec, precondition) of the four rows at a state."""
+    return st.Layout(cfg, state.fold, state.count).linearization(c, state.cos)
 
 
 def charge_difference(state):
@@ -410,14 +416,66 @@ def test_species_swap_commutes_on_symmetric_layers(a, commutes):
         assert min(res_dev, jac_dev, rhs_dev) > 0.1
 
 
-def test_symmetric_arm_is_fixed_by_the_swap_and_half_shift(sym_branch_pair):
+def test_symmetric_arm_is_fixed_by_the_swap_and_half_shift(
+        sym_expansion, branch_options, monkeypatch):
     # sigma maps the + arm to itself composed with the half-period shift:
-    # r_minus_i = T r_plus_i, T = (-1)^j on reduced harmonic j
-    plus, _ = sym_branch_pair
+    # r_minus_i = T r_plus_i, T = (-1)^j on reduced harmonic j.  Newton
+    # imposes that on symmetric layers, so the arm is traced on all four
+    # rows here, where nothing but the equations keeps it there.
+    monkeypatch.setattr(ct, "_on_fixed_space", lambda cfg, *cos: False)
+    plus = ct.trace_arm(sym_expansion, +1, branch_options)
     for point in plus.points:
         u = point.solution.state.cos
         t = (-1.0) ** np.arange(1, u.shape[1] + 1)
         assert np.max(np.abs(u[2:] - t * u[:2])) <= 1e-13 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("a", [(-1.0, 1.0, -1.0, 1.0), (0.5, 2.0, 0.5, 2.0)])
+def test_plus_rows_match_the_four_rows_on_the_fixed_space(a):
+    # on a state r_minus_i = T r_plus_i the residual, the Jacobian and the
+    # preconditioner of the two plus rows are the plus rows of the
+    # four-row ones, whose minus rows are T times them
+    cfg = pc.classify_config(a)
+    rng = np.random.default_rng(8)
+    c = 1.3 if a[0] > 0 else 0.0
+    for fold in (1, 2, 3):
+        for n in (1, 16, 64, 256):
+            plus = st.Layout(cfg, fold, n, symmetric=True)
+            full = st.Layout(cfg, fold, n)
+            t = st.half_shift(n)
+            decay = np.exp(-0.3 * np.arange(n))
+            p, h, g = rng.uniform(-1, 1, (3, 2, n)) * decay
+            p *= 0.1
+
+            def embed(x):
+                return np.concatenate([x, t * x])
+
+            want = full.residual(c, embed(p))
+            got = plus.residual(c, p)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(embed(got) - want)) <= 1e-13 * scale
+            # the c column: the residual is affine in c
+            dc = (plus.residual(c + 0.5, p) - plus.residual(c - 0.5, p))
+            want = st.speed_derivative_vector(
+                cfg, c, st.InterfaceState.from_arrays(fold, embed(p)))
+            assert np.max(np.abs(dc - want[:2 * n].reshape(2, n))) \
+                <= 1e-13 * np.max(np.abs(want))
+            mv_full, pc_full = full.linearization(c, embed(p))
+            mv_plus, pc_plus = plus.linearization(c, p)
+            for got, want in ((mv_plus(h), mv_full(embed(h))),
+                              (pc_plus(g), pc_full(embed(g)))):
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(embed(got) - want)) <= 1e-13 * scale
+            jac = full.jacobian(c, embed(p))
+            want = jac[:2 * n, :2 * n] + jac[:2 * n, 2 * n:] * np.tile(t, 2)
+            got = plus.jacobian(c, p)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(jac))
+            # the carried rows keep the four rows' inner products
+            u, v = (plus.stack(0.5, embed(x)) for x in (p, h))
+            assert u @ v == pytest.approx(
+                0.25 + np.sum(embed(p) * embed(h)), rel=1e-13)
+            assert np.max(np.abs(plus.embed(plus.unstack(u)[1])
+                                 - embed(p))) <= 1e-15 * np.max(np.abs(p))
 
 
 def test_wave_solution_json_roundtrip(sym_cfg):
@@ -530,7 +588,7 @@ def test_matvec_matches_jacobian_and_direct_gathers(gen_cfg, fold, count):
     rng = np.random.default_rng(40 * fold + count)
     state = full_band_state(rng, fold, count)
     h = rng.uniform(-1, 1, (4, count))
-    matvec, _ = st.linearization(gen_cfg, 1.9, state)
+    matvec, _ = linearization(gen_cfg, 1.9, state)
     got = matvec(h).ravel()
     for J in (st.jacobian(gen_cfg, 1.9, state),
               direct_jacobian(gen_cfg, 1.9, state)):
@@ -546,7 +604,7 @@ def test_linearization_calls_leave_earlier_results_alone(gen_cfg):
     rng = np.random.default_rng(42)
     state = from_vector(2, 32,
                                           0.01 * rng.uniform(-1, 1, 128))
-    matvec, precondition = st.linearization(gen_cfg, 1.9, state)
+    matvec, precondition = linearization(gen_cfg, 1.9, state)
     h, g = rng.uniform(-1, 1, (2, 4, 32))
     first_mv, first_pc = matvec(h), precondition(g)
     kept_mv, kept_pc = first_mv.copy(), first_pc.copy()
@@ -568,7 +626,7 @@ def test_preconditioner_inverts_transport(gen_cfg):
     w = 2.0 * np.arange(1, n + 1)
     g = rng.uniform(-1, 1, (4, n))
     flat = st.InterfaceState.zero(2, n)
-    matvec, precondition = st.linearization(gen_cfg, c, flat)
+    matvec, precondition = linearization(gen_cfg, c, flat)
     h = precondition(g)
     transport = matvec(h) + pc.SPECIES[:, None] * (pc.CHARGE @ h) / w
     assert np.max(np.abs(transport - g)) <= 1e-14
@@ -577,7 +635,7 @@ def test_preconditioner_inverts_transport(gen_cfg):
     state = from_vector(
         2, n, (0.2 * rng.uniform(-1, 1, (4, n))
                * np.exp(-2.0 * np.arange(1, n + 1))).ravel())
-    matvec, precondition = st.linearization(gen_cfg, c, state)
+    matvec, precondition = linearization(gen_cfg, c, state)
     g[:, 4:] = 0.0
     h = precondition(g)
     transport = matvec(h) + pc.SPECIES[:, None] * (pc.CHARGE @ h) / w
@@ -587,8 +645,8 @@ def test_preconditioner_inverts_transport(gen_cfg):
 def test_preconditioner_at_a_zero_of_q_is_not_finite(sym_cfg):
     # q_i = a_i - c vanishes everywhere when c equals a velocity
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, precondition = st.linearization(sym_cfg, 1.0,
-                                           st.InterfaceState.zero(1, 8))
+        _, precondition = linearization(sym_cfg, 1.0,
+                                        st.InterfaceState.zero(1, 8))
         assert not np.all(np.isfinite(precondition(np.ones((4, 8)))))
 
 
