@@ -225,18 +225,6 @@ def _krylov_step(layout, c, rows, col, tangent, res):
     return None, iters
 
 
-def _on_fixed_space(cfg, *coefficients):
-    """Whether the layer has a_plus == a_minus bit for bit and each (4, N)
-    coefficient array lies exactly on its fixed space r_minus_i =
-    T r_plus_i (steady.Layout)."""
-    a = cfg.as_array()
-    if not np.array_equal(a[:2], a[2:]):
-        return False
-    shift = st.half_shift(coefficients[0].shape[1])
-    return all(np.array_equal(cos[2:], shift * cos[:2])
-               for cos in coefficients)
-
-
 def newton_correct(cfg, guess, constraint, fold, count,
                    tol=ContinuationOptions.newton_tol):
     """Damped Newton on [residual; arclength constraint].
@@ -244,11 +232,11 @@ def newton_correct(cfg, guess, constraint, fold, count,
     Iterates on u = (c, carried rows) of one steady.Layout: the plus
     rows alone, 2N + 1 unknowns, if the guess, the constraint's tangent
     and its base lie on a symmetric layer's fixed space
-    (_on_fixed_space), else all four rows.  The constraint is restated
-    on u, and the residual rows are weighted by the layout's scale in
-    the linear solves, so every inner product and norm is that of the
-    4N + 1 system.  From KRYLOV_MIN_COUNT harmonics on, each step is a
-    matrix-free GMRES solve (_krylov_step); below it, or when GMRES
+    (steady.on_fixed_space), else all four rows.  The constraint is
+    restated on u, and the residual rows are weighted by the layout's
+    scale in the linear solves, so every inner product and norm is that
+    of the 4N + 1 system.  From KRYLOV_MIN_COUNT harmonics on, each step
+    is a matrix-free GMRES solve (_krylov_step); below it, or when GMRES
     stalls, the Jacobian is written into the one bordered matrix and
     solved densely.  An overflowing trial shows as a non-finite sup and
     is damped.  The converged rows are embedded back into four.
@@ -261,7 +249,7 @@ def newton_correct(cfg, guess, constraint, fold, count,
     t_cos, b_cos = (v[1:].reshape(4, count)
                     for v in (constraint.tangent, constraint.base))
     layout = st.Layout(cfg, fold, count,
-                       _on_fixed_space(cfg, cos, t_cos, b_cos))
+                       st.on_fixed_space(cfg, cos, t_cos, b_cos))
     u = layout.stack(c0, cos)
     if not np.all(np.isfinite(u)):
         raise CorrectionFailedError("correction-failed: non-finite guess")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
+from . import steady as st
 from .errors import DivergedError
 from .pencil import CHARGE, COMPONENT_NAMES, SIDE, SPECIES
 from .spectral import TrigSeries
@@ -54,29 +55,30 @@ class EnergyReport:
         return self.e_kin + self.e_pot
 
 
-def _tendency(cfg, fold, count):
-    """The stage function f of rhs on x = stack(cos, sin), a (2, 4, count)
-    coefficient array; the wavenumber tables and the transform's work
-    array are made once, here.
+def _tendency(layout):
+    """The stage function f of rhs on x = stack(cos, sin), a (2, k, N)
+    coefficient array of the k rows of a steady.Layout: all four
+    components, or the two plus rows of a state on a symmetric layer's
+    fixed space, where the coupling reads d = (1 - T)(r_plus2 - r_plus1)
+    through the layout's charge weight.  The coefficient tables and the
+    transform are made once, here.
 
-    Each product r_i dx r_i is formed as (1/2) dx(r_i^2): one inverse
-    FFT of the four states to spectral's product grid, a pointwise
-    square, one forward FFT back to the exact harmonics 1..N."""
-    w = fold * np.arange(1, count + 1, dtype=float)
-    aw = cfg.as_array()[:, None] * w
-    half_w = 0.5 * w
-    coupling = SPECIES[:, None] / w
-    npts = sp.PRODUCT_GRID_FACTOR * count
-    work = sp.half_spectrum(4, npts)
+    Each product r_i dx r_i is formed as (1/2) dx(r_i^2), with r_i^2 from
+    one spectral.squares round trip of the k rows.  Each table carries
+    the sign of its output row, so the cosine row's negation costs no
+    pass: out = (-(a w sin + w sq_sin / 2 + coupling d_sin),
+    a w cos + w sq_cos / 2 + coupling d_cos)."""
+    w = layout.w
+    sign = np.array([-1.0, 1.0])[:, None, None]
+    aw = sign * (layout.a * w)
+    half_w = sign * (0.5 * w)
+    coupling = sign * (layout.species[:, None] * layout.charge_weight / w)
+    square = sp.squares(len(layout.species), w.size)
 
     def f(x):
-        cos, sin = x
-        vals = sp.grid_values(cos, sin, npts, work)
-        sq_cos, sq_sin = sp.grid_coefficients(vals * vals, count)
-        qcos, qsin = CHARGE @ x
-        out = np.empty_like(x)
-        out[0] = -(half_w * sq_sin + aw * sin + coupling * qsin)
-        out[1] = half_w * sq_cos + aw * cos + coupling * qcos
+        out = aw * x[::-1]
+        out += half_w * square(x)[::-1]
+        out += coupling * (layout.charge @ x)[::-1, None]
         return out
 
     return f
@@ -86,8 +88,8 @@ def rhs(cfg, state):
     """Time derivative of the interfaces:
     -(a_i + r_i) dx r_i  +-  dx^-1(r_+^2 - r_+^1)  -+  dx^-1(r_-^2 - r_-^1),
     with the upper signs on the plus species (formed by _tendency)."""
-    x = _tendency(cfg, state.fold, state.count)(
-        np.stack((state.cos, state.sin)))
+    f = _tendency(st.Layout(cfg, state.fold, state.count))
+    x = f(np.stack((state.cos, state.sin)))
     return PhaseState.from_arrays(state.fold, x[0], x[1])
 
 
@@ -100,7 +102,7 @@ def energy(cfg, state):
     a = cfg.as_array()
     npts = sp.PRODUCT_GRID_FACTOR * state.count
     vals = sp.grid_values(state.cos, state.sin, npts) + a[:, None]
-    e_kin = float(np.mean((SIDE @ vals ** 3) / 6.0))
+    e_kin = float(np.mean((SIDE @ (vals * vals * vals)) / 6.0))
     qcos, qsin = CHARGE @ state.cos, CHARGE @ state.sin
     e_pot = 0.25 * float(np.sum((qcos ** 2 + qsin ** 2)
                                 / state.wavenumbers() ** 2))
@@ -168,7 +170,12 @@ class Trajectory:
 @np.errstate(over="ignore", invalid="ignore")
 def evolve(cfg, start, dt, steps, store_every=1):
     """Classical four-stage Runge-Kutta on the evolution system, stepping
-    one (2, 4, N) array of cosine and sine coefficients.
+    one (2, k, N) array of cosine and sine coefficients: the rows of a
+    steady.Layout, the two plus rows if the start lies on a symmetric
+    layer's fixed space (steady.on_fixed_space), else all four.  The
+    system commutes with the species swap composed with the half-period
+    shift there, so the state stays on the fixed space; each stored
+    state is embedded back into four rows.
 
     dt must respect the explicit stability limit of the initial state.
     Stores the start, every store_every-th step and the last step.
@@ -185,8 +192,11 @@ def evolve(cfg, start, dt, steps, store_every=1):
     limit = cfl_limit(cfg, start)
     if dt > limit:
         raise ValueError(f"dt={dt:g} exceeds the stability limit {limit:g}")
-    f = _tendency(cfg, start.fold, start.count)
-    x = np.stack((start.cos, start.sin))
+    layout = st.Layout(cfg, start.fold, start.count,
+                       st.on_fixed_space(cfg, start.cos, start.sin))
+    f = _tendency(layout)
+    rows = len(layout.species)
+    x = np.stack((start.cos[:rows], start.sin[:rows]))
     times = [0.0]
     states = [start]
     energies = [energy(cfg, start)]
@@ -197,10 +207,11 @@ def evolve(cfg, start, dt, steps, store_every=1):
         k4 = f(x + dt * k3)
         # a new array each step: stored states keep views of it
         x = x + dt / 6.0 * k1 + dt / 3.0 * k2 + dt / 3.0 * k3 + dt / 6.0 * k4
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DivergedError(f"evolution diverged at step {k}")
         if k % store_every == 0 or k == steps:
-            state = PhaseState.from_arrays(start.fold, x[0], x[1])
+            state = PhaseState.from_arrays(start.fold, layout.embed(x[0]),
+                                           layout.embed(x[1]))
             times.append(k * dt)
             states.append(state)
             energies.append(energy(cfg, state))

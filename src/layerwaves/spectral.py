@@ -345,3 +345,39 @@ def grid_coefficients(vals, count):
         raise ValueError(f"{npts} points cannot resolve {count} harmonics")
     f = np.fft.rfft(vals, axis=1)[:, 1:count + 1] * (2.0 / npts)
     return f.real, -f.imag
+
+
+def squares(k, count):
+    """The function x -> harmonics 1..count of the squares of k
+    full-parity series, exact on the product grid.
+
+    x and the result are (2, k, count) stacks of cosine over sine
+    coefficients.  A call is one inverse and one forward real FFT on
+    PRODUCT_GRID_FACTOR*count points, with the conventions of grid_values
+    and grid_coefficients: x goes into one reused half spectrum by one
+    product, and the grid values are squared in place.
+    """
+    npts = PRODUCT_GRID_FACTOR * count
+    work = half_spectrum(k, npts)
+    spectrum = _parts(work, count)
+    half_conj = np.array([0.5, -0.5])[:, None, None]
+    scale = (2.0 / npts) * np.array([1.0, -1.0])[:, None, None]
+
+    def square(x):
+        np.multiply(x, half_conj, out=spectrum)
+        vals = np.fft.irfft(work, n=npts, axis=1, norm="forward")
+        np.multiply(vals, vals, out=vals)
+        # C order: the callers' arithmetic on the spectrum's interleaved
+        # layout was measured slower, by 10% of a stage at N = 256
+        return np.multiply(_parts(np.fft.rfft(vals, axis=1), count), scale,
+                           order="C")
+
+    return square
+
+
+def _parts(spectrum, count):
+    """(2, k, count) view of columns 1..count of a C-contiguous complex
+    (k, M) array: the real parts over the imaginary parts."""
+    k, m = spectrum.shape
+    pairs = spectrum.view(float).reshape(k, m, 2)
+    return pairs[:, 1:count + 1].transpose(2, 0, 1)

@@ -95,8 +95,8 @@ class WaveSolution:
 
 
 class Layout:
-    """The coefficient rows one Newton solve carries, at one fold and
-    truncation N.
+    """The coefficient rows one Newton solve or one RK4 evolution
+    (dynamics.evolve) carries, at one fold and truncation N.
 
     Either the four components (k = 4), or, on a layer with a_plus ==
     a_minus, the two plus rows (k = 2) of a state on the fixed space
@@ -234,6 +234,17 @@ def half_shift(count):
     """T on harmonics 1..count: the factors (-1)^j by which the shift
     x -> x + pi/m multiplies reduced harmonic j of a fold-m series."""
     return (-1.0) ** np.arange(1, count + 1)
+
+
+def on_fixed_space(cfg, *coefficients):
+    """Whether the layer has a_plus == a_minus bit for bit and each (4, N)
+    coefficient array lies exactly on its fixed space r_minus_i =
+    T r_plus_i (Layout)."""
+    a = cfg.as_array()
+    if not np.array_equal(a[:2], a[2:]):
+        return False
+    shift = half_shift(coefficients[0].shape[1])
+    return all(np.array_equal(u[2:], shift * u[:2]) for u in coefficients)
 
 
 def residual(cfg, c, state):

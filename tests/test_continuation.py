@@ -59,7 +59,7 @@ class TestNewtonCorrect:
         constraint = ct.ArclengthConstraint(u0 / np.linalg.norm(u0), u0, 0.0)
         for four_rows in (False, True):
             if four_rows:
-                monkeypatch.setattr(ct, "_on_fixed_space",
+                monkeypatch.setattr(st, "on_fixed_space",
                                     lambda cfg, *cos: False)
             calls.clear()
             sol, iters = ct.newton_correct(sym_cfg, (c_g, state_g),
@@ -604,7 +604,7 @@ SCAN_LAYERS = [(-1.741, 1.741, -1.741, 1.741), (-1.467, 1.467, -1.467, 1.467),
 
 def _trace_on_four_rows(origin, arm, opts):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ct, "_on_fixed_space", lambda cfg, *cos: False)
+        mp.setattr(st, "on_fixed_space", lambda cfg, *cos: False)
         return ct.trace_arm(origin, arm, opts)
 
 

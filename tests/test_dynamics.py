@@ -306,8 +306,8 @@ def test_divergence_detected_mid_run(sym_cfg, monkeypatch):
     exact = dy._tendency
     calls = []
 
-    def tendency(cfg, fold, count):
-        stage = exact(cfg, fold, count)
+    def tendency(layout):
+        stage = exact(layout)
 
         def f(x):
             out = stage(x)
@@ -372,6 +372,93 @@ def test_evolve_matches_stage_oracle_few_steps(sym_cfg, steps):
     dt = 0.5 * dy.cfl_limit(sym_cfg, start)
     traj = assert_matches_oracle(sym_cfg, start, dt, steps, 5)
     assert traj.states[0] is start and len(traj.states) == steps + 1
+
+
+def fixed_space_start(rng, fold, count, scale=0.1):
+    """A start on the fixed space r_minus_i = T r_plus_i of a symmetric
+    layer, with random plus rows."""
+    cos, sin = scale * rng.standard_normal((2, 2, count))
+    t = st.half_shift(count)
+    return dy.PhaseState.from_arrays(fold, np.concatenate([cos, t * cos]),
+                                     np.concatenate([sin, t * sin]))
+
+
+def stage_rows(monkeypatch):
+    """The row counts of the stage functions made from now on."""
+    exact = dy._tendency
+    rows = []
+
+    def tendency(layout):
+        rows.append(len(layout.species))
+        return exact(layout)
+
+    monkeypatch.setattr(dy, "_tendency", tendency)
+    return rows
+
+
+def four_rows_only(monkeypatch):
+    monkeypatch.setattr(st, "on_fixed_space", lambda cfg, *cos: False)
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3])
+@pytest.mark.parametrize("a", [(-1.0, 1.0, -1.0, 1.0), (0.5, 2.0, 0.5, 2.0)])
+def test_four_row_evolution_stays_on_the_fixed_space(a, fold, monkeypatch):
+    # the premise of the two-row path: the evolution commutes with the
+    # species swap composed with the half-period shift, so on four rows,
+    # where nothing but the equations keeps it there, a fixed-space start
+    # stays on the fixed space
+    four_rows_only(monkeypatch)
+    rows = stage_rows(monkeypatch)
+    cfg = pc.classify_config(a)
+    start = fixed_space_start(np.random.default_rng(fold), fold, 16)
+    dt = 0.5 * dy.cfl_limit(cfg, start)
+    traj = dy.evolve(cfg, start, dt, 60, store_every=10)
+    assert rows == [4]
+    t = st.half_shift(16)
+    for state in traj.states:
+        for u in (state.cos, state.sin):
+            assert np.max(np.abs(u[2:] - t * u[:2])) <= 1e-13 * state.max_abs()
+
+
+@pytest.mark.parametrize("fold, count", [(1, 16), (2, 17), (1, 64)])
+def test_plus_rows_evolve_as_the_four_rows(sym_cfg, fold, count,
+                                           monkeypatch):
+    start = fixed_space_start(np.random.default_rng(count), fold, count)
+    dt = 0.5 * dy.cfl_limit(sym_cfg, start)
+    rows = stage_rows(monkeypatch)
+    two = dy.evolve(sym_cfg, start, dt, 40, store_every=7)
+    four_rows_only(monkeypatch)
+    four = dy.evolve(sym_cfg, start, dt, 40, store_every=7)
+    assert rows == [2, 4]
+    assert np.array_equal(two.times, four.times)
+    assert len(two.states) == len(four.states) == 7
+    t = st.half_shift(count)
+    for got, want, e_got, e_want in zip(two.states, four.states,
+                                        two.energies, four.energies):
+        scale = want.max_abs()
+        assert got.fold == fold and got.count == count
+        assert np.array_equal(got.cos[2:], t * got.cos[:2])
+        assert np.array_equal(got.sin[2:], t * got.sin[:2])
+        assert np.max(np.abs(got.cos - want.cos)) <= 1e-13 * scale
+        assert np.max(np.abs(got.sin - want.sin)) <= 1e-13 * scale
+        assert abs(e_got.e_kin - e_want.e_kin) <= 1e-13 * abs(e_want.e_total)
+        assert abs(e_got.e_pot - e_want.e_pot) <= 1e-13 * abs(e_want.e_total)
+
+
+def test_off_space_starts_evolve_on_four_rows(sym_cfg, monkeypatch):
+    # a layer symmetric to 1e-13 only, and a start one coefficient off the
+    # fixed space: neither has the symmetry, so both step four rows
+    start = fixed_space_start(np.random.default_rng(2), 1, 16)
+    near = pc.classify_config((-1.0, 1.0, -1.0 + 1e-13, 1.0 + 1e-13))
+    sin = start.sin.copy()
+    sin[3, 5] += 1e-9
+    moved = dy.PhaseState.from_arrays(1, start.cos, sin)
+    rows = stage_rows(monkeypatch)
+    for cfg, state in ((near, start), (sym_cfg, moved)):
+        rows.clear()
+        dt = 0.5 * dy.cfl_limit(cfg, state)
+        assert_matches_oracle(cfg, state, dt, 20, 3)
+        assert rows[0] == 4  # evolve's stage; the oracle's rhs calls follow
 
 
 def test_stored_states_are_not_overwritten(sym_cfg):

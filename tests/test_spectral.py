@@ -178,6 +178,25 @@ def test_grid_values_work_array_keeps_no_state(count):
         assert np.all(work[:, 0] == 0.0) and np.all(work[:, count + 1:] == 0.0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("count", [1, 8, 17, 64])
+def test_squares_are_the_grid_round_trip(k, count):
+    # bit for bit the square of grid_values taken back by
+    # grid_coefficients on the product grid; repeated calls reuse one work
+    # array, so each must equal a fresh round trip
+    rng = np.random.default_rng(10 * k + count)
+    square = sp.squares(k, count)
+    npts = sp.PRODUCT_GRID_FACTOR * count
+    for _ in range(3):
+        x = rng.standard_normal((2, k, count))
+        vals = sp.grid_values(x[0], x[1], npts)
+        want = sp.grid_coefficients(vals * vals, count)
+        got = square(x)
+        assert got.shape == (2, k, count)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
 @pytest.mark.parametrize("count", [1, 8, 17, 64, 256])
 def test_grid_coefficients_invert_grid_values(count):
     rng = np.random.default_rng(count)

@@ -422,7 +422,7 @@ def test_symmetric_arm_is_fixed_by_the_swap_and_half_shift(
     # r_minus_i = T r_plus_i, T = (-1)^j on reduced harmonic j.  Newton
     # imposes that on symmetric layers, so the arm is traced on all four
     # rows here, where nothing but the equations keeps it there.
-    monkeypatch.setattr(ct, "_on_fixed_space", lambda cfg, *cos: False)
+    monkeypatch.setattr(st, "on_fixed_space", lambda cfg, *cos: False)
     plus = ct.trace_arm(sym_expansion, +1, branch_options)
     for point in plus.points:
         u = point.solution.state.cos
