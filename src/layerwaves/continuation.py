@@ -42,6 +42,7 @@ TAIL_NORM_TOL = 1e-8         # double N when the tail exceeds this share
 KRYLOV_MIN_COUNT = 64
 KRYLOV_TOL = 1e-13           # GMRES stop, relative to the Newton residual
 KRYLOV_TRUE_TOL = 1e-12      # true residual that accepts a GMRES step
+KRYLOV_TOL_SHARE = 1e-3      # or a true residual this share of Newton's tol
 KRYLOV_MAX_ITERS = 40        # per GMRES cycle; at most two cycles
 
 
@@ -176,14 +177,16 @@ def _gmres(apply, precondition, rhs, tol, max_iters):
     return precondition(y @ V[:k]), k
 
 
-def _krylov_step(layout, c, rows, col, tangent, res):
+def _krylov_step(layout, c, rows, col, tangent, res, tol):
     """Newton step of the bordered system by matrix-free GMRES, or None.
 
     The system acts on u = (c, carried rows) of the layout; col is its
     c column.  The preconditioner is the transport inverse of
     Layout.linearization, bordered by the c column and the arclength row
     by elimination.  The true residual is checked after the solve and,
-    if it is short of KRYLOV_TRUE_TOL, one more GMRES cycle runs on it.
+    if it exceeds both KRYLOV_TRUE_TOL times ||res|| and KRYLOV_TOL_SHARE
+    times Newton's tol, one more GMRES cycle runs on it: a miss far
+    below tol is round-off that no Newton iteration would notice.
     Returns (step or None, GMRES iterations); None on a stall or a
     non-finite value, such as a zero of q_i.
     """
@@ -220,7 +223,7 @@ def _krylov_step(layout, c, rows, col, tangent, res):
             miss = np.linalg.norm(left)
             if not np.isfinite(miss):
                 break
-            if miss <= KRYLOV_TRUE_TOL * target:
+            if miss <= max(KRYLOV_TRUE_TOL * target, KRYLOV_TOL_SHARE * tol):
                 return step, iters
     return None, iters
 
@@ -285,7 +288,7 @@ def newton_correct(cfg, guess, constraint, fold, count,
         step = None
         if count >= KRYLOV_MIN_COUNT:
             step, k = _krylov_step(layout, c, rows, col, constraint.tangent,
-                                   rhs)
+                                   rhs, tol)
             krylov_iters += k
         if step is None:
             if A is None:

@@ -97,8 +97,9 @@ def energy(cfg, state):
     """Total energy: strip-integrated kinetic energy by exact grid
     quadrature plus the nonnegative electrostatic energy in coefficients.
 
-    The grid values come from one inverse FFT of all four components to
-    spectral's product grid, where the cubic integrand's mean is exact."""
+    The grid values come from one inverse transform (spectral.grid_values)
+    of all four components to spectral's product grid, where the cubic
+    integrand's mean is exact."""
     a = cfg.as_array()
     npts = sp.PRODUCT_GRID_FACTOR * state.count
     vals = sp.grid_values(state.cos, state.sin, npts) + a[:, None]

@@ -92,11 +92,12 @@ def ep_residual(state):
     momentum:   -c dx(rho u) + dx(rho u^2) + dx(rho^3/3)
                 -+ 2 rho dx^-1(rho_+ - rho_-)
     The residuals reach harmonic 3N.  rho, u, their derivatives and the
-    force dx^-1(rho_+ - rho_-) come from one inverse FFT on 8 (3N + 3)
-    uniform points of one fold period (spectral.even_odd_grid_values of
-    4 even and 5 odd rows); the residuals are formed there pointwise,
-    and one forward FFT gives their sine coefficients on harmonics
-    1..3N+3, all exact.  Returns the (4, 3N+3) coefficients,
+    force dx^-1(rho_+ - rho_-) come from one inverse transform on
+    8 (3N + 3) uniform points of one fold period
+    (spectral.even_odd_grid_values of 4 even and 5 odd rows); the
+    residuals are formed there pointwise, and one forward transform
+    (spectral.grid_coefficients) gives their sine coefficients on
+    harmonics 1..3N+3, all exact.  Returns the (4, 3N+3) coefficients,
     rows in the order of RESIDUAL_NAMES, and the sup norms on the grid
     by name.  A residual that overflows raises DivergedError.
     """
@@ -123,16 +124,17 @@ def ep_residual(state):
 def ep_speeds(a, m):
     """Bifurcation speeds of the symmetric configuration (-a, a, -a, a).
 
-    The determinant roots are authoritative.  Two closed forms circulate
-    for the correction term under the square root, differing by a factor
-    two; both are evaluated and the report records which one the roots
-    actually match.
+    The determinant roots are authoritative: the pair is the outer two
+    of pencil.quartic_roots, whose inner two are the interface
+    velocities -a and a.  Two closed forms circulate for the correction
+    term under the square root, differing by a factor two; both are
+    evaluated and the report records which one the roots actually match.
     """
     if a <= 0.0:
         raise ValueError("base level a must be positive")
-    cfg = pc.classify_config([-a, a, -a, a])
-    adm = pc.bifurcation_speeds(m, cfg).admissible()
-    c_minus, c_plus = adm[0], adm[-1]
+    roots = np.sort(pc.quartic_roots(m, pc.classify_config([-a, a, -a, a]))
+                    .real)
+    c_minus, c_plus = float(roots[0]), float(roots[-1])
     forms = {
         "sqrt(1 + 4/(a m^2))": a * np.sqrt(1.0 + 4.0 / (a * m * m)),
         "sqrt(1 + 2/(a m^2))": a * np.sqrt(1.0 + 2.0 / (a * m * m)),

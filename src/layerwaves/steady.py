@@ -141,9 +141,11 @@ class Layout:
 
         Component i: (r_i + a_i - c) dx r_i  -+  dx^-1(d), with the minus
         sign on the plus species.  Each product r_i dx r_i is formed as
-        (1/2) dx(r_i^2): one inverse FFT of the rows to the product grid
-        (spectral.PRODUCT_GRID_FACTOR*N points of one fold period), a
-        pointwise square, one forward FFT back to the exact harmonics 1..N.
+        (1/2) dx(r_i^2): one inverse transform of the rows to the product
+        grid (spectral.PRODUCT_GRID_FACTOR*N points of one fold period), a
+        pointwise square, one forward transform back to the exact
+        harmonics 1..N.  Each transform is a table product or a real FFT
+        (spectral.TABLE_MAX_SIZE).
         """
         n = rows.shape[1]
         w = self.w
@@ -203,9 +205,11 @@ class Layout:
         onto 1..N.  precondition(g) inverts h -> dx(q_i h) on that grid:
         h = (dx^-1 g + kappa_i) / q_i with kappa_i making h zero-mean,
         then cut to harmonics 1..N.  It leaves out the potential, which
-        smooths.  q is sampled once, here, and every call of the two
-        functions reuses one half-spectrum work array of
-        spectral.grid_values; a zero of q shows as non-finite output.
+        smooths.  q is sampled once, here.  Each call of the two
+        functions is one inverse and one forward transform, table
+        products or real FFTs (spectral.TABLE_MAX_SIZE); the FFTs reuse
+        one half-spectrum work array of spectral.grid_values.  A zero of
+        q shows as non-finite output.
         """
         k, n = rows.shape
         w = self.w
@@ -273,12 +277,12 @@ def monitors(cfg, c, state):
 
     The six monitored series (two strip widths, four relative speeds)
     are evaluated on a grid of MONITOR_GRID_FACTOR*N points by one
-    inverse FFT.  Each series' grid minimum of |value| then gets one
-    Newton polish, all six at once, with the derivatives at the minimum
-    and the value off the grid by direct sums: a step on the value if
-    the series changes sign, on the derivative (an interior extremum)
-    otherwise.  A series whose step would divide by zero keeps its grid
-    minimum.
+    inverse transform (spectral.grid_values).  Each series' grid minimum
+    of |value| then gets one Newton polish, all six at once, with the
+    derivatives at the minimum and the value off the grid by direct
+    sums: a step on the value if the series changes sign, on the
+    derivative (an interior extremum) otherwise.  A series whose step
+    would divide by zero keeps its grid minimum.
     """
     n, u = state.count, state.cos
     npts = MONITOR_GRID_FACTOR * n

@@ -353,6 +353,39 @@ def test_gmres_matches_dense_solve():
     assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("share, accepted", [(0.5, True), (2.0, False)])
+def test_krylov_step_accepts_a_miss_far_below_newton_tol(sym_cfg,
+                                                         monkeypatch, share,
+                                                         accepted):
+    # GMRES is replaced by the exact solve plus an error whose true
+    # residual is share times the floor KRYLOV_TOL_SHARE * tol = 1e-14.
+    # At a Newton residual of 1e-10, KRYLOV_TRUE_TOL alone refuses both
+    # misses; the floor accepts the one below it in the first cycle
+    rng = np.random.default_rng(61)
+    n, tol = 16, 1e-11
+    layout = st.Layout(sym_cfg, 1, n)
+    rows = 0.01 * rng.standard_normal((4, n))
+    col = (layout.w * rows).ravel()
+    tangent = rng.standard_normal(1 + 4 * n)
+    tangent /= np.linalg.norm(tangent)
+    res = rng.standard_normal(1 + 4 * n)
+    res *= 1e-10 / np.linalg.norm(res)
+    miss = share * ct.KRYLOV_TOL_SHARE * tol
+    assert miss > 1e3 * ct.KRYLOV_TRUE_TOL * np.linalg.norm(res)
+
+    def off_by_miss(apply, precondition, rhs, tol, max_iters):
+        A = np.array([apply(e) for e in np.eye(rhs.size)]).T
+        off = rng.standard_normal(rhs.size)
+        return np.linalg.solve(A, rhs + miss * off / np.linalg.norm(off)), 3
+
+    monkeypatch.setattr(ct, "_gmres", off_by_miss)
+    step, iters = ct._krylov_step(layout, 2.5, rows, col, tangent, res, tol)
+    assert (step is not None) == accepted
+    assert iters == (3 if accepted else 6)
+    if accepted:
+        assert np.max(np.abs(step)) > 0.0
+
+
 class _Forward:
     """Attribute proxy: overrides first, everything else from `base`."""
 

@@ -248,6 +248,31 @@ class TestSpeeds:
         assert dev["sqrt(1 + 4/(a m^2))"] < 1e-12
         assert dev["sqrt(1 + 2/(a m^2))"] > 1e-3
 
+    def test_pair_is_the_outer_quartic_roots(self, monkeypatch):
+        # the report reads the determinant roots, not the closed form of
+        # bifurcation_speeds: with that refused and the roots moved, the
+        # pair follows the roots bit for bit
+        a, m = 1.5, 256
+        roots = np.sort(pc.quartic_roots(
+            m, pc.classify_config([-a, a, -a, a])).real)
+        closed = pc.bifurcation_speeds(
+            m, pc.classify_config([-a, a, -a, a])).admissible()
+        (lo, hi), report = ep.ep_speeds(a, m)
+        assert (lo, hi) == (roots[0], roots[-1])
+        assert report["quartic"] == [lo, hi]
+        assert (lo, hi) != (closed[0], closed[-1])
+        assert abs(hi - closed[-1]) <= 1e-10
+
+        def refuse(*args):
+            raise AssertionError("closed form consulted")
+
+        quartic_roots = pc.quartic_roots
+        monkeypatch.setattr(pc, "bifurcation_speeds", refuse)
+        monkeypatch.setattr(pc, "quartic_roots",
+                            lambda m, cfg: quartic_roots(m, cfg) + 1e-3)
+        (lo_moved, hi_moved), _ = ep.ep_speeds(a, m)
+        assert (lo_moved, hi_moved) == (roots[0] + 1e-3, roots[-1] + 1e-3)
+
     def test_invalid_base_level(self):
         with pytest.raises(ValueError):
             ep.ep_speeds(-1.0, 1)

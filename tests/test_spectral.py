@@ -212,6 +212,121 @@ def test_grid_coefficients_invert_grid_values(count):
         sp.grid_coefficients(np.zeros((3, 2 * count)), count)
 
 
+# (N, M) pairs just at or below TABLE_MAX_SIZE and just above it, on
+# powers of two, on 2N + 1 points and on the Euler-Poisson grid
+# 8 (3N + 3)
+DISPATCH_SIZES = [(64, 256), (64, 512), (90, 181), (91, 183), (25, 624),
+                  (26, 648)]
+BY_TABLE, BY_FFT = 10 ** 9, 0  # TABLE_MAX_SIZE forcing one branch
+
+
+def _direct(n, npts):
+    """cos and sin of j x_p, x_p = 2 pi p / npts: the (N, npts) sums of
+    direct evaluation."""
+    x = np.linspace(0.0, 2.0 * np.pi, npts, endpoint=False)
+    phase = np.multiply.outer(np.arange(1, n + 1), x)
+    return np.cos(phase), np.sin(phase)
+
+
+def _both_branches(monkeypatch, fn, *args):
+    """fn(*args) by the table product and by the FFT."""
+    out = []
+    for size in (BY_TABLE, BY_FFT):
+        monkeypatch.setattr(sp, "TABLE_MAX_SIZE", size)
+        out.append(fn(*args))
+    monkeypatch.undo()
+    return out
+
+
+def test_dispatch_sizes_straddle_the_threshold():
+    below = [n * npts <= sp.TABLE_MAX_SIZE for n, npts in DISPATCH_SIZES]
+    assert below == [True, False] * 3
+
+
+@pytest.mark.parametrize("n, npts", DISPATCH_SIZES)
+@pytest.mark.parametrize("k", [1, 4, 9])
+@pytest.mark.parametrize("sine", [True, False])
+def test_grid_values_by_table_and_by_fft(monkeypatch, n, npts, k, sine):
+    rng = np.random.default_rng(n + npts + k)
+    cos = rng.standard_normal((k, n))
+    sin = rng.standard_normal((k, n)) if sine else None
+    table, fft = _both_branches(monkeypatch, sp.grid_values, cos, sin, npts)
+    scale = np.max(np.sum(np.abs(cos), axis=1)) * (2.0 if sine else 1.0)
+    assert np.max(np.abs(table - fft)) <= 1e-14 * scale
+    c, s = _direct(n, npts)
+    want = cos @ c + (0.0 if sin is None else sin @ s)
+    assert np.max(np.abs(table - want)) <= 1e-13 * scale
+    assert np.array_equal(sp.grid_values(cos, sin, npts),
+                          table if n * npts <= sp.TABLE_MAX_SIZE else fft)
+
+
+@pytest.mark.parametrize("n, npts", DISPATCH_SIZES)
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_grid_coefficients_by_table_and_by_fft(monkeypatch, n, npts, k):
+    rng = np.random.default_rng(7 * n + npts + k)
+    vals = rng.standard_normal((k, npts))
+    table, fft = _both_branches(monkeypatch, sp.grid_coefficients, vals, n)
+    scale = 2.0 * np.max(np.abs(vals))
+    c, s = _direct(n, npts)
+    want = ((2.0 / npts) * vals @ c.T, (2.0 / npts) * vals @ s.T)
+    for got, ref, direct in zip(table, fft, want):
+        assert got.shape == (k, n)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * scale
+        assert np.max(np.abs(got - direct)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n, npts", DISPATCH_SIZES)
+@pytest.mark.parametrize("rows", [1, 4, 9])
+@pytest.mark.parametrize("sine", [True, False])
+def test_even_odd_grid_values_by_table_and_by_fft(monkeypatch, n, npts,
+                                                  rows, sine):
+    # `rows` even series over rows // 2 odd ones, or none
+    rng = np.random.default_rng(3 * n + npts + rows)
+    odd = rows // 2 if sine else 0
+    cos = rng.standard_normal((rows - odd, n))
+    sin = rng.standard_normal((odd, n))
+    table, fft = _both_branches(monkeypatch, sp.even_odd_grid_values, cos,
+                                sin, npts)
+    assert table.shape == (rows, npts)
+    scale = np.max(np.sum(np.abs(np.concatenate((cos, sin))), axis=1))
+    assert np.max(np.abs(table - fft)) <= 1e-14 * scale
+    c, s = _direct(n, npts)
+    assert np.max(np.abs(table - np.concatenate((cos @ c, sin @ s)))) \
+        <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [64, 65])  # 4N points: at and above 2^14
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_squares_by_table_and_by_fft(monkeypatch, n, k):
+    rng = np.random.default_rng(11 * n + k)
+    x = rng.standard_normal((2, k, n))
+    table, fft = _both_branches(monkeypatch, lambda: sp.squares(k, n)(x))
+    scale = np.max(np.sum(np.abs(x), axis=(0, 2))) ** 2
+    assert table.shape == fft.shape == (2, k, n)
+    assert np.max(np.abs(table - fft)) <= 1e-14 * scale
+    npts = sp.PRODUCT_GRID_FACTOR * n
+    c, s = _direct(n, npts)
+    vals = x[0] @ c + x[1] @ s
+    want = (2.0 / npts) * np.array([vals ** 2 @ c.T, vals ** 2 @ s.T])
+    assert np.max(np.abs(table - want)) <= 1e-13 * scale
+
+
+def test_trig_tables_are_cached_and_read_only():
+    sp._trig_tables.cache_clear()
+    cos = np.ones((2, 16))
+    first = sp.grid_values(cos, cos, 64)
+    assert np.max(np.abs(sp.grid_coefficients(first, 16)[1] - cos)) < 1e-14
+    info = sp._trig_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 1) and info.maxsize is not None
+    inverse, forward = sp._trig_tables(16, 64)
+    assert inverse.shape == (2, 16, 64) and forward.shape == (64, 32)
+    assert not inverse.flags.writeable and not forward.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        inverse[0, 0, 0] = 2.0
+    assert sp._trig_tables(16, 64)[0] is inverse
+    assert sp._trig_tables.cache_info().misses == 1
+
+
 def test_norm_values_and_properties():
     f = TrigSeries.from_cos(5, [1.0])
     assert norm(f, NormParams(1.0, 0.5)) == pytest.approx(np.exp(0.5))
