@@ -117,17 +117,6 @@ class TerminationReport:
         return self.kind + extra
 
 
-def _stack(c, state):
-    return np.concatenate([[c], state.as_vector()])
-
-
-def _unstack(u, fold, count):
-    """c and the state of u = (c, stacked coefficients): a read-only (4, N)
-    view of u's coefficients, unchecked; u must not change while in use."""
-    return float(u[0]), st.InterfaceState.from_arrays(
-        fold, u[1:].reshape(4, count))
-
-
 def _gmres(apply, precondition, rhs, tol, max_iters):
     """Right-preconditioned GMRES from x = 0 (Saad & Schultz 1986).
 
@@ -251,8 +240,8 @@ def newton_correct(cfg, guess, constraint, fold, count,
     cos = state0.with_count(count).cos
     t_cos, b_cos = (v[1:].reshape(4, count)
                     for v in (constraint.tangent, constraint.base))
-    layout = st.Layout(cfg, fold, count,
-                       st.on_fixed_space(cfg, cos, t_cos, b_cos))
+    layout = st.Layout.shared(cfg, fold, count,
+                              st.on_fixed_space(cfg, cos, t_cos, b_cos))
     u = layout.stack(c0, cos)
     if not np.all(np.isfinite(u)):
         raise CorrectionFailedError("correction-failed: non-finite guess")
@@ -377,7 +366,8 @@ def _accept(branch, u_prev, sol, iters, next_step, norm):
     """Append the corrected point, its arclength counted on from the last
     point (or 0), with the unit secant from u_prev and its state's norm.
     Returns the point's augmented vector and that secant."""
-    u = _stack(sol.c, sol.state)
+    u = st.Layout.shared(sol.cfg, sol.state.fold, sol.state.count).stack(
+        sol.c, sol.state.cos)
     step_len = float(np.linalg.norm(u - u_prev))
     tangent = (u - u_prev) / step_len
     s = branch.points[-1].s if branch.points else 0.0
@@ -393,10 +383,12 @@ def _advance(branch, u_prev, tangent, ds):
     opts = branch.options
     cfg, fold = branch.origin.cfg, branch.origin.m
     count = branch.points[-1].solution.state.count
+    layout = st.Layout.shared(cfg, fold, count)
     while (status := detect_termination(branch)) == RUNNING:
+        c, rows = layout.unstack(u_prev + ds * tangent)
         try:
             sol, iters = newton_correct(
-                cfg, _unstack(u_prev + ds * tangent, fold, count),
+                cfg, (c, st.InterfaceState.from_arrays(fold, rows)),
                 ArclengthConstraint(tangent, u_prev, ds), fold, count,
                 opts.newton_tol)
         except CorrectionFailedError:
@@ -408,10 +400,12 @@ def _advance(branch, u_prev, tangent, ds):
             continue
         norm = sol.state.norm(opts.norm_params)
         if _tail_heavy(sol.state, norm, opts) and count * 2 <= opts.max_count:
-            u_prev, tangent = (
-                _stack(v[0], _unstack(v, fold, count)[1].with_count(2 * count))
+            wide = st.Layout.shared(cfg, fold, 2 * count)
+            u_prev, tangent = (  # zero-padded to harmonics 1..2N
+                wide.stack(v[0], np.pad(layout.unstack(v)[1], [(0, 0),
+                                                               (0, count)]))
                 for v in (u_prev, tangent))
-            count *= 2
+            layout, count = wide, 2 * count
             continue
         if iters <= FAST_ITERS:
             ds = min(ds * GROWTH, opts.h_max)
@@ -441,9 +435,10 @@ def _mirror(plus, opts):
             return None
         image.krylov_iters, image.dense_solves = (sol.krylov_iters,
                                                   sol.dense_solves)
-        t_c, t_h = _unstack(p.tangent, fold, sol.state.count)
-        points.append(replace(p, solution=image,
-                              tangent=_stack(t_c, t_h.shifted(half))))
+        layout = st.Layout.shared(sol.cfg, fold, sol.state.count)
+        t_c, t_rows = layout.unstack(p.tangent)
+        points.append(replace(p, solution=image, tangent=layout.stack(
+            t_c, st.half_shift(sol.state.count) * t_rows)))
     return Branch(points=points, origin=plus.origin, arm=-1,
                   termination=plus.termination, options=opts)
 
@@ -464,8 +459,9 @@ def trace_arm(origin, arm, opts, plus=None):
         if image is not None:
             return image
     fold, count = origin.m, opts.count
-    u0 = _stack(origin.c_star, st.InterfaceState.zero(fold, count))
-    kernel = _stack(0.0, lb.predictor(origin, 1.0, count=count)[1])
+    layout = st.Layout.shared(origin.cfg, fold, count)
+    u0 = layout.stack(origin.c_star, np.zeros((4, count)))
+    kernel = layout.stack(0.0, lb.predictor(origin, 1.0, count=count)[1].cos)
     vnorm = float(np.linalg.norm(kernel))
     ds = opts.s0 * vnorm
     constraint = ArclengthConstraint((arm / vnorm) * kernel, u0, ds)

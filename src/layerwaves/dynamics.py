@@ -55,41 +55,12 @@ class EnergyReport:
         return self.e_kin + self.e_pot
 
 
-def _tendency(layout):
-    """The stage function f of rhs on x = stack(cos, sin), a (2, k, N)
-    coefficient array of the k rows of a steady.Layout: all four
-    components, or the two plus rows of a state on a symmetric layer's
-    fixed space, where the coupling reads d = (1 - T)(r_plus2 - r_plus1)
-    through the layout's charge weight.  The coefficient tables and the
-    transform are made once, here.
-
-    Each product r_i dx r_i is formed as (1/2) dx(r_i^2), with r_i^2 from
-    one spectral.squares round trip of the k rows.  Each table carries
-    the sign of its output row, so the cosine row's negation costs no
-    pass: out = (-(a w sin + w sq_sin / 2 + coupling d_sin),
-    a w cos + w sq_cos / 2 + coupling d_cos)."""
-    w = layout.w
-    sign = np.array([-1.0, 1.0])[:, None, None]
-    aw = sign * (layout.a * w)
-    half_w = sign * (0.5 * w)
-    coupling = sign * (layout.species[:, None] * layout.charge_weight / w)
-    square = sp.squares(len(layout.species), w.size)
-
-    def f(x):
-        out = aw * x[::-1]
-        out += half_w * square(x)[::-1]
-        out += coupling * (layout.charge @ x)[::-1, None]
-        return out
-
-    return f
-
-
 def rhs(cfg, state):
     """Time derivative of the interfaces:
     -(a_i + r_i) dx r_i  +-  dx^-1(r_+^2 - r_+^1)  -+  dx^-1(r_-^2 - r_-^1),
-    with the upper signs on the plus species (formed by _tendency)."""
-    f = _tendency(st.Layout(cfg, state.fold, state.count))
-    x = f(np.stack((state.cos, state.sin)))
+    with the upper signs on the plus species (steady.Layout.tendency)."""
+    layout = st.Layout.shared(cfg, state.fold, state.count)
+    x = layout.tendency(np.stack((state.cos, state.sin)))
     return PhaseState.from_arrays(state.fold, x[0], x[1])
 
 
@@ -193,11 +164,10 @@ def evolve(cfg, start, dt, steps, store_every=1):
     limit = cfl_limit(cfg, start)
     if dt > limit:
         raise ValueError(f"dt={dt:g} exceeds the stability limit {limit:g}")
-    layout = st.Layout(cfg, start.fold, start.count,
-                       st.on_fixed_space(cfg, start.cos, start.sin))
-    f = _tendency(layout)
-    rows = len(layout.species)
-    x = np.stack((start.cos[:rows], start.sin[:rows]))
+    layout = st.Layout.shared(cfg, start.fold, start.count,
+                              st.on_fixed_space(cfg, start.cos, start.sin))
+    f = layout.tendency
+    x = np.stack((start.cos[:layout.k], start.sin[:layout.k]))
     times = [0.0]
     states = [start]
     energies = [energy(cfg, start)]

@@ -386,23 +386,27 @@ def _table_values(cos, sin, inverse):
 
 
 def squares(k, count):
-    """The function x -> harmonics 1..count of the squares of k
-    full-parity series, exact on the product grid.
+    """The function x -> harmonics 1..count of the squares of k series,
+    exact on the product grid.
 
-    x and the result are (2, k, count) stacks of cosine over sine
-    coefficients.  A call is one grid_values and one grid_coefficients
-    transform on PRODUCT_GRID_FACTOR*count points, with the same bits:
-    the grid values are squared in place between the two.  On the FFT
-    side, x goes into one reused half spectrum by one product.
+    x and the result are (p, k, count) stacks: cosine over sine
+    coefficients (p = 2), or cosine coefficients of even series (p = 1),
+    whose squares' zero sine part is not formed.  A call is one
+    grid_values and one grid_coefficients transform on
+    PRODUCT_GRID_FACTOR*count points, with the same bits: the grid
+    values are squared in place between the two.  On the FFT side, x
+    goes into one reused half spectrum by one product.
     """
     npts = PRODUCT_GRID_FACTOR * count
     if count * npts <= TABLE_MAX_SIZE:
         inverse, forward = _trig_tables(count, npts)
 
         def square_by_table(x):
-            vals = _table_values(x[0], x[1], inverse)
+            p = len(x)
+            vals = _table_values(x[0], x[1] if p == 2 else None, inverse)
             vals *= vals
-            return (vals @ forward).reshape(k, 2, count).transpose(1, 0, 2)
+            f = (vals @ forward).reshape(k, 2, count).transpose(1, 0, 2)
+            return f if p == 2 else f[:1]
 
         return square_by_table
     work = half_spectrum(k, npts)
@@ -411,13 +415,17 @@ def squares(k, count):
     scale = (2.0 / npts) * np.array([1.0, -1.0])[:, None, None]
 
     def square(x):
-        np.multiply(x, half_conj, out=spectrum)
+        if len(x) == 2:
+            np.multiply(x, half_conj, out=spectrum)
+        else:  # cosine rows only: clear a previous call's sine band
+            np.multiply(x, half_conj[:1], out=spectrum[:1])
+            spectrum[1] = 0.0
         vals = np.fft.irfft(work, n=npts, axis=1, norm="forward")
         np.multiply(vals, vals, out=vals)
         # C order: the callers' arithmetic on the spectrum's interleaved
         # layout was measured slower, by 10% of a stage at N = 256
-        return np.multiply(_parts(np.fft.rfft(vals, axis=1), count), scale,
-                           order="C")
+        f = _parts(np.fft.rfft(vals, axis=1), count)[:len(x)]
+        return np.multiply(f, scale[:len(x)], order="C")
 
     return square
 

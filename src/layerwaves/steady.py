@@ -10,6 +10,7 @@ works on the rows of a Layout: all four, or the two plus rows of a
 symmetric layer's swap-and-half-shift fixed space.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,38 +97,57 @@ class WaveSolution:
 
 class Layout:
     """The coefficient rows one Newton solve or one RK4 evolution
-    (dynamics.evolve) carries, at one fold and truncation N.
+    (dynamics.evolve) carries, at one fold and truncation N, and the
+    evolution operator on them (tendency).
 
     Either the four components (k = 4), or, on a layer with a_plus ==
     a_minus, the two plus rows (k = 2) of a state on the fixed space
     r_minus_i = T r_plus_i of the species swap composed with the
-    half-period shift T (half_shift).  Row i has velocity a[i] and
-    species sign species[i]; the charge difference is
-    d = charge_weight * (charge @ rows), with charge_weight 1 on four
-    rows and 1 - T per harmonic on two: d = (1 - T)(r_plus2 - r_plus1),
-    twice the difference on odd harmonics and 0 on even ones.  Newton
-    carries scale * rows, scale = sqrt(2) on two rows, so that Euclidean
-    products of carried vectors are those of the (4, N) states they
-    embed (embed).
+    half-period shift T (half_shift).  Row i has velocity a[i]; the
+    coupling adds coupling[i] * d to its sine output, with the charge
+    difference d = charge @ rows and coupling = species * weight / w:
+    weight 1 on four rows and 1 - T per harmonic on two, so that d reads
+    (1 - T)(r_plus2 - r_plus1), twice the difference on odd harmonics
+    and 0 on even ones.  Newton carries scale * rows, scale = sqrt(2)
+    on two rows, so that Euclidean products of carried vectors are those
+    of the (4, N) states they embed (embed).
     """
 
     def __init__(self, cfg, fold, count, symmetric=False):
-        k = 2 if symmetric else 4
+        self.k = k = 2 if symmetric else 4
         self.w = fold * np.arange(1, count + 1, dtype=float)
         self.a = cfg.as_array()[:k, None]
-        self.species, self.charge = SPECIES[:k], CHARGE[:k]
+        self.charge = CHARGE[:k]
         self.shift = half_shift(count) if symmetric else None
-        self.charge_weight = 1.0 - self.shift if symmetric else 1.0
+        weight = 1.0 - self.shift if symmetric else 1.0
+        self.coupling = SPECIES[:k, None] * weight / self.w
         self.scale = math.sqrt(2.0) if symmetric else 1.0
+        # tendency's tables by p, times the sign of their output rows:
+        # -1 for the cosine output, +1 for the sine output
+        sign = np.array([-1.0, 1.0])[:, None, None]
+        signed = (sign * (self.a * self.w), sign * (0.5 * self.w),
+                  sign * self.coupling)
+        self._tables = {2: signed, 1: tuple(t[1:] for t in signed)}
+        self._square = sp.squares(k, count)
+        self._work = sp.half_spectrum(k, sp.PRODUCT_GRID_FACTOR * count)
+        for table in (self.w, self.a, self.coupling, *signed):
+            table.setflags(write=False)  # shared (Layout.shared)
+
+    @staticmethod
+    @functools.lru_cache(maxsize=16)
+    def shared(cfg, fold, count, symmetric=False):
+        """One Layout per argument tuple, so that its tables and work
+        arrays are built once, not per solve or per call; callers only
+        read its arrays."""
+        return Layout(cfg, fold, count, symmetric)
 
     def stack(self, c, cos):
         """u = (c, carried rows) of c and a (4, N) coefficient array."""
-        rows = cos[:len(self.species)]
-        return np.concatenate([[c], (self.scale * rows).ravel()])
+        return np.concatenate([[c], (self.scale * cos[:self.k]).ravel()])
 
     def unstack(self, u):
         """c and the (k, N) rows of u = (c, carried rows)."""
-        return float(u[0]), u[1:].reshape(len(self.species), -1) / self.scale
+        return float(u[0]), u[1:].reshape(self.k, -1) / self.scale
 
     def embed(self, rows):
         """The (4, N) components of the state with these rows."""
@@ -135,26 +155,30 @@ class Layout:
             return rows
         return np.concatenate([rows, self.shift * rows])
 
+    def tendency(self, x):
+        """Time derivative f of the evolution system on a (p, k, N) stack
+        x of rows: cosine over sine coefficients (p = 2), or the cosine
+        coefficients of an even state (p = 1), whose odd f comes back as
+        its (1, k, N) sine coefficients.
+
+        Component i: -(a_i + r_i) dx r_i  -+  dx^-1(d), minus on the plus
+        species, with r_i dx r_i = (1/2) dx(r_i^2) from one
+        spectral.squares round trip.  The tables carry their output row's
+        sign: f = (-(a w sin + w sq_sin / 2 + coupling d_sin),
+        a w cos + w sq_cos / 2 + coupling d_cos).
+        """
+        aw, half_w, coupling = self._tables[len(x)]
+        out = aw * x[::-1]
+        out += half_w * self._square(x)[::-1]
+        out += coupling * (self.charge @ x)[::-1, None]
+        return out
+
     def residual(self, c, rows):
         """Galerkin residual of the traveling-wave system: the (k, N) sine
-        coefficients of its odd components.
-
-        Component i: (r_i + a_i - c) dx r_i  -+  dx^-1(d), with the minus
-        sign on the plus species.  Each product r_i dx r_i is formed as
-        (1/2) dx(r_i^2): one inverse transform of the rows to the product
-        grid (spectral.PRODUCT_GRID_FACTOR*N points of one fold period), a
-        pointwise square, one forward transform back to the exact
-        harmonics 1..N.  Each transform is a table product or a real FFT
-        (spectral.TABLE_MAX_SIZE).
-        """
-        n = rows.shape[1]
-        w = self.w
-        vals = sp.grid_values(rows, None, sp.PRODUCT_GRID_FACTOR * n)
-        sq, _ = sp.grid_coefficients(vals * vals, n)
-        # sine coefficients of dx^-1(d)
-        pot = self.charge_weight * (self.charge @ rows) / w
-        return -self.species[:, None] * pot - w * (
-            0.5 * sq + (self.a - c) * rows)
+        coefficients of -(f(r) + c dx r) on the even state r with these
+        rows, f the tendency; -(r_i + a_i - c) dx r_i  -+  dx^-1(d) per
+        component."""
+        return c * self.w * rows - self.tendency(rows[None])[0]
 
     def jacobian(self, c, rows, out=None):
         """Dense (kN, kN) Jacobian of the residual in the rows, acting on
@@ -190,8 +214,7 @@ class Layout:
             out[i * n:(i + 1) * n, i * n:(i + 1) * n] = blocks[i]
         row, col = out.strides  # couple[i, l, p] = out[i n + p, l n + p]
         couple = as_strided(out, (k, k, n), (n * row, n * col, row + col))
-        couple -= (np.outer(self.species, self.charge)[:, :, None]
-                   * self.charge_weight / w)
+        couple -= self.coupling[:, None] * self.charge[:, None]
         return out
 
     def linearization(self, c, rows):
@@ -207,14 +230,14 @@ class Layout:
         then cut to harmonics 1..N.  It leaves out the potential, which
         smooths.  q is sampled once, here.  Each call of the two
         functions is one inverse and one forward transform, table
-        products or real FFTs (spectral.TABLE_MAX_SIZE); the FFTs reuse
-        one half-spectrum work array of spectral.grid_values.  A zero of
-        q shows as non-finite output.
+        products or real FFTs (spectral.TABLE_MAX_SIZE); the FFTs of
+        every linearization of the layout reuse its one half-spectrum
+        work array.  A zero of q shows as non-finite output.
         """
-        k, n = rows.shape
+        n = rows.shape[1]
         w = self.w
         npts = sp.PRODUCT_GRID_FACTOR * n
-        work = sp.half_spectrum(k, npts)
+        work = self._work
         q = sp.grid_values(rows, None, npts, work)
         q += self.a - c
         inv_q = 1.0 / q
@@ -223,8 +246,7 @@ class Layout:
         def matvec(h):
             prod, _ = sp.grid_coefficients(
                 q * sp.grid_values(h, None, npts, work), n)
-            d = self.charge_weight * (self.charge @ h)
-            return -self.species[:, None] * d / w - w * prod
+            return -self.coupling * (self.charge @ h) - w * prod
 
         def precondition(g):
             h = sp.grid_values(-g / w, None, npts, work) * inv_q
@@ -253,7 +275,7 @@ def on_fixed_space(cfg, *coefficients):
 
 def residual(cfg, c, state):
     """(4, N) sine coefficients of the residual (Layout.residual)."""
-    return Layout(cfg, state.fold, state.count).residual(c, state.cos)
+    return Layout.shared(cfg, state.fold, state.count).residual(c, state.cos)
 
 
 def residual_vector(cfg, c, state):
@@ -269,7 +291,8 @@ def speed_derivative_vector(cfg, c, state):
 def jacobian(cfg, c, state, out=None):
     """Dense (4N, 4N) Jacobian of the residual in the state
     (Layout.jacobian), written into `out` if given."""
-    return Layout(cfg, state.fold, state.count).jacobian(c, state.cos, out)
+    layout = Layout.shared(cfg, state.fold, state.count)
+    return layout.jacobian(c, state.cos, out)
 
 
 def monitors(cfg, c, state):

@@ -111,8 +111,10 @@ def restart(branch, index, opts=None):
                     norm=pt.solution.state.norm(opts.norm_params))
     new = ct.Branch(points=[start], origin=branch.origin, arm=branch.arm,
                     termination=ct.RUNNING, options=opts)
-    ct._advance(new, ct._stack(pt.solution.c, pt.solution.state),
-                pt.tangent.copy(), pt.next_step)
+    sol = pt.solution
+    layout = st.Layout(branch.origin.cfg, branch.origin.m, sol.state.count)
+    ct._advance(new, layout.stack(sol.c, sol.state.cos), pt.tangent.copy(),
+                pt.next_step)
     return new
 
 

@@ -679,15 +679,15 @@ def test_scan_arms_match_four_row_arms():
 def test_four_rows_off_the_fixed_space(monkeypatch):
     # a layer symmetric within the classification tolerance but not bit
     # for bit, and a guess off the fixed space, are solved on four rows;
-    # Newton builds one layout, and solution_at four rows after two
+    # Newton asks for one layout, and solution_at four rows after two
     rows = []
-    layout = st.Layout
+    shared = st.Layout.shared
 
     def spy(cfg, fold, count, symmetric=False):
         rows.append(2 if symmetric else 4)
-        return layout(cfg, fold, count, symmetric)
+        return shared(cfg, fold, count, symmetric)
 
-    monkeypatch.setattr(st, "Layout", spy)
+    monkeypatch.setattr(st.Layout, "shared", spy)
     opts = ct.ContinuationOptions(count=16, max_points=6)
     near = _origin((-1.0, 1.0, -1.0 + 1e-13, 1.0 + 1e-13), 1)
     assert near.cfg.regime == pc.SYMMETRIC

@@ -302,23 +302,18 @@ def test_divergence_diagnosed_without_warnings(sym_cfg):
 def test_divergence_detected_mid_run(sym_cfg, monkeypatch):
     # a NaN that first appears in the second stage of step 2 is caught by
     # the check after that step, without any check inside the stages;
-    # evolve makes its stage function once, so the NaN goes in there
-    exact = dy._tendency
+    # every stage is one Layout.tendency call, so the NaN goes in there
+    exact = st.Layout.tendency
     calls = []
 
-    def tendency(layout):
-        stage = exact(layout)
+    def tendency(layout, x):
+        out = exact(layout, x)
+        calls.append(np.all(np.isfinite(x)))
+        if len(calls) == 6:
+            out[0, 2, 1] = np.nan
+        return out
 
-        def f(x):
-            out = stage(x)
-            calls.append(np.all(np.isfinite(x)))
-            if len(calls) == 6:
-                out[0, 2, 1] = np.nan
-            return out
-
-        return f
-
-    monkeypatch.setattr(dy, "_tendency", tendency)
+    monkeypatch.setattr(st.Layout, "tendency", tendency)
     state = random_phase(np.random.default_rng(9), fold=1, count=8, scale=0.05)
     with pytest.raises(DivergedError, match="at step 2"):
         dy.evolve(sym_cfg, state, 1e-3, 5)
@@ -384,15 +379,16 @@ def fixed_space_start(rng, fold, count, scale=0.1):
 
 
 def stage_rows(monkeypatch):
-    """The row counts of the stage functions made from now on."""
-    exact = dy._tendency
+    """The row counts of the stages evaluated from now on, one per
+    stage."""
+    exact = st.Layout.tendency
     rows = []
 
-    def tendency(layout):
-        rows.append(len(layout.species))
-        return exact(layout)
+    def tendency(layout, x):
+        rows.append(x.shape[1])
+        return exact(layout, x)
 
-    monkeypatch.setattr(dy, "_tendency", tendency)
+    monkeypatch.setattr(st.Layout, "tendency", tendency)
     return rows
 
 
@@ -413,7 +409,7 @@ def test_four_row_evolution_stays_on_the_fixed_space(a, fold, monkeypatch):
     start = fixed_space_start(np.random.default_rng(fold), fold, 16)
     dt = 0.5 * dy.cfl_limit(cfg, start)
     traj = dy.evolve(cfg, start, dt, 60, store_every=10)
-    assert rows == [4]
+    assert rows == [4] * (4 * 60)
     t = st.half_shift(16)
     for state in traj.states:
         for u in (state.cos, state.sin):
@@ -429,7 +425,7 @@ def test_plus_rows_evolve_as_the_four_rows(sym_cfg, fold, count,
     two = dy.evolve(sym_cfg, start, dt, 40, store_every=7)
     four_rows_only(monkeypatch)
     four = dy.evolve(sym_cfg, start, dt, 40, store_every=7)
-    assert rows == [2, 4]
+    assert rows == [2] * (4 * 40) + [4] * (4 * 40)
     assert np.array_equal(two.times, four.times)
     assert len(two.states) == len(four.states) == 7
     t = st.half_shift(count)

@@ -163,10 +163,11 @@ def test_even_odd_grid_values_are_padded_grid_values(k, l, count):
 
 
 @pytest.mark.parametrize("count", [1, 8, 17, 64])
-def test_grid_values_work_array_keeps_no_state(count):
-    # calls with and without a sine part alternate on one work array;
-    # each must equal a fresh call bitwise (a stale imaginary band from
-    # the previous call would show)
+def test_grid_values_work_array_keeps_no_state(monkeypatch, count):
+    # calls with and without a sine part alternate on one work array of
+    # the FFT side, which alone reads it; each must equal a fresh call
+    # bitwise (a stale imaginary band from the previous call would show)
+    monkeypatch.setattr(sp, "TABLE_MAX_SIZE", BY_FFT)
     rng = np.random.default_rng(70 + count)
     npts = 4 * count + 1
     work = sp.half_spectrum(3, npts)
@@ -178,12 +179,30 @@ def test_grid_values_work_array_keeps_no_state(count):
         assert np.all(work[:, 0] == 0.0) and np.all(work[:, count + 1:] == 0.0)
 
 
-@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("size", ["table", "fft"])
 @pytest.mark.parametrize("count", [1, 8, 17, 64])
+def test_squares_closure_keeps_no_state(monkeypatch, size, count):
+    # full-parity (p = 2) and even (p = 1) calls alternate on one closure;
+    # each must equal a fresh closure's call bitwise (a stale sine band in
+    # the FFT side's work array, left by a p = 2 call, would show)
+    monkeypatch.setattr(sp, "TABLE_MAX_SIZE", {"table": BY_TABLE,
+                                               "fft": BY_FFT}[size])
+    rng = np.random.default_rng(80 + count)
+    square = sp.squares(3, count)
+    for p in (2, 1, 1, 2, 2, 1):
+        x = rng.standard_normal((p, 3, count))
+        got = square(x)
+        assert got.shape == (p, 3, count)
+        assert np.array_equal(got, sp.squares(3, count)(x))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("count", [1, 8, 17, 64, 65])
 def test_squares_are_the_grid_round_trip(k, count):
     # bit for bit the square of grid_values taken back by
-    # grid_coefficients on the product grid; repeated calls reuse one work
-    # array, so each must equal a fresh round trip
+    # grid_coefficients on the product grid, for full-parity series
+    # (p = 2) and for even ones (p = 1, no sine part); repeated calls
+    # reuse one work array, so each must equal a fresh round trip
     rng = np.random.default_rng(10 * k + count)
     square = sp.squares(k, count)
     npts = sp.PRODUCT_GRID_FACTOR * count
@@ -195,6 +214,11 @@ def test_squares_are_the_grid_round_trip(k, count):
         assert got.shape == (2, k, count)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+        rows = x[0]
+        got = square(rows[None])
+        assert got.shape == (1, k, count)
+        assert np.array_equal(got[0], sp.grid_coefficients(
+            sp.grid_values(rows, None, npts) ** 2, count)[0])
 
 
 @pytest.mark.parametrize("count", [1, 8, 17, 64, 256])
@@ -298,17 +322,24 @@ def test_even_odd_grid_values_by_table_and_by_fft(monkeypatch, n, npts,
 @pytest.mark.parametrize("n", [64, 65])  # 4N points: at and above 2^14
 @pytest.mark.parametrize("k", [1, 4, 9])
 def test_squares_by_table_and_by_fft(monkeypatch, n, k):
+    # p = 2: cosine over sine coefficients; p = 1: cosine coefficients of
+    # even series, squared bit for bit as the grid round trip of each side
     rng = np.random.default_rng(11 * n + k)
-    x = rng.standard_normal((2, k, n))
-    table, fft = _both_branches(monkeypatch, lambda: sp.squares(k, n)(x))
-    scale = np.max(np.sum(np.abs(x), axis=(0, 2))) ** 2
-    assert table.shape == fft.shape == (2, k, n)
-    assert np.max(np.abs(table - fft)) <= 1e-14 * scale
     npts = sp.PRODUCT_GRID_FACTOR * n
     c, s = _direct(n, npts)
-    vals = x[0] @ c + x[1] @ s
-    want = (2.0 / npts) * np.array([vals ** 2 @ c.T, vals ** 2 @ s.T])
-    assert np.max(np.abs(table - want)) <= 1e-13 * scale
+    for p in (2, 1):
+        x = rng.standard_normal((p, k, n))
+        table, fft = _both_branches(monkeypatch, lambda: sp.squares(k, n)(x))
+        scale = np.max(np.sum(np.abs(x), axis=(0, 2))) ** 2
+        assert table.shape == fft.shape == (p, k, n)
+        assert np.max(np.abs(table - fft)) <= 1e-14 * scale
+        vals = x[0] @ c + (x[1] @ s if p == 2 else 0.0)
+        want = (2.0 / npts) * np.array([vals ** 2 @ c.T, vals ** 2 @ s.T])
+        assert np.max(np.abs(table - want[:p])) <= 1e-13 * scale
+    trips = _both_branches(monkeypatch, lambda: sp.grid_coefficients(
+        sp.grid_values(x[0], None, npts) ** 2, n)[0])
+    assert np.array_equal(table[0], trips[0])
+    assert np.array_equal(fft[0], trips[1])
 
 
 def test_trig_tables_are_cached_and_read_only():
