@@ -252,57 +252,61 @@ def newton_correct(cfg, guess, constraint, fold, count,
     weight = np.append(np.full(n, layout.scale), 1.0)
     A = None
     krylov_iters = dense_solves = 0
+    res_t = np.empty(n + 1)  # a trial's residual; swapped in on acceptance
 
-    def full_residual(u):
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = layout.residual(*layout.unstack(u))
-            return np.append(r, constraint.value(u))
-
-    res = full_residual(u)
-    sup = np.max(np.abs(res))
-    for it in range(MAX_NEWTON + 1):
+    def full_residual(u, out):
         c, rows = layout.unstack(u)
-        if sup <= tol:
-            # the sup of the plus rows is not that of the four embedded
-            # rows bit for bit, so solution_at forms the latter
-            known = float(np.max(np.abs(res[:-1]))) if n == 4 * count else None
-            sol = st.solution_at(cfg, c, st.InterfaceState.from_arrays(
-                fold, layout.embed(rows)), known)
-            sol.krylov_iters, sol.dense_solves = krylov_iters, dense_solves
-            return sol, it
-        if it == MAX_NEWTON:
-            break
-        col = (layout.w * u[1:].reshape(rows.shape)).ravel()  # c column
-        rhs = weight * res
-        step = None
-        if count >= KRYLOV_MIN_COUNT:
-            step, k = _krylov_step(layout, c, rows, col, constraint.tangent,
-                                   rhs, tol)
-            krylov_iters += k
-        if step is None:
-            if A is None:
-                A = np.empty((n + 1, n + 1))
-            A[:n, 0] = col
-            layout.jacobian(c, rows, out=A[:n, 1:])
-            A[n, :] = constraint.tangent
-            dense_solves += 1
-            try:
-                step = np.linalg.solve(A, -rhs)
-            except np.linalg.LinAlgError as exc:
-                raise CorrectionFailedError(
-                    f"correction-failed: {exc}") from exc
-        lam = 1.0
-        while True:
-            trial = u + lam * step
-            res_t = full_residual(trial)
-            sup_t = np.max(np.abs(res_t))
-            if np.isfinite(sup_t) and (sup_t < sup or lam <= 0.125):
+        out[:n] = layout.residual(c, rows).ravel()
+        out[n] = constraint.value(u)
+        return out
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = full_residual(u, np.empty(n + 1))
+        sup = np.max(np.abs(res))
+        for it in range(MAX_NEWTON + 1):
+            if sup <= tol or it == MAX_NEWTON:
                 break
-            lam *= 0.5
-            if lam < 1e-6:
-                raise CorrectionFailedError(
-                    "correction-failed: damping exhausted")
-        u, res, sup = trial, res_t, sup_t
+            c, rows = layout.unstack(u)
+            col = (layout.w * u[1:].reshape(rows.shape)).ravel()  # c column
+            rhs = weight * res
+            step = None
+            if count >= KRYLOV_MIN_COUNT:
+                step, k = _krylov_step(layout, c, rows, col,
+                                       constraint.tangent, rhs, tol)
+                krylov_iters += k
+            if step is None:
+                if A is None:
+                    A = np.empty((n + 1, n + 1))
+                    A[n, :] = constraint.tangent
+                A[:n, 0] = col
+                layout.jacobian(c, rows, out=A[:n, 1:])
+                dense_solves += 1
+                try:
+                    step = np.linalg.solve(A, -rhs)
+                except np.linalg.LinAlgError as exc:
+                    raise CorrectionFailedError(
+                        f"correction-failed: {exc}") from exc
+            lam = 1.0
+            while True:
+                trial = u + lam * step
+                sup_t = np.max(np.abs(full_residual(trial, res_t)))
+                if np.isfinite(sup_t) and (sup_t < sup or lam <= 0.125):
+                    break
+                lam *= 0.5
+                if lam < 1e-6:
+                    raise CorrectionFailedError(
+                        "correction-failed: damping exhausted")
+            u, sup = trial, sup_t
+            res, res_t = res_t, res
+    if sup <= tol:
+        c, rows = layout.unstack(u)
+        # the sup of the plus rows is not that of the four embedded rows
+        # bit for bit, so solution_at forms the latter
+        known = float(np.max(np.abs(res[:-1]))) if n == 4 * count else None
+        sol = st.solution_at(cfg, c, st.InterfaceState.from_arrays(
+            fold, layout.embed(rows)), known)
+        sol.krylov_iters, sol.dense_solves = krylov_iters, dense_solves
+        return sol, it
     raise CorrectionFailedError(
         f"correction-failed: residual {sup:.3e} after {MAX_NEWTON} iterations")
 

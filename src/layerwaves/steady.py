@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import spectral as sp
 from .pencil import CHARGE, COMPONENT_NAMES, SPECIES
@@ -130,6 +129,7 @@ class Layout:
         self._tables = {2: signed, 1: tuple(t[1:] for t in signed)}
         self._square = sp.squares(k, count)
         self._work = sp.half_spectrum(k, sp.PRODUCT_GRID_FACTOR * count)
+        self._index = None  # jacobian's index tables, made on its first call
         for table in (self.w, self.a, self.coupling, *signed):
             table.setflags(write=False)  # shared (Layout.shared)
 
@@ -189,33 +189,50 @@ class Layout:
         Block i maps h to dx((r_i + a_i - c) h): with u the coefficients
         of r_i, its entry (p, j) is -w_p ((u_|p-j| + u_p+j) / 2
         + (a_i - c) d_pj), a Toeplitz plus a Hankel matrix scaled by rows.
-        Both are windows of one zero-padded (k, 3N) coefficient sequence,
-        so the blocks are formed as one (k, N, N) batch; the potential
-        adds diagonal couplings between the blocks, written through a
-        strided view of `out`.
+        Both are gathered from one zero-padded copy of the rows, with
+        u_0 = 0 and u_p = 0 beyond N, as one (k, N, N) batch and
+        scattered into the diagonal blocks; the potential subtracts
+        constant couplings between the blocks.  The index tables
+        (_jacobian_index) are made on the first call.  A non-contiguous
+        `out` is filled through a fresh matrix.
         """
         k, n = rows.shape
-        w = self.w
+        if out is not None and not out.flags.c_contiguous:
+            out[...] = self.jacobian(c, rows)
+            return out
+        if self._index is None:
+            self._index = self._jacobian_index()
+        toeplitz, hankel, scatter, coupled, coupling = self._index
         if out is None:
-            out = np.empty((k * n, k * n))
-        # seq[:, n - 1 + d] = u_|d|, with u_0 = 0 and u_p = 0 beyond N
-        seq = np.zeros((k, 3 * n))
-        seq[:, n:2 * n] = rows
-        seq[:, :n - 1] = rows[:, :n - 1][:, ::-1]
-        # win[:, s, j] = seq[:, s + j]: sliding_window_view costs more per
-        # call than the rest of the assembly at N = 16
-        step = seq.strides[1]
-        win = as_strided(seq, (k, 2 * n + 1, n), (seq.strides[0], step, step))
-        blocks = np.add(win[:, :n, ::-1], win[:, n + 1:])
-        blocks *= -0.5 * w[:, None]
-        blocks.reshape(k, n * n)[:, ::n + 1] -= (self.a - c) * w
-        out[...] = 0.0
-        for i in range(k):
-            out[i * n:(i + 1) * n, i * n:(i + 1) * n] = blocks[i]
-        row, col = out.strides  # couple[i, l, p] = out[i n + p, l n + p]
-        couple = as_strided(out, (k, k, n), (n * row, n * col, row + col))
-        couple -= self.coupling[:, None] * self.charge[:, None]
+            out = np.zeros((k * n, k * n))
+        else:
+            out.fill(0.0)
+        pad = np.zeros((k, 2 * n + 1))  # pad[i, d] = u_d of row i
+        pad[:, 1:n + 1] = rows
+        flat = pad.ravel()
+        blocks = flat[toeplitz]
+        blocks += flat[hankel]
+        blocks *= -0.5 * self.w[:, None]
+        blocks.reshape(k, n * n)[:, ::n + 1] -= (self.a - c) * self.w
+        entries = out.reshape(-1)
+        entries[scatter] = blocks
+        entries[coupled] -= coupling
         return out
+
+    def _jacobian_index(self):
+        """Index tables of jacobian: the Toeplitz and Hankel gathers into
+        the flat padded rows and the scatter of the (k, N, N) blocks into
+        the flat (kN, kN) matrix, and the flat index and values of the
+        couplings, entry (i N + p, l N + p) less coupling[i, p] charge[l].
+        """
+        k, n = self.k, self.w.size
+        p = np.arange(n)
+        row = (2 * n + 1) * np.arange(k)[:, None, None]
+        block = np.arange(k)[:, None, None] * n
+        coupled = (block + p) * (k * n) + block.reshape(1, k, 1) + p
+        return (row + np.abs(p[:, None] - p), row + (p[:, None] + p + 2),
+                (block + p[:, None]) * (k * n) + block + p, coupled,
+                self.coupling[:, None] * self.charge[:, None])
 
     def linearization(self, c, rows):
         """Matrix-free Jacobian and transport preconditioner at the rows:
@@ -309,7 +326,7 @@ def monitors(cfg, c, state):
     """
     n, u = state.count, state.cos
     npts = MONITOR_GRID_FACTOR * n
-    x = np.linspace(0.0, 2.0 * np.pi / state.fold, npts, endpoint=False)
+    x = _monitor_grid(state.fold, npts)
     w = state.wavenumbers()
     rows = np.concatenate(([u[1] - u[0], u[3] - u[2]], u))
     offsets = np.concatenate([[cfg.width, cfg.width], cfg.as_array() - c])
@@ -329,6 +346,15 @@ def monitors(cfg, c, state):
                       + offsets)
     best[polish] = np.fmin(best, off_grid)[polish]
     return np.min(best[:2]), np.min(best[2:])
+
+
+@functools.lru_cache(maxsize=16)
+def _monitor_grid(fold, npts):
+    """The monitors' npts equispaced points on one fold period [0, 2 pi/m),
+    read-only."""
+    x = np.linspace(0.0, 2.0 * np.pi / fold, npts, endpoint=False)
+    x.setflags(write=False)
+    return x
 
 
 def _row_dots(a, b):

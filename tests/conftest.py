@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from layerwaves import continuation as ct
 from layerwaves import localbranch as lb
 from layerwaves import pencil as pc
+from layerwaves import steady as st
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +43,24 @@ def sym_branch_pair(sym_expansion, branch_options):
     """
     return (ct.trace_arm(sym_expansion, +1, branch_options),
             ct.trace_arm(sym_expansion, -1, branch_options))
+
+
+@pytest.fixture
+def jacobian_index_makers(monkeypatch):
+    """The layouts that make Layout.jacobian's index tables, in order,
+    under a fresh Layout.shared cache, so that no earlier test has made
+    them."""
+    made = []
+    make = st.Layout._jacobian_index
+
+    def spy(layout):
+        made.append(layout)
+        return make(layout)
+
+    monkeypatch.setattr(st.Layout, "_jacobian_index", spy)
+    monkeypatch.setattr(st.Layout, "shared", staticmethod(
+        functools.lru_cache(maxsize=16)(st.Layout)))
+    return made
 
 
 def wave_at_amplitude(branch, target):

@@ -4,12 +4,14 @@ antiderivative, the full-series (cosine and sine) norm, and the scan for
 the smallest admissible mode of a generic layer.  A checked state from
 stacked coefficients (from_vector), a branch restarted from one of its
 points (restart), and the inverse Euler-Poisson map (map_from_ep with
-its matrix FROM_EP).  And RK4 on PhaseState objects, one rhs call and
+its matrix FROM_EP).  The dense Jacobian of a steady.Layout's rows,
+block by block (block_jacobian).  And RK4 on PhaseState objects, one rhs call and
 one combine per stage, as the oracle of dynamics.evolve."""
 
 from dataclasses import replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from layerwaves import continuation as ct
 from layerwaves import dynamics as dy
@@ -97,6 +99,37 @@ def from_vector(fold, count, vec):
     if not np.all(np.isfinite(cos)):
         raise ValueError("non-finite coefficients")
     return st.InterfaceState.from_arrays(fold, cos)
+
+
+def block_jacobian(cfg, fold, c, rows):
+    """Jacobian of the residual in the rows of a steady.Layout, block by
+    block from Toeplitz and Hankel windows, with fancy-index writes of
+    the diagonal couplings: the same floating-point operations as
+    Layout.jacobian, one block at a time.  Four rows, or the two plus
+    rows of a symmetric layer's fixed space, whose couplings carry the
+    weight 1 - T (steady.half_shift)."""
+    k, n = rows.shape
+    w = fold * np.arange(1, n + 1, dtype=float)
+    weight = 1.0 - st.half_shift(n) if k == 2 else np.ones(n)
+    out = np.empty((k * n, k * n))
+    seq = np.zeros((k, 3 * n))
+    seq[:, n:2 * n] = rows
+    seq[:, :n - 1] = rows[:, :n - 1][:, ::-1]
+    win = sliding_window_view(seq, n, axis=1)
+    toeplitz, hankel = win[:, :n, ::-1], win[:, n + 1:]
+    a = cfg.as_array()
+    p = np.arange(n)
+    cols = p[:, None] + n * np.arange(k)
+    for i in range(k):
+        block_rows = slice(i * n, (i + 1) * n)
+        out[block_rows] = 0.0
+        block = out[block_rows, block_rows]
+        np.add(toeplitz[i], hankel[i], out=block)
+        block *= -0.5 * w[:, None]
+        out[i * n + p, i * n + p] -= (a[i] - c) * w
+        out[i * n + p[:, None], cols] += (-pc.SPECIES[i] * pc.CHARGE[:k]
+                                          * (weight / w)[:, None])
+    return out
 
 
 def restart(branch, index, opts=None):

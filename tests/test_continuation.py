@@ -12,7 +12,7 @@ from layerwaves import steady as st
 from layerwaves.errors import CannotStartError, CorrectionFailedError
 from layerwaves.spectral import NormParams
 
-from oracle import from_vector, restart
+from oracle import block_jacobian, from_vector, restart
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -709,3 +709,57 @@ def test_four_rows_off_the_fixed_space(monkeypatch):
         sym.cfg, (c, st.InterfaceState.from_arrays(1, cos)), constraint, 1, 16)
     assert rows == [4] and iters >= 1
     assert sol.residual_norm <= 1e-11
+
+
+def test_gmres_correction_makes_no_jacobian_index(
+        sym_expansion, sym_cfg, jacobian_index_makers, monkeypatch):
+    # a correction that never forms the dense Jacobian makes no index
+    # tables; a dense one makes them once, whatever its number of solves
+    made = jacobian_index_makers
+    n = 64
+    c, state = lb.predictor(sym_expansion, 1e-2, count=n)
+    u0 = np.concatenate([[c], state.as_vector()])
+    constraint = ct.ArclengthConstraint(u0 / np.linalg.norm(u0), u0, 0.0)
+    sol, iters = ct.newton_correct(sym_cfg, (c, state), constraint, 1, n)
+    assert iters >= 1 and sol.dense_solves == 0 and made == []
+    monkeypatch.setattr(ct, "KRYLOV_MIN_COUNT", 10 ** 9)
+    sol, iters = ct.newton_correct(sym_cfg, (c, state), constraint, 1, n)
+    assert sol.dense_solves == iters >= 2
+    assert made == [st.Layout.shared(sym_cfg, 1, n, True)]
+
+
+def test_dense_correction_does_not_depend_on_the_jacobian_assembly(
+        monkeypatch):
+    # Newton from a predictor step of a generic N = 16 arm, with the
+    # Jacobian as assembled and as the block-by-block oracle: the same
+    # bits throughout
+    origin = _origin((0.0, 1.0, 2.5, 3.5), 1)
+    arm = ct.trace_arm(origin, +1, ct.ContinuationOptions(count=16,
+                                                          max_points=6))
+    prev = arm.points[-1]
+    sol = prev.solution
+    u = np.concatenate([[sol.c], sol.state.as_vector()])
+    ds = 2.0 * prev.next_step
+    guess = u + ds * prev.tangent
+    args = (origin.cfg, (guess[0], from_vector(1, 16, guess[1:])),
+            ct.ArclengthConstraint(prev.tangent, u, ds), 1, 16)
+    want, want_iters = ct.newton_correct(*args)
+
+    calls = []
+
+    def oracle(layout, c, rows, out=None):
+        calls.append(c)
+        J = block_jacobian(origin.cfg, 1, c, rows)
+        if out is None:
+            return J
+        out[...] = J
+        return out
+
+    monkeypatch.setattr(st.Layout, "jacobian", oracle)
+    got, iters = ct.newton_correct(*args)
+    assert want_iters == iters >= 2 and want.dense_solves == iters
+    assert len(calls) == iters
+    assert got.dense_solves == want.dense_solves
+    assert got.c == want.c
+    assert np.array_equal(got.state.cos, want.state.cos)
+    assert got.residual_norm == want.residual_norm

@@ -2,7 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 from layerwaves import continuation as ct
 from layerwaves import dynamics as dy
@@ -11,8 +10,8 @@ from layerwaves import spectral as sp
 from layerwaves import steady as st
 from layerwaves.spectral import TrigSeries
 
-from oracle import (add, antideriv, from_sin, from_vector, norm, scale, sub,
-                    with_count, zeros)
+from oracle import (add, antideriv, block_jacobian, from_sin, from_vector,
+                    norm, scale, sub, with_count, zeros)
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -89,30 +88,8 @@ def direct_jacobian(cfg, c, state):
 
 
 def loop_jacobian(cfg, c, state):
-    """Jacobian block by block from Toeplitz and Hankel windows, with
-    fancy-index writes of the diagonal couplings (test oracle; the same
-    floating-point operations as steady.jacobian, one block at a time)."""
-    n = state.count
-    w = state.wavenumbers()
-    out = np.empty((4 * n, 4 * n))
-    seq = np.zeros((4, 3 * n))
-    seq[:, n:2 * n] = state.cos
-    seq[:, :n - 1] = state.cos[:, :n - 1][:, ::-1]
-    win = sliding_window_view(seq, n, axis=1)
-    toeplitz, hankel = win[:, :n, ::-1], win[:, n + 1:]
-    a = cfg.as_array()
-    k = np.arange(n)
-    cols = k[:, None] + n * np.arange(4)
-    for i in range(4):
-        rows = slice(i * n, (i + 1) * n)
-        out[rows] = 0.0
-        block = out[rows, rows]
-        np.add(toeplitz[i], hankel[i], out=block)
-        block *= -0.5 * w[:, None]
-        out[i * n + k, i * n + k] -= (a[i] - c) * w
-        out[i * n + k[:, None], cols] += (-pc.SPECIES[i] * pc.CHARGE
-                                          / w[:, None])
-    return out
+    """Jacobian of the four rows block by block (oracle.block_jacobian)."""
+    return block_jacobian(cfg, state.fold, c, state.cos)
 
 
 def full_band_state(rng, fold, count):
@@ -545,6 +522,39 @@ def test_jacobian_equals_block_loop_bitwise(gen_cfg, fold, count):
     assert got.base is A and np.shares_memory(got, A)
     assert np.array_equal(A[:n, 1:], want)
     assert np.all(np.isnan(A[:, 0])) and np.all(np.isnan(A[n]))
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 2, 8, 17, 64, 256])
+def test_fixed_space_jacobian_equals_block_loop_bitwise(sym_cfg, fold, count):
+    # the two plus rows of a symmetric layer, whose coupling carries the
+    # weight 1 - T; at counts 1 and 2 most Hankel entries lie beyond
+    # harmonic N, in the zero padding
+    rng = np.random.default_rng(60 * fold + count)
+    rows = rng.uniform(-1, 1, (2, count))
+    layout = st.Layout.shared(sym_cfg, fold, count, True)
+    want = block_jacobian(sym_cfg, fold, 1.9, rows)
+    assert np.array_equal(layout.jacobian(1.9, rows), want)
+    n = 2 * count
+    A = np.full((n + 1, n + 1), np.nan)
+    got = layout.jacobian(1.9, rows, out=A[:n, 1:])
+    assert got.base is A and np.array_equal(A[:n, 1:], want)
+    assert np.all(np.isnan(A[:, 0])) and np.all(np.isnan(A[n]))
+
+
+def test_jacobian_index_is_made_once_per_layout(sym_cfg,
+                                                jacobian_index_makers):
+    rng = np.random.default_rng(61)
+    layouts = [st.Layout.shared(sym_cfg, 2, 8, s) for s in (False, True)]
+    for _ in range(3):
+        for layout in layouts:
+            rows = rng.uniform(-1, 1, (layout.k, 8))
+            A = np.empty((8 * layout.k + 1,) * 2)
+            want = st.Layout.shared(sym_cfg, 2, 8, layout.k == 2).jacobian(
+                0.4, rows)
+            layout.jacobian(0.4, rows, out=A[1:, :-1])
+            assert np.array_equal(A[1:, :-1], want)
+    assert jacobian_index_makers == layouts
 
 
 def test_jacobian_fills_a_bordered_view(gen_cfg):
