@@ -279,7 +279,7 @@ def newton_correct(cfg, guess, constraint, fold, count,
                     A = np.empty((n + 1, n + 1))
                     A[n, :] = constraint.tangent
                 A[:n, 0] = col
-                layout.jacobian(c, rows, out=A[:n, 1:])
+                A[:n, 1:] = layout.jacobian(c, rows)
                 dense_solves += 1
                 try:
                     step = np.linalg.solve(A, -rhs)

@@ -93,8 +93,8 @@ def ep_residual(state):
                 -+ 2 rho dx^-1(rho_+ - rho_-)
     The residuals reach harmonic 3N.  rho, u, their derivatives and the
     force dx^-1(rho_+ - rho_-) come from one inverse transform on
-    8 (3N + 3) uniform points of one fold period
-    (spectral.even_odd_grid_values of 4 even and 5 odd rows); the
+    8 (3N + 3) uniform points of one fold period (spectral.grid_values
+    of 4 even rows over 5 odd ones, each padded with zero rows); the
     residuals are formed there pointwise, and one forward transform
     (spectral.grid_coefficients) gives their sine coefficients on
     harmonics 1..3N+3, all exact.  Returns the (4, 3N+3) coefficients,
@@ -105,8 +105,10 @@ def ep_residual(state):
     out_n = 3 * n + 3
     w = state.wavenumbers()
     force = (state.cos[0] - state.cos[1]) / w
-    vals = sp.even_odd_grid_values(
-        state.cos, np.concatenate((-w * state.cos, force[None])), 8 * out_n)
+    odd = np.concatenate((-w * state.cos, force[None]))
+    vals = sp.grid_values(np.concatenate((state.cos, np.zeros_like(odd))),
+                          np.concatenate((np.zeros_like(state.cos), odd)),
+                          8 * out_n)
     rho = vals[0:2] + state.base_a
     u, drho, du, field = vals[2:4], vals[4:6], vals[6:8], vals[8]
     flux = drho * u + rho * du  # dx(rho u)

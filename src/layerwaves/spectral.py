@@ -25,11 +25,12 @@ _PARITIES = (EVEN, ODD, FULL)
 # series cut at N is exact on harmonics 0..N (harmonic k <= 2N aliases to
 # 4N - k >= 2N), and a cubic, reaching 3N < 4N, has its exact mean.
 PRODUCT_GRID_FACTOR = 4
-# A transform of N harmonics on M points with N*M <= TABLE_MAX_SIZE is a
-# product with cached cos/sin tables (_trig_tables), a larger one a real
-# FFT.  One grid_values/grid_coefficients round trip of 2-4 rows, table
-# against FFT (2-core VM, 1 BLAS thread, best of 8 interleaved blocks of
-# 200 calls, three runs), in us: 10 against 30-33 at N = 16 on 64 points;
+# transform(N, M), the one transform pair of N harmonics on M points,
+# is a product with cos/sin tables when N*M <= TABLE_MAX_SIZE and a real
+# FFT above; it is cached, so the choice and the tables are made once
+# per (N, M).  One round trip of 2-4 rows, table against FFT (2-core VM,
+# 1 BLAS thread, best of 8 interleaved blocks of 200 calls, three runs),
+# in us: 10 against 30-33 at N = 16 on 64 points;
 # 14-24 against 23-41 at N = 64 on 256 (N*M = 2^14); 34-46 against 41-53
 # on 512 (2^15), where the forward product of 4-9 rows alone breaks even
 # and the tables take 1 MB; 81-137 against 35-53 at N = 128 on 512.
@@ -291,143 +292,85 @@ def shift(f, h):
                       FULL if np.any(sw) else f.parity)
 
 
-def grid_values(cos, sin, npts, work=None):
-    """Values of stacked series at the npts uniform points of one fold period.
-
-    Row i of the (k, N) arrays cos and sin holds the coefficients of
-    harmonics 1..N of one series; sin may be None for series with no
-    sine part.  Column p of the (k, npts) result is the value at
-    x = 2 pi p / (fold * npts).  Every harmonic must lie below the
-    grid's Nyquist one: npts > 2N.  Up to TABLE_MAX_SIZE, all rows go
-    through one product with the cosine table plus, added to it, one
-    with the sine table; above it, through one inverse real FFT of the
-    half spectrum (cos - i sin) / 2, unnormalized.
-
-    work, if given, is that half spectrum's complex (k, npts // 2 + 1)
-    array, zero outside columns 1..N (as from half_spectrum); the FFT
-    overwrites columns 1..N, so repeated calls of one size allocate no
-    spectrum.
-    """
-    k, n = cos.shape
-    if 2 * n >= npts:
-        raise ValueError(f"{npts} points cannot resolve {n} harmonics")
-    if n * npts <= TABLE_MAX_SIZE:
-        return _table_values(cos, sin, _trig_tables(n, npts)[0])
-    half = half_spectrum(k, npts) if work is None else work
-    if sin is None:
-        half[:, 1:n + 1] = 0.5 * cos
-    else:
-        np.multiply(cos, 0.5, out=half.real[:, 1:n + 1])
-        np.multiply(sin, -0.5, out=half.imag[:, 1:n + 1])
-    return np.fft.irfft(half, n=npts, axis=1, norm="forward")
-
-
-def even_odd_grid_values(cos, sin, npts):
-    """Values of k even series stacked over those of l odd series.
-
-    Row i of the (k, N) array cos holds the cosine coefficients of one
-    even series, row i of the (l, N) array sin the sine coefficients of
-    one odd series; the (k + l, npts) result is grid_values(cos over
-    zeros, zeros over sin).
-    """
-    return grid_values(np.concatenate((cos, np.zeros_like(sin))),
-                       np.concatenate((np.zeros_like(cos), sin)), npts)
-
-
-def half_spectrum(k, npts):
-    """Zeroed work array of grid_values for k series on npts points."""
-    return np.zeros((k, npts // 2 + 1), dtype=complex)
+def grid_values(cos, sin, npts):
+    """Values of stacked series at the npts uniform points of one fold
+    period: the (k, npts) values of transform(N, npts) applied to the
+    (k, N) coefficient arrays cos and sin (sin None: no sine part).
+    Column p holds the values at x = 2 pi p / (fold * npts)."""
+    return transform(cos.shape[1], npts)[0](cos, sin)
 
 
 def grid_coefficients(vals, count):
-    """Harmonics 1..count of stacked grid values; inverse of grid_values.
+    """Harmonics 1..count of stacked grid values, inverse of grid_values:
+    the (2, k, count) cosine over sine coefficients of transform(count,
+    npts) applied to the (k, npts) array vals.  Exact when no harmonic
+    of the values aliases onto a kept one: a product of two series
+    truncated at count needs npts >= 3 count + 1."""
+    return transform(count, vals.shape[1])[1](vals)
 
-    Row i of the (k, npts) array vals holds one series at the npts
-    uniform points of one fold period; returns the (k, count) cosine
-    and sine coefficients, from one product with the forward table up
-    to TABLE_MAX_SIZE and from one forward real FFT above it.  Exact
-    when no harmonic of the values aliases onto a kept one: a product
-    of two series truncated at count needs npts >= 3 count + 1.
+
+@functools.lru_cache(maxsize=16)
+def transform(count, npts):
+    """The transform pair of harmonics 1..count on npts uniform points of
+    one fold period: two functions, (values, coefficients).
+
+    values(cos, sin=None) takes the (k, count) cosine and sine
+    coefficients of k series (sin None: no sine part) to their (k, npts)
+    grid values; coefficients(vals) takes (k, npts) grid values back to
+    their (2, k, count) cosine over sine coefficients.  Up to
+    TABLE_MAX_SIZE both are products with read-only cos/sin tables,
+    whose angles are formed from (j p) mod npts, so they stay below
+    2 pi: values adds the sine product to the cosine one, formed on its
+    own, so a missing sine part leaves the cosine product's bits.  Above
+    it, values is one inverse real FFT of the half spectrum
+    (cos - i sin) / 2, unnormalized, written into one zeroed half
+    spectrum per row count k, made on the first call; coefficients is
+    one forward real FFT.  Needs npts > 2 count.
     """
-    npts = vals.shape[1]
     if 2 * count >= npts:
         raise ValueError(f"{npts} points cannot resolve {count} harmonics")
     if count * npts <= TABLE_MAX_SIZE:
-        f = vals @ _trig_tables(count, npts)[1]
-        return f[:, :count], f[:, count:]
-    f = np.fft.rfft(vals, axis=1)[:, 1:count + 1] * (2.0 / npts)
-    return f.real, -f.imag
+        jp = np.arange(1, count + 1)[:, None] * np.arange(npts)
+        angle = 2.0 * np.pi * (jp % npts) / npts
+        inverse = np.array([np.cos(angle), np.sin(angle)])
+        forward = np.ascontiguousarray(inverse.reshape(2 * count, npts).T)
+        forward *= 2.0 / npts
+        inverse.setflags(write=False)
+        forward.setflags(write=False)
 
+        def values(cos, sin=None):
+            vals = cos @ inverse[0]
+            if sin is not None:
+                vals += sin @ inverse[1]
+            return vals
 
-@functools.lru_cache(maxsize=8)
-def _trig_tables(count, npts):
-    """Read-only tables of harmonics 1..count on npts points: the
-    (2, count, npts) cosines over sines of 2 pi j p / npts, and the
-    (npts, 2 count) transpose of their stack times 2 / npts.  Each angle
-    is formed from (j p) mod npts, so it stays below 2 pi."""
-    jp = np.arange(1, count + 1)[:, None] * np.arange(npts)
-    angle = 2.0 * np.pi * (jp % npts) / npts
-    inverse = np.array([np.cos(angle), np.sin(angle)])
-    forward = np.ascontiguousarray(inverse.reshape(2 * count, npts).T)
-    forward *= 2.0 / npts
-    inverse.setflags(write=False)
-    forward.setflags(write=False)
-    return inverse, forward
+        def coefficients(vals):
+            return (vals @ forward).reshape(-1, 2, count).transpose(1, 0, 2)
 
-
-def _table_values(cos, sin, inverse):
-    """grid_values by the inverse table: the sine product is formed on
-    its own and added, so a zero sine part leaves the cosine product's
-    bits."""
-    vals = cos @ inverse[0]
-    if sin is not None:
-        vals += sin @ inverse[1]
-    return vals
-
-
-def squares(k, count):
-    """The function x -> harmonics 1..count of the squares of k series,
-    exact on the product grid.
-
-    x and the result are (p, k, count) stacks: cosine over sine
-    coefficients (p = 2), or cosine coefficients of even series (p = 1),
-    whose squares' zero sine part is not formed.  A call is one
-    grid_values and one grid_coefficients transform on
-    PRODUCT_GRID_FACTOR*count points, with the same bits: the grid
-    values are squared in place between the two.  On the FFT side, x
-    goes into one reused half spectrum by one product.
-    """
-    npts = PRODUCT_GRID_FACTOR * count
-    if count * npts <= TABLE_MAX_SIZE:
-        inverse, forward = _trig_tables(count, npts)
-
-        def square_by_table(x):
-            p = len(x)
-            vals = _table_values(x[0], x[1] if p == 2 else None, inverse)
-            vals *= vals
-            f = (vals @ forward).reshape(k, 2, count).transpose(1, 0, 2)
-            return f if p == 2 else f[:1]
-
-        return square_by_table
-    work = half_spectrum(k, npts)
-    spectrum = _parts(work, count)
-    half_conj = np.array([0.5, -0.5])[:, None, None]
+        return values, coefficients
+    spectra = {}  # row count -> zeroed half spectrum, its (2, k, count) view
     scale = (2.0 / npts) * np.array([1.0, -1.0])[:, None, None]
 
-    def square(x):
-        if len(x) == 2:
-            np.multiply(x, half_conj, out=spectrum)
-        else:  # cosine rows only: clear a previous call's sine band
-            np.multiply(x, half_conj[:1], out=spectrum[:1])
-            spectrum[1] = 0.0
-        vals = np.fft.irfft(work, n=npts, axis=1, norm="forward")
-        np.multiply(vals, vals, out=vals)
-        # C order: the callers' arithmetic on the spectrum's interleaved
-        # layout was measured slower, by 10% of a stage at N = 256
-        f = _parts(np.fft.rfft(vals, axis=1), count)[:len(x)]
-        return np.multiply(f, scale[:len(x)], order="C")
+    def values(cos, sin=None):
+        k = len(cos)
+        if k not in spectra:
+            half = np.zeros((k, npts // 2 + 1), dtype=complex)
+            spectra[k] = half, _parts(half, count)
+        half, parts = spectra[k]
+        np.multiply(cos, 0.5, out=parts[0])
+        if sin is None:  # clear a previous call's sine band
+            parts[1] = 0.0
+        else:
+            np.multiply(sin, -0.5, out=parts[1])
+        return np.fft.irfft(half, n=npts, axis=1, norm="forward")
 
-    return square
+    def coefficients(vals):
+        # C order: the callers' arithmetic on the spectrum's interleaved
+        # layout was measured slower, by 10% of an RK4 stage at N = 256
+        return np.multiply(_parts(np.fft.rfft(vals, axis=1), count), scale,
+                           order="C")
+
+    return values, coefficients
 
 
 def _parts(spectrum, count):

@@ -127,19 +127,18 @@ class Layout:
         signed = (sign * (self.a * self.w), sign * (0.5 * self.w),
                   sign * self.coupling)
         self._tables = {2: signed, 1: tuple(t[1:] for t in signed)}
-        self._square = sp.squares(k, count)
-        self._work = sp.half_spectrum(k, sp.PRODUCT_GRID_FACTOR * count)
+        self._values, self._coefficients = sp.transform(
+            count, sp.PRODUCT_GRID_FACTOR * count)
         self._index = None  # jacobian's index tables, made on its first call
         for table in (self.w, self.a, self.coupling, *signed):
             table.setflags(write=False)  # shared (Layout.shared)
 
     @staticmethod
-    @functools.lru_cache(maxsize=16)
     def shared(cfg, fold, count, symmetric=False):
-        """One Layout per argument tuple, so that its tables and work
-        arrays are built once, not per solve or per call; callers only
-        read its arrays."""
-        return Layout(cfg, fold, count, symmetric)
+        """One Layout per (cfg, fold, count, symmetric), however the
+        arguments are spelled, so that its tables are built once, not per
+        solve or per call; callers only read its arrays."""
+        return _shared_layout(cfg, fold, count, symmetric)
 
     def stack(self, c, cos):
         """u = (c, carried rows) of c and a (4, N) coefficient array."""
@@ -162,14 +161,20 @@ class Layout:
         its (1, k, N) sine coefficients.
 
         Component i: -(a_i + r_i) dx r_i  -+  dx^-1(d), minus on the plus
-        species, with r_i dx r_i = (1/2) dx(r_i^2) from one
-        spectral.squares round trip.  The tables carry their output row's
-        sign: f = (-(a w sin + w sq_sin / 2 + coupling d_sin),
+        species, with r_i dx r_i = (1/2) dx(r_i^2): the rows' values on
+        the product grid, squared in place, taken back to coefficients by
+        the layout's transform pair (spectral.transform), exact on
+        harmonics 1..N.  The tables carry their output row's sign:
+        f = (-(a w sin + w sq_sin / 2 + coupling d_sin),
         a w cos + w sq_cos / 2 + coupling d_cos).
         """
-        aw, half_w, coupling = self._tables[len(x)]
+        p = len(x)
+        aw, half_w, coupling = self._tables[p]
+        vals = self._values(x[0], x[1] if p == 2 else None)
+        vals *= vals
         out = aw * x[::-1]
-        out += half_w * self._square(x)[::-1]
+        # the squares' rows p - 1..0: sine over cosine, or cosine
+        out += half_w * self._coefficients(vals)[p - 1::-1]
         out += coupling * (self.charge @ x)[::-1, None]
         return out
 
@@ -180,11 +185,10 @@ class Layout:
         component."""
         return c * self.w * rows - self.tendency(rows[None])[0]
 
-    def jacobian(self, c, rows, out=None):
+    def jacobian(self, c, rows):
         """Dense (kN, kN) Jacobian of the residual in the rows, acting on
         stacked cosine coefficients and producing stacked sine
-        coefficients; written into `out` (any (kN, kN) float view) if
-        given.
+        coefficients, in a fresh matrix.
 
         Block i maps h to dx((r_i + a_i - c) h): with u the coefficients
         of r_i, its entry (p, j) is -w_p ((u_|p-j| + u_p+j) / 2
@@ -193,20 +197,13 @@ class Layout:
         u_0 = 0 and u_p = 0 beyond N, as one (k, N, N) batch and
         scattered into the diagonal blocks; the potential subtracts
         constant couplings between the blocks.  The index tables
-        (_jacobian_index) are made on the first call.  A non-contiguous
-        `out` is filled through a fresh matrix.
+        (_jacobian_index) are made on the first call.
         """
         k, n = rows.shape
-        if out is not None and not out.flags.c_contiguous:
-            out[...] = self.jacobian(c, rows)
-            return out
         if self._index is None:
             self._index = self._jacobian_index()
         toeplitz, hankel, scatter, coupled, coupling = self._index
-        if out is None:
-            out = np.zeros((k * n, k * n))
-        else:
-            out.fill(0.0)
+        out = np.zeros((k * n, k * n))
         pad = np.zeros((k, 2 * n + 1))  # pad[i, d] = u_d of row i
         pad[:, 1:n + 1] = rows
         flat = pad.ravel()
@@ -246,31 +243,31 @@ class Layout:
         h = (dx^-1 g + kappa_i) / q_i with kappa_i making h zero-mean,
         then cut to harmonics 1..N.  It leaves out the potential, which
         smooths.  q is sampled once, here.  Each call of the two
-        functions is one inverse and one forward transform, table
-        products or real FFTs (spectral.TABLE_MAX_SIZE); the FFTs of
-        every linearization of the layout reuse its one half-spectrum
-        work array.  A zero of q shows as non-finite output.
+        functions is one inverse and one forward transform of the
+        layout's transform pair (spectral.transform).  A zero of q shows
+        as non-finite output.
         """
-        n = rows.shape[1]
         w = self.w
-        npts = sp.PRODUCT_GRID_FACTOR * n
-        work = self._work
-        q = sp.grid_values(rows, None, npts, work)
+        values, coefficients = self._values, self._coefficients
+        q = values(rows)
         q += self.a - c
         inv_q = 1.0 / q
         sum_inv_q = np.sum(inv_q, axis=1, keepdims=True)
 
         def matvec(h):
-            prod, _ = sp.grid_coefficients(
-                q * sp.grid_values(h, None, npts, work), n)
+            prod = coefficients(q * values(h))[0]
             return -self.coupling * (self.charge @ h) - w * prod
 
         def precondition(g):
-            h = sp.grid_values(-g / w, None, npts, work) * inv_q
+            h = values(-g / w) * inv_q
             h -= h.sum(axis=1, keepdims=True) / sum_inv_q * inv_q
-            return sp.grid_coefficients(h, n)[0]
+            return coefficients(h)[0]
 
         return matvec, precondition
+
+
+# Layout.shared's cache, keyed on its four arguments in order
+_shared_layout = functools.lru_cache(maxsize=16)(Layout)
 
 
 def half_shift(count):
@@ -305,11 +302,11 @@ def speed_derivative_vector(cfg, c, state):
     return (state.wavenumbers() * state.cos).ravel()
 
 
-def jacobian(cfg, c, state, out=None):
+def jacobian(cfg, c, state):
     """Dense (4N, 4N) Jacobian of the residual in the state
-    (Layout.jacobian), written into `out` if given."""
+    (Layout.jacobian)."""
     layout = Layout.shared(cfg, state.fold, state.count)
-    return layout.jacobian(c, state.cos, out)
+    return layout.jacobian(c, state.cos)
 
 
 def monitors(cfg, c, state):

@@ -58,8 +58,8 @@ def jacobian_index_makers(monkeypatch):
         return make(layout)
 
     monkeypatch.setattr(st.Layout, "_jacobian_index", spy)
-    monkeypatch.setattr(st.Layout, "shared", staticmethod(
-        functools.lru_cache(maxsize=16)(st.Layout)))
+    monkeypatch.setattr(st, "_shared_layout",
+                        functools.lru_cache(maxsize=16)(st.Layout))
     return made
 
 

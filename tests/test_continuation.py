@@ -747,13 +747,9 @@ def test_dense_correction_does_not_depend_on_the_jacobian_assembly(
 
     calls = []
 
-    def oracle(layout, c, rows, out=None):
+    def oracle(layout, c, rows):
         calls.append(c)
-        J = block_jacobian(origin.cfg, 1, c, rows)
-        if out is None:
-            return J
-        out[...] = J
-        return out
+        return block_jacobian(origin.cfg, 1, c, rows)
 
     monkeypatch.setattr(st.Layout, "jacobian", oracle)
     got, iters = ct.newton_correct(*args)

@@ -1,9 +1,11 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from layerwaves import spectral as sp
+from layerwaves import steady as st
 from layerwaves.spectral import EVEN, FULL, ODD, NormParams, TrigSeries
 
 from oracle import (add, antideriv, from_sin, norm, scale, with_count,
@@ -142,83 +144,131 @@ def test_grid_values_match_direct_evaluation(parity, fold, count):
             assert np.array_equal(sp.grid_values(cos, None, npts), got)
 
 
+@pytest.fixture(autouse=True)
+def _fresh_pairs_after():
+    """Transform pairs made under a patched TABLE_MAX_SIZE stay in no
+    cache once the test is over."""
+    yield
+    _forget_pairs()
+
+
+def _forget_pairs():
+    """Empty the caches that hold transform pairs: spectral.transform's,
+    and Layout.shared's, whose layouts keep the pair of their grid."""
+    sp.transform.cache_clear()
+    st._shared_layout.cache_clear()
+
+
+def _choose_side(monkeypatch, size):
+    """Make every transform pair made from here on a table product
+    (size BY_TABLE) or a real FFT (BY_FFT); pairs made before are
+    forgotten, since each made its choice once."""
+    monkeypatch.setattr(sp, "TABLE_MAX_SIZE", size)
+    _forget_pairs()
+
+
+def _padded(cos, sin):
+    """k even rows over l odd ones as one full-parity stack: each stack
+    padded with zero rows where the other has its rows, as ep_residual
+    pads them."""
+    return (np.concatenate((cos, np.zeros_like(sin))),
+            np.concatenate((np.zeros_like(cos), sin)))
+
+
 @pytest.mark.parametrize("k, l", [(4, 5), (1, 3), (6, 6)])
 @pytest.mark.parametrize("count", [1, 16, 64])
 def test_even_odd_grid_values_are_padded_grid_values(k, l, count):
-    # k even rows over l odd ones: grid_values of the stacks padded with
-    # zero rows, bit for bit, just above 2N points and on the
+    # k even rows over l odd ones, padded: each row's values are those
+    # of its series transformed alone, just above 2N points and on the
     # Euler-Poisson residual's grid
     rng = np.random.default_rng(100 * k + 10 * l + count)
     cos = rng.standard_normal((k, count))
     sin = rng.standard_normal((l, count))
+    scale = np.max(np.sum(np.abs(np.concatenate((cos, sin))), axis=1))
     for npts in (2 * count + 1, 2 * count + 2, 8 * (3 * count + 3)):
-        got = sp.even_odd_grid_values(cos, sin, npts)
-        want = sp.grid_values(
-            np.concatenate((cos, np.zeros((l, count)))),
-            np.concatenate((np.zeros((k, count)), sin)), npts)
+        got = sp.grid_values(*_padded(cos, sin), npts)
+        want = np.concatenate((sp.grid_values(cos, None, npts),
+                               sp.grid_values(0.0 * sin, sin, npts)))
         assert got.shape == (k + l, npts)
-        assert np.array_equal(got, want), npts
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale, npts
     with pytest.raises(ValueError, match="cannot resolve"):
-        sp.even_odd_grid_values(cos, sin, 2 * count)
+        sp.grid_values(*_padded(cos, sin), 2 * count)
 
 
 @pytest.mark.parametrize("count", [1, 8, 17, 64])
 def test_grid_values_work_array_keeps_no_state(monkeypatch, count):
-    # calls with and without a sine part alternate on one work array of
-    # the FFT side, which alone reads it; each must equal a fresh call
-    # bitwise (a stale imaginary band from the previous call would show)
-    monkeypatch.setattr(sp, "TABLE_MAX_SIZE", BY_FFT)
+    # calls with and without a sine part alternate on the one zeroed
+    # half spectrum of the FFT side's cached pair; each must equal a
+    # fresh pair's call bitwise (a stale imaginary band from the previous
+    # call would show), and the spectrum stays zero outside the band
+    _choose_side(monkeypatch, BY_FFT)
     rng = np.random.default_rng(70 + count)
     npts = 4 * count + 1
-    work = sp.half_spectrum(3, npts)
+    values = sp.transform(count, npts)[0]
     for sine in (True, False, False, True, True, False):
         cos = rng.standard_normal((3, count))
         sin = rng.standard_normal((3, count)) if sine else None
-        got = sp.grid_values(cos, sin, npts, work)
-        assert np.array_equal(got, sp.grid_values(cos, sin, npts))
-        assert np.all(work[:, 0] == 0.0) and np.all(work[:, count + 1:] == 0.0)
+        got = values(cos, sin)
+        assert np.array_equal(got, sp.transform.__wrapped__(count, npts)[0](
+            cos, sin))
+        half, _ = inspect.getclosurevars(values).nonlocals["spectra"][3]
+        assert np.all(half[:, 0] == 0.0) and np.all(half[:, count + 1:] == 0.0)
 
 
 @pytest.mark.parametrize("size", ["table", "fft"])
 @pytest.mark.parametrize("count", [1, 8, 17, 64])
-def test_squares_closure_keeps_no_state(monkeypatch, size, count):
-    # full-parity (p = 2) and even (p = 1) calls alternate on one closure;
-    # each must equal a fresh closure's call bitwise (a stale sine band in
-    # the FFT side's work array, left by a p = 2 call, would show)
-    monkeypatch.setattr(sp, "TABLE_MAX_SIZE", {"table": BY_TABLE,
-                                               "fft": BY_FFT}[size])
+def test_squares_closure_keeps_no_state(monkeypatch, gen_cfg, size, count):
+    # full-parity (p = 2) and even (p = 1) calls of one layout's
+    # tendency alternate on its cached transform pair; each must equal a
+    # fresh layout's call bitwise (a stale sine band in the FFT side's
+    # half spectrum, left by a p = 2 call, would show)
+    _choose_side(monkeypatch, {"table": BY_TABLE, "fft": BY_FFT}[size])
     rng = np.random.default_rng(80 + count)
-    square = sp.squares(3, count)
+    layout = st.Layout(gen_cfg, 1, count)
     for p in (2, 1, 1, 2, 2, 1):
-        x = rng.standard_normal((p, 3, count))
-        got = square(x)
-        assert got.shape == (p, 3, count)
-        assert np.array_equal(got, sp.squares(3, count)(x))
+        x = rng.standard_normal((p, 4, count))
+        got = layout.tendency(x)
+        assert got.shape == (p, 4, count)
+        sp.transform.cache_clear()
+        assert np.array_equal(got, st.Layout(gen_cfg, 1, count).tendency(x))
+
+
+def _squared(values, coefficients, x):
+    """Harmonics 1..count of the squares of the p = len(x) stack x, by
+    one transform pair: the grid values squared in place between its
+    two functions, as Layout.tendency squares them."""
+    vals = values(*x)
+    vals *= vals
+    return coefficients(vals)[:len(x)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("count", [1, 8, 17, 64, 65])
-def test_squares_are_the_grid_round_trip(k, count):
+def test_squares_are_the_grid_round_trip(gen_cfg, sym_cfg, k, count):
     # bit for bit the square of grid_values taken back by
     # grid_coefficients on the product grid, for full-parity series
-    # (p = 2) and for even ones (p = 1, no sine part); repeated calls
-    # reuse one work array, so each must equal a fresh round trip
+    # (p = 2) and for even ones (p = 1, no sine part), each call of the
+    # cached pair equal to a fresh round trip; on the k rows of a layout,
+    # tendency's quadratic term is that round trip
     rng = np.random.default_rng(10 * k + count)
-    square = sp.squares(k, count)
     npts = sp.PRODUCT_GRID_FACTOR * count
+    pair = sp.transform(count, npts)
+    layout = {2: st.Layout(sym_cfg, 1, count, True),
+              4: st.Layout(gen_cfg, 1, count)}.get(k)
     for _ in range(3):
-        x = rng.standard_normal((2, k, count))
-        vals = sp.grid_values(x[0], x[1], npts)
-        want = sp.grid_coefficients(vals * vals, count)
-        got = square(x)
-        assert got.shape == (2, k, count)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        rows = x[0]
-        got = square(rows[None])
-        assert got.shape == (1, k, count)
-        assert np.array_equal(got[0], sp.grid_coefficients(
-            sp.grid_values(rows, None, npts) ** 2, count)[0])
+        for p in (2, 1):
+            x = rng.standard_normal((p, k, count))
+            vals = sp.grid_values(x[0], x[1] if p == 2 else None, npts)
+            want = sp.grid_coefficients(vals * vals, count)[:p]
+            got = _squared(*pair, x)
+            assert got.shape == (p, k, count)
+            assert np.array_equal(got, want)
+            if layout is not None:  # signs -1 on cosine, +1 on sine output
+                sign = np.array([-1.0, 1.0])[2 - p:, None, None]
+                assert np.array_equal(layout.tendency(x), (
+                    sign * (layout.a * layout.w) * x[::-1]
+                    + sign * (0.5 * layout.w) * want[::-1]
+                    + sign * layout.coupling * (layout.charge @ x)[::-1, None]))
 
 
 @pytest.mark.parametrize("count", [1, 8, 17, 64, 256])
@@ -253,12 +303,27 @@ def _direct(n, npts):
 
 
 def _both_branches(monkeypatch, fn, *args):
-    """fn(*args) by the table product and by the FFT."""
+    """fn(*args) by table products and by real FFTs, each from transform
+    pairs made for it; the first pass must call no FFT, the second
+    must."""
+    calls = []
+
+    def counted(fft):
+        def call(*a, **kw):
+            calls.append(fft)
+            return fft(*a, **kw)
+        return call
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     out = []
     for size in (BY_TABLE, BY_FFT):
-        monkeypatch.setattr(sp, "TABLE_MAX_SIZE", size)
+        _choose_side(monkeypatch, size)
+        calls.clear()
         out.append(fn(*args))
+        assert bool(calls) == (size == BY_FFT)
     monkeypatch.undo()
+    _forget_pairs()
     return out
 
 
@@ -297,6 +362,8 @@ def test_grid_coefficients_by_table_and_by_fft(monkeypatch, n, npts, k):
         assert got.shape == (k, n)
         assert np.max(np.abs(got - ref)) <= 1e-14 * scale
         assert np.max(np.abs(got - direct)) <= 1e-13 * scale
+    assert np.array_equal(sp.grid_coefficients(vals, n),
+                          table if n * npts <= sp.TABLE_MAX_SIZE else fft)
 
 
 @pytest.mark.parametrize("n, npts", DISPATCH_SIZES)
@@ -304,13 +371,13 @@ def test_grid_coefficients_by_table_and_by_fft(monkeypatch, n, npts, k):
 @pytest.mark.parametrize("sine", [True, False])
 def test_even_odd_grid_values_by_table_and_by_fft(monkeypatch, n, npts,
                                                   rows, sine):
-    # `rows` even series over rows // 2 odd ones, or none
+    # `rows` even series over rows // 2 odd ones, or none, padded
     rng = np.random.default_rng(3 * n + npts + rows)
     odd = rows // 2 if sine else 0
     cos = rng.standard_normal((rows - odd, n))
     sin = rng.standard_normal((odd, n))
-    table, fft = _both_branches(monkeypatch, sp.even_odd_grid_values, cos,
-                                sin, npts)
+    table, fft = _both_branches(monkeypatch, sp.grid_values,
+                                *_padded(cos, sin), npts)
     assert table.shape == (rows, npts)
     scale = np.max(np.sum(np.abs(np.concatenate((cos, sin))), axis=1))
     assert np.max(np.abs(table - fft)) <= 1e-14 * scale
@@ -323,13 +390,15 @@ def test_even_odd_grid_values_by_table_and_by_fft(monkeypatch, n, npts,
 @pytest.mark.parametrize("k", [1, 4, 9])
 def test_squares_by_table_and_by_fft(monkeypatch, n, k):
     # p = 2: cosine over sine coefficients; p = 1: cosine coefficients of
-    # even series, squared bit for bit as the grid round trip of each side
+    # even series, squared between the two functions of each side's
+    # pair bit for bit as the grid round trip of that side
     rng = np.random.default_rng(11 * n + k)
     npts = sp.PRODUCT_GRID_FACTOR * n
     c, s = _direct(n, npts)
     for p in (2, 1):
         x = rng.standard_normal((p, k, n))
-        table, fft = _both_branches(monkeypatch, lambda: sp.squares(k, n)(x))
+        table, fft = _both_branches(
+            monkeypatch, lambda: _squared(*sp.transform(n, npts), x))
         scale = np.max(np.sum(np.abs(x), axis=(0, 2))) ** 2
         assert table.shape == fft.shape == (p, k, n)
         assert np.max(np.abs(table - fft)) <= 1e-14 * scale
@@ -343,19 +412,23 @@ def test_squares_by_table_and_by_fft(monkeypatch, n, k):
 
 
 def test_trig_tables_are_cached_and_read_only():
-    sp._trig_tables.cache_clear()
+    # the pair, with its tables, is made once per (count, npts) in a
+    # bounded cache; the tables are read-only
+    _forget_pairs()
     cos = np.ones((2, 16))
     first = sp.grid_values(cos, cos, 64)
     assert np.max(np.abs(sp.grid_coefficients(first, 16)[1] - cos)) < 1e-14
-    info = sp._trig_tables.cache_info()
+    info = sp.transform.cache_info()
     assert (info.misses, info.hits) == (1, 1) and info.maxsize is not None
-    inverse, forward = sp._trig_tables(16, 64)
+    values, coefficients = sp.transform(16, 64)
+    inverse = inspect.getclosurevars(values).nonlocals["inverse"]
+    forward = inspect.getclosurevars(coefficients).nonlocals["forward"]
     assert inverse.shape == (2, 16, 64) and forward.shape == (64, 32)
     assert not inverse.flags.writeable and not forward.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         inverse[0, 0, 0] = 2.0
-    assert sp._trig_tables(16, 64)[0] is inverse
-    assert sp._trig_tables.cache_info().misses == 1
+    assert sp.transform(16, 64)[0] is values
+    assert sp.transform.cache_info().misses == 1
 
 
 def test_norm_values_and_properties():

@@ -5,6 +5,7 @@ import pytest
 
 from layerwaves import continuation as ct
 from layerwaves import dynamics as dy
+from layerwaves import localbranch as lb
 from layerwaves import pencil as pc
 from layerwaves import spectral as sp
 from layerwaves import steady as st
@@ -510,18 +511,14 @@ def test_jacobian_matches_direct_gathers(gen_cfg, fold, count):
 @pytest.mark.parametrize("count", [1, 2, 8, 17, 64, 256])
 def test_jacobian_equals_block_loop_bitwise(gen_cfg, fold, count):
     # the batched blocks give the bits of the block-by-block loop, in a
-    # fresh matrix and in the bordered matrix Newton solves with, whose
-    # own memory must receive them (a reshaped copy of the view would not)
+    # fresh matrix per call
     rng = np.random.default_rng(50 * fold + count)
     state = full_band_state(rng, fold, count)
     want = loop_jacobian(gen_cfg, 1.9, state)
-    assert np.array_equal(st.jacobian(gen_cfg, 1.9, state), want)
-    n = 4 * count
-    A = np.full((n + 1, n + 1), np.nan)
-    got = st.jacobian(gen_cfg, 1.9, state, out=A[:n, 1:])
-    assert got.base is A and np.shares_memory(got, A)
-    assert np.array_equal(A[:n, 1:], want)
-    assert np.all(np.isnan(A[:, 0])) and np.all(np.isnan(A[n]))
+    got = st.jacobian(gen_cfg, 1.9, state)
+    assert np.array_equal(got, want)
+    again = st.jacobian(gen_cfg, 1.9, state)
+    assert np.array_equal(again, want) and not np.shares_memory(got, again)
 
 
 @pytest.mark.parametrize("fold", [1, 2, 3])
@@ -534,12 +531,10 @@ def test_fixed_space_jacobian_equals_block_loop_bitwise(sym_cfg, fold, count):
     rows = rng.uniform(-1, 1, (2, count))
     layout = st.Layout.shared(sym_cfg, fold, count, True)
     want = block_jacobian(sym_cfg, fold, 1.9, rows)
-    assert np.array_equal(layout.jacobian(1.9, rows), want)
-    n = 2 * count
-    A = np.full((n + 1, n + 1), np.nan)
-    got = layout.jacobian(1.9, rows, out=A[:n, 1:])
-    assert got.base is A and np.array_equal(A[:n, 1:], want)
-    assert np.all(np.isnan(A[:, 0])) and np.all(np.isnan(A[n]))
+    got = layout.jacobian(1.9, rows)
+    assert np.array_equal(got, want)
+    again = layout.jacobian(1.9, rows)
+    assert np.array_equal(again, want) and not np.shares_memory(got, again)
 
 
 def test_jacobian_index_is_made_once_per_layout(sym_cfg,
@@ -549,26 +544,54 @@ def test_jacobian_index_is_made_once_per_layout(sym_cfg,
     for _ in range(3):
         for layout in layouts:
             rows = rng.uniform(-1, 1, (layout.k, 8))
-            A = np.empty((8 * layout.k + 1,) * 2)
-            want = st.Layout.shared(sym_cfg, 2, 8, layout.k == 2).jacobian(
-                0.4, rows)
-            layout.jacobian(0.4, rows, out=A[1:, :-1])
-            assert np.array_equal(A[1:, :-1], want)
+            want = block_jacobian(sym_cfg, 2, 0.4, rows)
+            assert np.array_equal(layout.jacobian(0.4, rows), want)
     assert jacobian_index_makers == layouts
 
 
-def test_jacobian_fills_a_bordered_view(gen_cfg):
-    # Newton writes the Jacobian into the matrix it solves with: column 0
-    # and the border row keep their values, stale entries are overwritten
-    rng = np.random.default_rng(30)
-    n = 9
-    state = full_band_state(rng, 2, n)
-    A = rng.standard_normal((4 * n + 1, 4 * n + 1))
-    before = A.copy()
-    st.jacobian(gen_cfg, 0.4, state, out=A[:4 * n, 1:])
-    assert np.array_equal(A[:, 0], before[:, 0])
-    assert np.array_equal(A[4 * n], before[4 * n])
-    assert np.array_equal(A[:4 * n, 1:], st.jacobian(gen_cfg, 0.4, state))
+def test_shared_layout_is_one_per_key(sym_cfg, jacobian_index_makers):
+    # however the arguments are spelled, one layout per key: Newton's
+    # four-row layout, which alone carries the Jacobian's index tables,
+    # is the one residual and rhs use
+    layout = st.Layout.shared(sym_cfg, 1, 16)
+    assert st.Layout.shared(sym_cfg, 1, 16, False) is layout
+    assert st.Layout.shared(sym_cfg, 1, 16, symmetric=False) is layout
+    assert st.Layout.shared(sym_cfg, 1, 16, np.False_) is layout
+    assert st.Layout.shared(sym_cfg, 1, 16, True) is not layout
+    assert st.Layout.shared(sym_cfg, 1, 16, symmetric=True).k == 2
+    assert st._shared_layout.cache_info().currsize == 2
+
+
+def test_jacobian_fills_a_bordered_view(gen_cfg, monkeypatch):
+    # Newton writes the Jacobian into the bordered matrix it solves with,
+    # one matrix per correction: at every dense solve, column 0 is the
+    # c column and the last row the tangent of that iterate, and the rest
+    # is the Jacobian at it, no entry left from an earlier iterate
+    origin = lb.local_expansion(1, gen_cfg, pc.bifurcation_speeds(
+        1, gen_cfg).admissible()[0])
+    c, state = lb.predictor(origin, 0.2, count=9)
+    u0 = np.concatenate([[c], state.as_vector()])
+    constraint = ct.ArclengthConstraint(u0 / np.linalg.norm(u0), u0, 0.0)
+    iterates, solves = [], []
+    jacobian, solve = st.Layout.jacobian, np.linalg.solve
+
+    def spy_jacobian(layout, c, rows):
+        iterates.append((c, rows.copy(), jacobian(layout, c, rows)))
+        return iterates[-1][2]
+
+    def spy_solve(A, b):
+        solves.append(A.copy())
+        return solve(A, b)
+
+    monkeypatch.setattr(st.Layout, "jacobian", spy_jacobian)
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    sol, iters = ct.newton_correct(gen_cfg, (c, state), constraint, 1, 9)
+    assert iters == sol.dense_solves == len(solves) == len(iterates) >= 2
+    w = np.tile(np.arange(1.0, 10.0), 4)  # fold 1, N = 9
+    for A, (c, rows, J) in zip(solves, iterates):
+        assert np.array_equal(A[:-1, 0], w * rows.ravel())
+        assert np.array_equal(A[-1], constraint.tangent)
+        assert np.array_equal(A[:-1, 1:], J)
 
 
 def test_interface_state_arrays():
