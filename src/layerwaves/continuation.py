@@ -332,13 +332,14 @@ def detect_termination(branch):
     sol = last.solution
     triggered = []
     traveled = last.s - first.s
-    if traveled >= 10.0 * opts.s0:
+    dc = abs(sol.c - first.solution.c)
+    # the loop distance is dc plus a state norm >= 0: the norm is formed
+    # only when dc alone is within LOOP_TOL
+    if traveled >= 10.0 * opts.s0 and dc <= LOOP_TOL:
         n = max(sol.state.count, first.solution.state.count)
         diff = (sol.state.with_count(n).cos
                 - first.solution.state.with_count(n).cos)
-        dist = (abs(sol.c - first.solution.c)
-                + sp.norm(diff, opts.norm_params))
-        if dist <= LOOP_TOL:
+        if dc + sp.norm(diff, opts.norm_params) <= LOOP_TOL:
             triggered.append(LOOP)
     if 1.0 + abs(sol.c) + last.norm >= BLOW_UP_CAP:
         triggered.append(BLOW_UP)
@@ -403,7 +404,7 @@ def _advance(branch, u_prev, tangent, ds):
                 break
             continue
         norm = sol.state.norm(opts.norm_params)
-        if _tail_heavy(sol.state, norm, opts) and count * 2 <= opts.max_count:
+        if count * 2 <= opts.max_count and _tail_heavy(sol.state, norm, opts):
             wide = st.Layout.shared(cfg, fold, 2 * count)
             u_prev, tangent = (  # zero-padded to harmonics 1..2N
                 wide.stack(v[0], np.pad(layout.unstack(v)[1], [(0, 0),

@@ -14,10 +14,6 @@ class DegenerateSpeedError(LayerError):
     """Requested speed coincides with an interface velocity."""
 
 
-class ResonantHarmonicError(LayerError):
-    """The doubled mode is itself singular; the quadratic correction is ill posed."""
-
-
 class CorrectionFailedError(LayerError):
     """Newton correction did not converge."""
 

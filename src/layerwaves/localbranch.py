@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pencil as pc
-from .errors import ResonantHarmonicError
 from .pencil import COMPONENT_NAMES
 from .steady import InterfaceState
 
@@ -43,15 +42,20 @@ class LocalExpansion:
                 "nearest_component": COMPONENT_NAMES[self.nearest_component]}
 
 
-def _doubled_mode_solve(m, cfg, c_star, recip_sq):
+def _doubled_mode_solve(m, r):
     """Amplitude vector t of the correction t cos(2 m x): solves the
-    doubled-mode system  M_{2m} t = 2 m^2 w,  w = (a-c)^-2 component-wise."""
-    M2 = pc.mode_matrix(2 * m, cfg, c_star)
-    # Hadamard's bound: |det M2| is at most the product of its row norms
-    if abs(np.linalg.det(M2)) <= 1e-12 * np.prod(np.linalg.norm(M2, axis=1)):
-        raise ResonantHarmonicError(
-            f"doubled mode 2m={2 * m} is singular at c={c_star!r}")
-    return np.linalg.solve(M2, 2.0 * m * m * recip_sq)
+    doubled-mode system  M_{2m} t = 2 m^2 r^2,  r = (a - c)^-1
+    component-wise, by Sherman-Morrison.  M_{2m} is diag 4 m^2 (a - c)
+    plus the rank-one coupling outer(SPECIES, CHARGE), so it is
+    singular only where its secular value 1 + sum SIDE r / (4 m^2)
+    vanishes.  At a speed of mode m, sum SIDE r = -m^2 and that value
+    is 3/4: the doubled mode is never resonant.  It is computed, not
+    taken as 3/4, to follow the float speed next to an interface."""
+    j2 = 4.0 * m * m
+    half_cube = 0.5 * r ** 3
+    secular = 1.0 + np.sum(pc.SIDE * r) / j2
+    return half_cube - pc.SPECIES * r * (np.sum(pc.CHARGE * half_cube)
+                                         / (j2 * secular))
 
 
 def nearest_component_index(cfg, c_star):
@@ -79,7 +83,7 @@ def local_expansion(m, cfg, c_star):
     v = pc.kernel_vector(m, cfg, c_star)
     w = pc.cokernel_vector(m, cfg, c_star)
     recip_sq = pc.reciprocal_sq_weights(cfg, c_star)
-    t = _doubled_mode_solve(m, cfg, c_star, recip_sq)
+    t = _doubled_mode_solve(m, pc.SPECIES * v)  # SPECIES * v = r
     curv = -0.5 * m * float(np.sum(w * v * t)) / trans
     return LocalExpansion(
         m=int(m), cfg=cfg, c_star=float(c_star), kernel_vec=v,

@@ -33,10 +33,11 @@ SUCCESSIVE = "successive"
 _EQ_TOL = 1e-12
 
 # Every speed of mode j is an eigenvalue of diag(a) + B / j^2, B the
-# fixed part of the pencil, so |c| <= max|a_i| + 4 and no entry of a
-# mode-j pencil at such a speed exceeds 5 j^2 s, s = LayerConfig.scale().
-# The determinant (24 products of four entries) and the coefficients of
-# its quartic stay finite while that entry bound stays below this one.
+# fixed part of the pencil, so |c| <= max|a_i| + 4 and no entry
+# j^2 (a_i - c) or +-1 of the mode-j pencil at such a speed exceeds
+# 5 j^2 s, s = LayerConfig.scale().  The pencil's determinant, as 24
+# products of four such entries, and the coefficients of its quartic
+# stay finite while that entry bound stays below this one.
 MAX_PENCIL_ENTRY = (float(np.finfo(float).max) / 24.0) ** 0.25
 
 
@@ -102,22 +103,14 @@ def classify_config(a):
     return LayerConfig(*a)
 
 
-def mode_matrix(j, cfg, c):
-    """The 4x4 pencil of wavenumber j at speed c: diag j^2(a_i - c) plus
-    the rank-one coupling outer(SPECIES, CHARGE)."""
-    if j < 1:
-        raise ValueError("mode index must be >= 1")
-    return np.diag(j * j * (cfg.as_array() - c)) + np.outer(SPECIES, CHARGE)
-
-
 def determinant_poly(m, cfg):
     """Quartic coefficients (highest first) of det of the mode-m pencil.
 
     The coupling is rank one, so det(D + u w^T) = det D + sum_i u_i w_i
     prod_{k != i} D_k with D = diag m^2 (a_i - c), u = SPECIES, w = CHARGE:
-    m^8 prod_i (a_i - c) plus an m^6 sum of signed cubics.  The
-    brute-force 4x4 determinant is kept as an independent oracle in the
-    tests.
+    m^8 prod_i (a_i - c) plus an m^6 sum of signed cubics.  No 4x4
+    matrix is formed; the tests keep the pencil (oracle.mode_matrix) and
+    its brute-force determinant as an independent oracle.
     """
     a = cfg.as_array()
     poly = float(m) ** 8 * np.poly(a)

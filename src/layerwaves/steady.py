@@ -323,13 +323,12 @@ def monitors(cfg, c, state):
     """
     n, u = state.count, state.cos
     npts = MONITOR_GRID_FACTOR * n
-    x = _monitor_grid(state.fold, npts)
     w = state.wavenumbers()
     rows = np.concatenate(([u[1] - u[0], u[3] - u[2]], u))
     offsets = np.concatenate([[cfg.width, cfg.width], cfg.as_array() - c])
     v = sp.grid_values(rows, None, npts) + offsets[:, None]
     idx = np.argmin(np.abs(v), axis=1)
-    x0 = x[idx]
+    x0 = idx * (2.0 * np.pi / state.fold / npts)
     v0 = v[np.arange(6), idx]
     best = np.abs(v0)
     cross = (np.min(v, axis=1) < 0.0) & (0.0 < np.max(v, axis=1))
@@ -343,15 +342,6 @@ def monitors(cfg, c, state):
                       + offsets)
     best[polish] = np.fmin(best, off_grid)[polish]
     return np.min(best[:2]), np.min(best[2:])
-
-
-@functools.lru_cache(maxsize=16)
-def _monitor_grid(fold, npts):
-    """The monitors' npts equispaced points on one fold period [0, 2 pi/m),
-    read-only."""
-    x = np.linspace(0.0, 2.0 * np.pi / fold, npts, endpoint=False)
-    x.setflags(write=False)
-    return x
 
 
 def _row_dots(a, b):

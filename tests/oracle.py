@@ -1,4 +1,7 @@
-"""Code that only the tests use.  Plain functions on spectral.TrigSeries:
+"""Code that only the tests use.  The 4x4 mode pencil as a matrix
+(mode_matrix), and the doubled-mode system of the local expansion
+solved in exact rational arithmetic (exact_doubled_mode).  Plain
+functions on spectral.TrigSeries:
 zero series, sine series, padding, linear combinations, the
 antiderivative, the full-series (cosine and sine) norm, and the scan for
 the smallest admissible mode of a generic layer.  A checked state from
@@ -9,6 +12,7 @@ block by block (block_jacobian).  And RK4 on PhaseState objects, one rhs call an
 one combine per stage, as the oracle of dynamics.evolve."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,6 +30,40 @@ FROM_EP = np.array([[-1.0, 0.0, 1.0, 0.0],
                     [1.0, 0.0, 1.0, 0.0],
                     [0.0, -1.0, 0.0, 1.0],
                     [0.0, 1.0, 0.0, 1.0]])
+
+
+def mode_matrix(j, cfg, c):
+    """The 4x4 pencil of wavenumber j at speed c: diag j^2(a_i - c) plus
+    the rank-one coupling outer(SPECIES, CHARGE)."""
+    if j < 1:
+        raise ValueError("mode index must be >= 1")
+    return np.diag(j * j * (cfg.as_array() - c)) + np.outer(pc.SPECIES,
+                                                            pc.CHARGE)
+
+
+def exact_doubled_mode(m, cfg, c):
+    """The amplitudes t of the doubled-mode system M_{2m} t = 2 m^2 r^2,
+    r = (a - c)^-1, solved in exact rational arithmetic at the float
+    speed c by Gaussian elimination, rounded once to floats."""
+    gaps = [Fraction(a) - Fraction(c) for a in cfg.as_array()]
+    j2 = 4 * m * m
+    mat = [[Fraction(int(pc.SPECIES[i] * pc.CHARGE[k]))
+            + (j2 * gaps[i] if i == k else 0) for k in range(4)]
+           for i in range(4)]
+    rhs = [2 * m * m / (g * g) for g in gaps]
+    for col in range(4):
+        piv = next(i for i in range(col, 4) if mat[i][col] != 0)
+        mat[col], mat[piv] = mat[piv], mat[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        for i in range(col + 1, 4):
+            f = mat[i][col] / mat[col][col]
+            mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
+            rhs[i] -= f * rhs[col]
+    t = [Fraction(0)] * 4
+    for i in reversed(range(4)):
+        t[i] = (rhs[i] - sum(mat[i][k] * t[k] for k in range(i + 1, 4))
+                ) / mat[i][i]
+    return np.array([float(x) for x in t])
 
 
 class NoAdmissibleModeError(LayerError):

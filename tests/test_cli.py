@@ -530,7 +530,7 @@ def test_ep_outputs(tmp_path):
 def test_large_symmetric_modes_exit_by_admissibility(tmp_path, capsys):
     # m = 1000: the doubled mode is regular and the expansion is written;
     # m = 10^6: both speeds lie within round-off of an interface, which
-    # is a usage error, not a resonance of the doubled mode
+    # is a usage error
     argv = ["local", "--a", "-1,1,-1,1", "--speed-index", "-"]
     assert run_cli(argv + ["--m", "1000"], tmp_path) == 0
     assert json.loads((tmp_path / "local.json").read_text())["m"] == 1000

@@ -241,6 +241,31 @@ class TestTerminationTaxonomy:
         assert report.kind == ct.LOOP
         assert report.period == pytest.approx(0.1)
 
+    def test_loop_distance_norm_only_near_a_return(self, sym_cfg,
+                                                   monkeypatch):
+        # the loop distance is |c - c_0| plus a state norm: the norm is
+        # formed only once |c - c_0| is within LOOP_TOL, and the loop
+        # still fires on a return
+        calls = []
+        norm = ct.sp.norm
+
+        def spy(*args):
+            calls.append(args)
+            return norm(*args)
+
+        monkeypatch.setattr(ct.sp, "norm", spy)
+        n = 4
+        z = st.InterfaceState.zero(1, n)
+        start = _fabricate_point(sym_cfg, 2.0, z, (1.0, 1.0), 0.0, n)
+        mid = _fabricate_point(sym_cfg, 2.5, z, (1.0, 1.0), 0.05, n)
+        for c, kind, norms in ((2.1, ct.RUNNING, 0), (2.0, ct.LOOP, 1)):
+            end = _fabricate_point(sym_cfg, c, z, (1.0, 1.0), 0.1, n)
+            calls.clear()
+            report = ct.detect_termination(
+                self._branch(sym_cfg, [start, mid, end]))
+            assert getattr(report, "kind", report) == kind
+            assert len(calls) == norms
+
     def test_collision_detected(self, sym_cfg):
         n = 4
         z = st.InterfaceState.zero(1, n)
@@ -311,6 +336,25 @@ def test_tail_guard_doubles_truncation(sym_expansion):
     counts = {p.solution.state.count for p in branch.points}
     assert 8 in counts
     assert max(counts) > 8
+
+
+def test_fixed_truncation_asks_for_no_tail_test(sym_expansion, monkeypatch):
+    # with max_count == count N cannot double, so no accepted point
+    # weighs its tail; an arm that may double still does
+    calls = []
+    tail_heavy = ct._tail_heavy
+
+    def spy(*args):
+        calls.append(args)
+        return tail_heavy(*args)
+
+    monkeypatch.setattr(ct, "_tail_heavy", spy)
+    branch = ct.trace_arm(sym_expansion, +1, ct.ContinuationOptions(
+        count=16, max_count=16, max_points=12))
+    assert len(branch.points) == 12 and calls == []
+    ct.trace_arm(sym_expansion, +1, ct.ContinuationOptions(
+        count=8, max_count=16, max_points=3))
+    assert calls
 
 
 def test_infinite_norm_ends_arm_as_blow_up(sym_expansion):

@@ -5,9 +5,8 @@ from layerwaves import localbranch as lb
 from layerwaves import pencil as pc
 from layerwaves import spectral as sp
 from layerwaves import steady as st
-from layerwaves.errors import ResonantHarmonicError
 
-from oracle import from_vector, with_count
+from oracle import exact_doubled_mode, from_vector, with_count
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -127,22 +126,89 @@ def test_second_harmonic_near_component_asymptotics(gen_cfg):
         assert t[q] == pytest.approx((2.0 / 3.0) / g ** 3, rel=0.1)
 
 
-def test_resonant_doubled_mode_detected(sym_cfg):
-    # a speed that makes the doubled mode itself singular trips the guard
-    c_double = pc.bifurcation_speeds(2, sym_cfg).admissible()[-1]
-    with pytest.raises(ResonantHarmonicError):
-        lb.local_expansion(1, sym_cfg, c_double)
-
-
 def test_large_mode_doubled_mode_is_not_resonant(sym_cfg):
-    # two gaps a_i - c* shrink like 1/m^2, so |det M_2m| grows like m^4
-    # and max|M_2m|^4 like m^8: their ratio is below 1e-12 from m = 931
-    # on.  The product of the row norms (Hadamard's bound) grows like m^4
+    # two gaps a_i - c* shrink like 1/m^2 and the doubled-mode entries
+    # 4 m^2 (a_i - c*) stay O(1) there; the amplitudes stay finite
     for m in (931, 1000):
         for c_star in pc.bifurcation_speeds(m, sym_cfg).admissible():
             expansion = lb.local_expansion(m, sym_cfg, c_star)
             assert isinstance(expansion, lb.LocalExpansion)
             assert np.all(np.isfinite(expansion.second_harmonic_amp))
+
+
+def narrow_cfg(width):
+    return pc.classify_config([0.0, width, 0.0, width])
+
+
+def secular_value(cfg, c, mode):
+    """1 + sum_i SIDE_i / (mode^2 (a_i - c)): the mode pencil's
+    determinant over the product of its diagonal (Golub 1973)."""
+    return 1.0 + np.sum(pc.SIDE / (cfg.as_array() - c)) / float(mode) ** 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 128])
+def test_secular_value_of_every_multiple_mode(sym_cfg, suc_cfg, gen_cfg, m):
+    # at a speed of mode m the secular value of mode m vanishes, so that
+    # of mode j m is 1 - 1/j^2 exactly: 3/4 for the doubled mode, and
+    # no multiple mode is resonant
+    layers = (sym_cfg, suc_cfg, gen_cfg,
+              pc.classify_config([-1.65, -0.448, -2.846, -1.644]),
+              narrow_cfg(1e-8), narrow_cfg(1e-11))
+    checked = 0
+    for cfg in layers:
+        for c_star in pc.bifurcation_speeds(m, cfg).admissible():
+            for j in range(2, 11):
+                got = secular_value(cfg, c_star, j * m)
+                assert got == pytest.approx(1.0 - 1.0 / j ** 2, abs=1e-8)
+            checked += 1
+    assert checked >= 12
+
+
+def relative_miss(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_second_harmonic_matches_exact_solve_at_random_speeds():
+    rng = np.random.default_rng(25)
+    worst, checked = 0.0, 0
+    while checked < 1032:
+        lo_plus, lo_minus = rng.uniform(-3.0, 3.0, 2)
+        width = rng.uniform(0.2, 2.0)
+        cfg = pc.classify_config([lo_plus, lo_plus + width,
+                                  lo_minus, lo_minus + width])
+        m = int(rng.integers(1, 65))
+        for c_star in pc.bifurcation_speeds(m, cfg).admissible():
+            t = lb.local_expansion(m, cfg, c_star).second_harmonic_amp
+            worst = max(worst, relative_miss(
+                t, exact_doubled_mode(m, cfg, c_star)))
+            checked += 1
+    assert worst <= 1.6e-15
+
+
+@pytest.mark.parametrize("eps, bound", [(1e-3, 1e-13), (1e-6, 1e-10)])
+def test_second_harmonic_matches_exact_solve_next_to_an_interface(eps,
+                                                                   bound):
+    # two speeds lie about eps/2 from an interface, where the float
+    # speed is not an exact root and the secular value misses 3/4 by up
+    # to 2e-3: it is computed, not assumed
+    cfg = pc.classify_config([-1.0, 1.0, -1.0 + eps, 1.0 + eps])
+    speeds = pc.bifurcation_speeds(1, cfg).admissible()
+    assert len(speeds) == 4
+    for c_star in speeds:
+        t = lb.local_expansion(1, cfg, c_star).second_harmonic_amp
+        assert relative_miss(t, exact_doubled_mode(1, cfg, c_star)) <= bound
+
+
+@pytest.mark.parametrize("width", [1e-8, 1e-11])
+def test_local_expansion_on_narrow_layers(width):
+    # the doubled mode is as regular on a narrow strip as on a wide one
+    cfg = narrow_cfg(width)
+    for m in (1, 2, 3):
+        for c_star in pc.bifurcation_speeds(m, cfg).admissible():
+            exp = lb.local_expansion(m, cfg, c_star)
+            assert np.isfinite(exp.speed_curvature)
+            assert relative_miss(exp.second_harmonic_amp,
+                                 exact_doubled_mode(m, cfg, c_star)) <= 1e-15
 
 
 def test_curvature_value_and_sign_symmetric(sym_cfg):

@@ -12,7 +12,7 @@ from layerwaves import steady as st
 from layerwaves.spectral import TrigSeries
 
 from oracle import (add, antideriv, block_jacobian, from_sin, from_vector,
-                    norm, scale, sub, with_count, zeros)
+                    mode_matrix, norm, scale, sub, with_count, zeros)
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -157,7 +157,7 @@ def test_linearization_matches_mode_matrices(gen_cfg):
     hv = h.as_vector().reshape(4, n)
     expect = np.zeros((4, n))
     for j in range(1, n + 1):
-        M = pc.mode_matrix(j * m, gen_cfg, c)
+        M = mode_matrix(j * m, gen_cfg, c)
         expect[:, j - 1] = -(M @ hv[:, j - 1]) / (j * m)
     assert np.max(np.abs(lin - expect.ravel())) < 1e-6 * max(np.max(np.abs(expect)), 1)
 
@@ -167,7 +167,7 @@ def test_jacobian_at_flat_state_is_multiplier(sym_cfg):
     c = 0.37
     J = st.jacobian(sym_cfg, c, st.InterfaceState.zero(m, n))
     for j in range(1, n + 1):
-        M = pc.mode_matrix(j * m, sym_cfg, c)
+        M = mode_matrix(j * m, sym_cfg, c)
         block = np.array([[J[i * n + j - 1, l * n + j - 1] for l in range(4)]
                           for i in range(4)])
         assert np.max(np.abs(block + M / (j * m))) < 1e-13 * np.max(np.abs(M))
