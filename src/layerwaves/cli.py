@@ -24,8 +24,8 @@ from . import steady as st
 from .errors import ConfigError, DivergedError, LayerError, WaveFileError
 from .spectral import NormParams, norm_weight
 
-# Largest accepted truncation, --n or a wave file's N.  The dense (4N+1)^2
-# Newton matrix, built only when GMRES stalls, takes 134 MB at this bound.
+# Largest accepted truncation, --n or a wave file's N.  From N = 64 on,
+# Newton forms no matrix: a GMRES basis takes 1.3 MB at this bound.
 MAX_N = 1024
 # Largest number of RK4 steps `evolve` takes, given or computed from the
 # horizon.

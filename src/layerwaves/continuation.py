@@ -167,7 +167,7 @@ def _gmres(apply, precondition, rhs, tol, max_iters):
 
 
 def _krylov_step(layout, c, rows, col, tangent, res, tol):
-    """Newton step of the bordered system by matrix-free GMRES, or None.
+    """Newton step of the bordered system by matrix-free GMRES.
 
     The system acts on u = (c, carried rows) of the layout; col is its
     c column.  The preconditioner is the transport inverse of
@@ -176,8 +176,8 @@ def _krylov_step(layout, c, rows, col, tangent, res, tol):
     if it exceeds both KRYLOV_TRUE_TOL times ||res|| and KRYLOV_TOL_SHARE
     times Newton's tol, one more GMRES cycle runs on it: a miss far
     below tol is round-off that no Newton iteration would notice.
-    Returns (step or None, GMRES iterations); None on a stall or a
-    non-finite value, such as a zero of q_i.
+    Returns (step, GMRES iterations); raises CorrectionFailedError on a
+    stall or a non-finite value, such as a zero of q_i.
     """
     shape = rows.shape
     iters = 0
@@ -211,10 +211,13 @@ def _krylov_step(layout, c, rows, col, tangent, res, tol):
             left = -res - apply(step)
             miss = np.linalg.norm(left)
             if not np.isfinite(miss):
-                break
+                raise CorrectionFailedError(
+                    "correction-failed: non-finite GMRES step")
             if miss <= max(KRYLOV_TRUE_TOL * target, KRYLOV_TOL_SHARE * tol):
                 return step, iters
-    return None, iters
+    raise CorrectionFailedError(
+        f"correction-failed: GMRES stalled at true residual {miss:.3e} "
+        f"after {iters} iterations")
 
 
 def newton_correct(cfg, guess, constraint, fold, count,
@@ -228,13 +231,12 @@ def newton_correct(cfg, guess, constraint, fold, count,
     restated on u, and the residual rows are weighted by the layout's
     scale in the linear solves, so every inner product and norm is that
     of the 4N + 1 system.  From KRYLOV_MIN_COUNT harmonics on, each step
-    is a matrix-free GMRES solve (_krylov_step); below it, or when GMRES
-    stalls, the Jacobian is written into the one bordered matrix and
-    solved densely.  An overflowing trial shows as a non-finite sup and
-    is damped.  The converged rows are embedded back into four.
-    Returns (WaveSolution, iterations); the solution records its GMRES
-    iterations and dense solves.  Raises CorrectionFailedError on
-    non-finite input or no convergence.
+    is a matrix-free GMRES solve (_krylov_step); below it, a dense solve
+    of the one bordered matrix.  An overflowing trial shows as a
+    non-finite sup and is damped.  The converged rows are embedded back
+    into four.  Returns (WaveSolution, iterations); the solution records
+    its GMRES iterations and dense solves.  Raises CorrectionFailedError
+    on non-finite input, a GMRES stall or no convergence.
     """
     c0, state0 = guess
     cos = state0.with_count(count).cos
@@ -250,7 +252,9 @@ def newton_correct(cfg, guess, constraint, fold, count,
         layout.stack(constraint.base[0], b_cos), constraint.ds)
     n = u.size - 1
     weight = np.append(np.full(n, layout.scale), 1.0)
-    A = None
+    if count < KRYLOV_MIN_COUNT:  # the one bordered matrix of dense solves
+        A = np.empty((n + 1, n + 1))
+        A[n, :] = constraint.tangent
     krylov_iters = dense_solves = 0
     res_t = np.empty(n + 1)  # a trial's residual; swapped in on acceptance
 
@@ -269,15 +273,11 @@ def newton_correct(cfg, guess, constraint, fold, count,
             c, rows = layout.unstack(u)
             col = (layout.w * u[1:].reshape(rows.shape)).ravel()  # c column
             rhs = weight * res
-            step = None
             if count >= KRYLOV_MIN_COUNT:
                 step, k = _krylov_step(layout, c, rows, col,
                                        constraint.tangent, rhs, tol)
                 krylov_iters += k
-            if step is None:
-                if A is None:
-                    A = np.empty((n + 1, n + 1))
-                    A[n, :] = constraint.tangent
+            else:
                 A[:n, 0] = col
                 A[:n, 1:] = layout.jacobian(c, rows)
                 dense_solves += 1

@@ -102,6 +102,17 @@ class TestNewtonCorrect:
         with pytest.raises(CorrectionFailedError, match="non-finite guess"):
             ct.newton_correct(sym_cfg, (1.0, bad), make_constraint(n), 1, n)
 
+    def test_gmres_step_at_a_zero_of_q_fails_the_correction(self, sym_cfg):
+        # at c = a_plus1 the trivial state has q = 0 on a whole row: the
+        # transport preconditioner divides by it, so the GMRES step is
+        # not finite, and no dense solve is tried in its place
+        n = ct.KRYLOV_MIN_COUNT
+        zero = st.InterfaceState.zero(1, n)
+        with pytest.raises(CorrectionFailedError,
+                           match="^correction-failed: non-finite GMRES step$"):
+            ct.newton_correct(sym_cfg, (-1.0, zero),
+                              make_constraint(n, ds=0.5), 1, n)
+
     def test_overflowing_trials_are_damped_without_warnings(self, sym_cfg):
         # a border row of 1e-200 asks for a coefficient step near 1e200:
         # every trial residual overflows, and damping gives up quietly
@@ -404,7 +415,8 @@ def test_krylov_step_accepts_a_miss_far_below_newton_tol(sym_cfg,
     # GMRES is replaced by the exact solve plus an error whose true
     # residual is share times the floor KRYLOV_TOL_SHARE * tol = 1e-14.
     # At a Newton residual of 1e-10, KRYLOV_TRUE_TOL alone refuses both
-    # misses; the floor accepts the one below it in the first cycle
+    # misses; the floor accepts the one below it in the first cycle, and
+    # the other fails the step after two cycles, naming its miss
     rng = np.random.default_rng(61)
     n, tol = 16, 1e-11
     layout = st.Layout(sym_cfg, 1, n)
@@ -423,11 +435,15 @@ def test_krylov_step_accepts_a_miss_far_below_newton_tol(sym_cfg,
         return np.linalg.solve(A, rhs + miss * off / np.linalg.norm(off)), 3
 
     monkeypatch.setattr(ct, "_gmres", off_by_miss)
-    step, iters = ct._krylov_step(layout, 2.5, rows, col, tangent, res, tol)
-    assert (step is not None) == accepted
-    assert iters == (3 if accepted else 6)
+    args = (layout, 2.5, rows, col, tangent, res, tol)
     if accepted:
-        assert np.max(np.abs(step)) > 0.0
+        step, iters = ct._krylov_step(*args)
+        assert iters == 3 and np.max(np.abs(step)) > 0.0
+    else:
+        with pytest.raises(CorrectionFailedError, match=r"^correction-"
+                           r"failed: GMRES stalled at true residual "
+                           r"2\.000e-14 after 6 iterations$"):
+            ct._krylov_step(*args)
 
 
 class _Forward:
@@ -490,21 +506,40 @@ class TestKrylovNewton:
         return ((guess[0], from_vector(1, count, guess[1:])),
                 constraint, count)
 
-    def test_stalled_gmres_falls_back_to_dense(self, default_plus_arms,
-                                               sym_cfg, monkeypatch):
+    def test_stalled_gmres_fails_the_correction(self, default_plus_arms,
+                                                sym_cfg, monkeypatch):
+        # with one GMRES iteration per cycle the step stalls: the
+        # correction fails, naming the stall, and neither solves densely
+        # nor forms the Jacobian; the spies do see a dense correction
         krylov, _ = default_plus_arms
         guess, constraint, count = self._correction(krylov, 12)
         assert count >= ct.KRYLOV_MIN_COUNT
         sol, iters = ct.newton_correct(sym_cfg, guess, constraint, 1, count)
         assert sol.dense_solves == 0 and iters >= 1
-        monkeypatch.setattr(ct, "KRYLOV_MAX_ITERS", 1)
-        stalled, stalled_iters = ct.newton_correct(sym_cfg, guess,
-                                                   constraint, 1, count)
-        assert stalled_iters == iters
-        assert stalled.dense_solves == iters
-        assert stalled.krylov_iters == 2 * iters  # two one-step cycles each
-        assert abs(stalled.c - sol.c) <= 1e-12 * abs(sol.c)
-        assert np.max(np.abs(stalled.state.cos - sol.state.cos)) <= 1e-12
+        calls = []
+
+        def spy(name, f):
+            def called(*args, **kwargs):
+                calls.append(name)
+                return f(*args, **kwargs)
+            return called
+
+        monkeypatch.setattr(ct, "np", _Forward(np, linalg=_Forward(
+            np.linalg, solve=spy("solve", np.linalg.solve))))
+        monkeypatch.setattr(st.Layout, "jacobian",
+                            spy("jacobian", st.Layout.jacobian))
+        with monkeypatch.context() as mp:
+            mp.setattr(ct, "KRYLOV_MAX_ITERS", 1)
+            with pytest.raises(CorrectionFailedError, match=r"^correction-"
+                               r"failed: GMRES stalled at true residual "
+                               r"\d\.\d{3}e[-+]\d+ after 2 iterations$"):
+                ct.newton_correct(sym_cfg, guess, constraint, 1, count)
+        assert calls == []
+        monkeypatch.setattr(ct, "KRYLOV_MIN_COUNT", 10 ** 9)
+        dense, dense_iters = ct.newton_correct(sym_cfg, guess, constraint, 1,
+                                               count)
+        assert dense.dense_solves == dense_iters >= 1
+        assert calls == ["jacobian", "solve"] * dense_iters
 
     def test_large_truncation_needs_no_dense_matrix(self, default_plus_arms,
                                                     sym_cfg, monkeypatch):
@@ -541,11 +576,28 @@ class TestKrylovNewton:
         assert peak < 0.1 * 8 * (4 * n + 1) ** 2
 
 
+def test_stalled_corrections_accept_no_degenerate_point():
+    # the m = 3 arm of a scan layer: at N = 256 the correction toward a
+    # degenerate, unresolved state (m2 below 1e-6, norm above 1e13) has
+    # a GMRES step that misses the acceptance floor, so it fails and the
+    # step is halved; every point comes from GMRES alone, and the arm
+    # ends with no degeneracy
+    cfg = pc.classify_config((-1.183, 1.183, -1.183, 1.183))
+    origin = lb.local_expansion(3, cfg,
+                                pc.bifurcation_speeds(3, cfg).admissible()[0])
+    arm = ct.trace_arm(origin, +1, ct.ContinuationOptions(max_points=40))
+    assert arm.points[-1].solution.state.count == 256
+    assert all(p.solution.dense_solves == 0 for p in arm.points)
+    report = arm.termination
+    assert ct.DEGENERACY not in (report.kind, *report.also)
+    assert arm.points[-1].solution.monitors[1] > ct.DEGENERACY_TOL
+
+
 # (layer, fold, options) of arms, at the highest admissible speed, whose
 # - arm is checked against the half-period image of the + arm: the
 # default arm (GMRES, N 64 -> 256), a dense N = 16 arm, the symmetric
-# m = 3 arm whose last point needs dense solves after GMRES stalls, and
-# a generic layer
+# m = 3 arm (GMRES, N 64 -> 256, its last corrections near a degenerate
+# state), and a generic layer
 MIRROR_CASES = {
     "default": ((-1.0, 1.0, -1.0, 1.0), 1, ct.ContinuationOptions()),
     "dense-16": ((-1.0, 1.0, -1.0, 1.0), 1,
@@ -664,8 +716,9 @@ def test_restart_from_an_image_point_reproduces_its_tail(sym_expansion):
 
 # (layer, fold, options) of symmetric arms at the highest admissible
 # speed, traced on the plus rows of the fixed space and on all four rows:
-# the default arm, m = 2, the m = 3 arm whose last point needs dense
-# solves after GMRES stalls, and a layer of other velocities
+# the default arm, m = 2, the m = 3 arm whose last corrections, near a
+# degenerate state, stall GMRES more often on four rows than on two, and
+# a layer of other velocities
 FIXED_SPACE_CASES = {
     "default": ((-1.0, 1.0, -1.0, 1.0), 1, ct.ContinuationOptions()),
     "m2": ((-1.0, 1.0, -1.0, 1.0), 2, ct.ContinuationOptions()),
