@@ -60,8 +60,8 @@ def rhs(cfg, state):
     -(a_i + r_i) dx r_i  +-  dx^-1(r_+^2 - r_+^1)  -+  dx^-1(r_-^2 - r_-^1),
     with the upper signs on the plus species (steady.Layout.tendency)."""
     layout = st.Layout.shared(cfg, state.fold, state.count)
-    x = layout.tendency(np.stack((state.cos, state.sin)))
-    return PhaseState.from_arrays(state.fold, x[0], x[1])
+    x = layout.tendency(np.concatenate((state.cos, state.sin), axis=1))
+    return PhaseState.from_arrays(state.fold, *np.hsplit(x, 2))
 
 
 def energy(cfg, state):
@@ -142,7 +142,7 @@ class Trajectory:
 @np.errstate(over="ignore", invalid="ignore")
 def evolve(cfg, start, dt, steps, store_every=1):
     """Classical four-stage Runge-Kutta on the evolution system, stepping
-    one (2, k, N) array of cosine and sine coefficients: the rows of a
+    one (k, 2N) array of rows of cosine then sine coefficients: those of a
     steady.Layout, the two plus rows if the start lies on a symmetric
     layer's fixed space (steady.on_fixed_space), else all four.  The
     system commutes with the species swap composed with the half-period
@@ -167,7 +167,7 @@ def evolve(cfg, start, dt, steps, store_every=1):
     layout = st.Layout.shared(cfg, start.fold, start.count,
                               st.on_fixed_space(cfg, start.cos, start.sin))
     f = layout.tendency
-    x = np.stack((start.cos[:layout.k], start.sin[:layout.k]))
+    x = np.concatenate((start.cos[:layout.k], start.sin[:layout.k]), axis=1)
     times = [0.0]
     states = [start]
     energies = [energy(cfg, start)]
@@ -176,13 +176,17 @@ def evolve(cfg, start, dt, steps, store_every=1):
         k2 = f(x + 0.5 * dt * k1)
         k3 = f(x + 0.5 * dt * k2)
         k4 = f(x + dt * k3)
+        k2 += k3  # the step, dt/6 (k1 + 2 (k2 + k3) + k4), in place
+        k2 *= 2.0
+        k2 += k1
+        k2 += k4
         # a new array each step: stored states keep views of it
-        x = x + dt / 6.0 * k1 + dt / 3.0 * k2 + dt / 3.0 * k3 + dt / 6.0 * k4
+        x = x + dt / 6.0 * k2
         if not np.isfinite(x).all():
             raise DivergedError(f"evolution diverged at step {k}")
         if k % store_every == 0 or k == steps:
-            state = PhaseState.from_arrays(start.fold, layout.embed(x[0]),
-                                           layout.embed(x[1]))
+            state = PhaseState.from_arrays(start.fold, *map(
+                layout.embed, x.reshape(layout.k, 2, -1).transpose(1, 0, 2)))
             times.append(k * dt)
             states.append(state)
             energies.append(energy(cfg, state))

@@ -25,9 +25,9 @@ _PARITIES = (EVEN, ODD, FULL)
 # series cut at N is exact on harmonics 0..N (harmonic k <= 2N aliases to
 # 4N - k >= 2N), and a cubic, reaching 3N < 4N, has its exact mean.
 PRODUCT_GRID_FACTOR = 4
-# transform(N, M), the one transform pair of N harmonics on M points,
-# is a product with cos/sin tables when N*M <= TABLE_MAX_SIZE and a real
-# FFT above; it is cached, so the choice and the tables are made once
+# transform(N, M), the transforms of N harmonics on M points,
+# are products with tables when N*M <= TABLE_MAX_SIZE and real
+# FFTs above; it is cached, so the choice and the tables are made once
 # per (N, M).  One round trip of 2-4 rows, table against FFT (2-core VM,
 # 1 BLAS thread, best of 8 interleaved blocks of 200 calls, three runs),
 # in us: 10 against 30-33 at N = 16 on 64 points;
@@ -297,7 +297,8 @@ def grid_values(cos, sin, npts):
     period: the (k, npts) values of transform(N, npts) applied to the
     (k, N) coefficient arrays cos and sin (sin None: no sine part).
     Column p holds the values at x = 2 pi p / (fold * npts)."""
-    return transform(cos.shape[1], npts)[0](cos, sin)
+    rows = cos if sin is None else np.concatenate((cos, sin), axis=1)
+    return transform(cos.shape[1], npts)[0](rows)
 
 
 def grid_coefficients(vals, count):
@@ -311,57 +312,59 @@ def grid_coefficients(vals, count):
 
 @functools.lru_cache(maxsize=16)
 def transform(count, npts):
-    """The transform pair of harmonics 1..count on npts uniform points of
-    one fold period: two functions, (values, coefficients).
+    """The transforms of harmonics 1..count on npts uniform points of one
+    fold period: three functions, (values, coefficients, derivative).
 
-    values(cos, sin=None) takes the (k, count) cosine and sine
-    coefficients of k series (sin None: no sine part) to their (k, npts)
-    grid values; coefficients(vals) takes (k, npts) grid values back to
-    their (2, k, count) cosine over sine coefficients.  Up to
-    TABLE_MAX_SIZE both are products with read-only cos/sin tables,
-    whose angles are formed from (j p) mod npts, so they stay below
-    2 pi: values adds the sine product to the cosine one, formed on its
-    own, so a missing sine part leaves the cosine product's bits.  Above
-    it, values is one inverse real FFT of the half spectrum
-    (cos - i sin) / 2, unnormalized, written into one zeroed half
-    spectrum per row count k, made on the first call; coefficients is
-    one forward real FFT.  Needs npts > 2 count.
+    values(rows) takes the (k, p count) rows of k series, cosine then
+    sine coefficients (p = 2) or cosine ones (p = 1), to their (k, npts)
+    grid values; coefficients(vals) takes grid values back to their
+    (2, k, count) cosine over sine coefficients; derivative(vals, p)
+    gives those of dx of the values in reduced wavenumbers, as rows like
+    values' (p = 1: the sine part alone).  Up to TABLE_MAX_SIZE all
+    three are products with read-only tables: a (2 count, npts) cos/sin
+    table, whose angles are formed from (j p) mod npts, so they stay
+    below 2 pi, its scaled transpose, and that with its halves swapped
+    and weighted by +-j.  Above it, values is one inverse real FFT of the
+    half spectrum (cos - i sin) / 2, unnormalized, written into one
+    zeroed half spectrum per rows shape, made on the first call;
+    coefficients and derivative are one forward real FFT each.  Needs
+    npts > 2 count.
     """
     if 2 * count >= npts:
         raise ValueError(f"{npts} points cannot resolve {count} harmonics")
     if count * npts <= TABLE_MAX_SIZE:
         jp = np.arange(1, count + 1)[:, None] * np.arange(npts)
         angle = 2.0 * np.pi * (jp % npts) / npts
-        inverse = np.array([np.cos(angle), np.sin(angle)])
-        forward = np.ascontiguousarray(inverse.reshape(2 * count, npts).T)
-        forward *= 2.0 / npts
-        inverse.setflags(write=False)
-        forward.setflags(write=False)
+        stacked = np.concatenate((np.cos(angle), np.sin(angle)))
+        forward = np.ascontiguousarray(stacked.T) * (2.0 / npts)
+        # dx: cosine output j times the sine coefficient, sine output -j cos
+        slope = (forward.reshape(npts, 2, count)[:, ::-1] * [[1.0], [-1.0]]
+                 * np.arange(1, count + 1)).reshape(npts, 2 * count)
+        for table in (stacked, forward, slope):
+            table.setflags(write=False)
 
-        def values(cos, sin=None):
-            vals = cos @ inverse[0]
-            if sin is not None:
-                vals += sin @ inverse[1]
-            return vals
+        def values(rows):
+            return rows @ stacked[:rows.shape[1]]
 
         def coefficients(vals):
             return (vals @ forward).reshape(-1, 2, count).transpose(1, 0, 2)
 
-        return values, coefficients
-    spectra = {}  # row count -> zeroed half spectrum, its (2, k, count) view
-    scale = (2.0 / npts) * np.array([1.0, -1.0])[:, None, None]
+        def derivative(vals, p):
+            return vals @ slope[:, (2 - p) * count:]
 
-    def values(cos, sin=None):
-        k = len(cos)
-        if k not in spectra:
-            half = np.zeros((k, npts // 2 + 1), dtype=complex)
-            spectra[k] = half, _parts(half, count)
-        half, parts = spectra[k]
-        np.multiply(cos, 0.5, out=parts[0])
-        if sin is None:  # clear a previous call's sine band
-            parts[1] = 0.0
-        else:
-            np.multiply(sin, -0.5, out=parts[1])
+        return values, coefficients, derivative
+    spectra = {}  # rows' shape -> zeroed half spectrum, its (2, k, count) view
+    scale = (2.0 / npts) * np.array([1.0, -1.0])[:, None, None]
+    slope = (-2.0 / npts) * np.arange(1, count + 1)
+
+    def values(rows):
+        if rows.shape not in spectra:
+            half = np.zeros((len(rows), npts // 2 + 1), dtype=complex)
+            spectra[rows.shape] = half, _parts(half, count)
+        half, parts = spectra[rows.shape]
+        np.multiply(rows[:, :count], 0.5, out=parts[0])
+        if rows.shape[1] > count:  # p = 1 keeps its sine band zero
+            np.multiply(rows[:, count:], -0.5, out=parts[1])
         return np.fft.irfft(half, n=npts, axis=1, norm="forward")
 
     def coefficients(vals):
@@ -370,7 +373,13 @@ def transform(count, npts):
         return np.multiply(_parts(np.fft.rfft(vals, axis=1), count), scale,
                            order="C")
 
-    return values, coefficients
+    def derivative(vals, p):
+        # -(2/npts) j times the imaginary parts over the real ones
+        parts = _parts(np.fft.rfft(vals, axis=1), count)[::-1][2 - p:]
+        return np.multiply(parts.transpose(1, 0, 2), slope,
+                           order="C").reshape(len(vals), p * count)
+
+    return values, coefficients, derivative
 
 
 def _parts(spectrum, count):

@@ -3,11 +3,11 @@ monitors.
 
 A state is a quadruple of even cosine series sharing fold and
 truncation, held as one (4, N) coefficient array; residuals are the
-(4, N) sine coefficients of four odd series.  The quadratic transport
-term is formed exactly on harmonics 1..N (Galerkin); its harmonics
-N+1..2N, the truncation's discarded tail, are not formed.  Newton
-works on the rows of a Layout: all four, or the two plus rows of a
-symmetric layer's swap-and-half-shift fixed space.
+(4, N) sine coefficients of four odd series.  The transport term
+-dx(a r + r^2/2) is formed exactly on harmonics 1..N (Galerkin); its
+harmonics N+1..2N, the truncation's discarded tail, are not formed.
+Newton works on the rows of a Layout: all four, or the two plus rows
+of a symmetric layer's swap-and-half-shift fixed space.
 """
 
 import functools
@@ -97,7 +97,7 @@ class WaveSolution:
 class Layout:
     """The coefficient rows one Newton solve or one RK4 evolution
     (dynamics.evolve) carries, at one fold and truncation N, and the
-    evolution operator on them (tendency).
+    evolution operator on (k, N) or (k, 2N) arrays of them (tendency).
 
     Either the four components (k = 4), or, on a layer with a_plus ==
     a_minus, the two plus rows (k = 2) of a state on the fixed space
@@ -121,16 +121,15 @@ class Layout:
         weight = 1.0 - self.shift if symmetric else 1.0
         self.coupling = SPECIES[:k, None] * weight / self.w
         self.scale = math.sqrt(2.0) if symmetric else 1.0
-        # tendency's tables by p, times the sign of their output rows:
-        # -1 for the cosine output, +1 for the sine output
-        sign = np.array([-1.0, 1.0])[:, None, None]
-        signed = (sign * (self.a * self.w), sign * (0.5 * self.w),
-                  sign * self.coupling)
-        self._tables = {2: signed, 1: tuple(t[1:] for t in signed)}
-        self._values, self._coefficients = sp.transform(
+        # tendency's: g = r (r + 2a) on the grid, its dx scaled by -fold/2,
+        # and the coupling by p, signed by output part, cosine then sine
+        self._half_fold, self._twice_a = -0.5 * fold, 2.0 * self.a
+        self._coupling = {1: self.coupling, 2: np.concatenate(
+            (-self.coupling, self.coupling), axis=1)}
+        self._values, self._coefficients, self._derivative = sp.transform(
             count, sp.PRODUCT_GRID_FACTOR * count)
         self._index = None  # jacobian's index tables, made on its first call
-        for table in (self.w, self.a, self.coupling, *signed):
+        for table in (self.w, self.a, self.coupling, self._coupling[2]):
             table.setflags(write=False)  # shared (Layout.shared)
 
     @staticmethod
@@ -155,27 +154,23 @@ class Layout:
         return np.concatenate([rows, self.shift * rows])
 
     def tendency(self, x):
-        """Time derivative f of the evolution system on a (p, k, N) stack
-        x of rows: cosine over sine coefficients (p = 2), or the cosine
-        coefficients of an even state (p = 1), whose odd f comes back as
-        its (1, k, N) sine coefficients.
-
-        Component i: -(a_i + r_i) dx r_i  -+  dx^-1(d), minus on the plus
-        species, with r_i dx r_i = (1/2) dx(r_i^2): the rows' values on
-        the product grid, squared in place, taken back to coefficients by
-        the layout's transform pair (spectral.transform), exact on
-        harmonics 1..N.  The tables carry their output row's sign:
-        f = (-(a w sin + w sq_sin / 2 + coupling d_sin),
-        a w cos + w sq_cos / 2 + coupling d_cos).
+        """Time derivative f of the evolution system on (k, p N) rows x:
+        cosine then sine coefficients (p = 2), or the cosine coefficients
+        of an even state (p = 1), whose odd f comes back as its (k, N)
+        sine coefficients.  Component i: f_i = -dx(a_i r_i + r_i^2 / 2)
+        -+ dx^-1(d), minus on the plus species: g = r (r + 2a) on the
+        product grid, its dx taken back by the layout's transforms
+        (spectral.transform) and scaled by -fold/2, exact on harmonics
+        1..N, and the coupling added by a table that carries the signs.
         """
-        p = len(x)
-        aw, half_w, coupling = self._tables[p]
-        vals = self._values(x[0], x[1] if p == 2 else None)
-        vals *= vals
-        out = aw * x[::-1]
-        # the squares' rows p - 1..0: sine over cosine, or cosine
-        out += half_w * self._coefficients(vals)[p - 1::-1]
-        out += coupling * (self.charge @ x)[::-1, None]
+        p = x.shape[1] // self.w.size
+        vals = self._values(x)
+        g = vals + self._twice_a
+        g *= vals
+        out = self._derivative(g, p)
+        out *= self._half_fold
+        d = (self.charge @ x).reshape(p, -1)[::-1].ravel()  # sine part first
+        out += self._coupling[p] * d
         return out
 
     def residual(self, c, rows):
@@ -183,7 +178,7 @@ class Layout:
         coefficients of -(f(r) + c dx r) on the even state r with these
         rows, f the tendency; -(r_i + a_i - c) dx r_i  -+  dx^-1(d) per
         component."""
-        return c * self.w * rows - self.tendency(rows[None])[0]
+        return c * self.w * rows - self.tendency(rows)
 
     def jacobian(self, c, rows):
         """Dense (kN, kN) Jacobian of the residual in the rows, acting on
@@ -244,7 +239,7 @@ class Layout:
         then cut to harmonics 1..N.  It leaves out the potential, which
         smooths.  q is sampled once, here.  Each call of the two
         functions is one inverse and one forward transform of the
-        layout's transform pair (spectral.transform).  A zero of q shows
+        layout's transforms (spectral.transform).  A zero of q shows
         as non-finite output.
         """
         w = self.w

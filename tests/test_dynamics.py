@@ -310,7 +310,7 @@ def test_divergence_detected_mid_run(sym_cfg, monkeypatch):
         out = exact(layout, x)
         calls.append(np.all(np.isfinite(x)))
         if len(calls) == 6:
-            out[0, 2, 1] = np.nan
+            out[2, 1] = np.nan
         return out
 
     monkeypatch.setattr(st.Layout, "tendency", tendency)
@@ -385,7 +385,7 @@ def stage_rows(monkeypatch):
     rows = []
 
     def tendency(layout, x):
-        rows.append(x.shape[1])
+        rows.append(x.shape[0])
         return exact(layout, x)
 
     monkeypatch.setattr(st.Layout, "tendency", tendency)

@@ -214,6 +214,33 @@ def test_mapped_wave_satisfies_two_fluid_system(sym_cfg, sym_branch_pair):
     assert max(sups.values()) <= 1e-8
 
 
+def test_monitors_read_as_vacuum_and_sonic_point(sym_cfg, sym_branch_pair):
+    # on the monitors' grid, at every point of both arms: the strip gap
+    # r2 - r1 + w is 2 rho, so a collision is EP vacuum; and per species
+    # min(|r1 + a1 - c|, |r2 + a2 - c|) is ||u - c| - rho|, the distance
+    # to the sound speed rho, so a degeneracy is an EP sonic point
+    a = sym_cfg.as_array()
+    points = [p.solution for branch in sym_branch_pair for p in branch.points]
+    assert len(points) > 40
+    for sol in points:
+        npts = st.MONITOR_GRID_FACTOR * sol.state.count
+        v = sp.grid_values(sol.state.cos, None, npts) + a[:, None]
+        mapped = ep.map_to_ep(sym_cfg, sol)
+        ep_vals = sp.grid_values(mapped.cos, None, npts)
+        rho, u = ep_vals[:2] + mapped.base_a, ep_vals[2:]
+        scale = max(np.max(np.abs(v)), abs(sol.c))
+        gap = v[1::2] - v[0::2]  # r2 - r1 + (a2 - a1), per species
+        assert np.max(np.abs(gap - 2.0 * rho)) <= 1e-12 * scale
+        rel = np.abs(v - sol.c)
+        speed = np.minimum(rel[0::2], rel[1::2])
+        sonic = np.abs(np.abs(u - sol.c) - rho)
+        assert np.max(np.abs(speed - sonic)) <= 1e-12 * scale
+        # the monitors' minima are those of the grid, polished below it
+        m1, m2 = st.monitors(sym_cfg, sol.c, sol.state)
+        assert m1 <= 2.0 * np.min(rho) + 1e-12 * scale
+        assert m2 <= np.min(sonic) + 1e-12 * scale
+
+
 def test_random_state_is_not_a_solution(sym_cfg):
     rng = np.random.default_rng(2)
     state = from_vector(1, 6, 0.1 * rng.standard_normal(24))

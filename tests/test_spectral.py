@@ -140,8 +140,10 @@ def test_grid_values_match_direct_evaluation(parity, fold, count):
         assert got.shape == (3, npts)
         want = np.array([f.eval(x) for f in rows])
         assert np.max(np.abs(got - want)) < 1e-13 * scale, npts
-        if parity == EVEN:  # no sine part: None is the zero array
-            assert np.array_equal(sp.grid_values(cos, None, npts), got)
+        if parity == EVEN:  # no sine part: None is the zero array, to
+            # round-off, as a table product sums 2N terms for it, not N
+            assert np.max(np.abs(sp.grid_values(cos, None, npts) - got)) \
+                <= 1e-15 * scale, npts
 
 
 @pytest.fixture(autouse=True)
@@ -197,22 +199,28 @@ def test_even_odd_grid_values_are_padded_grid_values(k, l, count):
 
 @pytest.mark.parametrize("count", [1, 8, 17, 64])
 def test_grid_values_work_array_keeps_no_state(monkeypatch, count):
-    # calls with and without a sine part alternate on the one zeroed
-    # half spectrum of the FFT side's cached pair; each must equal a
-    # fresh pair's call bitwise (a stale imaginary band from the previous
-    # call would show), and the spectrum stays zero outside the band
+    # calls with and without a sine part alternate on the zeroed half
+    # spectra of the FFT side's cached pair, one per rows shape; each
+    # must equal a fresh pair's call bitwise (a stale imaginary band from
+    # a previous call would show), each spectrum stays zero outside the
+    # band, and the one of rows without a sine part has no sine band
     _choose_side(monkeypatch, BY_FFT)
     rng = np.random.default_rng(70 + count)
     npts = 4 * count + 1
     values = sp.transform(count, npts)[0]
     for sine in (True, False, False, True, True, False):
-        cos = rng.standard_normal((3, count))
-        sin = rng.standard_normal((3, count)) if sine else None
-        got = values(cos, sin)
+        rows = rng.standard_normal((3, (2 if sine else 1) * count))
+        got = values(rows)
         assert np.array_equal(got, sp.transform.__wrapped__(count, npts)[0](
-            cos, sin))
-        half, _ = inspect.getclosurevars(values).nonlocals["spectra"][3]
-        assert np.all(half[:, 0] == 0.0) and np.all(half[:, count + 1:] == 0.0)
+            rows))
+        spectra = inspect.getclosurevars(values).nonlocals["spectra"]
+        for half, _ in spectra.values():
+            assert np.all(half[:, 0] == 0.0)
+            assert np.all(half[:, count + 1:] == 0.0)
+        if (3, count) in spectra:
+            assert np.all(spectra[3, count][0].imag == 0.0)
+    assert set(inspect.getclosurevars(values).nonlocals["spectra"]) == {
+        (3, count), (3, 2 * count)}
 
 
 @pytest.mark.parametrize("size", ["table", "fft"])
@@ -226,20 +234,38 @@ def test_squares_closure_keeps_no_state(monkeypatch, gen_cfg, size, count):
     rng = np.random.default_rng(80 + count)
     layout = st.Layout(gen_cfg, 1, count)
     for p in (2, 1, 1, 2, 2, 1):
-        x = rng.standard_normal((p, 4, count))
+        x = rng.standard_normal((4, p * count))
         got = layout.tendency(x)
-        assert got.shape == (p, 4, count)
+        assert got.shape == (4, p * count)
         sp.transform.cache_clear()
         assert np.array_equal(got, st.Layout(gen_cfg, 1, count).tendency(x))
 
 
 def _squared(values, coefficients, x):
-    """Harmonics 1..count of the squares of the p = len(x) stack x, by
-    one transform pair: the grid values squared in place between its
-    two functions, as Layout.tendency squares them."""
-    vals = values(*x)
+    """Harmonics 1..count of the squares of the (k, p count) rows x as a
+    (p, k, count) stack, by one transform pair: the grid values squared
+    in place between its two functions."""
+    vals = values(x)
     vals *= vals
-    return coefficients(vals)[:len(x)]
+    squares = coefficients(vals)
+    return squares[:x.shape[1] // squares.shape[2]]
+
+
+def _operator(layout, x, squares):
+    """-dx(a r + r^2/2) -+ dx^-1(d) on the layout's (k, p N) rows x, as
+    Layout.tendency's rows, from the (p, k, N) coefficients of the
+    squares; and the largest sum of the absolute terms of an entry."""
+    count = layout.w.size
+    parts = [x[:, :count], x[:, count:]][:len(squares)]
+    # per input part: w (a r), w (r^2/2) and the coupling term
+    terms = [(layout.w * layout.a * u, layout.w * 0.5 * sq,
+              layout.coupling * (layout.charge @ u))
+             for u, sq in zip(parts, squares)]
+    # -dx takes cos to w sin and sin to -w cos; p = 1 has the sine only
+    out = [tuple(-t for t in terms[1]), terms[0]] if len(parts) == 2 \
+        else terms
+    stacked = np.concatenate([np.array(t) for t in out], axis=2)
+    return stacked.sum(axis=0), np.max(np.abs(stacked).sum(axis=0))
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -249,26 +275,26 @@ def test_squares_are_the_grid_round_trip(gen_cfg, sym_cfg, k, count):
     # grid_coefficients on the product grid, for full-parity series
     # (p = 2) and for even ones (p = 1, no sine part), each call of the
     # cached pair equal to a fresh round trip; on the k rows of a layout,
-    # tendency's quadratic term is that round trip
+    # tendency is -dx(a r + r^2/2) -+ dx^-1(d) with those squares, to
+    # round-off, as its kernel forms the sums in its own order
     rng = np.random.default_rng(10 * k + count)
     npts = sp.PRODUCT_GRID_FACTOR * count
-    pair = sp.transform(count, npts)
+    pair = sp.transform(count, npts)[:2]
     layout = {2: st.Layout(sym_cfg, 1, count, True),
               4: st.Layout(gen_cfg, 1, count)}.get(k)
     for _ in range(3):
         for p in (2, 1):
-            x = rng.standard_normal((p, k, count))
-            vals = sp.grid_values(x[0], x[1] if p == 2 else None, npts)
+            x = rng.standard_normal((k, p * count))
+            vals = sp.grid_values(x[:, :count],
+                                  x[:, count:] if p == 2 else None, npts)
             want = sp.grid_coefficients(vals * vals, count)[:p]
             got = _squared(*pair, x)
             assert got.shape == (p, k, count)
             assert np.array_equal(got, want)
-            if layout is not None:  # signs -1 on cosine, +1 on sine output
-                sign = np.array([-1.0, 1.0])[2 - p:, None, None]
-                assert np.array_equal(layout.tendency(x), (
-                    sign * (layout.a * layout.w) * x[::-1]
-                    + sign * (0.5 * layout.w) * want[::-1]
-                    + sign * layout.coupling * (layout.charge @ x)[::-1, None]))
+            if layout is not None:
+                f, scale = _operator(layout, x, want)
+                assert f.shape == (k, p * count)
+                assert np.max(np.abs(layout.tendency(x) - f)) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("count", [1, 8, 17, 64, 256])
@@ -397,8 +423,8 @@ def test_squares_by_table_and_by_fft(monkeypatch, n, k):
     c, s = _direct(n, npts)
     for p in (2, 1):
         x = rng.standard_normal((p, k, n))
-        table, fft = _both_branches(
-            monkeypatch, lambda: _squared(*sp.transform(n, npts), x))
+        table, fft = _both_branches(monkeypatch, lambda: _squared(
+            *sp.transform(n, npts)[:2], np.concatenate(x, axis=1)))
         scale = np.max(np.sum(np.abs(x), axis=(0, 2))) ** 2
         assert table.shape == fft.shape == (p, k, n)
         assert np.max(np.abs(table - fft)) <= 1e-14 * scale
@@ -420,15 +446,47 @@ def test_trig_tables_are_cached_and_read_only():
     assert np.max(np.abs(sp.grid_coefficients(first, 16)[1] - cos)) < 1e-14
     info = sp.transform.cache_info()
     assert (info.misses, info.hits) == (1, 1) and info.maxsize is not None
-    values, coefficients = sp.transform(16, 64)
-    inverse = inspect.getclosurevars(values).nonlocals["inverse"]
+    values, coefficients, derivative = sp.transform(16, 64)
+    stacked = inspect.getclosurevars(values).nonlocals["stacked"]
     forward = inspect.getclosurevars(coefficients).nonlocals["forward"]
-    assert inverse.shape == (2, 16, 64) and forward.shape == (64, 32)
-    assert not inverse.flags.writeable and not forward.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        inverse[0, 0, 0] = 2.0
+    slope = inspect.getclosurevars(derivative).nonlocals["slope"]
+    assert stacked.shape == (32, 64) and forward.shape == (64, 32)
+    assert slope.shape == (64, 32)
+    for table in (stacked, forward, slope):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 2.0
     assert sp.transform(16, 64)[0] is values
+    assert sp.transform(16, 64)[2] is derivative
     assert sp.transform.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("count", [17, 64])
+@pytest.mark.parametrize("k", [2, 4])
+def test_derivative_by_table_and_by_fft(monkeypatch, count, k):
+    # dx of grid values in reduced wavenumbers, cosine then sine rows
+    # (p = 2) or the sine ones alone (p = 1): each side, forced, against
+    # the other and against dx of the values' own coefficients, and
+    # p = 1 the sine half of p = 2
+    rng = np.random.default_rng(5 * count + k)
+    npts = sp.PRODUCT_GRID_FACTOR * count
+    j = np.arange(1, count + 1)
+    vals = rng.standard_normal((k, npts))
+    scale = count * np.max(np.sum(np.abs(vals), axis=1)) * 2.0 / npts
+    cos, sin = sp.grid_coefficients(vals, count)
+    want = np.concatenate((j * sin, -j * cos), axis=1)
+    sides = {}
+    for size in (BY_TABLE, BY_FFT):
+        _choose_side(monkeypatch, size)
+        derivative = sp.transform(count, npts)[2]
+        two, one = derivative(vals, 2), derivative(vals, 1)
+        assert two.shape == (k, 2 * count) and one.shape == (k, count)
+        assert np.array_equal(one, derivative(vals, 1))
+        assert np.max(np.abs(one - two[:, count:])) <= 1e-13 * scale
+        assert np.max(np.abs(two - want)) <= 1e-13 * scale
+        sides[size] = two, one
+    for table, fft in zip(sides[BY_TABLE], sides[BY_FFT]):
+        assert np.max(np.abs(table - fft)) <= 1e-13 * scale
 
 
 def test_norm_values_and_properties():

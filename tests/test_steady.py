@@ -136,9 +136,12 @@ def test_residual_parity_and_grid_oracle(gen_cfg):
         # harmonics, give the odd defining formula on both sides of x = 0
         own = from_sin(2, np.concatenate([out[i], full.sin[6:]]))
         assert np.max(np.abs(own.eval(x) - exact)) < 1e-12
-        # Galerkin: the first harmonics of the untruncated residual (an
-        # FFT product meets the convolution to round-off, not bitwise)
-        assert np.max(np.abs(out[i] - full.sin[:6])) < 1e-15
+        # Galerkin: the first harmonics of the untruncated residual (a
+        # grid round trip meets the convolution to round-off, not
+        # bitwise), of the size of its largest terms, w (a - c) r
+        terms = np.max(np.abs(state.wavenumbers() * (abs(a[i]) + abs(c))
+                              * state.cos[i])) + np.max(np.abs(full.sin[:6]))
+        assert np.max(np.abs(out[i] - full.sin[:6])) < 1e-15 * terms
 
 
 def test_linearization_matches_mode_matrices(gen_cfg):
