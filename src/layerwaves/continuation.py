@@ -35,10 +35,11 @@ DEGENERACY_TOL = 1e-6
 TAIL_FRACTION = 0.25         # share of the harmonics checked as the tail
 TAIL_NORM_TOL = 1e-8         # double N when the tail exceeds this share
 # Newton steps at N >= KRYLOV_MIN_COUNT go through GMRES.  One step of
-# 10 GMRES iterations against one dense solve (2-core VM, 1 BLAS thread,
-# best of 15): 1.1 against 0.4 ms at N = 32, 1.5 against 1.2 ms at
-# N = 64, where the default arm takes 4-10 iterations, and 2.2 against
-# 33 ms at N = 256.
+# 10 GMRES iterations against one dense solve on four rows (2-core VM,
+# 1 BLAS thread, best of 40 interleaved blocks, two runs): 0.49-0.71
+# against 0.20-0.35 ms at N = 32, 0.69-0.70 against 0.90 ms at N = 64,
+# where the default arm takes 4-10 iterations, and 1.75-1.78 against
+# 31 ms at N = 256.
 KRYLOV_MIN_COUNT = 64
 KRYLOV_TOL = 1e-13           # GMRES stop, relative to the Newton residual
 KRYLOV_TRUE_TOL = 1e-12      # true residual that accepts a GMRES step
@@ -117,31 +118,35 @@ class TerminationReport:
         return self.kind + extra
 
 
-def _gmres(apply, precondition, rhs, tol, max_iters):
-    """Right-preconditioned GMRES from x = 0 (Saad & Schultz 1986).
+def _gmres(op, rhs, tol, max_iters):
+    """Flexible GMRES from x = 0 (Saad 1993; Saad & Schultz 1986).
 
-    Stops when the Arnoldi estimate of ||rhs - apply(x)|| is at most tol,
-    after max_iters, or when the new Arnoldi vector vanishes: then the
-    Krylov space is invariant and x solves the system, unless the
-    rotated Hessenberg column vanishes too (a singular operator).
-    Returns (x, iterations).  Orthogonalizes by classical Gram-Schmidt
-    twice, rotates each new Hessenberg column by Givens rotations on
-    Python floats, and solves the small triangular system by
-    back-substitution.
+    op(v, z) writes the preconditioned vector z = P v into z and returns
+    A z.  Each z_j is kept, and x = sum_j y_j z_j, so no preconditioner
+    call follows the cycle.  Stops when the Arnoldi estimate of
+    ||rhs - A x|| is at most tol, after max_iters, or when the new
+    Arnoldi vector vanishes: then the Krylov space is invariant and x
+    solves the system, unless the rotated Hessenberg column vanishes too
+    (a singular operator).  Returns (x, iterations).  Orthogonalizes by
+    classical Gram-Schmidt twice, rotates each new Hessenberg column by
+    Givens rotations on Python floats, and solves the small triangular
+    system by back-substitution.
     """
     beta = float(np.linalg.norm(rhs))
     V = np.empty((max_iters + 1, rhs.size))
+    Z = np.empty((max_iters, rhs.size))   # preconditioned vectors
     R = np.zeros((max_iters, max_iters))  # rotated Hessenberg, triangular
     rot = []                              # Givens (cos, sin)
     g = [beta]
     V[0] = rhs / beta
     k = 0
     while k < max_iters and abs(g[k]) > tol:
-        v = apply(precondition(V[k]))
-        h = V[:k + 1] @ v
-        v -= h @ V[:k + 1]
-        h2 = V[:k + 1] @ v
-        v -= h2 @ V[:k + 1]
+        v = op(V[k], Z[k])
+        basis = V[:k + 1]
+        h = basis @ v
+        v -= h @ basis
+        h2 = basis @ v
+        v -= h2 @ basis
         col = (h + h2).tolist()
         below = math.sqrt(v @ v)
         for j, (cs, sn) in enumerate(rot):
@@ -163,17 +168,20 @@ def _gmres(apply, precondition, rhs, tol, max_iters):
     y = np.zeros(k)
     for j in range(k - 1, -1, -1):
         y[j] = (g[j] - R[j, j + 1:k] @ y[j + 1:]) / R[j, j]
-    return precondition(y @ V[:k]), k
+    return y @ Z[:k], k
 
 
 def _krylov_step(layout, c, rows, col, tangent, res, tol):
-    """Newton step of the bordered system by matrix-free GMRES.
+    """Newton step of the bordered system A by matrix-free GMRES.
 
-    The system acts on u = (c, carried rows) of the layout; col is its
-    c column.  The preconditioner is the transport inverse of
-    Layout.linearization, bordered by the c column and the arclength row
-    by elimination.  The true residual is checked after the solve and,
-    if it exceeds both KRYLOV_TRUE_TOL times ||res|| and KRYLOV_TOL_SHARE
+    A acts on u = (c, carried rows) of the layout; col is its c column,
+    tangent its arclength row.  Its preconditioner P is the transport
+    inverse T of Layout.linearization, bordered by elimination: for
+    v = (g, s), P v = (y_c, y - y_c z_col) with y = T g, z_col = T col
+    and y_c solving the arclength row.  So A P v has the arclength entry
+    s and the rows A y + y_c (col - A z_col), one preconditioned pass
+    each.  The true residual is checked after the solve and, if it
+    exceeds both KRYLOV_TRUE_TOL times ||res|| and KRYLOV_TOL_SHARE
     times Newton's tol, one more GMRES cycle runs on it: a miss far
     below tol is round-off that no Newton iteration would notice.
     Returns (step, GMRES iterations); raises CorrectionFailedError on a
@@ -182,10 +190,19 @@ def _krylov_step(layout, c, rows, col, tangent, res, tol):
     shape = rows.shape
     iters = 0
     with np.errstate(all="ignore"):
-        matvec, transport_inv = layout.linearization(c, rows)
+        matvec, preconditioned = layout.linearization(c, rows)
         t_c, t_h = tangent[0], tangent[1:]
-        z_col = transport_inv(col.reshape(shape)).ravel()
+        z_col, a_z_col = (x.ravel() for x in preconditioned(
+            col.reshape(shape)))
         pivot = t_c - t_h @ z_col
+        border = col - a_z_col
+
+        def op(v, z):
+            y, a_y = preconditioned(v[:-1].reshape(shape))
+            y = y.ravel()
+            z[0] = y_c = (v[-1] - t_h @ y) / pivot
+            np.subtract(y, y_c * z_col, out=z[1:])
+            return np.concatenate((a_y.ravel() + y_c * border, v[-1:]))
 
         def apply(x):
             out = np.empty_like(x)
@@ -193,19 +210,11 @@ def _krylov_step(layout, c, rows, col, tangent, res, tol):
             out[-1] = tangent @ x
             return out
 
-        def precondition(v):
-            out = np.empty_like(v)
-            y = transport_inv(v[:-1].reshape(shape)).ravel()
-            out[0] = (v[-1] - t_h @ y) / pivot
-            out[1:] = y - out[0] * z_col
-            return out
-
         target = np.linalg.norm(res)
         step = np.zeros_like(res)
         left = -res
         for _ in range(2):
-            dx, k = _gmres(apply, precondition, left,
-                           KRYLOV_TOL * target, KRYLOV_MAX_ITERS)
+            dx, k = _gmres(op, left, KRYLOV_TOL * target, KRYLOV_MAX_ITERS)
             iters += k
             step += dx
             left = -res - apply(step)

@@ -317,18 +317,21 @@ def transform(count, npts):
 
     values(rows) takes the (k, p count) rows of k series, cosine then
     sine coefficients (p = 2) or cosine ones (p = 1), to their (k, npts)
-    grid values; coefficients(vals) takes grid values back to their
-    (2, k, count) cosine over sine coefficients; derivative(vals, p)
-    gives those of dx of the values in reduced wavenumbers, as rows like
+    grid values; coefficients(vals, p) takes grid values back to their
+    (2, k, count) cosine over sine coefficients (p = 2, the default), or
+    to the (k, count) cosine ones alone (p = 1), for even values or
+    wherever the sine half would be discarded; derivative(vals, p) gives
+    those of dx of the values in reduced wavenumbers, as rows like
     values' (p = 1: the sine part alone).  Up to TABLE_MAX_SIZE all
     three are products with read-only tables: a (2 count, npts) cos/sin
     table, whose angles are formed from (j p) mod npts, so they stay
-    below 2 pi, its scaled transpose, and that with its halves swapped
-    and weighted by +-j.  Above it, values is one inverse real FFT of the
-    half spectrum (cos - i sin) / 2, unnormalized, written into one
-    zeroed half spectrum per rows shape, made on the first call;
-    coefficients and derivative are one forward real FFT each.  Needs
-    npts > 2 count.
+    below 2 pi, its scaled transpose, whose cosine columns alone give
+    coefficients' p = 1, and that with its halves swapped and weighted
+    by +-j.  Above it, values is one inverse real FFT of the half
+    spectrum (cos - i sin) / 2, unnormalized, written into one zeroed
+    half spectrum per rows shape, made on the first call; coefficients
+    and derivative are one forward real FFT each, and coefficients'
+    p = 1 reads its real parts alone.  Needs npts > 2 count.
     """
     if 2 * count >= npts:
         raise ValueError(f"{npts} points cannot resolve {count} harmonics")
@@ -346,7 +349,9 @@ def transform(count, npts):
         def values(rows):
             return rows @ stacked[:rows.shape[1]]
 
-        def coefficients(vals):
+        def coefficients(vals, p=2):
+            if p == 1:
+                return vals @ forward[:, :count]
             return (vals @ forward).reshape(-1, 2, count).transpose(1, 0, 2)
 
         def derivative(vals, p):
@@ -367,11 +372,13 @@ def transform(count, npts):
             np.multiply(rows[:, count:], -0.5, out=parts[1])
         return np.fft.irfft(half, n=npts, axis=1, norm="forward")
 
-    def coefficients(vals):
+    def coefficients(vals, p=2):
         # C order: the callers' arithmetic on the spectrum's interleaved
         # layout was measured slower, by 10% of an RK4 stage at N = 256
-        return np.multiply(_parts(np.fft.rfft(vals, axis=1), count), scale,
-                           order="C")
+        spectrum = np.fft.rfft(vals, axis=1)
+        if p == 1:
+            return np.multiply(spectrum.real[:, 1:count + 1], 2.0 / npts)
+        return np.multiply(_parts(spectrum, count), scale, order="C")
 
     def derivative(vals, p):
         # -(2/npts) j times the imaginary parts over the real ones

@@ -227,38 +227,47 @@ class Layout:
                 self.coupling[:, None] * self.charge[:, None])
 
     def linearization(self, c, rows):
-        """Matrix-free Jacobian and transport preconditioner at the rows:
-        two functions on (k, N) arrays, (matvec, precondition).
+        """Matrix-free Jacobian and transport-preconditioned Jacobian at
+        the rows: two functions on (k, N) arrays, (matvec, preconditioned).
 
         matvec(h) is jacobian(c, rows) applied to the cosine coefficients
         h: the sine coefficients of dx(q_i h_i) -+ dx^-1(d(h)),
         q_i = r_i + a_i - c.  The product q_i h_i reaches harmonic 2N; on
         the product grid (spectral.PRODUCT_GRID_FACTOR) it does not alias
-        onto 1..N.  precondition(g) inverts h -> dx(q_i h) on that grid:
-        h = (dx^-1 g + kappa_i) / q_i with kappa_i making h zero-mean,
-        then cut to harmonics 1..N.  It leaves out the potential, which
-        smooths.  q is sampled once, here.  Each call of the two
-        functions is one inverse and one forward transform of the
-        layout's transforms (spectral.transform).  A zero of q shows
-        as non-finite output.
+        onto 1..N.  preconditioned(g) returns (y, matvec(y)) in one pass,
+        y = P g the transport inverse of g: P inverts h -> dx(q_i h) on
+        that grid as h = (dx^-1 g + kappa_i) / q_i, with kappa_i making h
+        zero-mean, cut to harmonics 1..N.  kappa_i enters in coefficient
+        space, through the harmonics of 1/q_i.  P leaves out the
+        potential, which smooths.  q is sampled once, here.  Every
+        forward transform is cosine-only (spectral.transform); matvec is
+        one inverse and one forward transform, preconditioned two of
+        each.  A zero of q shows as non-finite output.
         """
-        w = self.w
         values, coefficients = self._values, self._coefficients
+        neg_w, coupling, charge = -self.w, self.coupling, self.charge
         q = values(rows)
         q += self.a - c
         inv_q = 1.0 / q
-        sum_inv_q = np.sum(inv_q, axis=1, keepdims=True)
+        # kappa_i / q_i in coefficient space: with h = dx^-1 g / q,
+        # kappa_i = -sum_p(h_i) / sum_p(1 / q_i) times the harmonics of 1/q_i
+        inv_q_cos = coefficients(inv_q, 1)
+        inv_q_cos /= inv_q.sum(axis=1, keepdims=True)
 
         def matvec(h):
-            prod = coefficients(q * values(h))[0]
-            return -self.coupling * (self.charge @ h) - w * prod
+            out = coefficients(q * values(h), 1)
+            out *= neg_w
+            out -= coupling * (charge @ h)
+            return out
 
-        def precondition(g):
-            h = values(-g / w) * inv_q
-            h -= h.sum(axis=1, keepdims=True) / sum_inv_q * inv_q
-            return coefficients(h)[0]
+        def preconditioned(g):
+            h = values(g / neg_w)
+            h *= inv_q
+            y = coefficients(h, 1)
+            y -= h.sum(axis=1, keepdims=True) * inv_q_cos
+            return y, matvec(y)
 
-        return matvec, precondition
+        return matvec, preconditioned
 
 
 # Layout.shared's cache, keyed on its four arguments in order

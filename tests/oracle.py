@@ -8,7 +8,9 @@ the smallest admissible mode of a generic layer.  A checked state from
 stacked coefficients (from_vector), a branch restarted from one of its
 points (restart), and the inverse Euler-Poisson map (map_from_ep with
 its matrix FROM_EP).  The dense Jacobian of a steady.Layout's rows,
-block by block (block_jacobian).  And RK4 on PhaseState objects, one rhs call and
+block by block (block_jacobian), and their matrix-free Jacobian and
+transport preconditioner as two separate passes
+(two_step_linearization).  And RK4 on PhaseState objects, one rhs call and
 one combine per stage, as the oracle of dynamics.evolve."""
 
 from dataclasses import replace
@@ -168,6 +170,32 @@ def block_jacobian(cfg, fold, c, rows):
         out[i * n + p[:, None], cols] += (-pc.SPECIES[i] * pc.CHARGE[:k]
                                           * (weight / w)[:, None])
     return out
+
+
+def two_step_linearization(layout, c, rows):
+    """(matvec, precondition) of a steady.Layout's rows, as two separate
+    transform round trips: the reference for Layout.linearization's
+    one-pass preconditioned(g) = (y, matvec(y)).  Each forward product
+    forms the cosine and the sine half and keeps the cosine one, and
+    kappa_i is applied on the grid: h = (dx^-1 g + kappa_i) / q_i with
+    sum_p h = 0."""
+    count = layout.w.size
+    values, coefficients = sp.transform(
+        count, sp.PRODUCT_GRID_FACTOR * count)[:2]
+    q = values(rows) + (layout.a - c)
+    inv_q = 1.0 / q
+    sum_inv_q = np.sum(inv_q, axis=1, keepdims=True)
+
+    def matvec(h):
+        prod = coefficients(q * values(h))[0]
+        return -layout.coupling * (layout.charge @ h) - layout.w * prod
+
+    def precondition(g):
+        h = values(-g / layout.w) * inv_q
+        h -= h.sum(axis=1, keepdims=True) / sum_inv_q * inv_q
+        return coefficients(h)[0]
+
+    return matvec, precondition
 
 
 def restart(branch, index, opts=None):

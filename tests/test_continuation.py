@@ -12,7 +12,8 @@ from layerwaves import steady as st
 from layerwaves.errors import CannotStartError, CorrectionFailedError
 from layerwaves.spectral import NormParams
 
-from oracle import block_jacobian, from_vector, restart
+from oracle import (block_jacobian, from_vector, restart,
+                    two_step_linearization)
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -378,6 +379,15 @@ def test_infinite_norm_ends_arm_as_blow_up(sym_expansion):
     assert branch.points[-1].compact_index == np.inf
 
 
+def _op(matrix, precondition=lambda v: v):
+    """The op(v, z) of ct._gmres: writes z = precondition(v) and returns
+    matrix @ z."""
+    def op(v, z):
+        z[:] = precondition(v)
+        return matrix @ z
+    return op
+
+
 def test_gmres_stops_at_an_exact_breakdown():
     # the identity makes the first Arnoldi vector vanish: GMRES returns
     # b in one iteration instead of dividing 0 by 0; a singular operator
@@ -385,11 +395,10 @@ def test_gmres_stops_at_an_exact_breakdown():
     b = np.array([1.0, -1.0, 1.0, -1.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, k = ct._gmres(lambda v: np.eye(5) @ v, lambda v: v, b, 1e-13, 10)
+        x, k = ct._gmres(_op(np.eye(5)), b, 1e-13, 10)
         assert k == 1 and np.array_equal(x, b)
         singular = np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
-        x, k = ct._gmres(lambda v: singular @ v, lambda v: v,
-                         np.eye(5)[4], 1e-13, 10)
+        x, k = ct._gmres(_op(singular), np.eye(5)[4], 1e-13, 10)
         assert k == 0 and np.array_equal(x, np.zeros(5))
 
 
@@ -400,10 +409,30 @@ def test_gmres_matches_dense_solve():
     n = 40
     A = rng.uniform(-1, 1, (n, n)) + np.diag(rng.uniform(n, 2 * n, n))
     b = rng.standard_normal(n)
-    x, k = ct._gmres(lambda v: A @ v, lambda v: v / np.diag(A), b,
+    x, k = ct._gmres(_op(A, lambda v: v / np.diag(A)), b,
                      1e-14 * np.linalg.norm(b), n)
     assert k <= n
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+    want = np.linalg.solve(A, b)
+    assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_gmres_is_flexible():
+    # a diagonal preconditioner that changes on every call: x is the
+    # combination of the preconditioned vectors GMRES kept, not P applied
+    # to a combination of Arnoldi vectors, so it still solves A x = b
+    rng = np.random.default_rng(62)
+    n = 40
+    A = rng.uniform(-1, 1, (n, n)) + np.diag(rng.uniform(n, 2 * n, n))
+    b = rng.standard_normal(n)
+    calls = []
+
+    def precondition(v):
+        calls.append(v)
+        return v / (np.diag(A) * (1.0 + 0.5 * (-1) ** len(calls)))
+
+    x, k = ct._gmres(_op(A, precondition), b, 1e-14 * np.linalg.norm(b), n)
+    assert 2 <= k == len(calls) <= n
     want = np.linalg.solve(A, b)
     assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -429,10 +458,13 @@ def test_krylov_step_accepts_a_miss_far_below_newton_tol(sym_cfg,
     miss = share * ct.KRYLOV_TOL_SHARE * tol
     assert miss > 1e3 * ct.KRYLOV_TRUE_TOL * np.linalg.norm(res)
 
-    def off_by_miss(apply, precondition, rhs, tol, max_iters):
-        A = np.array([apply(e) for e in np.eye(rhs.size)]).T
+    def off_by_miss(op, rhs, tol, max_iters):
+        # column i of A P is op(e_i), and row i of Z is P e_i
+        Z = np.empty((rhs.size, rhs.size))
+        AP = np.array([op(e, z) for e, z in zip(np.eye(rhs.size), Z)]).T
         off = rng.standard_normal(rhs.size)
-        return np.linalg.solve(A, rhs + miss * off / np.linalg.norm(off)), 3
+        return Z.T @ np.linalg.solve(AP, rhs + miss * off
+                                     / np.linalg.norm(off)), 3
 
     monkeypatch.setattr(ct, "_gmres", off_by_miss)
     args = (layout, 2.5, rows, col, tangent, res, tol)
@@ -444,6 +476,47 @@ def test_krylov_step_accepts_a_miss_far_below_newton_tol(sym_cfg,
                            r"failed: GMRES stalled at true residual "
                            r"2\.000e-14 after 6 iterations$"):
             ct._krylov_step(*args)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["k2", "k4"])
+def test_bordered_operator_is_a_times_p(sym_cfg, monkeypatch, symmetric):
+    # the GMRES operator of a Krylov step writes z = P v, the transport
+    # inverse bordered by the c column and the arclength row, and returns
+    # A z for the dense bordered matrix A; its arclength entry is v's own
+    # last entry, bit for bit
+    rng = np.random.default_rng(63)
+    n = ct.KRYLOV_MIN_COUNT
+    layout = st.Layout(sym_cfg, 1, n, symmetric)
+    k, c = layout.k, 2.2
+    rows = 0.05 * rng.uniform(-1, 1, (k, n)) * np.exp(-0.2 * np.arange(n))
+    col = (layout.w * rows).ravel()
+    tangent = rng.standard_normal(1 + k * n)
+    tangent /= np.linalg.norm(tangent)
+    res = 1e-6 * rng.standard_normal(1 + k * n)
+    ops = []
+    gmres = ct._gmres
+
+    def keep_op(op, rhs, tol, max_iters):
+        ops.append(op)
+        return gmres(op, rhs, tol, max_iters)
+
+    monkeypatch.setattr(ct, "_gmres", keep_op)
+    ct._krylov_step(layout, c, rows, col, tangent, res, 1e-11)
+    A = np.empty((1 + k * n, 1 + k * n))
+    A[:-1, 0] = col
+    A[:-1, 1:] = layout.jacobian(c, rows)
+    A[-1] = tangent
+    _, precondition = two_step_linearization(layout, c, rows)
+    z_col = precondition(col.reshape(k, n)).ravel()
+    for v in rng.standard_normal((3, 1 + k * n)):
+        z = np.empty_like(v)
+        out = ops[0](v, z)
+        assert out[-1] == v[-1]
+        y = precondition(v[:-1].reshape(k, n)).ravel()
+        y_c = (v[-1] - tangent[1:] @ y) / (tangent[0] - tangent[1:] @ z_col)
+        want = np.concatenate([[y_c], y - y_c * z_col])
+        assert np.max(np.abs(z - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(out - A @ z)) <= 1e-12 * np.max(np.abs(out))
 
 
 class _Forward:

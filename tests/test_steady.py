@@ -12,7 +12,8 @@ from layerwaves import steady as st
 from layerwaves.spectral import TrigSeries
 
 from oracle import (add, antideriv, block_jacobian, from_sin, from_vector,
-                    mode_matrix, norm, scale, sub, with_count, zeros)
+                    mode_matrix, norm, scale, sub, two_step_linearization,
+                    with_count, zeros)
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -23,8 +24,12 @@ def random_state(rng, fold=2, count=10, scale=0.1):
 
 
 def linearization(cfg, c, state):
-    """(matvec, precondition) of the four rows at a state."""
-    return st.Layout(cfg, state.fold, state.count).linearization(c, state.cos)
+    """(matvec, precondition) of the four rows at a state: the
+    preconditioner is the first output of Layout.linearization's
+    preconditioned."""
+    matvec, preconditioned = st.Layout(
+        cfg, state.fold, state.count).linearization(c, state.cos)
+    return matvec, lambda g: preconditioned(g)[0]
 
 
 def charge_difference(state):
@@ -443,8 +448,8 @@ def test_plus_rows_match_the_four_rows_on_the_fixed_space(a):
                 <= 1e-13 * np.max(np.abs(want))
             mv_full, pc_full = full.linearization(c, embed(p))
             mv_plus, pc_plus = plus.linearization(c, p)
-            for got, want in ((mv_plus(h), mv_full(embed(h))),
-                              (pc_plus(g), pc_full(embed(g)))):
+            for got, want in zip((mv_plus(h), *pc_plus(g)),
+                                 (mv_full(embed(h)), *pc_full(embed(g)))):
                 scale = np.max(np.abs(want))
                 assert np.max(np.abs(embed(got) - want)) <= 1e-13 * scale
             jac = full.jacobian(c, embed(p))
@@ -684,6 +689,39 @@ def test_preconditioner_at_a_zero_of_q_is_not_finite(sym_cfg):
         _, precondition = linearization(sym_cfg, 1.0,
                                         st.InterfaceState.zero(1, 8))
         assert not np.all(np.isfinite(precondition(np.ones((4, 8)))))
+
+
+@pytest.mark.parametrize("count", [17, 64, 128, 256])  # table, then FFT
+@pytest.mark.parametrize("symmetric", [True, False], ids=["k2", "k4"])
+def test_preconditioned_is_precondition_then_matvec(sym_cfg, count,
+                                                    symmetric):
+    # preconditioned(g) is (y, matvec(y)), y the transport inverse of g,
+    # in one pass with cosine-only forward products and kappa applied in
+    # coefficient space: the oracle's two passes to 1e-13 of scale, at a
+    # smooth state and at one whose min |q| is 1e-3 (q_1 = 0.1 cos x -
+    # 0.101 at c = -0.899)
+    rng = np.random.default_rng(count + symmetric)
+    layout = st.Layout(sym_cfg, 1, count, symmetric)
+    k = layout.k
+    smooth = (0.1 * rng.uniform(-1, 1, (k, count))
+              * np.exp(-0.3 * np.arange(count)))
+    near = np.zeros((k, count))
+    near[0, 0] = 0.1
+    for rows, c, min_q in ((smooth, 2.2, 1.0), (near, -0.899, 1e-3)):
+        q = sp.grid_values(rows, None, sp.PRODUCT_GRID_FACTOR * count)
+        assert np.min(np.abs(q + layout.a - c)) == pytest.approx(min_q,
+                                                                 rel=0.2)
+        matvec, preconditioned = layout.linearization(c, rows)
+        want_matvec, want_precondition = two_step_linearization(layout, c,
+                                                                rows)
+        for g in rng.uniform(-1, 1, (3, k, count)):
+            y, a_y = preconditioned(g)
+            want_y = want_precondition(g)
+            for got, want in ((y, want_y), (a_y, want_matvec(want_y))):
+                assert got.shape == (k, count)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(
+                    np.abs(want))
+            assert np.array_equal(matvec(y), a_y)
 
 
 def test_norm_skips_zero_coefficients_under_an_overflowing_weight():
