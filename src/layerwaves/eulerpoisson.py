@@ -91,24 +91,22 @@ def ep_residual(state):
     continuity: -c dx rho + dx(rho u)
     momentum:   -c dx(rho u) + dx(rho u^2) + dx(rho^3/3)
                 -+ 2 rho dx^-1(rho_+ - rho_-)
-    The residuals reach harmonic 3N.  rho, u, their derivatives and the
-    force dx^-1(rho_+ - rho_-) come from one inverse transform on
-    8 (3N + 3) uniform points of one fold period (spectral.grid_values
-    of 4 even rows over 5 odd ones, each padded with zero rows); the
-    residuals are formed there pointwise, and one forward transform
-    (spectral.grid_coefficients) gives their sine coefficients on
-    harmonics 1..3N+3, all exact.  Returns the (4, 3N+3) coefficients,
-    rows in the order of RESIDUAL_NAMES, and the sup norms on the grid
-    by name.  A residual that overflows raises DivergedError.
+    rho, u, their derivatives and the force dx^-1(rho_+ - rho_-) come
+    from one inverse transform on 8 (3N + 3) uniform points of one fold
+    period (spectral.grid_values of 4 even rows over 5 odd ones, each
+    padded with zero rows), where the residuals are formed pointwise.
+    Returns their (4, 8 (3N + 3)) grid values, rows in the order of
+    RESIDUAL_NAMES, and sup norms by name; they reach harmonic 3N, so
+    spectral.grid_coefficients(res, 3N + 3) gives their exact sine
+    coefficients.  A residual that overflows raises DivergedError.
     """
-    n = state.count
-    out_n = 3 * n + 3
+    npts = 8 * (3 * state.count + 3)
     w = state.wavenumbers()
     force = (state.cos[0] - state.cos[1]) / w
     odd = np.concatenate((-w * state.cos, force[None]))
     vals = sp.grid_values(np.concatenate((state.cos, np.zeros_like(odd))),
                           np.concatenate((np.zeros_like(state.cos), odd)),
-                          8 * out_n)
+                          npts)
     rho = vals[0:2] + state.base_a
     u, drho, du, field = vals[2:4], vals[4:6], vals[6:8], vals[8]
     flux = drho * u + rho * du  # dx(rho u)
@@ -116,11 +114,10 @@ def ep_residual(state):
     mom = ((u - state.c) * flux + rho * u * du + rho * rho * drho
            - 2.0 * pc.SPECIES[::2, None] * rho * field)
     res = np.array([cont[0], mom[0], cont[1], mom[1]])
-    _, coeffs = sp.grid_coefficients(res, out_n)
-    if not (np.all(np.isfinite(res)) and np.all(np.isfinite(coeffs))):
+    if not np.all(np.isfinite(res)):
         raise DivergedError("Euler-Poisson residual overflows")
     sups = dict(zip(RESIDUAL_NAMES, np.max(np.abs(res), axis=1).tolist()))
-    return coeffs, sups
+    return res, sups
 
 
 def ep_speeds(a, m):

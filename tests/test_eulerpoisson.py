@@ -126,7 +126,8 @@ def test_map_is_bi_lipschitz(sym_cfg):
 def zero_padded_ep_residual(state):
     """ep_residual with its transform built from zero-padded stacks
     through spectral.grid_values: 4 even state rows over 5 zero rows,
-    4 zero rows over 5 odd rows (the derivatives and the force)."""
+    4 zero rows over 5 odd rows (the derivatives and the force).
+    Returns the grid rows and the sups."""
     n = state.count
     out_n = 3 * n + 3
     w = state.wavenumbers()
@@ -142,25 +143,27 @@ def zero_padded_ep_residual(state):
     mom = ((u - state.c) * flux + rho * u * du + rho * rho * drho
            + np.array([[-2.0], [2.0]]) * rho * field)
     res = np.array([cont[0], mom[0], cont[1], mom[1]])
-    _, coeffs = sp.grid_coefficients(res, out_n)
     sups = dict(zip(ep.RESIDUAL_NAMES, np.max(np.abs(res), axis=1).tolist()))
-    return coeffs, sups
+    return res, sups
 
 
 def assert_matches_direct(state):
     """Sups and coefficients of ep_residual against direct_ep_residual,
     to round-off on the scale of the residual terms, and against
-    zero_padded_ep_residual bit for bit."""
+    zero_padded_ep_residual bit for bit.  The coefficients are formed
+    here, from the returned grid rows."""
     want = direct_ep_residual(state)
-    coeffs, sups = ep.ep_residual(state)
-    padded_coeffs, padded_sups = zero_padded_ep_residual(state)
-    assert np.array_equal(coeffs, padded_coeffs) and sups == padded_sups
+    out_n = 3 * state.count + 3
+    res, sups = ep.ep_residual(state)
+    padded_res, padded_sups = zero_padded_ep_residual(state)
+    assert res.shape == (4, 8 * out_n)
+    assert np.array_equal(res, padded_res) and sups == padded_sups
+    _, coeffs = sp.grid_coefficients(res, out_n)
     assert tuple(sups) == ep.RESIDUAL_NAMES == tuple(want)
-    assert coeffs.shape == (4, 3 * state.count + 3)
-    grid = 8 * (3 * state.count + 3)
+    assert coeffs.shape == (4, out_n)
     want_sups = np.max(np.abs(sp.grid_values(
         np.array([f.cos for f in want.values()]),
-        np.array([f.sin for f in want.values()]), grid)), axis=1)
+        np.array([f.sin for f in want.values()]), 8 * out_n)), axis=1)
     scale = max(1.0, float(np.max(want_sups)))
     for row, (name, f) in zip(coeffs, want.items()):
         assert not np.any(f.cos)  # odd residuals
@@ -189,6 +192,27 @@ def test_residual_matches_convolution_oracle_on_branch_wave(
     assert_matches_direct(state)
 
 
+@pytest.mark.parametrize("count", [16, 64])
+def test_residual_forms_no_forward_transform(sym_cfg, monkeypatch, count):
+    # every forward transform refused: the grid rows and sups need the
+    # inverse transform alone
+    rng = np.random.default_rng(count)
+    state = mapped_state(sym_cfg, from_vector(
+        1, count, 0.3 * rng.standard_normal(4 * count)), 1.7)
+    want_res, want_sups = ep.ep_residual(state)
+    transform = sp.transform
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("forward transform formed")
+
+    def inverse_only(count, npts):
+        return transform(count, npts)[0], refuse, refuse
+
+    monkeypatch.setattr(sp, "transform", inverse_only)
+    res, sups = ep.ep_residual(state)
+    assert sups == want_sups and np.array_equal(res, want_res)
+
+
 def test_residual_overflow_is_diagnosed(sym_cfg):
     state = st.InterfaceState.from_arrays(1, np.full((4, 4), 1e200))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -212,6 +236,25 @@ def test_mapped_wave_satisfies_two_fluid_system(sym_cfg, sym_branch_pair):
     state = ep.map_to_ep(sym_cfg, sol)
     _, sups = ep.ep_residual(state)
     assert max(sups.values()) <= 1e-8
+
+
+def test_large_amplitude_wave_resolved_and_cut_short(sym_cfg,
+                                                     sym_branch_pair):
+    # the + arm's point nearest the sonic monitor m2 = 0.25, traced at
+    # N = 192: mapped at N = 128 it solves the two-fluid system; cut to
+    # N = 64 its residual shows, so the check tells resolution apart
+    plus, _ = sym_branch_pair
+    point = min(plus.points,
+                key=lambda p: abs(p.solution.monitors[1] - 0.25))
+    sol = point.solution
+    assert abs(sol.monitors[1] - 0.25) < 0.01
+    assert sol.state.max_abs() > 0.1 * sym_cfg.width
+    sups = {}
+    for count in (128, 64):
+        state = mapped_state(sym_cfg, sol.state.with_count(count), sol.c)
+        sups[count] = max(ep.ep_residual(state)[1].values())
+    assert sups[128] <= 1e-8
+    assert sups[64] > 1e-9
 
 
 def test_monitors_read_as_vacuum_and_sonic_point(sym_cfg, sym_branch_pair):
