@@ -149,6 +149,11 @@ def evolve(cfg, start, dt, steps, store_every=1):
     shift there, so the state stays on the fixed space; each stored
     state is embedded back into four rows.
 
+    A step runs in the scaled form: with F = (dt/2) f, the layout's
+    stage(dt/2), made once per call, the stages are F1 = F(x),
+    F2 = F(x + F1), F3 = F(x + F2) and F4 = F(x + 2 F3), and
+    x <- x + (F1 + 2 F2 + 2 F3 + F4) / 3, summed in place on F2.
+
     dt must respect the explicit stability limit of the initial state.
     Stores the start, every store_every-th step and the last step.
     Non-finite coefficients after a step (a non-finite stage value
@@ -166,22 +171,25 @@ def evolve(cfg, start, dt, steps, store_every=1):
         raise ValueError(f"dt={dt:g} exceeds the stability limit {limit:g}")
     layout = st.Layout.shared(cfg, start.fold, start.count,
                               st.on_fixed_space(cfg, start.cos, start.sin))
-    f = layout.tendency
+    stage = layout.stage(0.5 * dt)
     x = np.concatenate((start.cos[:layout.k], start.sin[:layout.k]), axis=1)
     times = [0.0]
     states = [start]
     energies = [energy(cfg, start)]
     for k in range(1, steps + 1):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        k2 += k3  # the step, dt/6 (k1 + 2 (k2 + k3) + k4), in place
-        k2 *= 2.0
-        k2 += k1
-        k2 += k4
-        # a new array each step: stored states keep views of it
-        x = x + dt / 6.0 * k2
+        f1 = stage(x)
+        f2 = stage(x + f1)
+        f3 = stage(x + f2)
+        f3 *= 2.0
+        f4 = stage(x + f3)
+        f2 *= 2.0  # the step, (f1 + 2 f2 + 2 f3 + f4) / 3, in place
+        f2 += f1
+        f2 += f3
+        f2 += f4
+        f2 /= 3.0
+        # f2 is a new array each step: stored states keep views of x
+        f2 += x
+        x = f2
         if not np.isfinite(x).all():
             raise DivergedError(f"evolution diverged at step {k}")
         if k % store_every == 0 or k == steps:

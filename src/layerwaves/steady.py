@@ -121,15 +121,20 @@ class Layout:
         weight = 1.0 - self.shift if symmetric else 1.0
         self.coupling = SPECIES[:k, None] * weight / self.w
         self.scale = math.sqrt(2.0) if symmetric else 1.0
-        # tendency's: g = r (r + 2a) on the grid, its dx scaled by -fold/2,
-        # and the coupling by p, signed by output part, cosine then sine
-        self._half_fold, self._twice_a = -0.5 * fold, 2.0 * self.a
+        # tendency's and stage's: g = r (r + 2a) on the grid, the offset 2a
+        # a full (k, M) block (numpy adds equal shapes faster than it
+        # broadcasts a column), its dx scaled by -fold/2, and the coupling
+        # by p, signed by output part, cosine then sine
+        npts = sp.PRODUCT_GRID_FACTOR * count
+        self._half_fold = -0.5 * fold
+        self._twice_a = np.repeat(2.0 * self.a, npts, axis=1)
         self._coupling = {1: self.coupling, 2: np.concatenate(
             (-self.coupling, self.coupling), axis=1)}
         self._values, self._coefficients, self._derivative = sp.transform(
-            count, sp.PRODUCT_GRID_FACTOR * count)
+            count, npts)
         self._index = None  # jacobian's index tables, made on its first call
-        for table in (self.w, self.a, self.coupling, self._coupling[2]):
+        for table in (self.w, self.a, self.coupling, self._twice_a,
+                      self._coupling[2]):
             table.setflags(write=False)  # shared (Layout.shared)
 
     @staticmethod
@@ -159,19 +164,57 @@ class Layout:
         of an even state (p = 1), whose odd f comes back as its (k, N)
         sine coefficients.  Component i: f_i = -dx(a_i r_i + r_i^2 / 2)
         -+ dx^-1(d), minus on the plus species: g = r (r + 2a) on the
-        product grid, its dx taken back by the layout's transforms
-        (spectral.transform) and scaled by -fold/2, exact on harmonics
-        1..N, and the coupling added by a table that carries the signs.
+        product grid (_square), its dx taken back by the layout's
+        transforms (spectral.transform) and scaled by -fold/2, exact on
+        harmonics 1..N, and the coupling added by a table that carries
+        the signs.  RK4 steps by stage, the same arithmetic with its step
+        folded into the tables.
         """
         p = x.shape[1] // self.w.size
-        vals = self._values(x)
-        g = vals + self._twice_a
-        g *= vals
-        out = self._derivative(g, p)
+        out = self._derivative(self._square(x), p)
         out *= self._half_fold
         d = (self.charge @ x).reshape(p, -1)[::-1].ravel()  # sine part first
         out += self._coupling[p] * d
         return out
+
+    def stage(self, h):
+        """The map x -> h tendency(x) on (k, 2N) rows x, with h folded into
+        its tables once, here: the coupling table is scaled by h, and dx
+        by h (-fold/2).  On table grids (N M <= spectral.TABLE_MAX_SIZE)
+        the scaled dx is one product with the derivative table, read from
+        the layout's transform as the derivative of the identity, which
+        reproduces it exactly; on FFT grids h (-fold/2) scales the
+        derivative's output.  An RK4 step (dynamics.evolve) is four
+        calls of stage(dt / 2)."""
+        n, npts = self.w.size, self._twice_a.shape[1]
+        scale, coupling = h * self._half_fold, h * self._coupling[2]
+        charge, square, derivative = self.charge, self._square, self._derivative
+        swap = np.roll(np.arange(2 * n), n)  # sine part first
+        if n * npts <= sp.TABLE_MAX_SIZE:
+            slope = derivative(np.eye(npts), 2)
+            slope *= scale
+
+            def dx(g):
+                return g @ slope
+        else:
+            def dx(g):
+                out = derivative(g, 2)
+                out *= scale
+                return out
+
+        def stage(x):
+            out = dx(square(x))
+            out += coupling * np.dot(charge, x).take(swap)
+            return out
+
+        return stage
+
+    def _square(self, x):
+        """g = r (r + 2a) on the product grid, r the values of rows x."""
+        vals = self._values(x)
+        g = vals + self._twice_a
+        g *= vals
+        return g
 
     def residual(self, c, rows):
         """Galerkin residual of the traveling-wave system: the (k, N) sine
@@ -197,14 +240,14 @@ class Layout:
         k, n = rows.shape
         if self._index is None:
             self._index = self._jacobian_index()
-        toeplitz, hankel, scatter, coupled, coupling = self._index
+        toeplitz, hankel, scatter, coupled, coupling, half_w = self._index
         out = np.zeros((k * n, k * n))
         pad = np.zeros((k, 2 * n + 1))  # pad[i, d] = u_d of row i
         pad[:, 1:n + 1] = rows
         flat = pad.ravel()
         blocks = flat[toeplitz]
         blocks += flat[hankel]
-        blocks *= -0.5 * self.w[:, None]
+        blocks *= half_w
         blocks.reshape(k, n * n)[:, ::n + 1] -= (self.a - c) * self.w
         entries = out.reshape(-1)
         entries[scatter] = blocks
@@ -214,17 +257,20 @@ class Layout:
     def _jacobian_index(self):
         """Index tables of jacobian: the Toeplitz and Hankel gathers into
         the flat padded rows and the scatter of the (k, N, N) blocks into
-        the flat (kN, kN) matrix, and the flat index and values of the
-        couplings, entry (i N + p, l N + p) less coupling[i, p] charge[l].
+        the flat (kN, kN) matrix, the flat index and values of the
+        couplings, entry (i N + p, l N + p) less coupling[i, p] charge[l],
+        and the blocks' row scale -w_p / 2 as a read-only (N, N) block.
         """
         k, n = self.k, self.w.size
         p = np.arange(n)
         row = (2 * n + 1) * np.arange(k)[:, None, None]
         block = np.arange(k)[:, None, None] * n
         coupled = (block + p) * (k * n) + block.reshape(1, k, 1) + p
+        half_w = np.repeat(-0.5 * self.w[:, None], n, axis=1)
+        half_w.setflags(write=False)
         return (row + np.abs(p[:, None] - p), row + (p[:, None] + p + 2),
                 (block + p[:, None]) * (k * n) + block + p, coupled,
-                self.coupling[:, None] * self.charge[:, None])
+                self.coupling[:, None] * self.charge[:, None], half_w)
 
     def linearization(self, c, rows):
         """Matrix-free Jacobian and transport-preconditioned Jacobian at

@@ -10,8 +10,10 @@ points (restart), and the inverse Euler-Poisson map (map_from_ep with
 its matrix FROM_EP).  The dense Jacobian of a steady.Layout's rows,
 block by block (block_jacobian), and their matrix-free Jacobian and
 transport preconditioner as two separate passes
-(two_step_linearization).  And RK4 on PhaseState objects, one rhs call and
-one combine per stage, as the oracle of dynamics.evolve."""
+(two_step_linearization).  Layout.tendency with its offset 2a added as
+a (k, 1) column (column_offset_tendency).  And RK4 on PhaseState
+objects, one rhs call and one combine per stage, as the oracle of
+dynamics.evolve."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -169,6 +171,25 @@ def block_jacobian(cfg, fold, c, rows):
         out[i * n + p, i * n + p] -= (a[i] - c) * w
         out[i * n + p[:, None], cols] += (-pc.SPECIES[i] * pc.CHARGE[:k]
                                           * (weight / w)[:, None])
+    return out
+
+
+def column_offset_tendency(layout, x):
+    """steady.Layout.tendency on the (k, p N) rows x with the square's
+    offset 2a added as a (k, 1) column broadcast over the product grid:
+    the reference for the bits of its full-shape (k, M) offset block."""
+    count = layout.w.size
+    _, _, derivative = sp.transform(count, sp.PRODUCT_GRID_FACTOR * count)
+    p = x.shape[1] // count
+    vals = sp.grid_values(x[:, :count], x[:, count:] if p == 2 else None,
+                          sp.PRODUCT_GRID_FACTOR * count)
+    g = vals + 2.0 * layout.a
+    g *= vals
+    out = derivative(g, p)
+    out *= -0.5 * layout.w[0]
+    coupling = layout.coupling if p == 1 else np.concatenate(
+        (-layout.coupling, layout.coupling), axis=1)
+    out += coupling * (layout.charge @ x).reshape(p, -1)[::-1].ravel()
     return out
 
 

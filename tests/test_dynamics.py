@@ -299,21 +299,33 @@ def test_divergence_diagnosed_without_warnings(sym_cfg):
                 dy.evolve(sym_cfg, start, dt, steps)
 
 
+def spy_on_stages(monkeypatch, spy):
+    """Route every stage that Layout.stage makes from now on through
+    spy(x, exact), exact the stage it would have returned."""
+    make = st.Layout.stage
+
+    def stage(layout, h):
+        exact = make(layout, h)
+        return lambda x: spy(x, exact)
+
+    monkeypatch.setattr(st.Layout, "stage", stage)
+
+
 def test_divergence_detected_mid_run(sym_cfg, monkeypatch):
     # a NaN that first appears in the second stage of step 2 is caught by
     # the check after that step, without any check inside the stages;
-    # every stage is one Layout.tendency call, so the NaN goes in there
-    exact = st.Layout.tendency
+    # every stage is one call of the layout's stage(dt/2), so the NaN
+    # goes in there
     calls = []
 
-    def tendency(layout, x):
-        out = exact(layout, x)
+    def stage(x, exact):
+        out = exact(x)
         calls.append(np.all(np.isfinite(x)))
         if len(calls) == 6:
             out[2, 1] = np.nan
         return out
 
-    monkeypatch.setattr(st.Layout, "tendency", tendency)
+    spy_on_stages(monkeypatch, stage)
     state = random_phase(np.random.default_rng(9), fold=1, count=8, scale=0.05)
     with pytest.raises(DivergedError, match="at step 2"):
         dy.evolve(sym_cfg, state, 1e-3, 5)
@@ -379,16 +391,15 @@ def fixed_space_start(rng, fold, count, scale=0.1):
 
 
 def stage_rows(monkeypatch):
-    """The row counts of the stages evaluated from now on, one per
+    """The row counts of the RK4 stages evaluated from now on, one per
     stage."""
-    exact = st.Layout.tendency
     rows = []
 
-    def tendency(layout, x):
+    def stage(x, exact):
         rows.append(x.shape[0])
-        return exact(layout, x)
+        return exact(x)
 
-    monkeypatch.setattr(st.Layout, "tendency", tendency)
+    spy_on_stages(monkeypatch, stage)
     return rows
 
 
@@ -454,7 +465,7 @@ def test_off_space_starts_evolve_on_four_rows(sym_cfg, monkeypatch):
         rows.clear()
         dt = 0.5 * dy.cfl_limit(cfg, state)
         assert_matches_oracle(cfg, state, dt, 20, 3)
-        assert rows[0] == 4  # evolve's stage; the oracle's rhs calls follow
+        assert rows == [4] * (4 * 20)  # evolve's stages; the oracle calls rhs
 
 
 def test_stored_states_are_not_overwritten(sym_cfg):

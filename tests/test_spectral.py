@@ -461,6 +461,17 @@ def test_trig_tables_are_cached_and_read_only():
     assert sp.transform.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("count", [1, 16, 17, 64])
+def test_derivative_of_the_identity_is_the_table(count):
+    # Layout.stage reads the derivative table as the derivative of the
+    # identity on the grid, which reproduces it bit for bit
+    npts = sp.PRODUCT_GRID_FACTOR * count
+    derivative = sp.transform(count, npts)[2]
+    slope = inspect.getclosurevars(derivative).nonlocals["slope"]
+    assert np.array_equal(derivative(np.eye(npts), 2), slope)
+    assert np.array_equal(derivative(np.eye(npts), 1), slope[:, count:])
+
+
 @pytest.mark.parametrize("count", [17, 64])
 @pytest.mark.parametrize("k", [2, 4])
 def test_derivative_by_table_and_by_fft(monkeypatch, count, k):

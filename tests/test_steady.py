@@ -11,9 +11,9 @@ from layerwaves import spectral as sp
 from layerwaves import steady as st
 from layerwaves.spectral import TrigSeries
 
-from oracle import (add, antideriv, block_jacobian, from_sin, from_vector,
-                    mode_matrix, norm, scale, sub, two_step_linearization,
-                    with_count, zeros)
+from oracle import (add, antideriv, block_jacobian, column_offset_tendency,
+                    from_sin, from_vector, mode_matrix, norm, scale, sub,
+                    two_step_linearization, with_count, zeros)
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -462,6 +462,42 @@ def test_plus_rows_match_the_four_rows_on_the_fixed_space(a):
                 0.25 + np.sum(embed(p) * embed(h)), rel=1e-13)
             assert np.max(np.abs(plus.embed(plus.unstack(u)[1])
                                  - embed(p))) <= 1e-15 * np.max(np.abs(p))
+
+
+@pytest.mark.parametrize("count", [16, 64, 128])  # tables, then FFT
+@pytest.mark.parametrize("fold", [1, 3])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["k2", "k4"])
+def test_stage_is_the_step_times_the_tendency(sym_cfg, gen_cfg, symmetric,
+                                              fold, count):
+    # the step folded into the tables: into the derivative table (counts
+    # 16 and 64) or the FFT derivative's scale (128), and the coupling's
+    layout = st.Layout(sym_cfg if symmetric else gen_cfg, fold, count,
+                       symmetric)
+    rng = np.random.default_rng(10 * fold + count + symmetric)
+    for h in (1.7e-3, 0.37):
+        stage = layout.stage(h)
+        for _ in range(3):
+            x = 0.3 * rng.standard_normal((layout.k, 2 * count))
+            want = h * layout.tendency(x)
+            got = stage(x)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("count", [16, 64, 128, 256])  # tables, then FFT
+@pytest.mark.parametrize("fold", [1, 3])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["k2", "k4"])
+def test_full_shape_offset_keeps_the_tendency_bits(sym_cfg, gen_cfg,
+                                                   symmetric, fold, count):
+    # Newton's residual (p = 1) and rhs (p = 2) keep the bits of the
+    # (k, 1) offset column, which numpy broadcast more slowly
+    layout = st.Layout(sym_cfg if symmetric else gen_cfg, fold, count,
+                       symmetric)
+    rng = np.random.default_rng(20 * fold + count + symmetric)
+    for p in (1, 2, 1):
+        x = 0.3 * rng.standard_normal((layout.k, p * count))
+        want = column_offset_tendency(layout, x)
+        assert np.array_equal(layout.tendency(x), want)
 
 
 def test_wave_solution_json_roundtrip(sym_cfg):
