@@ -97,7 +97,8 @@ class WaveSolution:
 class Layout:
     """The coefficient rows one Newton solve or one RK4 evolution
     (dynamics.evolve) carries, at one fold and truncation N, and the
-    evolution operator on (k, N) or (k, 2N) arrays of them (tendency).
+    evolution operator on (k, N) cosine rows of them (tendency) and on
+    (k, 2N) cosine then sine rows (stage).
 
     Either the four components (k = 4), or, on a layer with a_plus ==
     a_minus, the two plus rows (k = 2) of a state on the fixed space
@@ -123,18 +124,15 @@ class Layout:
         self.scale = math.sqrt(2.0) if symmetric else 1.0
         # tendency's and stage's: g = r (r + 2a) on the grid, the offset 2a
         # a full (k, M) block (numpy adds equal shapes faster than it
-        # broadcasts a column), its dx scaled by -fold/2, and the coupling
-        # by p, signed by output part, cosine then sine
+        # broadcasts a column), and its dx scaled by -fold/2
         npts = sp.PRODUCT_GRID_FACTOR * count
         self._half_fold = -0.5 * fold
         self._twice_a = np.repeat(2.0 * self.a, npts, axis=1)
-        self._coupling = {1: self.coupling, 2: np.concatenate(
-            (-self.coupling, self.coupling), axis=1)}
         self._values, self._coefficients, self._derivative = sp.transform(
             count, npts)
+        self._sine_dx = self._derivative(1)
         self._index = None  # jacobian's index tables, made on its first call
-        for table in (self.w, self.a, self.coupling, self._twice_a,
-                      self._coupling[2]):
+        for table in (self.w, self.a, self.coupling, self._twice_a):
             table.setflags(write=False)  # shared (Layout.shared)
 
     @staticmethod
@@ -159,48 +157,29 @@ class Layout:
         return np.concatenate([rows, self.shift * rows])
 
     def tendency(self, x):
-        """Time derivative f of the evolution system on (k, p N) rows x:
-        cosine then sine coefficients (p = 2), or the cosine coefficients
-        of an even state (p = 1), whose odd f comes back as its (k, N)
-        sine coefficients.  Component i: f_i = -dx(a_i r_i + r_i^2 / 2)
-        -+ dx^-1(d), minus on the plus species: g = r (r + 2a) on the
-        product grid (_square), its dx taken back by the layout's
-        transforms (spectral.transform) and scaled by -fold/2, exact on
-        harmonics 1..N, and the coupling added by a table that carries
-        the signs.  RK4 steps by stage, the same arithmetic with its step
-        folded into the tables.
-        """
-        p = x.shape[1] // self.w.size
-        out = self._derivative(self._square(x), p)
+        """Time derivative f of the evolution system at the even state
+        with the (k, N) cosine rows x, as its (k, N) sine coefficients (f
+        is odd).  Component i: f_i = -dx(a_i r_i + r_i^2 / 2) -+ dx^-1(d),
+        minus on the plus species: g = r (r + 2a) on the product grid
+        (_square), its dx taken back by the layout's transforms
+        (spectral.transform) and scaled by -fold/2, exact on harmonics
+        1..N, and the coupling added.  Newton's residual reads it."""
+        out = self._sine_dx(self._square(x))
         out *= self._half_fold
-        d = (self.charge @ x).reshape(p, -1)[::-1].ravel()  # sine part first
-        out += self._coupling[p] * d
+        out += self.coupling * (self.charge @ x)
         return out
 
     def stage(self, h):
-        """The map x -> h tendency(x) on (k, 2N) rows x, with h folded into
-        its tables once, here: the coupling table is scaled by h, and dx
-        by h (-fold/2).  On table grids (N M <= spectral.TABLE_MAX_SIZE)
-        the scaled dx is one product with the derivative table, read from
-        the layout's transform as the derivative of the identity, which
-        reproduces it exactly; on FFT grids h (-fold/2) scales the
-        derivative's output.  An RK4 step (dynamics.evolve) is four
-        calls of stage(dt / 2)."""
-        n, npts = self.w.size, self._twice_a.shape[1]
-        scale, coupling = h * self._half_fold, h * self._coupling[2]
-        charge, square, derivative = self.charge, self._square, self._derivative
-        swap = np.roll(np.arange(2 * n), n)  # sine part first
-        if n * npts <= sp.TABLE_MAX_SIZE:
-            slope = derivative(np.eye(npts), 2)
-            slope *= scale
-
-            def dx(g):
-                return g @ slope
-        else:
-            def dx(g):
-                out = derivative(g, 2)
-                out *= scale
-                return out
+        """The map x -> h f(x) on (k, 2N) rows x of cosine then sine
+        coefficients, f tendency's operator on full-parity states, with h
+        folded into its tables once, here: the transform's derivative map
+        scaled by h (-fold/2), and the signed coupling table by h.  An RK4
+        step (dynamics.evolve) is four calls of stage(dt / 2), and
+        dynamics.rhs one of stage(1.0)."""
+        dx = self._derivative(2, h * self._half_fold)
+        coupling = h * np.concatenate((-self.coupling, self.coupling), axis=1)
+        charge, square = self.charge, self._square
+        swap = np.roll(np.arange(2 * self.w.size), self.w.size)  # sine first
 
         def stage(x):
             out = dx(square(x))

@@ -11,9 +11,10 @@ its matrix FROM_EP).  The dense Jacobian of a steady.Layout's rows,
 block by block (block_jacobian), and their matrix-free Jacobian and
 transport preconditioner as two separate passes
 (two_step_linearization).  Layout.tendency with its offset 2a added as
-a (k, 1) column (column_offset_tendency).  And RK4 on PhaseState
-objects, one rhs call and one combine per stage, as the oracle of
-dynamics.evolve."""
+a (k, 1) column (column_offset_tendency), and Layout.stage so too, with
+its derivative table formed as the derivative of the grid's identity
+(identity_product_stage).  And RK4 on PhaseState objects, one rhs call
+and one combine per stage, as the oracle of dynamics.evolve."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -175,22 +176,54 @@ def block_jacobian(cfg, fold, c, rows):
 
 
 def column_offset_tendency(layout, x):
-    """steady.Layout.tendency on the (k, p N) rows x with the square's
-    offset 2a added as a (k, 1) column broadcast over the product grid:
-    the reference for the bits of its full-shape (k, M) offset block."""
+    """steady.Layout.tendency on the (k, N) cosine rows x with the
+    square's offset 2a added as a (k, 1) column broadcast over the
+    product grid: the reference for the bits of its full-shape (k, M)
+    offset block."""
     count = layout.w.size
-    _, _, derivative = sp.transform(count, sp.PRODUCT_GRID_FACTOR * count)
-    p = x.shape[1] // count
-    vals = sp.grid_values(x[:, :count], x[:, count:] if p == 2 else None,
-                          sp.PRODUCT_GRID_FACTOR * count)
+    npts = sp.PRODUCT_GRID_FACTOR * count
+    vals = sp.grid_values(x, None, npts)
     g = vals + 2.0 * layout.a
     g *= vals
-    out = derivative(g, p)
+    out = sp.transform(count, npts)[2](1)(g)
     out *= -0.5 * layout.w[0]
-    coupling = layout.coupling if p == 1 else np.concatenate(
-        (-layout.coupling, layout.coupling), axis=1)
-    out += coupling * (layout.charge @ x).reshape(p, -1)[::-1].ravel()
+    out += layout.coupling * (layout.charge @ x)
     return out
+
+
+def identity_product_stage(layout, h):
+    """steady.Layout.stage(h) as its table was once formed: on table
+    grids (N M <= spectral.TABLE_MAX_SIZE) the derivative of the (M, M)
+    identity, scaled by h (-fold/2) in place, and on FFT grids the
+    derivative's output so scaled; the square's offset 2a a (k, 1)
+    column.  The reference for the bits of the stage, whose scaled table
+    spectral.transform forms without the identity."""
+    count = layout.w.size
+    npts = sp.PRODUCT_GRID_FACTOR * count
+    derivative = sp.transform(count, npts)[2](2)
+    scale = h * (-0.5 * layout.w[0])
+    coupling = h * np.concatenate((-layout.coupling, layout.coupling), axis=1)
+    if count * npts <= sp.TABLE_MAX_SIZE:
+        slope = derivative(np.eye(npts))
+        slope *= scale
+
+        def dx(g):
+            return g @ slope
+    else:
+        def dx(g):
+            out = derivative(g)
+            out *= scale
+            return out
+
+    def stage(x):
+        vals = sp.grid_values(x[:, :count], x[:, count:], npts)
+        g = vals + 2.0 * layout.a
+        g *= vals
+        out = dx(g)
+        out += coupling * np.roll(layout.charge @ x, count)
+        return out
+
+    return stage
 
 
 def two_step_linearization(layout, c, rows):

@@ -465,7 +465,8 @@ def test_off_space_starts_evolve_on_four_rows(sym_cfg, monkeypatch):
         rows.clear()
         dt = 0.5 * dy.cfl_limit(cfg, state)
         assert_matches_oracle(cfg, state, dt, 20, 3)
-        assert rows == [4] * (4 * 20)  # evolve's stages; the oracle calls rhs
+        # evolve's stages, then the oracle's rhs calls, one stage each
+        assert rows == [4] * (4 * 20) + [4] * (4 * 20)
 
 
 def test_stored_states_are_not_overwritten(sym_cfg):

@@ -261,3 +261,26 @@ class TestModeScan:
     def test_cap_zero_errors(self, gen_cfg):
         with pytest.raises(NoAdmissibleModeError):
             min_admissible_mode(gen_cfg, 0)
+
+
+@pytest.mark.parametrize("W", [1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_two_or_four_solution_branches(W, m):
+    # the abstract's "two or four solution branches", by geometry and
+    # mode: on the layers (0, w, delta w, delta w + w), W = w m^2, mode m
+    # has four admissible speeds for 0 < delta < 1 and for delta >= 1.03
+    # delta*, delta*^2 = 1 + 8/W, and two at delta = 0 (symmetric), at
+    # delta = 1 (successive) and for 1 < delta <= 0.97 delta* where that
+    # interval is not empty (W below about 127); delta* is measured, its
+    # closed form not derived, so the band around it is left out
+    w = W / m ** 2
+    star = float(np.sqrt(1.0 + 8.0 / W))
+    top = 0.97 * star
+    four = [0.05, 0.5, 0.95, 0.999, 1.03 * star, 2.0 * star, 10.0 * star]
+    two = [0.0, 1.0]
+    if top > 1.001:
+        two += [1.001, 0.5 * (1.0 + top), top]
+    for delta, count in [(d, 4) for d in four] + [(d, 2) for d in two]:
+        cfg = pc.classify_config((0.0, w, delta * w, delta * w + w))
+        assert len(pc.bifurcation_speeds(m, cfg).admissible()) == count, \
+            delta

@@ -226,19 +226,30 @@ def test_grid_values_work_array_keeps_no_state(monkeypatch, count):
 @pytest.mark.parametrize("size", ["table", "fft"])
 @pytest.mark.parametrize("count", [1, 8, 17, 64])
 def test_squares_closure_keeps_no_state(monkeypatch, gen_cfg, size, count):
-    # full-parity (p = 2) and even (p = 1) calls of one layout's
-    # tendency alternate on its cached transform pair; each must equal a
-    # fresh layout's call bitwise (a stale sine band in the FFT side's
-    # half spectrum, left by a p = 2 call, would show)
+    # full-parity (p = 2, the stage) and even (p = 1, the tendency)
+    # calls of one layout's evolution operator alternate on its cached
+    # transform pair; each must equal a fresh layout's call bitwise (a
+    # stale sine band in the FFT side's half spectrum, left by a p = 2
+    # call, would show)
     _choose_side(monkeypatch, {"table": BY_TABLE, "fft": BY_FFT}[size])
     rng = np.random.default_rng(80 + count)
     layout = st.Layout(gen_cfg, 1, count)
     for p in (2, 1, 1, 2, 2, 1):
         x = rng.standard_normal((4, p * count))
-        got = layout.tendency(x)
+        got = _evolution(layout, x)
         assert got.shape == (4, p * count)
         sp.transform.cache_clear()
-        assert np.array_equal(got, st.Layout(gen_cfg, 1, count).tendency(x))
+        assert np.array_equal(got, _evolution(st.Layout(gen_cfg, 1, count),
+                                              x))
+
+
+def _evolution(layout, x):
+    """The evolution operator on the layout's rows x: Layout.tendency on
+    (k, N) cosine rows, Layout.stage(1.0) on (k, 2N) cosine then sine
+    rows."""
+    if x.shape[1] == layout.w.size:
+        return layout.tendency(x)
+    return layout.stage(1.0)(x)
 
 
 def _squared(values, coefficients, x):
@@ -253,8 +264,9 @@ def _squared(values, coefficients, x):
 
 def _operator(layout, x, squares):
     """-dx(a r + r^2/2) -+ dx^-1(d) on the layout's (k, p N) rows x, as
-    Layout.tendency's rows, from the (p, k, N) coefficients of the
-    squares; and the largest sum of the absolute terms of an entry."""
+    the rows of its evolution operator (_evolution), from the (p, k, N)
+    coefficients of the squares; and the largest sum of the absolute
+    terms of an entry."""
     count = layout.w.size
     parts = [x[:, :count], x[:, count:]][:len(squares)]
     # per input part: w (a r), w (r^2/2) and the coupling term
@@ -275,8 +287,9 @@ def test_squares_are_the_grid_round_trip(gen_cfg, sym_cfg, k, count):
     # grid_coefficients on the product grid, for full-parity series
     # (p = 2) and for even ones (p = 1, no sine part), each call of the
     # cached pair equal to a fresh round trip; on the k rows of a layout,
-    # tendency is -dx(a r + r^2/2) -+ dx^-1(d) with those squares, to
-    # round-off, as its kernel forms the sums in its own order
+    # the evolution operator (tendency for p = 1, stage(1.0) for p = 2) is
+    # -dx(a r + r^2/2) -+ dx^-1(d) with those squares, to round-off, as
+    # its kernel forms the sums in its own order
     rng = np.random.default_rng(10 * k + count)
     npts = sp.PRODUCT_GRID_FACTOR * count
     pair = sp.transform(count, npts)[:2]
@@ -294,7 +307,8 @@ def test_squares_are_the_grid_round_trip(gen_cfg, sym_cfg, k, count):
             if layout is not None:
                 f, scale = _operator(layout, x, want)
                 assert f.shape == (k, p * count)
-                assert np.max(np.abs(layout.tendency(x) - f)) <= 1e-14 * scale
+                assert np.max(np.abs(_evolution(layout, x) - f)) \
+                    <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("count", [1, 8, 17, 64, 256])
@@ -463,13 +477,22 @@ def test_trig_tables_are_cached_and_read_only():
 
 @pytest.mark.parametrize("count", [1, 16, 17, 64])
 def test_derivative_of_the_identity_is_the_table(count):
-    # Layout.stage reads the derivative table as the derivative of the
-    # identity on the grid, which reproduces it bit for bit
+    # the derivative of the identity on the grid reproduces the derivative
+    # table bit for bit, and that of a scaled map the table times the
+    # factor, the product Layout.stage's identity-free table equals; a
+    # scaled map's own table is 64-byte aligned
     npts = sp.PRODUCT_GRID_FACTOR * count
     derivative = sp.transform(count, npts)[2]
     slope = inspect.getclosurevars(derivative).nonlocals["slope"]
-    assert np.array_equal(derivative(np.eye(npts), 2), slope)
-    assert np.array_equal(derivative(np.eye(npts), 1), slope[:, count:])
+    eye = np.eye(npts)
+    assert np.array_equal(derivative(2)(eye), slope)
+    assert np.array_equal(derivative(1)(eye), slope[:, count:])
+    for factor in (-2.55e-3, 0.37):
+        for p in (2, 1):
+            dx = derivative(p, factor)
+            assert np.array_equal(dx(eye), slope[:, (2 - p) * count:] * factor)
+            table = inspect.getclosurevars(dx).nonlocals["table"]
+            assert table.ctypes.data % 64 == 0
 
 
 @pytest.mark.parametrize("count", [17, 64])
@@ -477,8 +500,9 @@ def test_derivative_of_the_identity_is_the_table(count):
 def test_derivative_by_table_and_by_fft(monkeypatch, count, k):
     # dx of grid values in reduced wavenumbers, cosine then sine rows
     # (p = 2) or the sine ones alone (p = 1): each side, forced, against
-    # the other and against dx of the values' own coefficients, and
-    # p = 1 the sine half of p = 2
+    # the other and against dx of the values' own coefficients, p = 1
+    # the sine half of p = 2, and a scaled map the scale times the
+    # unscaled one
     rng = np.random.default_rng(5 * count + k)
     npts = sp.PRODUCT_GRID_FACTOR * count
     j = np.arange(1, count + 1)
@@ -490,11 +514,15 @@ def test_derivative_by_table_and_by_fft(monkeypatch, count, k):
     for size in (BY_TABLE, BY_FFT):
         _choose_side(monkeypatch, size)
         derivative = sp.transform(count, npts)[2]
-        two, one = derivative(vals, 2), derivative(vals, 1)
+        two, one = derivative(2)(vals), derivative(1)(vals)
         assert two.shape == (k, 2 * count) and one.shape == (k, count)
-        assert np.array_equal(one, derivative(vals, 1))
+        assert np.array_equal(one, derivative(1)(vals))
         assert np.max(np.abs(one - two[:, count:])) <= 1e-13 * scale
         assert np.max(np.abs(two - want)) <= 1e-13 * scale
+        for p, unscaled in ((2, two), (1, one)):
+            scaled = derivative(p, -1.5)(vals)
+            assert scaled.shape == unscaled.shape
+            assert np.max(np.abs(scaled + 1.5 * unscaled)) <= 1e-13 * scale
         sides[size] = two, one
     for table, fft in zip(sides[BY_TABLE], sides[BY_FFT]):
         assert np.max(np.abs(table - fft)) <= 1e-13 * scale

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from layerwaves import continuation as ct
 from layerwaves import dynamics as dy
@@ -12,8 +14,9 @@ from layerwaves import steady as st
 from layerwaves.spectral import TrigSeries
 
 from oracle import (add, antideriv, block_jacobian, column_offset_tendency,
-                    from_sin, from_vector, mode_matrix, norm, scale, sub,
-                    two_step_linearization, with_count, zeros)
+                    from_sin, from_vector, identity_product_stage,
+                    mode_matrix, norm, scale, sub, two_step_linearization,
+                    with_count, zeros)
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -470,7 +473,9 @@ def test_plus_rows_match_the_four_rows_on_the_fixed_space(a):
 def test_stage_is_the_step_times_the_tendency(sym_cfg, gen_cfg, symmetric,
                                               fold, count):
     # the step folded into the tables: into the derivative table (counts
-    # 16 and 64) or the FFT derivative's scale (128), and the coupling's
+    # 16 and 64) or the FFT derivative's scale (128), and the coupling's;
+    # h times the unscaled stage, and on an even state h times the
+    # tendency in its sine half, with round-off in its cosine half
     layout = st.Layout(sym_cfg if symmetric else gen_cfg, fold, count,
                        symmetric)
     rng = np.random.default_rng(10 * fold + count + symmetric)
@@ -478,10 +483,41 @@ def test_stage_is_the_step_times_the_tendency(sym_cfg, gen_cfg, symmetric,
         stage = layout.stage(h)
         for _ in range(3):
             x = 0.3 * rng.standard_normal((layout.k, 2 * count))
-            want = h * layout.tendency(x)
+            want = h * layout.stage(1.0)(x)
             got = stage(x)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            cos = x[:, :count]
+            want = h * layout.tendency(cos)
+            got = stage(np.concatenate((cos, np.zeros_like(cos)), axis=1))
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got[:, count:] - want)) <= 1e-14 * scale
+            assert np.max(np.abs(got[:, :count])) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("count", [16, 64, 128])  # tables, then FFT
+@pytest.mark.parametrize("fold", [1, 3])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["k2", "k4"])
+def test_stage_keeps_the_identity_product_bits(sym_cfg, gen_cfg, monkeypatch,
+                                               symmetric, fold, count):
+    # spectral.transform scales the derivative table itself, entry for
+    # entry the derivative of the (M, M) identity times h (-fold/2), so
+    # the stage keeps the bits of that construction, and making a stage
+    # forms no identity
+    layout = st.Layout(sym_cfg if symmetric else gen_cfg, fold, count,
+                       symmetric)
+    rng = np.random.default_rng(30 * fold + count + symmetric)
+    eyes, eye = [], np.eye
+    for h in (1.7e-3, 0.37, 1.0):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "eye", lambda *a, **kw: eyes.append(a)
+                          or eye(*a, **kw))
+            stage = layout.stage(h)
+        want = identity_product_stage(layout, h)
+        for _ in range(3):
+            x = 0.3 * rng.standard_normal((layout.k, 2 * count))
+            assert np.array_equal(stage(x), want(x))
+    assert eyes == []
 
 
 @pytest.mark.parametrize("count", [16, 64, 128, 256])  # tables, then FFT
@@ -489,15 +525,59 @@ def test_stage_is_the_step_times_the_tendency(sym_cfg, gen_cfg, symmetric,
 @pytest.mark.parametrize("symmetric", [True, False], ids=["k2", "k4"])
 def test_full_shape_offset_keeps_the_tendency_bits(sym_cfg, gen_cfg,
                                                    symmetric, fold, count):
-    # Newton's residual (p = 1) and rhs (p = 2) keep the bits of the
-    # (k, 1) offset column, which numpy broadcast more slowly
+    # Newton's residual (tendency, p = 1) and rhs (stage(1.0), p = 2)
+    # keep the bits of the (k, 1) offset column, which numpy broadcast
+    # more slowly
     layout = st.Layout(sym_cfg if symmetric else gen_cfg, fold, count,
                        symmetric)
     rng = np.random.default_rng(20 * fold + count + symmetric)
     for p in (1, 2, 1):
         x = 0.3 * rng.standard_normal((layout.k, p * count))
-        want = column_offset_tendency(layout, x)
-        assert np.array_equal(layout.tendency(x), want)
+        if p == 1:
+            got, want = layout.tendency(x), column_offset_tendency(layout, x)
+        else:
+            got = layout.stage(1.0)(x)
+            want = identity_product_stage(layout, 1.0)(x)
+        assert np.array_equal(got, want)
+
+
+GENERIC_LAYER = (0.281, 1.714, -0.635, 0.798)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(h=st_.floats(-8.0, 8.0), c=st_.floats(-3.0, 3.0),
+       seed=st_.integers(0, 2 ** 32 - 1))
+def test_residual_and_speeds_obey_the_two_exact_symmetries(h, c, seed):
+    # Galilean: R(a + h, c + h, r) = R(a, c, r), and so the Jacobian;
+    # scaling: R(4a + h, 4c + h, 4r; fold 1) = 8 R(a, c, r; fold 2), the
+    # Jacobian doubled, and the speeds of mode 1 on 4a + h are 4 times
+    # those of mode 2 on a, plus h.  Each to 1e-12 of its scale, with
+    # s = 1 + |a| + |c| + |h|: s w |r| for a residual entry, s w for a
+    # Jacobian entry and s for a speed, times the identity's factor.  rhs
+    # is left out: a frame change adds -h dx r to it
+    a = np.array(GENERIC_LAYER)
+    cfg = pc.classify_config(a)
+    state = random_state(np.random.default_rng(seed), fold=2, count=16,
+                         scale=0.05)
+    size = 1.0 + np.max(np.abs(a)) + abs(c) + abs(h)
+    res_scale = size * np.max(state.wavenumbers()) * state.max_abs()
+    jac_scale = size * np.max(state.wavenumbers())
+    res, jac = st.residual(cfg, c, state), st.jacobian(cfg, c, state)
+    moved = pc.classify_config(a + h)
+    assert np.max(np.abs(st.residual(moved, c + h, state) - res)) \
+        <= 1e-12 * res_scale
+    assert np.max(np.abs(st.jacobian(moved, c + h, state) - jac)) \
+        <= 1e-12 * jac_scale
+    scaled = pc.classify_config(4.0 * a + h)
+    wide = st.InterfaceState.from_arrays(1, 4.0 * state.cos)
+    assert np.max(np.abs(st.residual(scaled, 4.0 * c + h, wide) - 8.0 * res)) \
+        <= 1e-12 * 8.0 * res_scale
+    assert np.max(np.abs(st.jacobian(scaled, 4.0 * c + h, wide) - 2.0 * jac)) \
+        <= 1e-12 * 2.0 * jac_scale
+    got = pc.bifurcation_speeds(1, scaled).admissible()
+    want = [4.0 * s + h for s in pc.bifurcation_speeds(2, cfg).admissible()]
+    assert len(got) == len(want) == 4
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * 4.0 * size
 
 
 def test_wave_solution_json_roundtrip(sym_cfg):
