@@ -58,7 +58,8 @@ class EnergyReport:
 def rhs(cfg, state):
     """Time derivative of the interfaces:
     -(a_i + r_i) dx r_i  +-  dx^-1(r_+^2 - r_+^1)  -+  dx^-1(r_-^2 - r_-^1),
-    with the upper signs on the plus species (steady.Layout.stage)."""
+    with the upper signs on the plus species: one stage(1.0) of the
+    shared layout (steady.Layout.stage), made per call without a table."""
     stage = st.Layout.shared(cfg, state.fold, state.count).stage(1.0)
     x = stage(np.concatenate((state.cos, state.sin), axis=1))
     return PhaseState.from_arrays(state.fold, *np.hsplit(x, 2))

@@ -320,19 +320,19 @@ def transform(count, npts):
     grid values; coefficients(vals, p) takes grid values back to their
     (2, k, count) cosine over sine coefficients (p = 2, the default), or
     to the (k, count) cosine ones alone (p = 1), for even values or
-    wherever the sine half would be discarded; derivative(p, factor)
-    makes the map to those of dx of grid values in reduced wavenumbers,
-    as rows like values' (p = 1: the sine part alone), times factor if
-    given.  Up to TABLE_MAX_SIZE all three are products with read-only
-    tables: a (2 count, npts) cos/sin table, whose angles are formed
-    from (j p) mod npts, so they stay below 2 pi, its scaled transpose,
-    whose cosine columns alone give coefficients' p = 1, and that with
-    its halves swapped and weighted by +-j, times factor in a map's own
-    table.  Above it, values is one inverse real FFT of the half
-    spectrum (cos - i sin) / 2, unnormalized, written into one zeroed
-    half spectrum per rows shape, made on the first call; coefficients
-    and derivative are one forward real FFT each, and coefficients'
-    p = 1 reads its real parts alone.  Needs npts > 2 count.
+    wherever the sine half would be discarded; derivative(vals, p) takes
+    grid values to the coefficients of their dx in reduced wavenumbers,
+    as rows like values' (p = 1: the sine part alone).  Up to
+    TABLE_MAX_SIZE all three are products with three tables, made here
+    alone, read-only at 64-byte boundaries (_aligned): a (2 count, npts)
+    cos/sin table, whose angles are formed from (j p) mod npts, so they
+    stay below 2 pi, its scaled transpose, whose cosine columns alone
+    give coefficients' p = 1, and that with its halves swapped and
+    weighted by +-j.  Above it, values is one inverse real FFT of the
+    half spectrum (cos - i sin) / 2, unnormalized, written into one
+    zeroed half spectrum per rows shape, made on the first call;
+    coefficients and derivative are one forward real FFT each, and
+    coefficients' p = 1 reads its real parts alone.  Needs npts > 2 count.
     """
     if 2 * count >= npts:
         raise ValueError(f"{npts} points cannot resolve {count} harmonics")
@@ -344,31 +344,21 @@ def transform(count, npts):
         # dx: cosine output j times the sine coefficient, sine output -j cos
         slope = (forward.reshape(npts, 2, count)[:, ::-1] * [[1.0], [-1.0]]
                  * np.arange(1, count + 1)).reshape(npts, 2 * count)
-        for table in (stacked, forward, slope):
-            table.setflags(write=False)
+        stacked, forward, slope = map(_aligned, (stacked, forward, slope))
+        # p = 1 views, sliced once: a slice costs about a two-row pass
+        cosine, cosine_t, sine_slope = (stacked[:count], forward[:, :count],
+                                        slope[:, count:])
 
         def values(rows):
-            return rows @ stacked[:rows.shape[1]]
+            return rows @ (stacked if rows.shape[1] > count else cosine)
 
         def coefficients(vals, p=2):
             if p == 1:
-                return vals @ forward[:, :count]
+                return vals @ cosine_t
             return (vals @ forward).reshape(-1, 2, count).transpose(1, 0, 2)
 
-        def derivative(p, factor=None):
-            table = slope[:, (2 - p) * count:]
-            if factor is not None:
-                # a table of its own, 64-byte aligned: BLAS reads it up to
-                # 1.4 times as fast there as at other multiples of 16 bytes
-                buf = np.empty(table.size + 7)
-                at = (-buf.ctypes.data % 64) // 8
-                out = buf[at:at + table.size].reshape(table.shape)
-                table = np.multiply(table, factor, out=out)
-
-            def dx(vals):
-                return vals @ table
-
-            return dx
+        def derivative(vals, p):
+            return vals @ (slope if p == 2 else sine_slope)
 
         return values, coefficients, derivative
     spectra = {}  # rows' shape -> zeroed half spectrum, its (2, k, count) view
@@ -393,19 +383,24 @@ def transform(count, npts):
             return np.multiply(spectrum.real[:, 1:count + 1], 2.0 / npts)
         return np.multiply(_parts(spectrum, count), scale, order="C")
 
-    def derivative(p, factor=None):
-        def dx(vals):
-            # -(2/npts) j times the imaginary parts over the real ones
-            parts = _parts(np.fft.rfft(vals, axis=1), count)[::-1][2 - p:]
-            out = np.multiply(parts.transpose(1, 0, 2), slope,
-                              order="C").reshape(len(vals), p * count)
-            if factor is not None:
-                out *= factor
-            return out
-
-        return dx
+    def derivative(vals, p):
+        # -(2/npts) j times the imaginary parts over the real ones
+        parts = _parts(np.fft.rfft(vals, axis=1), count)[::-1][2 - p:]
+        return np.multiply(parts.transpose(1, 0, 2), slope,
+                           order="C").reshape(len(vals), p * count)
 
     return values, coefficients, derivative
+
+
+def _aligned(table):
+    """A read-only copy of table at a 64-byte boundary, where BLAS reads
+    it up to 1.4 times as fast as at other multiples of 16 bytes."""
+    buf = np.empty(table.size + 7)
+    at = (-buf.ctypes.data % 64) // 8
+    out = buf[at:at + table.size].reshape(table.shape)
+    out[...] = table
+    out.setflags(write=False)
+    return out
 
 
 def _parts(spectrum, count):

@@ -98,7 +98,8 @@ class Layout:
     """The coefficient rows one Newton solve or one RK4 evolution
     (dynamics.evolve) carries, at one fold and truncation N, and the
     evolution operator on (k, N) cosine rows of them (tendency) and on
-    (k, 2N) cosine then sine rows (stage).
+    (k, 2N) cosine then sine rows (stage), each one inverse transform
+    and one derivative (spectral.transform), the latter's output scaled.
 
     Either the four components (k = 4), or, on a layer with a_plus ==
     a_minus, the two plus rows (k = 2) of a state on the fixed space
@@ -130,7 +131,6 @@ class Layout:
         self._twice_a = np.repeat(2.0 * self.a, npts, axis=1)
         self._values, self._coefficients, self._derivative = sp.transform(
             count, npts)
-        self._sine_dx = self._derivative(1)
         self._index = None  # jacobian's index tables, made on its first call
         for table in (self.w, self.a, self.coupling, self._twice_a):
             table.setflags(write=False)  # shared (Layout.shared)
@@ -164,25 +164,25 @@ class Layout:
         (_square), its dx taken back by the layout's transforms
         (spectral.transform) and scaled by -fold/2, exact on harmonics
         1..N, and the coupling added.  Newton's residual reads it."""
-        out = self._sine_dx(self._square(x))
+        out = self._derivative(self._square(x), 1)
         out *= self._half_fold
         out += self.coupling * (self.charge @ x)
         return out
 
     def stage(self, h):
         """The map x -> h f(x) on (k, 2N) rows x of cosine then sine
-        coefficients, f tendency's operator on full-parity states, with h
-        folded into its tables once, here: the transform's derivative map
-        scaled by h (-fold/2), and the signed coupling table by h.  An RK4
-        step (dynamics.evolve) is four calls of stage(dt / 2), and
-        dynamics.rhs one of stage(1.0)."""
-        dx = self._derivative(2, h * self._half_fold)
+        coefficients, f tendency's operator on full-parity states, formed
+        as tendency forms it, the derivative's output scaled by h (-fold/2)
+        and the signed coupling table by h, here; it makes no transform
+        table.  An RK4 step (dynamics.evolve) is four stage(dt / 2) calls."""
+        scale = h * self._half_fold
         coupling = h * np.concatenate((-self.coupling, self.coupling), axis=1)
-        charge, square = self.charge, self._square
+        charge, square, dx = self.charge, self._square, self._derivative
         swap = np.roll(np.arange(2 * self.w.size), self.w.size)  # sine first
 
         def stage(x):
-            out = dx(square(x))
+            out = dx(square(x), 2)
+            out *= scale
             out += coupling * np.dot(charge, x).take(swap)
             return out
 

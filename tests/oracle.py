@@ -12,9 +12,9 @@ block by block (block_jacobian), and their matrix-free Jacobian and
 transport preconditioner as two separate passes
 (two_step_linearization).  Layout.tendency with its offset 2a added as
 a (k, 1) column (column_offset_tendency), and Layout.stage so too, with
-its derivative table formed as the derivative of the grid's identity
-(identity_product_stage).  And RK4 on PhaseState objects, one rhs call
-and one combine per stage, as the oracle of dynamics.evolve."""
+its derivative table formed afresh as the derivative of the grid's
+identity (identity_product_stage).  And RK4 on PhaseState objects, one
+rhs call and one combine per stage, as the oracle of dynamics.evolve."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -185,41 +185,39 @@ def column_offset_tendency(layout, x):
     vals = sp.grid_values(x, None, npts)
     g = vals + 2.0 * layout.a
     g *= vals
-    out = sp.transform(count, npts)[2](1)(g)
+    out = sp.transform(count, npts)[2](g, 1)
     out *= -0.5 * layout.w[0]
     out += layout.coupling * (layout.charge @ x)
     return out
 
 
 def identity_product_stage(layout, h):
-    """steady.Layout.stage(h) as its table was once formed: on table
-    grids (N M <= spectral.TABLE_MAX_SIZE) the derivative of the (M, M)
-    identity, scaled by h (-fold/2) in place, and on FFT grids the
-    derivative's output so scaled; the square's offset 2a a (k, 1)
-    column.  The reference for the bits of the stage, whose scaled table
-    spectral.transform forms without the identity."""
+    """steady.Layout.stage(h) with its derivative table formed in a
+    fresh array, as the derivative of the (M, M) identity, on table grids
+    (N M <= spectral.TABLE_MAX_SIZE), and the transform's derivative on
+    FFT grids; on both the derivative's output scaled by h (-fold/2), and
+    the square's offset 2a a (k, 1) column.  The reference for the bits
+    of the stage, which reads the transform's own aligned table."""
     count = layout.w.size
     npts = sp.PRODUCT_GRID_FACTOR * count
-    derivative = sp.transform(count, npts)[2](2)
+    derivative = sp.transform(count, npts)[2]
     scale = h * (-0.5 * layout.w[0])
     coupling = h * np.concatenate((-layout.coupling, layout.coupling), axis=1)
     if count * npts <= sp.TABLE_MAX_SIZE:
-        slope = derivative(np.eye(npts))
-        slope *= scale
+        slope = derivative(np.eye(npts), 2)
 
         def dx(g):
             return g @ slope
     else:
         def dx(g):
-            out = derivative(g)
-            out *= scale
-            return out
+            return derivative(g, 2)
 
     def stage(x):
         vals = sp.grid_values(x[:, :count], x[:, count:], npts)
         g = vals + 2.0 * layout.a
         g *= vals
         out = dx(g)
+        out *= scale
         out += coupling * np.roll(layout.charge @ x, count)
         return out
 

@@ -271,8 +271,8 @@ def test_two_or_four_solution_branches(W, m):
     # has four admissible speeds for 0 < delta < 1 and for delta >= 1.03
     # delta*, delta*^2 = 1 + 8/W, and two at delta = 0 (symmetric), at
     # delta = 1 (successive) and for 1 < delta <= 0.97 delta* where that
-    # interval is not empty (W below about 127); delta* is measured, its
-    # closed form not derived, so the band around it is left out
+    # interval is not empty (W below about 127); the band around delta*
+    # is left out here, and delta* located by the two tests below
     w = W / m ** 2
     star = float(np.sqrt(1.0 + 8.0 / W))
     top = 0.97 * star
@@ -284,3 +284,45 @@ def test_two_or_four_solution_branches(W, m):
         cfg = pc.classify_config((0.0, w, delta * w, delta * w + w))
         assert len(pc.bifurcation_speeds(m, cfg).admissible()) == count, \
             delta
+
+
+def _admissible(W, delta):
+    """The layer (0, W, delta W, delta W + W) and its admissible mode-1
+    speeds, ascending."""
+    cfg = pc.classify_config((0.0, W, delta * W, delta * W + W))
+    return cfg, pc.bifurcation_speeds(1, cfg).admissible()
+
+
+@pytest.mark.parametrize("W", [1.0, 10.0, 100.0])
+def test_pair_collision_is_at_the_closed_form(W):
+    # delta*, where two admissible speeds of mode 1 collide and leave the
+    # real axis, found by bisection on the admissible count between a
+    # layer with two and one with four, is sqrt(1 + 8/W) within 1e-9
+    star = float(np.sqrt(1.0 + 8.0 / W))
+    lo, hi = 0.5 * (1.0 + star), 2.0 * star
+    assert (len(_admissible(W, lo)[1]), len(_admissible(W, hi)[1])) == (2, 4)
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if len(_admissible(W, mid)[1]) == 4:
+            hi = mid
+        else:
+            lo = mid
+    assert abs(lo - star) <= 1e-9 and abs(hi - star) <= 1e-9
+
+
+@pytest.mark.parametrize("W", [1.0, 10.0, 100.0])
+def test_colliding_pair_transversality_decays_as_a_square_root(W):
+    # past delta*, the two speeds born there are the closest admissible
+    # pair, and each one's |transversality| falls like (delta - delta*)^p:
+    # p, fitted over delta - delta* = 1e-8..1e-3, within 0.01 of 1/2
+    star = float(np.sqrt(1.0 + 8.0 / W))
+    gaps = np.logspace(-8.0, -3.0, 11)
+    pairs = []
+    for gap in gaps:
+        cfg, speeds = _admissible(W, star + gap)
+        i = int(np.argmin(np.diff(speeds)))
+        pairs.append([abs(pc.transversality(1, cfg, c))
+                      for c in speeds[i:i + 2]])
+    for magnitude in np.transpose(pairs):
+        p = np.polyfit(np.log(gaps), np.log(magnitude), 1)[0]
+        assert abs(p - 0.5) <= 0.01

@@ -475,24 +475,44 @@ def test_trig_tables_are_cached_and_read_only():
     assert sp.transform.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("count, npts", [(1, 3), (1, 4), (8, 33), (16, 64),
+                                         (17, 68), (64, 256), (32, 512)])
+def test_tables_are_read_only_at_64_byte_boundaries(count, npts):
+    # the three cached tables of a table grid (N M <= 2^14) are read-only
+    # and start at a 64-byte boundary, so that where the allocator put
+    # them does not set the speed of their products
+    assert count * npts <= sp.TABLE_MAX_SIZE
+    values, coefficients, derivative = sp.transform(count, npts)
+    for f, name in ((values, "stacked"), (coefficients, "forward"),
+                    (derivative, "slope")):
+        table = inspect.getclosurevars(f).nonlocals[name]
+        assert table.size == 2 * count * npts
+        assert not table.flags.writeable
+        assert table.ctypes.data % 64 == 0
+
+
 @pytest.mark.parametrize("count", [1, 16, 17, 64])
 def test_derivative_of_the_identity_is_the_table(count):
-    # the derivative of the identity on the grid reproduces the derivative
-    # table bit for bit, and that of a scaled map the table times the
-    # factor, the product Layout.stage's identity-free table equals; a
-    # scaled map's own table is 64-byte aligned
+    # the derivative of the identity on the grid is the derivative table:
+    # row p, the dx of the values 1 at point p, is (2/npts) j sin(j x_p)
+    # over -(2/npts) j cos(j x_p); its sine columns are the p = 1 map's,
+    # and a product with it, in a fresh array, is the derivative bit for
+    # bit, as oracle.identity_product_stage forms it
     npts = sp.PRODUCT_GRID_FACTOR * count
     derivative = sp.transform(count, npts)[2]
-    slope = inspect.getclosurevars(derivative).nonlocals["slope"]
     eye = np.eye(npts)
-    assert np.array_equal(derivative(2)(eye), slope)
-    assert np.array_equal(derivative(1)(eye), slope[:, count:])
-    for factor in (-2.55e-3, 0.37):
-        for p in (2, 1):
-            dx = derivative(p, factor)
-            assert np.array_equal(dx(eye), slope[:, (2 - p) * count:] * factor)
-            table = inspect.getclosurevars(dx).nonlocals["table"]
-            assert table.ctypes.data % 64 == 0
+    table = derivative(eye, 2)
+    j = np.arange(1, count + 1)
+    angle = 2.0 * np.pi * np.outer(np.arange(npts), j) / npts
+    want = (2.0 / npts) * np.concatenate((j * np.sin(angle),
+                                          -j * np.cos(angle)), axis=1)
+    assert table.shape == (npts, 2 * count)
+    assert np.max(np.abs(table - want)) <= 1e-14 * count
+    assert np.array_equal(derivative(eye, 1), table[:, count:])
+    vals = np.random.default_rng(count).standard_normal((3, npts))
+    for p in (2, 1):
+        assert np.array_equal(derivative(vals, p),
+                              vals @ table[:, (2 - p) * count:])
 
 
 @pytest.mark.parametrize("count", [17, 64])
@@ -500,9 +520,8 @@ def test_derivative_of_the_identity_is_the_table(count):
 def test_derivative_by_table_and_by_fft(monkeypatch, count, k):
     # dx of grid values in reduced wavenumbers, cosine then sine rows
     # (p = 2) or the sine ones alone (p = 1): each side, forced, against
-    # the other and against dx of the values' own coefficients, p = 1
-    # the sine half of p = 2, and a scaled map the scale times the
-    # unscaled one
+    # the other and against dx of the values' own coefficients, and p = 1
+    # the sine half of p = 2
     rng = np.random.default_rng(5 * count + k)
     npts = sp.PRODUCT_GRID_FACTOR * count
     j = np.arange(1, count + 1)
@@ -514,15 +533,11 @@ def test_derivative_by_table_and_by_fft(monkeypatch, count, k):
     for size in (BY_TABLE, BY_FFT):
         _choose_side(monkeypatch, size)
         derivative = sp.transform(count, npts)[2]
-        two, one = derivative(2)(vals), derivative(1)(vals)
+        two, one = derivative(vals, 2), derivative(vals, 1)
         assert two.shape == (k, 2 * count) and one.shape == (k, count)
-        assert np.array_equal(one, derivative(1)(vals))
+        assert np.array_equal(one, derivative(vals, 1))
         assert np.max(np.abs(one - two[:, count:])) <= 1e-13 * scale
         assert np.max(np.abs(two - want)) <= 1e-13 * scale
-        for p, unscaled in ((2, two), (1, one)):
-            scaled = derivative(p, -1.5)(vals)
-            assert scaled.shape == unscaled.shape
-            assert np.max(np.abs(scaled + 1.5 * unscaled)) <= 1e-13 * scale
         sides[size] = two, one
     for table, fft in zip(sides[BY_TABLE], sides[BY_FFT]):
         assert np.max(np.abs(table - fft)) <= 1e-13 * scale

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -472,10 +473,10 @@ def test_plus_rows_match_the_four_rows_on_the_fixed_space(a):
 @pytest.mark.parametrize("symmetric", [True, False], ids=["k2", "k4"])
 def test_stage_is_the_step_times_the_tendency(sym_cfg, gen_cfg, symmetric,
                                               fold, count):
-    # the step folded into the tables: into the derivative table (counts
-    # 16 and 64) or the FFT derivative's scale (128), and the coupling's;
-    # h times the unscaled stage, and on an even state h times the
-    # tendency in its sine half, with round-off in its cosine half
+    # the step scales the derivative's output (tables at counts 16 and
+    # 64, FFTs at 128) and the coupling table: h times the unscaled stage,
+    # and on an even state h times the tendency in its sine half, with
+    # round-off in its cosine half
     layout = st.Layout(sym_cfg if symmetric else gen_cfg, fold, count,
                        symmetric)
     rng = np.random.default_rng(10 * fold + count + symmetric)
@@ -500,10 +501,10 @@ def test_stage_is_the_step_times_the_tendency(sym_cfg, gen_cfg, symmetric,
 @pytest.mark.parametrize("symmetric", [True, False], ids=["k2", "k4"])
 def test_stage_keeps_the_identity_product_bits(sym_cfg, gen_cfg, monkeypatch,
                                                symmetric, fold, count):
-    # spectral.transform scales the derivative table itself, entry for
-    # entry the derivative of the (M, M) identity times h (-fold/2), so
-    # the stage keeps the bits of that construction, and making a stage
-    # forms no identity
+    # the stage reads spectral.transform's aligned derivative table, entry
+    # for entry the derivative of the (M, M) identity, and scales its
+    # output by h (-fold/2), so it keeps the bits of that construction in
+    # a fresh table; making a stage forms no identity
     layout = st.Layout(sym_cfg if symmetric else gen_cfg, fold, count,
                        symmetric)
     rng = np.random.default_rng(30 * fold + count + symmetric)
@@ -518,6 +519,21 @@ def test_stage_keeps_the_identity_product_bits(sym_cfg, gen_cfg, monkeypatch,
             x = 0.3 * rng.standard_normal((layout.k, 2 * count))
             assert np.array_equal(stage(x), want(x))
     assert eyes == []
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["k2", "k4"])
+def test_making_a_stage_makes_no_table(sym_cfg, gen_cfg, symmetric):
+    # at N = 64 on 256 points (N M = 2^14, a table grid) making a stage
+    # allocates its (k, 2N) coupling table and a sine-first index, not a
+    # copy of the transform's cached (256, 128) derivative table, 256 KiB
+    layout = st.Layout(sym_cfg if symmetric else gen_cfg, 1, 64, symmetric)
+    tracemalloc.start()
+    try:
+        layout.stage(0.37)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("count", [16, 64, 128, 256])  # tables, then FFT
