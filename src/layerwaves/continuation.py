@@ -241,7 +241,9 @@ def newton_correct(cfg, guess, constraint, fold, count,
     scale in the linear solves, so every inner product and norm is that
     of the 4N + 1 system.  From KRYLOV_MIN_COUNT harmonics on, each step
     is a matrix-free GMRES solve (_krylov_step); below it, a dense solve
-    of the one bordered matrix.  An overflowing trial shows as a
+    of the one bordered matrix (steady.Layout.bordered), whose couplings
+    between rows and arclength row are written once, its c column and
+    Jacobian blocks in place per step.  An overflowing trial shows as a
     non-finite sup and is damped.  The converged rows are embedded back
     into four.  Returns (WaveSolution, iterations); the solution records
     its GMRES iterations and dense solves.  Raises CorrectionFailedError
@@ -260,35 +262,38 @@ def newton_correct(cfg, guess, constraint, fold, count,
         layout.stack(constraint.tangent[0], t_cos),
         layout.stack(constraint.base[0], b_cos), constraint.ds)
     n = u.size - 1
-    weight = np.append(np.full(n, layout.scale), 1.0)
+    four_rows = n == 4 * count  # scale 1: the residual is its own rhs
+    if not four_rows:
+        weight = np.append(np.full(n, layout.scale), 1.0)
     if count < KRYLOV_MIN_COUNT:  # the one bordered matrix of dense solves
-        A = np.empty((n + 1, n + 1))
+        A = layout.bordered()
         A[n, :] = constraint.tangent
     krylov_iters = dense_solves = 0
     res_t = np.empty(n + 1)  # a trial's residual; swapped in on acceptance
 
     def full_residual(u, out):
+        """Write the residual at u into out; return u's c and rows."""
         c, rows = layout.unstack(u)
-        out[:n] = layout.residual(c, rows).ravel()
+        layout.residual(c, rows, out[:n].reshape(rows.shape))
         out[n] = constraint.value(u)
-        return out
+        return c, rows
 
     with np.errstate(over="ignore", invalid="ignore"):
-        res = full_residual(u, np.empty(n + 1))
-        sup = np.max(np.abs(res))
+        res = np.empty(n + 1)
+        c, rows = full_residual(u, res)
+        sup = np.abs(res).max()
         for it in range(MAX_NEWTON + 1):
             if sup <= tol or it == MAX_NEWTON:
                 break
-            c, rows = layout.unstack(u)
             col = (layout.w * u[1:].reshape(rows.shape)).ravel()  # c column
-            rhs = weight * res
+            rhs = res if four_rows else weight * res
             if count >= KRYLOV_MIN_COUNT:
                 step, k = _krylov_step(layout, c, rows, col,
                                        constraint.tangent, rhs, tol)
                 krylov_iters += k
             else:
                 A[:n, 0] = col
-                A[:n, 1:] = layout.jacobian(c, rows)
+                layout.jacobian(c, rows, A)
                 dense_solves += 1
                 try:
                     step = np.linalg.solve(A, -rhs)
@@ -298,20 +303,20 @@ def newton_correct(cfg, guess, constraint, fold, count,
             lam = 1.0
             while True:
                 trial = u + lam * step
-                sup_t = np.max(np.abs(full_residual(trial, res_t)))
+                c_t, rows_t = full_residual(trial, res_t)
+                sup_t = np.abs(res_t).max()
                 if np.isfinite(sup_t) and (sup_t < sup or lam <= 0.125):
                     break
                 lam *= 0.5
                 if lam < 1e-6:
                     raise CorrectionFailedError(
                         "correction-failed: damping exhausted")
-            u, sup = trial, sup_t
+            u, c, rows, sup = trial, c_t, rows_t, sup_t
             res, res_t = res_t, res
     if sup <= tol:
-        c, rows = layout.unstack(u)
         # the sup of the plus rows is not that of the four embedded rows
         # bit for bit, so solution_at forms the latter
-        known = float(np.max(np.abs(res[:-1]))) if n == 4 * count else None
+        known = float(np.abs(res[:-1]).max()) if four_rows else None
         sol = st.solution_at(cfg, c, st.InterfaceState.from_arrays(
             fold, layout.embed(rows)), known)
         sol.krylov_iters, sol.dense_solves = krylov_iters, dense_solves

@@ -67,18 +67,29 @@ def rhs(cfg, state):
 
 def energy(cfg, state):
     """Total energy: strip-integrated kinetic energy by exact grid
-    quadrature plus the nonnegative electrostatic energy in coefficients.
+    quadrature plus the nonnegative electrostatic energy in coefficients
+    (_row_energy on the four rows)."""
+    layout = st.Layout.shared(cfg, state.fold, state.count)
+    return _row_energy(layout, np.concatenate((state.cos, state.sin), axis=1))
 
-    The grid values come from one inverse transform (spectral.grid_values)
-    of all four components to spectral's product grid, where the cubic
-    integrand's mean is exact."""
-    a = cfg.as_array()
-    npts = sp.PRODUCT_GRID_FACTOR * state.count
-    vals = sp.grid_values(state.cos, state.sin, npts) + a[:, None]
-    e_kin = float(np.mean((SIDE @ (vals * vals * vals)) / 6.0))
-    qcos, qsin = CHARGE @ state.cos, CHARGE @ state.sin
-    e_pot = 0.25 * float(np.sum((qcos ** 2 + qsin ** 2)
-                                / state.wavenumbers() ** 2))
+
+def _row_energy(layout, x):
+    """Energy of the state with the (k, 2N) cosine then sine rows x of a
+    steady.Layout.  The grid values come from one inverse transform
+    (spectral.transform) of the rows to spectral's product grid, where
+    the cubic integrand's mean is exact.  On the two plus rows of a
+    symmetric layer's fixed space the minus rows are their half-period
+    shifts, with the same velocities and sides: their kinetic part is
+    that of the plus rows, so it is doubled, and the charge difference
+    is read through the layout's weight 1 - T."""
+    count = layout.w.size
+    values = sp.transform(count, sp.PRODUCT_GRID_FACTOR * count)[0]
+    vals = values(x) + layout.a
+    e_kin = (4 // layout.k) * float(
+        np.mean((SIDE[:layout.k] @ (vals * vals * vals)) / 6.0))
+    q = layout.charge @ x
+    qcos, qsin = layout.weight * q[:count], layout.weight * q[count:]
+    e_pot = 0.25 * float(np.sum((qcos ** 2 + qsin ** 2) / layout.w ** 2))
     return EnergyReport(e_kin, e_pot)
 
 
@@ -176,7 +187,7 @@ def evolve(cfg, start, dt, steps, store_every=1):
     x = np.concatenate((start.cos[:layout.k], start.sin[:layout.k]), axis=1)
     times = [0.0]
     states = [start]
-    energies = [energy(cfg, start)]
+    energies = [_row_energy(layout, x)]
     for k in range(1, steps + 1):
         f1 = stage(x)
         f2 = stage(x + f1)
@@ -198,7 +209,7 @@ def evolve(cfg, start, dt, steps, store_every=1):
                 layout.embed, x.reshape(layout.k, 2, -1).transpose(1, 0, 2)))
             times.append(k * dt)
             states.append(state)
-            energies.append(energy(cfg, state))
+            energies.append(_row_energy(layout, x))
     # checked last, so coefficients that blow up report their own step
     if not np.isfinite(energies[0].e_total):
         raise DivergedError("evolution diverged at step 0: "

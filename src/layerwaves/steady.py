@@ -46,7 +46,10 @@ class InterfaceState(sp.ComponentArrays):
         return self.cos.flatten()
 
     def with_count(self, count):
-        """Pad with zeros or truncate to the requested harmonic count."""
+        """Pad with zeros or truncate to the requested harmonic count; the
+        state itself if it has that count."""
+        if count == self.count:
+            return self
         cos = np.zeros((4, count))
         n = min(count, self.count)
         cos[:, :n] = self.cos[:, :n]
@@ -120,8 +123,8 @@ class Layout:
         self.a = cfg.as_array()[:k, None]
         self.charge = CHARGE[:k]
         self.shift = half_shift(count) if symmetric else None
-        weight = 1.0 - self.shift if symmetric else 1.0
-        self.coupling = SPECIES[:k, None] * weight / self.w
+        self.weight = 1.0 - self.shift if symmetric else 1.0
+        self.coupling = SPECIES[:k, None] * self.weight / self.w
         self.scale = math.sqrt(2.0) if symmetric else 1.0
         # tendency's and stage's: g = r (r + 2a) on the grid, the offset 2a
         # a full (k, M) block (numpy adds equal shapes faster than it
@@ -147,8 +150,12 @@ class Layout:
         return np.concatenate([[c], (self.scale * cos[:self.k]).ravel()])
 
     def unstack(self, u):
-        """c and the (k, N) rows of u = (c, carried rows)."""
-        return float(u[0]), u[1:].reshape(self.k, -1) / self.scale
+        """c and the (k, N) rows of u = (c, carried rows), a view of u on
+        four rows."""
+        rows = u[1:].reshape(self.k, -1)
+        if self.shift is None:  # scale 1
+            return float(u[0]), rows
+        return float(u[0]), rows / self.scale
 
     def embed(self, rows):
         """The (4, N) components of the state with these rows."""
@@ -195,61 +202,83 @@ class Layout:
         g *= vals
         return g
 
-    def residual(self, c, rows):
+    def residual(self, c, rows, out=None):
         """Galerkin residual of the traveling-wave system: the (k, N) sine
         coefficients of -(f(r) + c dx r) on the even state r with these
         rows, f the tendency; -(r_i + a_i - c) dx r_i  -+  dx^-1(d) per
-        component."""
-        return c * self.w * rows - self.tendency(rows)
+        component.  Written into out, a (k, N) array, if given."""
+        out = np.multiply(c * self.w, rows, out=out)
+        out -= self.tendency(rows)
+        return out
 
-    def jacobian(self, c, rows):
+    def bordered(self):
+        """A zeroed (kN + 1, kN + 1) matrix for jacobian to fill at [:kN,
+        1:], with the potential's constant couplings between different
+        rows, entry (i N + p, l N + p) less coupling[i, p] charge[l] for
+        l != i, written in.  Newton's dense solves border the Jacobian by
+        the c column 0 and the arclength row kN; the couplings and that
+        row are written once per correction."""
+        if self._index is None:
+            self._index = self._jacobian_index()
+        *_, coupled, coupling = self._index
+        size = self.k * self.w.size + 1
+        out = np.zeros((size, size))
+        out.reshape(-1)[coupled] -= coupling
+        return out
+
+    def jacobian(self, c, rows, out=None):
         """Dense (kN, kN) Jacobian of the residual in the rows, acting on
         stacked cosine coefficients and producing stacked sine
-        coefficients, in a fresh matrix.
+        coefficients: the view [:kN, 1:] of out, a matrix from bordered,
+        or of a fresh one.
 
         Block i maps h to dx((r_i + a_i - c) h): with u the coefficients
         of r_i, its entry (p, j) is -w_p ((u_|p-j| + u_p+j) / 2
         + (a_i - c) d_pj), a Toeplitz plus a Hankel matrix scaled by rows.
         Both are gathered from one zero-padded copy of the rows, with
-        u_0 = 0 and u_p = 0 beyond N, as one (k, N, N) batch and
-        scattered into the diagonal blocks; the potential subtracts
-        constant couplings between the blocks.  The index tables
-        (_jacobian_index) are made on the first call.
+        u_0 = 0 and u_p = 0 beyond N, as one (k, N, N) batch, whose
+        diagonals then take the transport term and the potential's
+        coupling of a row with itself, and scattered into the diagonal
+        blocks of out; bordered wrote the couplings between the blocks,
+        and made the index tables (_jacobian_index) on its first call.
         """
         k, n = rows.shape
-        if self._index is None:
-            self._index = self._jacobian_index()
-        toeplitz, hankel, scatter, coupled, coupling, half_w = self._index
-        out = np.zeros((k * n, k * n))
+        if out is None:
+            out = self.bordered()
+        toeplitz, hankel, scatter, half_w, own, *_ = self._index
         pad = np.zeros((k, 2 * n + 1))  # pad[i, d] = u_d of row i
         pad[:, 1:n + 1] = rows
         flat = pad.ravel()
         blocks = flat[toeplitz]
         blocks += flat[hankel]
         blocks *= half_w
-        blocks.reshape(k, n * n)[:, ::n + 1] -= (self.a - c) * self.w
-        entries = out.reshape(-1)
-        entries[scatter] = blocks
-        entries[coupled] -= coupling
-        return out
+        diagonals = blocks.reshape(k, n * n)[:, ::n + 1]
+        diagonals -= (self.a - c) * self.w
+        diagonals -= own
+        out.reshape(-1)[scatter] = blocks
+        return out[:-1, 1:]
 
     def _jacobian_index(self):
-        """Index tables of jacobian: the Toeplitz and Hankel gathers into
-        the flat padded rows and the scatter of the (k, N, N) blocks into
-        the flat (kN, kN) matrix, the flat index and values of the
-        couplings, entry (i N + p, l N + p) less coupling[i, p] charge[l],
-        and the blocks' row scale -w_p / 2 as a read-only (N, N) block.
+        """Index tables of jacobian and bordered: the Toeplitz and Hankel
+        gathers into the flat padded rows, the scatter of the (k, N, N)
+        blocks into the flat bordered matrix, the blocks' row scale
+        -w_p / 2 as a read-only (N, N) block, the (k, N) couplings of
+        each row with itself, coupling[i, p] charge[i], and the flat
+        index and values of the couplings between different rows.
         """
         k, n = self.k, self.w.size
+        size = k * n + 1
         p = np.arange(n)
         row = (2 * n + 1) * np.arange(k)[:, None, None]
         block = np.arange(k)[:, None, None] * n
-        coupled = (block + p) * (k * n) + block.reshape(1, k, 1) + p
+        coupled = (block + p) * size + 1 + block.reshape(1, k, 1) + p
+        coupling = self.coupling[:, None] * self.charge[:, None]
+        other = np.arange(k)[:, None] != np.arange(k)
         half_w = np.repeat(-0.5 * self.w[:, None], n, axis=1)
         half_w.setflags(write=False)
         return (row + np.abs(p[:, None] - p), row + (p[:, None] + p + 2),
-                (block + p[:, None]) * (k * n) + block + p, coupled,
-                self.coupling[:, None] * self.charge[:, None], half_w)
+                (block + p[:, None]) * size + 1 + block + p, half_w,
+                coupling[~other], coupled[other], coupling[other])
 
     def linearization(self, c, rows):
         """Matrix-free Jacobian and transport-preconditioned Jacobian at
@@ -310,10 +339,10 @@ def on_fixed_space(cfg, *coefficients):
     coefficient array lies exactly on its fixed space r_minus_i =
     T r_plus_i (Layout)."""
     a = cfg.as_array()
-    if not np.array_equal(a[:2], a[2:]):
+    if not (a[:2] == a[2:]).all():
         return False
     shift = half_shift(coefficients[0].shape[1])
-    return all(np.array_equal(u[2:], shift * u[:2]) for u in coefficients)
+    return all((u[2:] == shift * u[:2]).all() for u in coefficients)
 
 
 def residual(cfg, c, state):
@@ -333,7 +362,7 @@ def speed_derivative_vector(cfg, c, state):
 
 def jacobian(cfg, c, state):
     """Dense (4N, 4N) Jacobian of the residual in the state
-    (Layout.jacobian)."""
+    (Layout.jacobian), a view into a fresh bordered matrix."""
     layout = Layout.shared(cfg, state.fold, state.count)
     return layout.jacobian(c, state.cos)
 
@@ -356,13 +385,14 @@ def monitors(cfg, c, state):
     rows = np.concatenate(([u[1] - u[0], u[3] - u[2]], u))
     offsets = np.concatenate([[cfg.width, cfg.width], cfg.as_array() - c])
     v = sp.grid_values(rows, None, npts) + offsets[:, None]
-    idx = np.argmin(np.abs(v), axis=1)
+    idx = np.abs(v).argmin(axis=1)
     x0 = idx * (2.0 * np.pi / state.fold / npts)
     v0 = v[np.arange(6), idx]
     best = np.abs(v0)
-    cross = (np.min(v, axis=1) < 0.0) & (0.0 < np.max(v, axis=1))
-    d1 = _row_dots(np.sin(w * x0[:, None]), -w * rows)  # at x0
-    d2 = _row_dots(np.cos(w * x0[:, None]), -w * (w * rows))
+    cross = (v.min(axis=1) < 0.0) & (0.0 < v.max(axis=1))
+    phase = w * x0[:, None]
+    d1 = _row_dots(np.sin(phase), -w * rows)  # at x0
+    d2 = _row_dots(np.cos(phase), -w * (w * rows))
     num = np.where(cross, v0, d1)
     den = np.where(cross, d1, d2)
     polish = den != 0.0
@@ -370,7 +400,7 @@ def monitors(cfg, c, state):
     off_grid = np.abs(_row_dots(np.cos(w * (x0 - step)[:, None]), rows)
                       + offsets)
     best[polish] = np.fmin(best, off_grid)[polish]
-    return np.min(best[:2]), np.min(best[2:])
+    return best[:2].min(), best[2:].min()
 
 
 def _row_dots(a, b):
@@ -384,6 +414,6 @@ def solution_at(cfg, c, state, residual_norm=None):
     is computed unless the caller already holds it."""
     if residual_norm is None:
         res = residual_vector(cfg, c, state)
-        residual_norm = float(np.max(np.abs(res), initial=0.0))
+        residual_norm = float(np.abs(res).max(initial=0.0))
     return WaveSolution(cfg, float(c), state, residual_norm,
                         monitors(cfg, c, state))

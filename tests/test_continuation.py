@@ -49,9 +49,9 @@ class TestNewtonCorrect:
         calls = []
         residual = st.Layout.residual
 
-        def counted(layout, c, rows):
+        def counted(layout, c, rows, out=None):
             calls.append((float(c), rows.copy()))
-            return residual(layout, c, rows)
+            return residual(layout, c, rows, out)
 
         monkeypatch.setattr(st.Layout, "residual", counted)
         n = 16
@@ -917,9 +917,10 @@ def test_dense_correction_does_not_depend_on_the_jacobian_assembly(
 
     calls = []
 
-    def oracle(layout, c, rows):
+    def oracle(layout, c, rows, out):
         calls.append(c)
-        return block_jacobian(origin.cfg, 1, c, rows)
+        out[:-1, 1:] = block_jacobian(origin.cfg, 1, c, rows)
+        return out[:-1, 1:]
 
     monkeypatch.setattr(st.Layout, "jacobian", oracle)
     got, iters = ct.newton_correct(*args)
@@ -929,3 +930,36 @@ def test_dense_correction_does_not_depend_on_the_jacobian_assembly(
     assert got.c == want.c
     assert np.array_equal(got.state.cos, want.state.cos)
     assert got.residual_norm == want.residual_norm
+
+
+def test_dense_iterations_allocate_no_matrix(gen_cfg, monkeypatch):
+    # the Jacobian is filled in place in the correction's one bordered
+    # matrix: from one dense solve to the next, an iteration's trial
+    # residuals, c column and Jacobian allocate less than one (kN, kN)
+    # matrix at peak (four rows, N = 16: 32 KiB; they read about 18 KiB)
+    n = 16
+    origin = lb.local_expansion(1, gen_cfg, pc.bifurcation_speeds(
+        1, gen_cfg).admissible()[0])
+    c, state = lb.predictor(origin, 0.2, count=n)
+    u0 = np.concatenate([[c], state.as_vector()])
+    constraint = ct.ArclengthConstraint(u0 / np.linalg.norm(u0), u0, 0.0)
+    args = (gen_cfg, (c, state), constraint, 1, n)
+    ct.newton_correct(*args)  # the layout's index tables are made
+    peaks, mark = [], [0]
+    solve = np.linalg.solve
+
+    def spy_solve(A, b):
+        peaks.append(tracemalloc.get_traced_memory()[1] - mark[0])
+        x = solve(A, b)
+        tracemalloc.reset_peak()
+        mark[0] = tracemalloc.get_traced_memory()[0]
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    tracemalloc.start()
+    try:
+        sol, iters = ct.newton_correct(*args)
+    finally:
+        tracemalloc.stop()
+    assert iters == sol.dense_solves == len(peaks) >= 3
+    assert max(peaks[1:]) < 8 * (4 * n) ** 2

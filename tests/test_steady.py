@@ -702,22 +702,30 @@ def test_shared_layout_is_one_per_key(sym_cfg, jacobian_index_makers):
     assert st._shared_layout.cache_info().currsize == 2
 
 
-def test_jacobian_fills_a_bordered_view(gen_cfg, monkeypatch):
+@pytest.mark.parametrize("fold", [1, 2])
+@pytest.mark.parametrize("a, k", [((0.0, 1.0, 2.5, 3.5), 4),
+                                  ((-1.0, 1.0, -1.0, 1.0), 2)],
+                         ids=["k4", "k2"])
+def test_jacobian_fills_a_bordered_view(a, k, fold, monkeypatch):
     # Newton writes the Jacobian into the bordered matrix it solves with,
-    # one matrix per correction: at every dense solve, column 0 is the
-    # c column and the last row the tangent of that iterate, and the rest
-    # is the Jacobian at it, no entry left from an earlier iterate
-    origin = lb.local_expansion(1, gen_cfg, pc.bifurcation_speeds(
-        1, gen_cfg).admissible()[0])
+    # one matrix per correction, whose couplings between rows are written
+    # once: at every dense solve, column 0 is the c column and the last
+    # row the tangent of that iterate, and the rest is the Jacobian at
+    # it, bit for bit the block-by-block oracle's, no entry left from an
+    # earlier iterate.  On two rows the c column is that of the carried
+    # rows, sqrt(2) times the rows Newton unstacks, to round-off
+    cfg = pc.classify_config(a)
+    origin = lb.local_expansion(fold, cfg, pc.bifurcation_speeds(
+        fold, cfg).admissible()[0])
     c, state = lb.predictor(origin, 0.2, count=9)
     u0 = np.concatenate([[c], state.as_vector()])
     constraint = ct.ArclengthConstraint(u0 / np.linalg.norm(u0), u0, 0.0)
     iterates, solves = [], []
     jacobian, solve = st.Layout.jacobian, np.linalg.solve
 
-    def spy_jacobian(layout, c, rows):
-        iterates.append((c, rows.copy(), jacobian(layout, c, rows)))
-        return iterates[-1][2]
+    def spy_jacobian(layout, c, rows, out):
+        iterates.append((c, rows.copy(), block_jacobian(cfg, fold, c, rows)))
+        return jacobian(layout, c, rows, out)
 
     def spy_solve(A, b):
         solves.append(A.copy())
@@ -725,12 +733,20 @@ def test_jacobian_fills_a_bordered_view(gen_cfg, monkeypatch):
 
     monkeypatch.setattr(st.Layout, "jacobian", spy_jacobian)
     monkeypatch.setattr(np.linalg, "solve", spy_solve)
-    sol, iters = ct.newton_correct(gen_cfg, (c, state), constraint, 1, 9)
+    sol, iters = ct.newton_correct(cfg, (c, state), constraint, fold, 9)
     assert iters == sol.dense_solves == len(solves) == len(iterates) >= 2
-    w = np.tile(np.arange(1.0, 10.0), 4)  # fold 1, N = 9
+    w = np.tile(fold * np.arange(1.0, 10.0), k)  # N = 9
+    scale = np.sqrt(4.0 / k)
     for A, (c, rows, J) in zip(solves, iterates):
-        assert np.array_equal(A[:-1, 0], w * rows.ravel())
-        assert np.array_equal(A[-1], constraint.tangent)
+        assert rows.shape == (k, 9)
+        col = w * (scale * rows).ravel()
+        if k == 4:
+            assert np.array_equal(A[:-1, 0], col)
+        else:
+            assert np.max(np.abs(A[:-1, 0] - col)) <= 1e-15 * np.max(
+                np.abs(col))
+        assert np.array_equal(A[-1], np.concatenate(
+            [[constraint.tangent[0]], scale * constraint.tangent[1:k * 9 + 1]]))
         assert np.array_equal(A[:-1, 1:], J)
 
 
