@@ -121,16 +121,17 @@ class TerminationReport:
 def _gmres(op, rhs, tol, max_iters):
     """Flexible GMRES from x = 0 (Saad 1993; Saad & Schultz 1986).
 
-    op(v, z) writes the preconditioned vector z = P v into z and returns
-    A z.  Each z_j is kept, and x = sum_j y_j z_j, so no preconditioner
-    call follows the cycle.  Stops when the Arnoldi estimate of
-    ||rhs - A x|| is at most tol, after max_iters, or when the new
-    Arnoldi vector vanishes: then the Krylov space is invariant and x
-    solves the system, unless the rotated Hessenberg column vanishes too
-    (a singular operator).  Returns (x, iterations).  Orthogonalizes by
-    classical Gram-Schmidt twice, rotates each new Hessenberg column by
-    Givens rotations on Python floats, and solves the small triangular
-    system by back-substitution.
+    op(v, z, out) writes the preconditioned vector z = P v into z and A z
+    into out, the next row of the Krylov basis, which is orthogonalized
+    and normalized where it lies.  Each z_j is kept, and x = sum_j y_j
+    z_j, so no preconditioner call follows the cycle.  Stops when the
+    Arnoldi estimate of ||rhs - A x|| is at most tol, after max_iters,
+    or when the new Arnoldi vector vanishes: then the Krylov space is
+    invariant and x solves the system, unless the rotated Hessenberg
+    column vanishes too (a singular operator).  Returns (x, iterations).
+    Orthogonalizes by classical Gram-Schmidt twice, rotates each new
+    Hessenberg column by Givens rotations on Python floats, and solves
+    the small triangular system by back-substitution.
     """
     beta = float(np.linalg.norm(rhs))
     V = np.empty((max_iters + 1, rhs.size))
@@ -138,15 +139,17 @@ def _gmres(op, rhs, tol, max_iters):
     R = np.zeros((max_iters, max_iters))  # rotated Hessenberg, triangular
     rot = []                              # Givens (cos, sin)
     g = [beta]
-    V[0] = rhs / beta
+    np.divide(rhs, beta, out=V[0])
+    work = np.empty(rhs.size)             # a Gram-Schmidt projection
     k = 0
     while k < max_iters and abs(g[k]) > tol:
-        v = op(V[k], Z[k])
+        v = V[k + 1]
+        op(V[k], Z[k], v)
         basis = V[:k + 1]
         h = basis @ v
-        v -= h @ basis
+        v -= np.matmul(h, basis, out=work)
         h2 = basis @ v
-        v -= h2 @ basis
+        v -= np.matmul(h2, basis, out=work)
         col = (h + h2).tolist()
         below = math.sqrt(v @ v)
         for j, (cs, sn) in enumerate(rot):
@@ -164,7 +167,7 @@ def _gmres(op, rhs, tol, max_iters):
         k += 1
         if below == 0.0:
             break
-        V[k] = v / below
+        v /= below
     y = np.zeros(k)
     for j in range(k - 1, -1, -1):
         y[j] = (g[j] - R[j, j + 1:k] @ y[j + 1:]) / R[j, j]
@@ -197,12 +200,14 @@ def _krylov_step(layout, c, rows, col, tangent, res, tol):
         pivot = t_c - t_h @ z_col
         border = col - a_z_col
 
-        def op(v, z):
+        def op(v, z, out):
             y, a_y = preconditioned(v[:-1].reshape(shape))
             y = y.ravel()
             z[0] = y_c = (v[-1] - t_h @ y) / pivot
-            np.subtract(y, y_c * z_col, out=z[1:])
-            return np.concatenate((a_y.ravel() + y_c * border, v[-1:]))
+            np.subtract(y, np.multiply(z_col, y_c, out=z[1:]), out=z[1:])
+            np.add(a_y.ravel(), np.multiply(border, y_c, out=out[:-1]),
+                   out=out[:-1])
+            out[-1] = v[-1]
 
         def apply(x):
             out = np.empty_like(x)
@@ -381,14 +386,26 @@ def _tail_heavy(state, total, opts):
     return sp.norm(tail, opts.norm_params) > TAIL_NORM_TOL * total
 
 
-def _accept(branch, u_prev, sol, iters, next_step, norm):
-    """Append the corrected point, its arclength counted on from the last
-    point (or 0), with the unit secant from u_prev and its state's norm.
-    Returns the point's augmented vector and that secant."""
+def _secant(sol, u_prev):
+    """The corrected point's augmented vector u, the unit secant from
+    u_prev to it and the secant's length.  Raises CorrectionFailedError
+    unless the length is positive and finite: the norm of a step near
+    1e-300 underflows to 0, and its secant would be 0/0."""
     u = st.Layout.shared(sol.cfg, sol.state.fold, sol.state.count).stack(
         sol.c, sol.state.cos)
-    step_len = float(np.linalg.norm(u - u_prev))
-    tangent = (u - u_prev) / step_len
+    step = u - u_prev
+    step_len = float(np.linalg.norm(step))
+    if not 0.0 < step_len < math.inf:
+        raise CorrectionFailedError(
+            f"correction-failed: secant of length {step_len!r}")
+    return u, step / step_len, step_len
+
+
+def _accept(branch, sol, secant, iters, next_step, norm):
+    """Append the corrected point with its secant (u, tangent, length) from
+    _secant, its arclength counted on from the last point (or 0) and its
+    state's norm.  Returns u and the tangent."""
+    u, tangent, step_len = secant
     s = branch.points[-1].s if branch.points else 0.0
     branch.points.append(BranchPoint(
         s=s + step_len, solution=sol, tangent=tangent, next_step=next_step,
@@ -410,6 +427,7 @@ def _advance(branch, u_prev, tangent, ds):
                 cfg, (c, st.InterfaceState.from_arrays(fold, rows)),
                 ArclengthConstraint(tangent, u_prev, ds), fold, count,
                 opts.newton_tol)
+            secant = _secant(sol, u_prev)
         except CorrectionFailedError:
             ds *= 0.5
             if ds < opts.h_min:
@@ -428,7 +446,7 @@ def _advance(branch, u_prev, tangent, ds):
             continue
         if iters <= FAST_ITERS:
             ds = min(ds * GROWTH, opts.h_max)
-        u_prev, tangent = _accept(branch, u_prev, sol, iters, ds, norm)
+        u_prev, tangent = _accept(branch, sol, secant, iters, ds, norm)
     branch.termination = status
 
 
@@ -437,27 +455,29 @@ def _mirror(plus, opts):
 
     The shift x -> x + pi/m maps the kernel cos(mx) to -cos(mx) and the
     steady system to itself, so it carries the + arm onto the - arm.
-    Each image point shifts the + point's state and secant (an exact
-    sign flip of the odd harmonics; c and its tangent entry stay) and
-    recomputes its residual sup and monitors, which is its convergence
-    check: None if a sup exceeds opts.newton_tol.  The arclength, norm,
-    compact index, next step and Newton count are the + point's, and the
-    solver counters are those of the one correction that produced both.
+    Each image point shifts the + point's state and secant by one sign
+    table, half_shift (an exact sign flip of the odd harmonics; c and
+    its tangent entry stay), and recomputes its residual sup, which is
+    its convergence check: None if a sup exceeds opts.newton_tol.  The
+    shift leaves the monitors' minima over a fold period unchanged, so
+    they are the + point's, as are the arclength, norm, compact index,
+    next step and Newton count; the solver counters are those of the
+    one correction that produced both.
     """
     fold = plus.origin.m
-    half = math.pi / fold
     points = []
     for p in plus.points:
         sol = p.solution
-        image = st.solution_at(sol.cfg, sol.c, sol.state.shifted(half))
-        if not image.residual_norm <= opts.newton_tol:
+        shift = st.half_shift(sol.state.count)
+        state = st.InterfaceState.from_arrays(fold, shift * sol.state.cos)
+        sup = float(np.abs(st.residual_vector(sol.cfg, sol.c, state)).max(
+            initial=0.0))
+        if not sup <= opts.newton_tol:
             return None
-        image.krylov_iters, image.dense_solves = (sol.krylov_iters,
-                                                  sol.dense_solves)
-        layout = st.Layout.shared(sol.cfg, fold, sol.state.count)
-        t_c, t_rows = layout.unstack(p.tangent)
-        points.append(replace(p, solution=image, tangent=layout.stack(
-            t_c, st.half_shift(sol.state.count) * t_rows)))
+        image = st.WaveSolution(sol.cfg, sol.c, state, sup, sol.monitors,
+                                sol.krylov_iters, sol.dense_solves)
+        signs = np.append(1.0, np.tile(shift, 4))  # c's entry stays
+        points.append(replace(p, solution=image, tangent=signs * p.tangent))
     return Branch(points=points, origin=plus.origin, arm=-1,
                   termination=plus.termination, options=opts)
 
@@ -488,11 +508,12 @@ def trace_arm(origin, arm, opts, plus=None):
         sol, iters = newton_correct(
             origin.cfg, lb.predictor(origin, arm * opts.s0, count=count),
             constraint, fold, count, opts.newton_tol)
+        secant = _secant(sol, u0)
     except CorrectionFailedError as exc:
         raise CannotStartError(f"cannot-start: {exc}") from exc
     branch = Branch(points=[], origin=origin, arm=arm, termination=RUNNING,
                     options=opts)
-    _advance(branch, *_accept(branch, u0, sol, iters, ds,
+    _advance(branch, *_accept(branch, sol, secant, iters, ds,
                               sol.state.norm(opts.norm_params)), ds)
     return branch
 

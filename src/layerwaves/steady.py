@@ -293,10 +293,11 @@ class Layout:
         that grid as h = (dx^-1 g + kappa_i) / q_i, with kappa_i making h
         zero-mean, cut to harmonics 1..N.  kappa_i enters in coefficient
         space, through the harmonics of 1/q_i.  P leaves out the
-        potential, which smooths.  q is sampled once, here.  Every
-        forward transform is cosine-only (spectral.transform); matvec is
-        one inverse and one forward transform, preconditioned two of
-        each.  A zero of q shows as non-finite output.
+        potential, which smooths.  q is sampled once, here, and one (k,
+        N) work array holds the 1/w, kappa and coupling terms in turn.
+        Every forward transform is cosine-only (spectral.transform);
+        matvec is one inverse and one forward transform, preconditioned
+        two of each.  A zero of q shows as non-finite output.
         """
         values, coefficients = self._values, self._coefficients
         neg_w, coupling, charge = -self.w, self.coupling, self.charge
@@ -308,17 +309,22 @@ class Layout:
         inv_q_cos = coefficients(inv_q, 1)
         inv_q_cos /= inv_q.sum(axis=1, keepdims=True)
 
+        work = np.empty_like(inv_q_cos)  # (k, N) terms, one at a time
+
         def matvec(h):
-            out = coefficients(q * values(h), 1)
+            vals = values(h)
+            vals *= q
+            out = coefficients(vals, 1)
             out *= neg_w
-            out -= coupling * (charge @ h)
+            out -= np.multiply(coupling, charge @ h, out=work)
             return out
 
         def preconditioned(g):
-            h = values(g / neg_w)
+            h = values(np.divide(g, neg_w, out=work))
             h *= inv_q
             y = coefficients(h, 1)
-            y -= h.sum(axis=1, keepdims=True) * inv_q_cos
+            y -= np.multiply(h.sum(axis=1, keepdims=True), inv_q_cos,
+                             out=work)
             return y, matvec(y)
 
         return matvec, preconditioned

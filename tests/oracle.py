@@ -10,12 +10,15 @@ points (restart), and the inverse Euler-Poisson map (map_from_ep with
 its matrix FROM_EP).  The dense Jacobian of a steady.Layout's rows,
 block by block (block_jacobian), and their matrix-free Jacobian and
 transport preconditioner as two separate passes
-(two_step_linearization).  Layout.tendency with its offset 2a added as
-a (k, 1) column (column_offset_tendency), and Layout.stage so too, with
-its derivative table formed afresh as the derivative of the grid's
-identity (identity_product_stage).  And RK4 on PhaseState objects, one
-rhs call and one combine per stage, as the oracle of dynamics.evolve."""
+(two_step_linearization).  Flexible GMRES that copies each new
+Arnoldi vector into its basis (copying_gmres).  Layout.tendency with
+its offset 2a added as a (k, 1) column (column_offset_tendency), and
+Layout.stage so too, with its derivative table formed afresh as the
+derivative of the grid's identity (identity_product_stage).  And RK4
+on PhaseState objects, one rhs call and one combine per stage, as the
+oracle of dynamics.evolve."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -248,6 +251,62 @@ def two_step_linearization(layout, c, rows):
         return coefficients(h)[0]
 
     return matvec, precondition
+
+
+def copying_gmres(op, rhs, tol, max_iters):
+    """Flexible GMRES from x = 0 (Saad 1993; Saad & Schultz 1986), each
+    A z a fresh array copied into the Krylov basis: the reference for the
+    x and iteration count of continuation._gmres, which builds the basis
+    in place.
+
+    op(v, z) writes the preconditioned vector z = P v into z and returns
+    A z.  Each z_j is kept, and x = sum_j y_j z_j, so no preconditioner
+    call follows the cycle.  Stops when the Arnoldi estimate of
+    ||rhs - A x|| is at most tol, after max_iters, or when the new
+    Arnoldi vector vanishes: then the Krylov space is invariant and x
+    solves the system, unless the rotated Hessenberg column vanishes too
+    (a singular operator).  Returns (x, iterations).  Orthogonalizes by
+    classical Gram-Schmidt twice, rotates each new Hessenberg column by
+    Givens rotations on Python floats, and solves the small triangular
+    system by back-substitution.
+    """
+    beta = float(np.linalg.norm(rhs))
+    V = np.empty((max_iters + 1, rhs.size))
+    Z = np.empty((max_iters, rhs.size))   # preconditioned vectors
+    R = np.zeros((max_iters, max_iters))  # rotated Hessenberg, triangular
+    rot = []                              # Givens (cos, sin)
+    g = [beta]
+    V[0] = rhs / beta
+    k = 0
+    while k < max_iters and abs(g[k]) > tol:
+        v = op(V[k], Z[k])
+        basis = V[:k + 1]
+        h = basis @ v
+        v -= h @ basis
+        h2 = basis @ v
+        v -= h2 @ basis
+        col = (h + h2).tolist()
+        below = math.sqrt(v @ v)
+        for j, (cs, sn) in enumerate(rot):
+            col[j], col[j + 1] = (cs * col[j] + sn * col[j + 1],
+                                  cs * col[j + 1] - sn * col[j])
+        rho = math.hypot(col[k], below)
+        if rho == 0.0:
+            break
+        cs, sn = col[k] / rho, below / rho
+        rot.append((cs, sn))
+        col[k] = rho
+        R[:k + 1, k] = col
+        g.append(-sn * g[k])
+        g[k] *= cs
+        k += 1
+        if below == 0.0:
+            break
+        V[k] = v / below
+    y = np.zeros(k)
+    for j in range(k - 1, -1, -1):
+        y[j] = (g[j] - R[j, j + 1:k] @ y[j + 1:]) / R[j, j]
+    return y @ Z[:k], k
 
 
 def restart(branch, index, opts=None):

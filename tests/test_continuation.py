@@ -12,7 +12,7 @@ from layerwaves import steady as st
 from layerwaves.errors import CannotStartError, CorrectionFailedError
 from layerwaves.spectral import NormParams
 
-from oracle import (block_jacobian, from_vector, restart,
+from oracle import (block_jacobian, copying_gmres, from_vector, restart,
                     two_step_linearization)
 
 SQRT5 = float(np.sqrt(5.0))
@@ -380,12 +380,22 @@ def test_infinite_norm_ends_arm_as_blow_up(sym_expansion):
 
 
 def _op(matrix, precondition=lambda v: v):
-    """The op(v, z) of ct._gmres: writes z = precondition(v) and returns
-    matrix @ z."""
-    def op(v, z):
+    """The op(v, z, out) of ct._gmres: writes z = precondition(v) and
+    matrix @ z into out."""
+    def op(v, z, out):
         z[:] = precondition(v)
-        return matrix @ z
+        np.matmul(matrix, z, out=out)
     return op
+
+
+def _copying_gmres(op, rhs, tol, max_iters):
+    """ct._gmres solved by the reference copying_gmres, whose op(v, z)
+    returns A z as a fresh array."""
+    def returning(v, z):
+        out = np.empty_like(v)
+        op(v, z, out)
+        return out
+    return copying_gmres(returning, rhs, tol, max_iters)
 
 
 def test_gmres_stops_at_an_exact_breakdown():
@@ -437,6 +447,37 @@ def test_gmres_is_flexible():
     assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("max_iters", [40, 7])
+@pytest.mark.parametrize("seed, flexible", [(60, False), (62, True)],
+                         ids=["jacobi", "flexible"])
+def test_gmres_builds_the_reference_basis_in_place(seed, flexible,
+                                                   max_iters):
+    # the systems of the two tests above, to convergence and cut at 7
+    # iterations: the basis built in place gives the reference's x and
+    # iteration count bit for bit
+    rng = np.random.default_rng(seed)
+    n = 40
+    A = rng.uniform(-1, 1, (n, n)) + np.diag(rng.uniform(n, 2 * n, n))
+    b = rng.standard_normal(n)
+    tol = 1e-14 * np.linalg.norm(b)
+
+    def op():
+        calls = []
+
+        def precondition(v):
+            calls.append(v)
+            if not flexible:
+                return v / np.diag(A)
+            return v / (np.diag(A) * (1.0 + 0.5 * (-1) ** len(calls)))
+
+        return _op(A, precondition)
+
+    x, k = ct._gmres(op(), b, tol, max_iters)
+    want, want_k = _copying_gmres(op(), b, tol, max_iters)
+    assert k == want_k and (k == 7) == (max_iters == 7)
+    assert np.array_equal(x, want)
+
+
 @pytest.mark.parametrize("share, accepted", [(0.5, True), (2.0, False)])
 def test_krylov_step_accepts_a_miss_far_below_newton_tol(sym_cfg,
                                                          monkeypatch, share,
@@ -460,8 +501,10 @@ def test_krylov_step_accepts_a_miss_far_below_newton_tol(sym_cfg,
 
     def off_by_miss(op, rhs, tol, max_iters):
         # column i of A P is op(e_i), and row i of Z is P e_i
-        Z = np.empty((rhs.size, rhs.size))
-        AP = np.array([op(e, z) for e, z in zip(np.eye(rhs.size), Z)]).T
+        Z, AP = np.empty((2, rhs.size, rhs.size))
+        for e, z, out in zip(np.eye(rhs.size), Z, AP):
+            op(e, z, out)
+        AP = AP.T
         off = rng.standard_normal(rhs.size)
         return Z.T @ np.linalg.solve(AP, rhs + miss * off
                                      / np.linalg.norm(off)), 3
@@ -509,8 +552,8 @@ def test_bordered_operator_is_a_times_p(sym_cfg, monkeypatch, symmetric):
     _, precondition = two_step_linearization(layout, c, rows)
     z_col = precondition(col.reshape(k, n)).ravel()
     for v in rng.standard_normal((3, 1 + k * n)):
-        z = np.empty_like(v)
-        out = ops[0](v, z)
+        z, out = np.empty((2, v.size))
+        ops[0](v, z, out)
         assert out[-1] == v[-1]
         y = precondition(v[:-1].reshape(k, n)).ravel()
         y_c = (v[-1] - tangent[1:] @ y) / (tangent[0] - tangent[1:] @ z_col)
@@ -543,6 +586,39 @@ def default_plus_arms(sym_expansion):
         mp.setattr(ct, "KRYLOV_MIN_COUNT", 10 ** 9)
         dense = ct.trace_arm(sym_expansion, +1, opts)
     return krylov, dense
+
+
+def test_krylov_step_matches_the_reference_gmres(default_plus_arms,
+                                                 monkeypatch):
+    # the first Krylov step of the correction from the default arm's
+    # third-to-last point, at N = 256, gives the reference GMRES's step
+    # and iteration count bit for bit
+    krylov, _ = default_plus_arms
+    start = krylov.points[-3]
+    sol = start.solution
+    fold, count = sol.state.fold, sol.state.count
+    layout = st.Layout.shared(sol.cfg, fold, count)
+    u = layout.stack(sol.c, sol.state.cos)
+    c, rows = layout.unstack(u + start.next_step * start.tangent)
+    steps = []
+    krylov_step = ct._krylov_step
+
+    def keep(*args):
+        steps.append(args)
+        return krylov_step(*args)
+
+    monkeypatch.setattr(ct, "_krylov_step", keep)
+    ct.newton_correct(sol.cfg, (c, st.InterfaceState.from_arrays(fold, rows)),
+                      ct.ArclengthConstraint(start.tangent, u,
+                                             start.next_step),
+                      fold, count)
+    args = steps[0]
+    assert count == 256 and args[0].w.size == count
+    step, iters = krylov_step(*args)
+    monkeypatch.setattr(ct, "_gmres", _copying_gmres)
+    want, want_iters = krylov_step(*args)
+    assert iters == want_iters > 0
+    assert np.array_equal(step, want)
 
 
 class TestKrylovNewton:
@@ -670,7 +746,9 @@ def test_stalled_corrections_accept_no_degenerate_point():
 # - arm is checked against the half-period image of the + arm: the
 # default arm (GMRES, N 64 -> 256), a dense N = 16 arm, the symmetric
 # m = 3 arm (GMRES, N 64 -> 256, its last corrections near a degenerate
-# state), and a generic layer
+# state), a generic layer, and a symmetric arm at N = 32, whose monitor
+# grid of 512 points is the last one of table products
+# (spectral.TABLE_MAX_SIZE)
 MIRROR_CASES = {
     "default": ((-1.0, 1.0, -1.0, 1.0), 1, ct.ContinuationOptions()),
     "dense-16": ((-1.0, 1.0, -1.0, 1.0), 1,
@@ -680,6 +758,8 @@ MIRROR_CASES = {
                ct.ContinuationOptions(count=64, max_points=11)),
     "generic": ((0.0, 1.0, 2.5, 3.5), 1,
                 ct.ContinuationOptions(count=16, max_points=12)),
+    "table-edge": ((-2.0, 0.5, -2.0, 0.5), 1,
+                   ct.ContinuationOptions(count=32, max_count=32)),
 }
 
 
@@ -714,7 +794,8 @@ class TestMirroredArm:
 
     def test_image_points_are_checked_shifts(self, mirror_arms):
         # the state is the + state shifted by pi/m, which flips the signs
-        # of the odd harmonics; its residual and monitors are its own
+        # of the odd harmonics; its residual is its own, and the monitors
+        # it carries over from the + point are its own too
         plus, _, image = mirror_arms
         m = plus.origin.m
         for p, q in zip(plus.points, image.points):
