@@ -174,16 +174,18 @@ def _gmres(op, rhs, tol, max_iters):
     return y @ Z[:k], k
 
 
-def _krylov_step(layout, c, rows, col, tangent, res, tol):
+def _krylov_step(layout, c, rows, col, tangent, res, tol, grid=None):
     """Newton step of the bordered system A by matrix-free GMRES.
 
     A acts on u = (c, carried rows) of the layout; col is its c column,
     tangent its arclength row.  Its preconditioner P is the transport
-    inverse T of Layout.linearization, bordered by elimination: for
+    inverse T of Layout.linearization, at the rows' product-grid values
+    grid if given (Layout.residual), bordered by elimination: for
     v = (g, s), P v = (y_c, y - y_c z_col) with y = T g, z_col = T col
     and y_c solving the arclength row.  So A P v has the arclength entry
     s and the rows A y + y_c (col - A z_col), one preconditioned pass
-    each.  The true residual is checked after the solve and, if it
+    each, which writes y and A y into GMRES's rows z[1:] and out[:-1].
+    The true residual is checked after the solve and, if it
     exceeds both KRYLOV_TRUE_TOL times ||res|| and KRYLOV_TOL_SHARE
     times Newton's tol, one more GMRES cycle runs on it: a miss far
     below tol is round-off that no Newton iteration would notice.
@@ -193,20 +195,21 @@ def _krylov_step(layout, c, rows, col, tangent, res, tol):
     shape = rows.shape
     iters = 0
     with np.errstate(all="ignore"):
-        matvec, preconditioned = layout.linearization(c, rows)
+        matvec, preconditioned = layout.linearization(c, rows, grid)
         t_c, t_h = tangent[0], tangent[1:]
         z_col, a_z_col = (x.ravel() for x in preconditioned(
             col.reshape(shape)))
         pivot = t_c - t_h @ z_col
         border = col - a_z_col
+        work = np.empty_like(col)  # y_c z_col, then y_c border
 
         def op(v, z, out):
-            y, a_y = preconditioned(v[:-1].reshape(shape))
-            y = y.ravel()
+            y, a_y = z[1:], out[:-1]
+            preconditioned(v[:-1].reshape(shape), y.reshape(shape),
+                           a_y.reshape(shape))
             z[0] = y_c = (v[-1] - t_h @ y) / pivot
-            np.subtract(y, np.multiply(z_col, y_c, out=z[1:]), out=z[1:])
-            np.add(a_y.ravel(), np.multiply(border, y_c, out=out[:-1]),
-                   out=out[:-1])
+            y -= np.multiply(z_col, y_c, out=work)
+            a_y += np.multiply(border, y_c, out=work)
             out[-1] = v[-1]
 
         def apply(x):
@@ -245,7 +248,9 @@ def newton_correct(cfg, guess, constraint, fold, count,
     restated on u, and the residual rows are weighted by the layout's
     scale in the linear solves, so every inner product and norm is that
     of the 4N + 1 system.  From KRYLOV_MIN_COUNT harmonics on, each step
-    is a matrix-free GMRES solve (_krylov_step); below it, a dense solve
+    is a matrix-free GMRES solve (_krylov_step), linearized at the
+    product-grid values that the accepted residual wrote into the grid
+    array kept beside its buffer; below it, a dense solve
     of the one bordered matrix (steady.Layout.bordered), whose couplings
     between rows and arclength row are written once, its c column and
     Jacobian blocks in place per step.  An overflowing trial shows as a
@@ -270,31 +275,36 @@ def newton_correct(cfg, guess, constraint, fold, count,
     four_rows = n == 4 * count  # scale 1: the residual is its own rhs
     if not four_rows:
         weight = np.append(np.full(n, layout.scale), 1.0)
-    if count < KRYLOV_MIN_COUNT:  # the one bordered matrix of dense solves
-        A = layout.bordered()
+    krylov = count >= KRYLOV_MIN_COUNT
+    if krylov:  # the rows' product-grid values beside res and res_t
+        grid, grid_t = np.empty((2, layout.k, sp.PRODUCT_GRID_FACTOR * count))
+    else:
+        A = layout.bordered()  # the one bordered matrix of dense solves
         A[n, :] = constraint.tangent
+        grid = grid_t = None
     krylov_iters = dense_solves = 0
     res_t = np.empty(n + 1)  # a trial's residual; swapped in on acceptance
 
-    def full_residual(u, out):
-        """Write the residual at u into out; return u's c and rows."""
+    def full_residual(u, out, grid):
+        """Write the residual at u into out and the rows' grid values
+        into grid (None: not kept); return u's c and rows."""
         c, rows = layout.unstack(u)
-        layout.residual(c, rows, out[:n].reshape(rows.shape))
+        layout.residual(c, rows, out[:n].reshape(rows.shape), grid)
         out[n] = constraint.value(u)
         return c, rows
 
     with np.errstate(over="ignore", invalid="ignore"):
         res = np.empty(n + 1)
-        c, rows = full_residual(u, res)
+        c, rows = full_residual(u, res, grid)
         sup = np.abs(res).max()
         for it in range(MAX_NEWTON + 1):
             if sup <= tol or it == MAX_NEWTON:
                 break
             col = (layout.w * u[1:].reshape(rows.shape)).ravel()  # c column
             rhs = res if four_rows else weight * res
-            if count >= KRYLOV_MIN_COUNT:
+            if krylov:
                 step, k = _krylov_step(layout, c, rows, col,
-                                       constraint.tangent, rhs, tol)
+                                       constraint.tangent, rhs, tol, grid)
                 krylov_iters += k
             else:
                 A[:n, 0] = col
@@ -308,7 +318,7 @@ def newton_correct(cfg, guess, constraint, fold, count,
             lam = 1.0
             while True:
                 trial = u + lam * step
-                c_t, rows_t = full_residual(trial, res_t)
+                c_t, rows_t = full_residual(trial, res_t, grid_t)
                 sup_t = np.abs(res_t).max()
                 if np.isfinite(sup_t) and (sup_t < sup or lam <= 0.125):
                     break
@@ -318,6 +328,7 @@ def newton_correct(cfg, guess, constraint, fold, count,
                         "correction-failed: damping exhausted")
             u, c, rows, sup = trial, c_t, rows_t, sup_t
             res, res_t = res_t, res
+            grid, grid_t = grid_t, grid
     if sup <= tol:
         # the sup of the plus rows is not that of the four embedded rows
         # bit for bit, so solution_at forms the latter

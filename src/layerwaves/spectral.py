@@ -315,14 +315,17 @@ def transform(count, npts):
     """The transforms of harmonics 1..count on npts uniform points of one
     fold period: three functions, (values, coefficients, derivative).
 
-    values(rows) takes the (k, p count) rows of k series, cosine then
-    sine coefficients (p = 2) or cosine ones (p = 1), to their (k, npts)
-    grid values; coefficients(vals, p) takes grid values back to their
-    (2, k, count) cosine over sine coefficients (p = 2, the default), or
-    to the (k, count) cosine ones alone (p = 1), for even values or
-    wherever the sine half would be discarded; derivative(vals, p) takes
-    grid values to the coefficients of their dx in reduced wavenumbers,
-    as rows like values' (p = 1: the sine part alone).  Up to
+    values(rows, out) takes the (k, p count) rows of k series, cosine
+    then sine coefficients (p = 2) or cosine ones (p = 1), to their (k,
+    npts) grid values; coefficients(vals, p, out) takes grid values back
+    to their (2, k, count) cosine over sine coefficients (p = 2, the
+    default), or to the (k, count) cosine ones alone (p = 1), for even
+    values or wherever the sine half would be discarded.  values and
+    coefficients' p = 1 write into out, an array of the output's shape,
+    if given, with the bits of a call without it; p = 2 ignores out.
+    derivative(vals, p) takes grid values to the coefficients of their
+    dx in reduced wavenumbers, as rows like values' (p = 1: the sine
+    part alone).  Up to
     TABLE_MAX_SIZE all three are products with three tables, made here
     alone, read-only at 64-byte boundaries (_aligned): a (2 count, npts)
     cos/sin table, whose angles are formed from (j p) mod npts, so they
@@ -331,8 +334,10 @@ def transform(count, npts):
     weighted by +-j.  Above it, values is one inverse real FFT of the
     half spectrum (cos - i sin) / 2, unnormalized, written into one
     zeroed half spectrum per rows shape, made on the first call;
-    coefficients and derivative are one forward real FFT each, and
-    coefficients' p = 1 reads its real parts alone.  Needs npts > 2 count.
+    coefficients and derivative are one forward real FFT each, written
+    into one complex work spectrum per vals shape, made on the first
+    call and read before the call returns, and coefficients' p = 1 reads
+    its real parts alone.  Needs npts > 2 count.
     """
     if 2 * count >= npts:
         raise ValueError(f"{npts} points cannot resolve {count} harmonics")
@@ -349,12 +354,13 @@ def transform(count, npts):
         cosine, cosine_t, sine_slope = (stacked[:count], forward[:, :count],
                                         slope[:, count:])
 
-        def values(rows):
-            return rows @ (stacked if rows.shape[1] > count else cosine)
+        def values(rows, out=None):
+            return np.matmul(rows, stacked if rows.shape[1] > count
+                             else cosine, out=out)
 
-        def coefficients(vals, p=2):
+        def coefficients(vals, p=2, out=None):
             if p == 1:
-                return vals @ cosine_t
+                return np.matmul(vals, cosine_t, out=out)
             return (vals @ forward).reshape(-1, 2, count).transpose(1, 0, 2)
 
         def derivative(vals, p):
@@ -362,10 +368,11 @@ def transform(count, npts):
 
         return values, coefficients, derivative
     spectra = {}  # rows' shape -> zeroed half spectrum, its (2, k, count) view
+    work = {}  # vals' shape -> forward work spectrum
     scale = (2.0 / npts) * np.array([1.0, -1.0])[:, None, None]
     slope = (-2.0 / npts) * np.arange(1, count + 1)
 
-    def values(rows):
+    def values(rows, out=None):
         if rows.shape not in spectra:
             half = np.zeros((len(rows), npts // 2 + 1), dtype=complex)
             spectra[rows.shape] = half, _parts(half, count)
@@ -373,19 +380,25 @@ def transform(count, npts):
         np.multiply(rows[:, :count], 0.5, out=parts[0])
         if rows.shape[1] > count:  # p = 1 keeps its sine band zero
             np.multiply(rows[:, count:], -0.5, out=parts[1])
-        return np.fft.irfft(half, n=npts, axis=1, norm="forward")
+        return np.fft.irfft(half, n=npts, axis=1, norm="forward", out=out)
 
-    def coefficients(vals, p=2):
+    def spectrum(vals):
+        if vals.shape not in work:
+            work[vals.shape] = np.empty((len(vals), npts // 2 + 1),
+                                        dtype=complex)
+        return np.fft.rfft(vals, axis=1, out=work[vals.shape])
+
+    def coefficients(vals, p=2, out=None):
         # C order: the callers' arithmetic on the spectrum's interleaved
         # layout was measured slower, by 10% of an RK4 stage at N = 256
-        spectrum = np.fft.rfft(vals, axis=1)
         if p == 1:
-            return np.multiply(spectrum.real[:, 1:count + 1], 2.0 / npts)
-        return np.multiply(_parts(spectrum, count), scale, order="C")
+            return np.multiply(spectrum(vals).real[:, 1:count + 1],
+                               2.0 / npts, out=out)
+        return np.multiply(_parts(spectrum(vals), count), scale, order="C")
 
     def derivative(vals, p):
         # -(2/npts) j times the imaginary parts over the real ones
-        parts = _parts(np.fft.rfft(vals, axis=1), count)[::-1][2 - p:]
+        parts = _parts(spectrum(vals), count)[::-1][2 - p:]
         return np.multiply(parts.transpose(1, 0, 2), slope,
                            order="C").reshape(len(vals), p * count)
 

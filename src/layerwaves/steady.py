@@ -163,15 +163,17 @@ class Layout:
             return rows
         return np.concatenate([rows, self.shift * rows])
 
-    def tendency(self, x):
+    def tendency(self, x, grid=None):
         """Time derivative f of the evolution system at the even state
         with the (k, N) cosine rows x, as its (k, N) sine coefficients (f
         is odd).  Component i: f_i = -dx(a_i r_i + r_i^2 / 2) -+ dx^-1(d),
         minus on the plus species: g = r (r + 2a) on the product grid
         (_square), its dx taken back by the layout's transforms
         (spectral.transform) and scaled by -fold/2, exact on harmonics
-        1..N, and the coupling added.  Newton's residual reads it."""
-        out = self._derivative(self._square(x), 1)
+        1..N, and the coupling added.  The grid values r are written
+        into grid, a (k, M) array, if given.  Newton's residual reads
+        it."""
+        out = self._derivative(self._square(x, grid), 1)
         out *= self._half_fold
         out += self.coupling * (self.charge @ x)
         return out
@@ -195,20 +197,23 @@ class Layout:
 
         return stage
 
-    def _square(self, x):
-        """g = r (r + 2a) on the product grid, r the values of rows x."""
-        vals = self._values(x)
+    def _square(self, x, vals=None):
+        """g = r (r + 2a) on the product grid, r the values of rows x,
+        written into vals if given."""
+        vals = self._values(x, vals)
         g = vals + self._twice_a
         g *= vals
         return g
 
-    def residual(self, c, rows, out=None):
+    def residual(self, c, rows, out=None, grid=None):
         """Galerkin residual of the traveling-wave system: the (k, N) sine
         coefficients of -(f(r) + c dx r) on the even state r with these
         rows, f the tendency; -(r_i + a_i - c) dx r_i  -+  dx^-1(d) per
-        component.  Written into out, a (k, N) array, if given."""
+        component.  Written into out, a (k, N) array, if given; the
+        rows' product-grid values, which linearization reads, into grid,
+        a (k, M) array, if given."""
         out = np.multiply(c * self.w, rows, out=out)
-        out -= self.tendency(rows)
+        out -= self.tendency(rows, grid)
         return out
 
     def bordered(self):
@@ -280,52 +285,61 @@ class Layout:
                 (block + p[:, None]) * size + 1 + block + p, half_w,
                 coupling[~other], coupled[other], coupling[other])
 
-    def linearization(self, c, rows):
+    def linearization(self, c, rows, grid=None):
         """Matrix-free Jacobian and transport-preconditioned Jacobian at
         the rows: two functions on (k, N) arrays, (matvec, preconditioned).
 
-        matvec(h) is jacobian(c, rows) applied to the cosine coefficients
-        h: the sine coefficients of dx(q_i h_i) -+ dx^-1(d(h)),
-        q_i = r_i + a_i - c.  The product q_i h_i reaches harmonic 2N; on
-        the product grid (spectral.PRODUCT_GRID_FACTOR) it does not alias
-        onto 1..N.  preconditioned(g) returns (y, matvec(y)) in one pass,
-        y = P g the transport inverse of g: P inverts h -> dx(q_i h) on
-        that grid as h = (dx^-1 g + kappa_i) / q_i, with kappa_i making h
-        zero-mean, cut to harmonics 1..N.  kappa_i enters in coefficient
-        space, through the harmonics of 1/q_i.  P leaves out the
-        potential, which smooths.  q is sampled once, here, and one (k,
-        N) work array holds the 1/w, kappa and coupling terms in turn.
-        Every forward transform is cosine-only (spectral.transform);
-        matvec is one inverse and one forward transform, preconditioned
-        two of each.  A zero of q shows as non-finite output.
+        matvec(h, out) is jacobian(c, rows) applied to the cosine
+        coefficients h: the sine coefficients of dx(q_i h_i) -+
+        dx^-1(d(h)), q_i = r_i + a_i - c.  The product q_i h_i reaches
+        harmonic 2N; on the product grid (spectral.PRODUCT_GRID_FACTOR)
+        it does not alias onto 1..N.  preconditioned(g, y, a_y) returns
+        (y, matvec(y)) in one pass, y = P g the transport inverse of g:
+        P inverts h -> dx(q_i h) on that grid as h = (dx^-1 g + kappa_i)
+        / q_i, with kappa_i making h zero-mean, cut to harmonics 1..N.
+        kappa_i enters in coefficient space, through the harmonics of
+        1/q_i.  P leaves out the potential, which smooths.  Each output
+        is written into the (k, N) array given for it (out, y, a_y), or
+        into a fresh one.  q is formed once, here, from grid, the rows'
+        product-grid values as residual wrote them, which it only reads,
+        or from an inverse transform of the rows if grid is None.  The
+        passes share one (k, M) grid work array, one (k, N) work array
+        holds the 1/w, kappa and coupling terms in turn and one N-vector
+        the charge difference, so a pass with its outputs given allocates
+        no array of N or more entries.  Every forward transform is
+        cosine-only (spectral.transform); matvec is one inverse and one
+        forward transform, preconditioned two of each.  A zero of q shows
+        as non-finite output.
         """
         values, coefficients = self._values, self._coefficients
         neg_w, coupling, charge = -self.w, self.coupling, self.charge
-        q = values(rows)
-        q += self.a - c
+        q = (values(rows) if grid is None else grid) + (self.a - c)
         inv_q = 1.0 / q
         # kappa_i / q_i in coefficient space: with h = dx^-1 g / q,
         # kappa_i = -sum_p(h_i) / sum_p(1 / q_i) times the harmonics of 1/q_i
         inv_q_cos = coefficients(inv_q, 1)
         inv_q_cos /= inv_q.sum(axis=1, keepdims=True)
 
+        on_grid = np.empty_like(q)  # (k, M) grid values, one pass at a time
         work = np.empty_like(inv_q_cos)  # (k, N) terms, one at a time
+        diff = np.empty(self.w.size)  # the charge difference d(h)
 
-        def matvec(h):
-            vals = values(h)
+        def matvec(h, out=None):
+            vals = values(h, on_grid)
             vals *= q
-            out = coefficients(vals, 1)
+            out = coefficients(vals, 1, out)
             out *= neg_w
-            out -= np.multiply(coupling, charge @ h, out=work)
+            out -= np.multiply(coupling, np.matmul(charge, h, out=diff),
+                               out=work)
             return out
 
-        def preconditioned(g):
-            h = values(np.divide(g, neg_w, out=work))
+        def preconditioned(g, y=None, a_y=None):
+            h = values(np.divide(g, neg_w, out=work), on_grid)
             h *= inv_q
-            y = coefficients(h, 1)
+            y = coefficients(h, 1, y)
             y -= np.multiply(h.sum(axis=1, keepdims=True), inv_q_cos,
                              out=work)
-            return y, matvec(y)
+            return y, matvec(y, a_y)
 
         return matvec, preconditioned
 

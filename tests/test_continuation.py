@@ -8,6 +8,7 @@ import pytest
 from layerwaves import continuation as ct
 from layerwaves import localbranch as lb
 from layerwaves import pencil as pc
+from layerwaves import spectral as sp
 from layerwaves import steady as st
 from layerwaves.errors import CannotStartError, CorrectionFailedError
 from layerwaves.spectral import NormParams
@@ -49,9 +50,9 @@ class TestNewtonCorrect:
         calls = []
         residual = st.Layout.residual
 
-        def counted(layout, c, rows, out=None):
+        def counted(layout, c, rows, out=None, grid=None):
             calls.append((float(c), rows.copy()))
-            return residual(layout, c, rows, out)
+            return residual(layout, c, rows, out, grid)
 
         monkeypatch.setattr(st.Layout, "residual", counted)
         n = 16
@@ -562,6 +563,42 @@ def test_bordered_operator_is_a_times_p(sym_cfg, monkeypatch, symmetric):
         assert np.max(np.abs(out - A @ z)) <= 1e-12 * np.max(np.abs(out))
 
 
+def test_gmres_operator_allocates_no_grid_array(sym_cfg, monkeypatch):
+    # after a warm-up, one application of the GMRES operator at N = 256
+    # on two rows writes P v and A P v into GMRES's rows and the
+    # transforms' outputs into work arrays: its traced peak stays below
+    # the 16 KiB of one (2, 4N) grid array, which the transforms would
+    # allocate with each output
+    rng = np.random.default_rng(64)
+    n = 256
+    layout = st.Layout(sym_cfg, 1, n, True)
+    k, c = layout.k, 2.2
+    rows = 0.05 * rng.uniform(-1, 1, (k, n)) * np.exp(-0.2 * np.arange(n))
+    col = (layout.w * rows).ravel()
+    tangent = rng.standard_normal(1 + k * n)
+    tangent /= np.linalg.norm(tangent)
+    ops = []
+    gmres = ct._gmres
+
+    def keep_op(op, rhs, tol, max_iters):
+        ops.append(op)
+        return gmres(op, rhs, tol, max_iters)
+
+    monkeypatch.setattr(ct, "_gmres", keep_op)
+    ct._krylov_step(layout, c, rows, col, tangent,
+                    1e-6 * rng.standard_normal(1 + k * n), 1e-11)
+    v = rng.standard_normal(1 + k * n)
+    z, out = np.empty((2, v.size))
+    ops[0](v, z, out)
+    tracemalloc.start()
+    try:
+        ops[0](v, z, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * k * sp.PRODUCT_GRID_FACTOR * n == 16384
+
+
 class _Forward:
     """Attribute proxy: overrides first, everything else from `base`."""
 
@@ -591,8 +628,9 @@ def default_plus_arms(sym_expansion):
 def test_krylov_step_matches_the_reference_gmres(default_plus_arms,
                                                  monkeypatch):
     # the first Krylov step of the correction from the default arm's
-    # third-to-last point, at N = 256, gives the reference GMRES's step
-    # and iteration count bit for bit
+    # third-to-last point, at N = 256, replayed, is the step the
+    # correction took, and gives the reference GMRES's step and
+    # iteration count bit for bit
     krylov, _ = default_plus_arms
     start = krylov.points[-3]
     sol = start.solution
@@ -604,17 +642,22 @@ def test_krylov_step_matches_the_reference_gmres(default_plus_arms,
     krylov_step = ct._krylov_step
 
     def keep(*args):
-        steps.append(args)
-        return krylov_step(*args)
+        # the last argument, the accepted residual's grid values, is a
+        # buffer that later trials of the correction overwrite
+        saved = args[:-1] + (args[-1].copy(),)
+        taken = krylov_step(*args)
+        steps.append((saved, taken))
+        return taken
 
     monkeypatch.setattr(ct, "_krylov_step", keep)
     ct.newton_correct(sol.cfg, (c, st.InterfaceState.from_arrays(fold, rows)),
                       ct.ArclengthConstraint(start.tangent, u,
                                              start.next_step),
                       fold, count)
-    args = steps[0]
+    args, taken = steps[0]
     assert count == 256 and args[0].w.size == count
     step, iters = krylov_step(*args)
+    assert np.array_equal(step, taken[0]) and iters == taken[1]
     monkeypatch.setattr(ct, "_gmres", _copying_gmres)
     want, want_iters = krylov_step(*args)
     assert iters == want_iters > 0

@@ -223,6 +223,46 @@ def test_grid_values_work_array_keeps_no_state(monkeypatch, count):
         (3, count), (3, 2 * count)}
 
 
+@pytest.mark.parametrize("count", [16, 64, 128, 256])  # tables, then FFTs
+@pytest.mark.parametrize("k", [2, 4])
+def test_transforms_write_into_out(count, k):
+    # values(rows, out) and coefficients(vals, 1, out) write into out and
+    # return it, with the bits of the calls that allocate their output,
+    # on each product grid: tables up to N = 64, real FFTs above
+    rng = np.random.default_rng(90 + count + k)
+    npts = sp.PRODUCT_GRID_FACTOR * count
+    values, coefficients = sp.transform(count, npts)[:2]
+    for p in (1, 2):
+        rows = rng.standard_normal((k, p * count))
+        grid = np.empty((k, npts))
+        assert values(rows, grid) is grid
+        assert np.array_equal(grid, values(rows))
+    vals = rng.standard_normal((k, npts))
+    out = np.empty((k, count))
+    assert coefficients(vals, 1, out) is out
+    assert np.array_equal(out, coefficients(vals, 1))
+
+
+@pytest.mark.parametrize("count", [128, 256])
+def test_forward_work_spectra_keep_no_state(count):
+    # coefficients and derivative calls on grid values of two shapes
+    # alternate on the FFT side's work spectra, one per shape, made on
+    # first use: each call equals a fresh transform's bitwise, so no
+    # spectrum carries anything from one shape or call to the next
+    rng = np.random.default_rng(80 + count)
+    npts = sp.PRODUCT_GRID_FACTOR * count
+    _, coefficients, derivative = sp.transform(count, npts)
+    for k in (2, 4, 4, 2, 4, 2):
+        vals = rng.standard_normal((k, npts))
+        fresh = sp.transform.__wrapped__(count, npts)
+        for p in (1, 2):
+            assert np.array_equal(coefficients(vals, p), fresh[1](vals, p))
+            assert np.array_equal(derivative(vals, p), fresh[2](vals, p))
+    spectrum = inspect.getclosurevars(coefficients).nonlocals["spectrum"]
+    assert set(inspect.getclosurevars(spectrum).nonlocals["work"]) == {
+        (2, npts), (4, npts)}
+
+
 @pytest.mark.parametrize("size", ["table", "fft"])
 @pytest.mark.parametrize("count", [1, 8, 17, 64])
 def test_squares_closure_keeps_no_state(monkeypatch, gen_cfg, size, count):

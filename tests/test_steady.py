@@ -872,6 +872,38 @@ def test_preconditioned_is_precondition_then_matvec(sym_cfg, count,
             assert np.array_equal(matvec(y), a_y)
 
 
+@pytest.mark.parametrize("count", [16, 64, 128])  # tables, then FFTs
+@pytest.mark.parametrize("symmetric", [True, False], ids=["k2", "k4"])
+def test_linearization_reads_the_residuals_grid(sym_cfg, count, symmetric):
+    # residual writes the rows' product-grid values into grid; a
+    # linearization built on them only reads them, and its matvec and
+    # preconditioned outputs, written into given arrays or fresh ones,
+    # are those of a linearization that forms the values itself, bit for
+    # bit
+    rng = np.random.default_rng(3 * count + symmetric)
+    layout = st.Layout(sym_cfg, 1, count, symmetric)
+    k, c, npts = layout.k, 2.2, sp.PRODUCT_GRID_FACTOR * count
+    rows = (0.1 * rng.uniform(-1, 1, (k, count))
+            * np.exp(-0.3 * np.arange(count)))
+    grid = np.empty((k, npts))
+    assert np.array_equal(layout.residual(c, rows, grid=grid),
+                          layout.residual(c, rows))
+    assert np.array_equal(grid, sp.grid_values(rows, None, npts))
+    kept = grid.copy()
+    matvec, preconditioned = layout.linearization(c, rows, grid)
+    want_matvec, want_preconditioned = layout.linearization(c, rows)
+    y, a_y, out = np.empty((3, k, count))
+    for g in rng.uniform(-1, 1, (3, k, count)):
+        assert np.array_equal(matvec(g), want_matvec(g))
+        assert matvec(g, out) is out
+        assert np.array_equal(out, want_matvec(g))
+        got = preconditioned(g, y, a_y)
+        assert got[0] is y and got[1] is a_y
+        for have, want in zip((y, a_y), want_preconditioned(g)):
+            assert np.array_equal(have, want)
+    assert np.array_equal(grid, kept)
+
+
 def test_norm_skips_zero_coefficients_under_an_overflowing_weight():
     # j^200 overflows beyond harmonic 34: zero coefficients there add
     # nothing (inf * 0 used to make the norm NaN), nonzero ones make it inf
