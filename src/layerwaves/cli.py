@@ -262,7 +262,7 @@ def _pick_speed(run, layer):
 def _write_json(path, payload, run):
     payload = dict(payload)
     payload["config"] = run.to_json()
-    path.write_text(json.dumps(payload, indent=1))
+    path.write_text(json.dumps(payload))
 
 
 def _write_csv(path, rows, run, footer=None):

@@ -14,7 +14,7 @@ import numpy as np
 from . import spectral as sp
 from . import steady as st
 from .errors import DivergedError
-from .pencil import CHARGE, COMPONENT_NAMES, SIDE, SPECIES
+from .pencil import COMPONENT_NAMES, SIDE
 from .spectral import TrigSeries
 
 
@@ -75,52 +75,21 @@ def energy(cfg, state):
 
 def _row_energy(layout, x):
     """Energy of the state with the (k, 2N) cosine then sine rows x of a
-    steady.Layout.  The grid values come from one inverse transform
-    (spectral.transform) of the rows to spectral's product grid, where
-    the cubic integrand's mean is exact.  On the two plus rows of a
-    symmetric layer's fixed space the minus rows are their half-period
-    shifts, with the same velocities and sides: their kinetic part is
-    that of the plus rows, so it is doubled, and the charge difference
-    is read through the layout's weight 1 - T."""
+    steady.Layout.  The grid values come from one inverse transform of
+    the rows, the layout's own (spectral.transform), to spectral's
+    product grid, where the cubic integrand's mean is exact.  On the two
+    plus rows of a symmetric layer's fixed space the minus rows are their
+    half-period shifts, with the same velocities and sides: their kinetic
+    part is that of the plus rows, so it is doubled, and the charge
+    difference is read through the layout's weight 1 - T."""
     count = layout.w.size
-    values = sp.transform(count, sp.PRODUCT_GRID_FACTOR * count)[0]
-    vals = values(x) + layout.a
+    vals = layout._values(x) + layout.a
     e_kin = (4 // layout.k) * float(
         np.mean((SIDE[:layout.k] @ (vals * vals * vals)) / 6.0))
     q = layout.charge @ x
     qcos, qsin = layout.weight * q[:count], layout.weight * q[count:]
     e_pot = 0.25 * float(np.sum((qcos ** 2 + qsin ** 2) / layout.w ** 2))
     return EnergyReport(e_kin, e_pot)
-
-
-def grad_energy(cfg, state):
-    """L2 gradient of the energy: component i is
-    SIDE_i [ (a_i + r_i)^2 / 2 - SPECIES_i dxx^-1(d) ].  Returns the (4,)
-    means and the zero-mean parts as a PhaseState; the means matter only
-    for pairings, the Hamiltonian operator annihilates them.
-
-    r^2 makes one round trip on spectral's product grid, which gives its
-    harmonics 1..N and its mean exactly."""
-    a = cfg.as_array()
-    npts = sp.PRODUCT_GRID_FACTOR * state.count
-    vals = sp.grid_values(state.cos, state.sin, npts)
-    sq_cos, sq_sin = sp.grid_coefficients(vals ** 2, state.count)
-    qcos, qsin = CHARGE @ state.cos, CHARGE @ state.sin
-    pot = SPECIES[:, None] / state.wavenumbers() ** 2  # -+ dxx^-1
-    kin, ac = SIDE[:, None], a[:, None]
-    cos = kin * (0.5 * sq_cos + ac * state.cos + pot * qcos)
-    sin = kin * (0.5 * sq_sin + ac * state.sin + pot * qsin)
-    means = SIDE * 0.5 * (a * a + np.mean(vals ** 2, axis=1))
-    return means, PhaseState.from_arrays(state.fold, cos, sin)
-
-
-def hamiltonian_rhs(cfg, state):
-    """J grad E, J = -SIDE dx: the alternating-sign derivative of the
-    energy gradient.  Identical to rhs(); kept separate so the identity
-    is testable."""
-    _, grad = grad_energy(cfg, state)
-    jw = SIDE[:, None] * state.wavenumbers()
-    return PhaseState.from_arrays(state.fold, -jw * grad.sin, jw * grad.cos)
 
 
 def cfl_limit(cfg, state):

@@ -96,9 +96,10 @@ def ep_residual(state):
     period (spectral.grid_values of 4 even rows over 5 odd ones, each
     padded with zero rows), where the residuals are formed pointwise.
     Returns their (4, 8 (3N + 3)) grid values, rows in the order of
-    RESIDUAL_NAMES, and sup norms by name; they reach harmonic 3N, so
-    spectral.grid_coefficients(res, 3N + 3) gives their exact sine
-    coefficients.  A residual that overflows raises DivergedError.
+    RESIDUAL_NAMES, and sup norms by name; they reach harmonic 3N, so a
+    forward transform of harmonics 1..3N + 3 on that grid gives their
+    exact sine coefficients.  A residual that overflows raises
+    DivergedError.
     """
     npts = 8 * (3 * state.count + 3)
     w = state.wavenumbers()

@@ -301,15 +301,6 @@ def grid_values(cos, sin, npts):
     return transform(cos.shape[1], npts)[0](rows)
 
 
-def grid_coefficients(vals, count):
-    """Harmonics 1..count of stacked grid values, inverse of grid_values:
-    the (2, k, count) cosine over sine coefficients of transform(count,
-    npts) applied to the (k, npts) array vals.  Exact when no harmonic
-    of the values aliases onto a kept one: a product of two series
-    truncated at count needs npts >= 3 count + 1."""
-    return transform(count, vals.shape[1])[1](vals)
-
-
 @functools.lru_cache(maxsize=16)
 def transform(count, npts):
     """The transforms of harmonics 1..count on npts uniform points of one
@@ -317,27 +308,24 @@ def transform(count, npts):
 
     values(rows, out) takes the (k, p count) rows of k series, cosine
     then sine coefficients (p = 2) or cosine ones (p = 1), to their (k,
-    npts) grid values; coefficients(vals, p, out) takes grid values back
-    to their (2, k, count) cosine over sine coefficients (p = 2, the
-    default), or to the (k, count) cosine ones alone (p = 1), for even
-    values or wherever the sine half would be discarded.  values and
-    coefficients' p = 1 write into out, an array of the output's shape,
-    if given, with the bits of a call without it; p = 2 ignores out.
-    derivative(vals, p) takes grid values to the coefficients of their
-    dx in reduced wavenumbers, as rows like values' (p = 1: the sine
-    part alone).  Up to
-    TABLE_MAX_SIZE all three are products with three tables, made here
-    alone, read-only at 64-byte boundaries (_aligned): a (2 count, npts)
-    cos/sin table, whose angles are formed from (j p) mod npts, so they
-    stay below 2 pi, its scaled transpose, whose cosine columns alone
-    give coefficients' p = 1, and that with its halves swapped and
-    weighted by +-j.  Above it, values is one inverse real FFT of the
-    half spectrum (cos - i sin) / 2, unnormalized, written into one
-    zeroed half spectrum per rows shape, made on the first call;
-    coefficients and derivative are one forward real FFT each, written
-    into one complex work spectrum per vals shape, made on the first
-    call and read before the call returns, and coefficients' p = 1 reads
-    its real parts alone.  Needs npts > 2 count.
+    npts) grid values; coefficients(vals, out) takes grid values back
+    to the (k, count) cosine coefficients of their harmonics, for even
+    values or wherever the sine half would be discarded.  Both write
+    into out, an array of the output's shape, if given, with the bits of
+    a call without it.  derivative(vals, p) takes grid values to the
+    coefficients of their dx in reduced wavenumbers, as rows like
+    values' (p = 1: the sine part alone).  Up to TABLE_MAX_SIZE all three
+    are products with three tables, made here alone, read-only at 64-byte
+    boundaries (_aligned): a (2 count, npts) cos/sin table, whose angles
+    are formed from (j p) mod npts, so they stay below 2 pi, its scaled
+    transpose, whose cosine columns give coefficients, and that with its
+    halves swapped and weighted by +-j.  Above it, values is one inverse
+    real FFT of the half spectrum (cos - i sin) / 2, unnormalized,
+    written into one zeroed half spectrum per rows shape, made on the
+    first call; coefficients and derivative are one forward real FFT
+    each, written into one complex work spectrum per vals shape, made on
+    the first call and read before the call returns, and coefficients
+    reads its real parts alone.  Needs npts > 2 count.
     """
     if 2 * count >= npts:
         raise ValueError(f"{npts} points cannot resolve {count} harmonics")
@@ -350,7 +338,7 @@ def transform(count, npts):
         slope = (forward.reshape(npts, 2, count)[:, ::-1] * [[1.0], [-1.0]]
                  * np.arange(1, count + 1)).reshape(npts, 2 * count)
         stacked, forward, slope = map(_aligned, (stacked, forward, slope))
-        # p = 1 views, sliced once: a slice costs about a two-row pass
+        # views sliced once: a slice costs about a two-row pass
         cosine, cosine_t, sine_slope = (stacked[:count], forward[:, :count],
                                         slope[:, count:])
 
@@ -358,10 +346,8 @@ def transform(count, npts):
             return np.matmul(rows, stacked if rows.shape[1] > count
                              else cosine, out=out)
 
-        def coefficients(vals, p=2, out=None):
-            if p == 1:
-                return np.matmul(vals, cosine_t, out=out)
-            return (vals @ forward).reshape(-1, 2, count).transpose(1, 0, 2)
+        def coefficients(vals, out=None):
+            return np.matmul(vals, cosine_t, out=out)
 
         def derivative(vals, p):
             return vals @ (slope if p == 2 else sine_slope)
@@ -369,7 +355,6 @@ def transform(count, npts):
         return values, coefficients, derivative
     spectra = {}  # rows' shape -> zeroed half spectrum, its (2, k, count) view
     work = {}  # vals' shape -> forward work spectrum
-    scale = (2.0 / npts) * np.array([1.0, -1.0])[:, None, None]
     slope = (-2.0 / npts) * np.arange(1, count + 1)
 
     def values(rows, out=None):
@@ -388,16 +373,14 @@ def transform(count, npts):
                                         dtype=complex)
         return np.fft.rfft(vals, axis=1, out=work[vals.shape])
 
-    def coefficients(vals, p=2, out=None):
-        # C order: the callers' arithmetic on the spectrum's interleaved
-        # layout was measured slower, by 10% of an RK4 stage at N = 256
-        if p == 1:
-            return np.multiply(spectrum(vals).real[:, 1:count + 1],
-                               2.0 / npts, out=out)
-        return np.multiply(_parts(spectrum(vals), count), scale, order="C")
+    def coefficients(vals, out=None):
+        return np.multiply(spectrum(vals).real[:, 1:count + 1], 2.0 / npts,
+                           out=out)
 
     def derivative(vals, p):
-        # -(2/npts) j times the imaginary parts over the real ones
+        # -(2/npts) j times the imaginary parts over the real ones, in C
+        # order: the callers' arithmetic on the spectrum's interleaved
+        # layout was measured slower, by 10% of an RK4 stage at N = 256
         parts = _parts(spectrum(vals), count)[::-1][2 - p:]
         return np.multiply(parts.transpose(1, 0, 2), slope,
                            order="C").reshape(len(vals), p * count)

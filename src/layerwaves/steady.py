@@ -317,7 +317,7 @@ class Layout:
         inv_q = 1.0 / q
         # kappa_i / q_i in coefficient space: with h = dx^-1 g / q,
         # kappa_i = -sum_p(h_i) / sum_p(1 / q_i) times the harmonics of 1/q_i
-        inv_q_cos = coefficients(inv_q, 1)
+        inv_q_cos = coefficients(inv_q)
         inv_q_cos /= inv_q.sum(axis=1, keepdims=True)
 
         on_grid = np.empty_like(q)  # (k, M) grid values, one pass at a time
@@ -327,7 +327,7 @@ class Layout:
         def matvec(h, out=None):
             vals = values(h, on_grid)
             vals *= q
-            out = coefficients(vals, 1, out)
+            out = coefficients(vals, out)
             out *= neg_w
             out -= np.multiply(coupling, np.matmul(charge, h, out=diff),
                                out=work)
@@ -336,7 +336,7 @@ class Layout:
         def preconditioned(g, y=None, a_y=None):
             h = values(np.divide(g, neg_w, out=work), on_grid)
             h *= inv_q
-            y = coefficients(h, 1, y)
+            y = coefficients(h, y)
             y -= np.multiply(h.sum(axis=1, keepdims=True), inv_q_cos,
                              out=work)
             return y, matvec(y, a_y)

@@ -10,7 +10,11 @@ points (restart), and the inverse Euler-Poisson map (map_from_ep with
 its matrix FROM_EP).  The dense Jacobian of a steady.Layout's rows,
 block by block (block_jacobian), and their matrix-free Jacobian and
 transport preconditioner as two separate passes
-(two_step_linearization).  Flexible GMRES that copies each new
+(two_step_linearization).  The cosine and sine coefficients of grid
+values by one real FFT (fft_coefficients), apart from
+spectral.transform.  The energy gradient by exact convolution
+(direct_grad_energy) and the Hamiltonian field J grad E it makes
+(hamiltonian_field).  Flexible GMRES that copies each new
 Arnoldi vector into its basis (copying_gmres).  Layout.tendency with
 its offset 2a added as a (k, 1) column (column_offset_tendency), and
 Layout.stage so too, with its derivative table formed afresh as the
@@ -227,30 +231,68 @@ def identity_product_stage(layout, h):
     return stage
 
 
+def fft_coefficients(vals, count):
+    """Harmonics 1..count of the (k, npts) grid values vals of one fold
+    period as a (2, k, count) stack, cosine over sine coefficients: one
+    real FFT, scaled by 2/npts, apart from spectral.transform.  Exact
+    when no harmonic of the values aliases onto a kept one."""
+    npts = vals.shape[1]
+    spectrum = np.fft.rfft(vals, axis=1)[:, 1:count + 1] * (2.0 / npts)
+    return np.array([spectrum.real, -spectrum.imag])
+
+
 def two_step_linearization(layout, c, rows):
     """(matvec, precondition) of a steady.Layout's rows, as two separate
     transform round trips: the reference for Layout.linearization's
     one-pass preconditioned(g) = (y, matvec(y)).  Each forward product
-    forms the cosine and the sine half and keeps the cosine one, and
-    kappa_i is applied on the grid: h = (dx^-1 g + kappa_i) / q_i with
-    sum_p h = 0."""
+    forms the cosine and the sine half by fft_coefficients and keeps the
+    cosine one, and kappa_i is applied on the grid: h = (dx^-1 g +
+    kappa_i) / q_i with sum_p h = 0."""
     count = layout.w.size
-    values, coefficients = sp.transform(
-        count, sp.PRODUCT_GRID_FACTOR * count)[:2]
+    values = sp.transform(count, sp.PRODUCT_GRID_FACTOR * count)[0]
     q = values(rows) + (layout.a - c)
     inv_q = 1.0 / q
     sum_inv_q = np.sum(inv_q, axis=1, keepdims=True)
 
     def matvec(h):
-        prod = coefficients(q * values(h))[0]
+        prod = fft_coefficients(q * values(h), count)[0]
         return -layout.coupling * (layout.charge @ h) - layout.w * prod
 
     def precondition(g):
         h = values(-g / layout.w) * inv_q
         h -= h.sum(axis=1, keepdims=True) / sum_inv_q * inv_q
-        return coefficients(h)[0]
+        return fft_coefficients(h, count)[0]
 
     return matvec, precondition
+
+
+def direct_grad_energy(cfg, state):
+    """Reference L2 gradient of the energy of a dynamics.PhaseState on
+    series: component i is SIDE_i [ (a_i + r_i)^2 / 2 - SPECIES_i
+    dxx^-1(d) ], r_i^2 and its mean by exact convolution
+    (spectral.multiply_with_mean), dxx^-1 d by two antiderivatives;
+    returns (mean, series) per component.  The means matter only for
+    pairings: the Hamiltonian operator annihilates them."""
+    a = cfg.as_array()
+    s = state.series
+    ddxx = antideriv(antideriv(sub(sub(s[1], s[0]), sub(s[3], s[2]))))
+    out = []
+    for i in range(4):
+        sq_mean, sq = sp.multiply_with_mean(s[i], s[i], out_count=state.count)
+        series = scale(pc.SIDE[i],
+                       sub(add(scale(0.5, sq), scale(a[i], s[i])),
+                           scale(pc.SPECIES[i], ddxx)))
+        out.append((pc.SIDE[i] * 0.5 * (a[i] * a[i] + sq_mean), series))
+    return out
+
+
+def hamiltonian_field(cfg, state):
+    """J grad E, J = -SIDE dx, of the direct_grad_energy of a
+    dynamics.PhaseState: the reference for the evolution field
+    dynamics.rhs, formed without spectral.transform."""
+    return dy.PhaseState([scale(-pc.SIDE[i], sp.deriv(grad))
+                          for i, (_, grad) in enumerate(
+                              direct_grad_energy(cfg, state))])
 
 
 def copying_gmres(op, rhs, tol, max_iters):

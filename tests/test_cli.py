@@ -480,7 +480,7 @@ def test_wave_file_rewrites_to_the_same_bytes(tmp_path):
                               (obj["m1"], obj["m2"]), obj["krylov_iters"],
                               obj["dense_solves"])
     payload = dict(sol.to_json(), config=obj["config"])
-    assert json.dumps(payload, indent=1) == text
+    assert json.dumps(payload) == text
 
 
 def test_program_path_builds_no_series(tmp_path, monkeypatch):

@@ -664,6 +664,34 @@ def test_krylov_step_matches_the_reference_gmres(default_plus_arms,
     assert np.array_equal(step, want)
 
 
+def closed_form_monitors(sol):
+    """(min strip gap, min relative speed) of a wave on a symmetric
+    branch from its six monitored rows (steady.monitors) at x = 0 and
+    x = pi/m alone, where each row of an even wave of period 2 pi/m
+    takes its extrema: per row the smaller |value| of the two, or 0
+    where the row changes sign between them."""
+    u, cfg = sol.state.cos, sol.cfg
+    rows = np.concatenate(([u[1] - u[0], u[3] - u[2]], u))
+    offsets = np.concatenate([[cfg.width, cfg.width], cfg.as_array() - sol.c])
+    at_zero = rows.sum(axis=1) + offsets
+    # cos(j m x) at x = pi/m is (-1)^j
+    at_half = rows @ (-1.0) ** np.arange(1, u.shape[1] + 1) + offsets
+    best = np.where(at_zero * at_half < 0.0, 0.0,
+                    np.minimum(np.abs(at_zero), np.abs(at_half)))
+    return best[:2].min(), best[2:].min()
+
+
+def test_monitors_are_the_closed_form_on_the_default_arm(default_plus_arms):
+    # on every point of the default + arm (N 64 to 256) the monitors, a
+    # grid minimum with one Newton polish, are the closed form at x = 0
+    # and x = pi/m to round-off
+    krylov, _ = default_plus_arms
+    assert krylov.points[-1].solution.state.count == 256
+    for p in krylov.points:
+        got, want = p.solution.monitors, closed_form_monitors(p.solution)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
 class TestKrylovNewton:
     def test_krylov_arm_matches_dense_arm(self, default_plus_arms):
         krylov, dense = default_plus_arms

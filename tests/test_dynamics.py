@@ -11,7 +11,8 @@ from layerwaves import steady as st
 from layerwaves.errors import DivergedError
 
 from conftest import wave_at_amplitude
-from oracle import add, antideriv, rk4_evolve, scale, sub, zeros
+from oracle import (add, antideriv, direct_grad_energy, hamiltonian_field,
+                    rk4_evolve, scale, sub, zeros)
 
 
 def random_phase(rng, fold=2, count=8, scale=0.3):
@@ -83,12 +84,13 @@ def test_rhs_zero_at_flat_state(sym_cfg):
 
 
 def test_rhs_is_hamiltonian_vector_field(sym_cfg, gen_cfg):
+    # rhs against J grad E of the energy gradient by exact convolution
     rng = np.random.default_rng(21)
     for cfg in (sym_cfg, gen_cfg):
         for _ in range(50):
             state = random_phase(rng)
             direct = dy.rhs(cfg, state)
-            via_energy = dy.hamiltonian_rhs(cfg, state)
+            via_energy = hamiltonian_field(cfg, state)
             scale = max(s.max_abs() for s in direct.series)
             assert state_dev(direct, via_energy) <= 1e-12 * scale
 
@@ -147,63 +149,58 @@ def test_potential_energy_nonnegative_and_matches_quadrature(sym_cfg):
         assert report.e_pot == pytest.approx(oracle, rel=1e-12)
 
 
+def pairing(grad, direction):
+    """<grad E, direction> in L2 mean: half the coefficient products, as
+    the means of the gradient pair with a zero-mean direction to 0."""
+    return 0.5 * sum(float(np.sum(f.cos * u) + np.sum(f.sin * v))
+                     for (_, f), u, v in zip(grad, direction.cos,
+                                             direction.sin))
+
+
+def energy_slope(cfg, state, direction, eps=1e-5):
+    """Central difference of dy.energy along direction."""
+    up = dy.energy(cfg, state.combine([direction], [eps])).e_total
+    down = dy.energy(cfg, state.combine([direction], [-eps])).e_total
+    return (up - down) / (2.0 * eps)
+
+
 def test_gradient_matches_finite_difference(sym_cfg):
+    # the oracle's gradient is the gradient of dy.energy: this ties the
+    # energy to the field that test_rhs_is_hamiltonian_vector_field checks
     rng = np.random.default_rng(5)
     state = random_phase(rng, fold=1, count=10, scale=0.2)
     direction = random_phase(rng, fold=1, count=10, scale=1.0)
-    _, grad = dy.grad_energy(sym_cfg, state)
-    pairing = 0.5 * float(np.sum(grad.cos * direction.cos)
-                          + np.sum(grad.sin * direction.sin))
-    eps = 1e-5
-    up = dy.energy(sym_cfg, state.combine([direction], [eps])).e_total
-    down = dy.energy(sym_cfg, state.combine([direction], [-eps])).e_total
-    fd = (up - down) / (2.0 * eps)
-    assert pairing == pytest.approx(fd, rel=1e-6)
+    assert pairing(direct_grad_energy(sym_cfg, state), direction) \
+        == pytest.approx(energy_slope(sym_cfg, state, direction), rel=1e-6)
 
 
 def test_gradient_constant_at_flat_state(sym_cfg):
-    means, grad = dy.grad_energy(sym_cfg, dy.PhaseState.zero(1, 5))
+    grad = direct_grad_energy(sym_cfg, dy.PhaseState.zero(1, 5))
     a = sym_cfg.as_array()
-    assert grad.max_abs() == 0.0
+    assert all(f.max_abs() == 0.0 for _, f in grad)
+    means = np.array([m for m, _ in grad])
     assert means.shape == (4,)
     assert np.allclose(means, pc.SIDE * a ** 2 / 2.0, rtol=1e-15)
-
-
-def direct_grad_energy(cfg, state):
-    """Reference gradient on series: r_i^2 and its mean by exact
-    convolution (spectral.multiply_with_mean), dxx^-1 d by two
-    antiderivatives; returns (mean, series) per component."""
-    a = cfg.as_array()
-    s = state.series
-    ddxx = antideriv(antideriv(sub(sub(s[1], s[0]), sub(s[3], s[2]))))
-    out = []
-    for i in range(4):
-        sq_mean, sq = sp.multiply_with_mean(s[i], s[i], out_count=state.count)
-        series = scale(pc.SIDE[i],
-                       sub(add(scale(0.5, sq), scale(a[i], s[i])),
-                           scale(pc.SPECIES[i], ddxx)))
-        out.append((pc.SIDE[i] * 0.5 * (a[i] * a[i] + sq_mean), series))
-    return out
+    # and dy.energy is stationary there
+    direction = random_phase(np.random.default_rng(15), fold=1, count=5)
+    assert abs(energy_slope(sym_cfg, dy.PhaseState.zero(1, 5), direction)) \
+        <= 1e-9
 
 
 @pytest.mark.parametrize("fold", [1, 2])
 @pytest.mark.parametrize("count", [1, 8, 17, 64])
 def test_gradient_matches_direct_product_oracle(sym_cfg, gen_cfg, fold,
                                                 count):
+    # the gradient of dy.energy, by central differences along random
+    # directions, is the oracle's at every fold and truncation
     rng = np.random.default_rng(10 * fold + count)
     for cfg in (sym_cfg, gen_cfg):
         state = random_phase(rng, fold, count, scale=1.0)
-        want = direct_grad_energy(cfg, state)
-        means, grad = dy.grad_energy(cfg, state)
-        want_means = np.array([m for m, _ in want])
-        want_cos = np.array([f.cos for _, f in want])
-        want_sin = np.array([f.sin for _, f in want])
-        scale = max(np.max(np.abs(want_means)), np.max(np.abs(want_cos)),
-                    np.max(np.abs(want_sin)))
-        assert grad.fold == fold and grad.count == count
-        assert np.max(np.abs(means - want_means)) <= 1e-13 * scale
-        assert np.max(np.abs(grad.cos - want_cos)) <= 1e-13 * scale
-        assert np.max(np.abs(grad.sin - want_sin)) <= 1e-13 * scale
+        grad = direct_grad_energy(cfg, state)
+        for _ in range(3):
+            direction = random_phase(rng, fold, count, scale=1.0)
+            assert pairing(grad, direction) == pytest.approx(
+                energy_slope(cfg, state, direction), rel=1e-6)
 
 
 def test_evolve_preserves_flat_state(sym_cfg):

@@ -8,8 +8,8 @@ from layerwaves import spectral as sp
 from layerwaves import steady as st
 from layerwaves.spectral import EVEN, FULL, ODD, NormParams, TrigSeries
 
-from oracle import (add, antideriv, from_sin, norm, scale, with_count,
-                    zeros)
+from oracle import (add, antideriv, fft_coefficients, from_sin, norm, scale,
+                    with_count, zeros)
 
 
 def random_series(rng, fold=3, count=8, parity=FULL, scale=1.0):
@@ -226,7 +226,7 @@ def test_grid_values_work_array_keeps_no_state(monkeypatch, count):
 @pytest.mark.parametrize("count", [16, 64, 128, 256])  # tables, then FFTs
 @pytest.mark.parametrize("k", [2, 4])
 def test_transforms_write_into_out(count, k):
-    # values(rows, out) and coefficients(vals, 1, out) write into out and
+    # values(rows, out) and coefficients(vals, out) write into out and
     # return it, with the bits of the calls that allocate their output,
     # on each product grid: tables up to N = 64, real FFTs above
     rng = np.random.default_rng(90 + count + k)
@@ -239,8 +239,8 @@ def test_transforms_write_into_out(count, k):
         assert np.array_equal(grid, values(rows))
     vals = rng.standard_normal((k, npts))
     out = np.empty((k, count))
-    assert coefficients(vals, 1, out) is out
-    assert np.array_equal(out, coefficients(vals, 1))
+    assert coefficients(vals, out) is out
+    assert np.array_equal(out, coefficients(vals))
 
 
 @pytest.mark.parametrize("count", [128, 256])
@@ -255,8 +255,8 @@ def test_forward_work_spectra_keep_no_state(count):
     for k in (2, 4, 4, 2, 4, 2):
         vals = rng.standard_normal((k, npts))
         fresh = sp.transform.__wrapped__(count, npts)
+        assert np.array_equal(coefficients(vals), fresh[1](vals))
         for p in (1, 2):
-            assert np.array_equal(coefficients(vals, p), fresh[1](vals, p))
             assert np.array_equal(derivative(vals, p), fresh[2](vals, p))
     spectrum = inspect.getclosurevars(coefficients).nonlocals["spectrum"]
     assert set(inspect.getclosurevars(spectrum).nonlocals["work"]) == {
@@ -293,13 +293,12 @@ def _evolution(layout, x):
 
 
 def _squared(values, coefficients, x):
-    """Harmonics 1..count of the squares of the (k, p count) rows x as a
-    (p, k, count) stack, by one transform pair: the grid values squared
+    """Cosine coefficients of harmonics 1..count of the squares of the
+    (k, p count) rows x, by one transform pair: the grid values squared
     in place between its two functions."""
     vals = values(x)
     vals *= vals
-    squares = coefficients(vals)
-    return squares[:x.shape[1] // squares.shape[2]]
+    return coefficients(vals)
 
 
 def _operator(layout, x, squares):
@@ -323,13 +322,15 @@ def _operator(layout, x, squares):
 @pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("count", [1, 8, 17, 64, 65])
 def test_squares_are_the_grid_round_trip(gen_cfg, sym_cfg, k, count):
-    # bit for bit the square of grid_values taken back by
-    # grid_coefficients on the product grid, for full-parity series
-    # (p = 2) and for even ones (p = 1, no sine part), each call of the
-    # cached pair equal to a fresh round trip; on the k rows of a layout,
-    # the evolution operator (tendency for p = 1, stage(1.0) for p = 2) is
-    # -dx(a r + r^2/2) -+ dx^-1(d) with those squares, to round-off, as
-    # its kernel forms the sums in its own order
+    # bit for bit the cosine coefficients of the square of grid_values,
+    # taken back by the pair's coefficients on the product grid, for
+    # full-parity series (p = 2) and for even ones (p = 1, no sine part),
+    # each call of the cached pair equal to a fresh pair's; to round-off the
+    # squares' exact harmonics, here by one real FFT (fft_coefficients);
+    # on the k rows of a layout, the evolution operator (tendency for
+    # p = 1, stage(1.0) for p = 2) is -dx(a r + r^2/2) -+ dx^-1(d) with
+    # those exact squares, to round-off, as its kernel forms the sums in
+    # its own order
     rng = np.random.default_rng(10 * k + count)
     npts = sp.PRODUCT_GRID_FACTOR * count
     pair = sp.transform(count, npts)[:2]
@@ -340,10 +341,14 @@ def test_squares_are_the_grid_round_trip(gen_cfg, sym_cfg, k, count):
             x = rng.standard_normal((k, p * count))
             vals = sp.grid_values(x[:, :count],
                                   x[:, count:] if p == 2 else None, npts)
-            want = sp.grid_coefficients(vals * vals, count)[:p]
+            want = fft_coefficients(vals * vals, count)[:p]
             got = _squared(*pair, x)
-            assert got.shape == (p, k, count)
-            assert np.array_equal(got, want)
+            assert got.shape == (k, count)
+            assert np.array_equal(got, pair[1](vals * vals))
+            assert np.array_equal(got, _squared(
+                *sp.transform.__wrapped__(count, npts)[:2], x))
+            scale = np.max(np.sum(np.abs(x), axis=1)) ** 2
+            assert np.max(np.abs(got - want[0])) <= 1e-14 * scale
             if layout is not None:
                 f, scale = _operator(layout, x, want)
                 assert f.shape == (k, p * count)
@@ -353,17 +358,21 @@ def test_squares_are_the_grid_round_trip(gen_cfg, sym_cfg, k, count):
 
 @pytest.mark.parametrize("count", [1, 8, 17, 64, 256])
 def test_grid_coefficients_invert_grid_values(count):
+    # the transform's coefficients take grid_values back to the cosine
+    # coefficients; a sine part adds none
     rng = np.random.default_rng(count)
     cos = rng.standard_normal((3, count))
     sin = rng.standard_normal((3, count))
     # every grid fine enough to hold count harmonics, powers of two or not
     for npts in (2 * count + 1, 3 * count + 1, 4 * count, 16 * count + 5):
-        got_cos, got_sin = sp.grid_coefficients(
-            sp.grid_values(cos, sin, npts), count)
-        assert np.max(np.abs(got_cos - cos)) < 1e-14, npts
-        assert np.max(np.abs(got_sin - sin)) < 1e-14, npts
+        coefficients = sp.transform(count, npts)[1]
+        for part in (None, sin):
+            got = coefficients(sp.grid_values(cos, part, npts))
+            assert np.max(np.abs(got - cos)) < 1e-14, npts
+        assert np.max(np.abs(coefficients(sp.grid_values(
+            np.zeros_like(sin), sin, npts)))) < 1e-14, npts
     with pytest.raises(ValueError, match="cannot resolve"):
-        sp.grid_coefficients(np.zeros((3, 2 * count)), count)
+        sp.transform(count, 2 * count)
 
 
 # (N, M) pairs just at or below TABLE_MAX_SIZE and just above it, on
@@ -432,17 +441,18 @@ def test_grid_values_by_table_and_by_fft(monkeypatch, n, npts, k, sine):
 @pytest.mark.parametrize("n, npts", DISPATCH_SIZES)
 @pytest.mark.parametrize("k", [1, 4, 9])
 def test_grid_coefficients_by_table_and_by_fft(monkeypatch, n, npts, k):
+    # the cosine coefficients of grid values, by the transform's
+    # coefficients on each side
     rng = np.random.default_rng(7 * n + npts + k)
     vals = rng.standard_normal((k, npts))
-    table, fft = _both_branches(monkeypatch, sp.grid_coefficients, vals, n)
+    table, fft = _both_branches(
+        monkeypatch, lambda: sp.transform(n, npts)[1](vals))
     scale = 2.0 * np.max(np.abs(vals))
-    c, s = _direct(n, npts)
-    want = ((2.0 / npts) * vals @ c.T, (2.0 / npts) * vals @ s.T)
-    for got, ref, direct in zip(table, fft, want):
-        assert got.shape == (k, n)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * scale
-        assert np.max(np.abs(got - direct)) <= 1e-13 * scale
-    assert np.array_equal(sp.grid_coefficients(vals, n),
+    c, _ = _direct(n, npts)
+    assert table.shape == fft.shape == (k, n)
+    assert np.max(np.abs(table - fft)) <= 1e-14 * scale
+    assert np.max(np.abs(table - (2.0 / npts) * vals @ c.T)) <= 1e-13 * scale
+    assert np.array_equal(sp.transform(n, npts)[1](vals),
                           table if n * npts <= sp.TABLE_MAX_SIZE else fft)
 
 
@@ -469,9 +479,9 @@ def test_even_odd_grid_values_by_table_and_by_fft(monkeypatch, n, npts,
 @pytest.mark.parametrize("n", [64, 65])  # 4N points: at and above 2^14
 @pytest.mark.parametrize("k", [1, 4, 9])
 def test_squares_by_table_and_by_fft(monkeypatch, n, k):
-    # p = 2: cosine over sine coefficients; p = 1: cosine coefficients of
-    # even series, squared between the two functions of each side's
-    # pair bit for bit as the grid round trip of that side
+    # the cosine coefficients of the squares of full-parity (p = 2) and
+    # of even (p = 1) series, squared between the two functions of each
+    # side's pair; p = 1 bit for bit as the grid round trip of that side
     rng = np.random.default_rng(11 * n + k)
     npts = sp.PRODUCT_GRID_FACTOR * n
     c, s = _direct(n, npts)
@@ -480,15 +490,15 @@ def test_squares_by_table_and_by_fft(monkeypatch, n, k):
         table, fft = _both_branches(monkeypatch, lambda: _squared(
             *sp.transform(n, npts)[:2], np.concatenate(x, axis=1)))
         scale = np.max(np.sum(np.abs(x), axis=(0, 2))) ** 2
-        assert table.shape == fft.shape == (p, k, n)
+        assert table.shape == fft.shape == (k, n)
         assert np.max(np.abs(table - fft)) <= 1e-14 * scale
         vals = x[0] @ c + (x[1] @ s if p == 2 else 0.0)
-        want = (2.0 / npts) * np.array([vals ** 2 @ c.T, vals ** 2 @ s.T])
-        assert np.max(np.abs(table - want[:p])) <= 1e-13 * scale
-    trips = _both_branches(monkeypatch, lambda: sp.grid_coefficients(
-        sp.grid_values(x[0], None, npts) ** 2, n)[0])
-    assert np.array_equal(table[0], trips[0])
-    assert np.array_equal(fft[0], trips[1])
+        want = (2.0 / npts) * vals ** 2 @ c.T
+        assert np.max(np.abs(table - want)) <= 1e-13 * scale
+    trips = _both_branches(monkeypatch, lambda: sp.transform(n, npts)[1](
+        sp.grid_values(x[0], None, npts) ** 2))
+    assert np.array_equal(table, trips[0])
+    assert np.array_equal(fft, trips[1])
 
 
 def test_trig_tables_are_cached_and_read_only():
@@ -497,20 +507,21 @@ def test_trig_tables_are_cached_and_read_only():
     _forget_pairs()
     cos = np.ones((2, 16))
     first = sp.grid_values(cos, cos, 64)
-    assert np.max(np.abs(sp.grid_coefficients(first, 16)[1] - cos)) < 1e-14
+    assert np.max(np.abs(sp.transform(16, 64)[1](first) - cos)) < 1e-14
     info = sp.transform.cache_info()
     assert (info.misses, info.hits) == (1, 1) and info.maxsize is not None
     values, coefficients, derivative = sp.transform(16, 64)
     stacked = inspect.getclosurevars(values).nonlocals["stacked"]
-    forward = inspect.getclosurevars(coefficients).nonlocals["forward"]
+    cosine_t = inspect.getclosurevars(coefficients).nonlocals["cosine_t"]
     slope = inspect.getclosurevars(derivative).nonlocals["slope"]
-    assert stacked.shape == (32, 64) and forward.shape == (64, 32)
+    assert stacked.shape == (32, 64) and cosine_t.shape == (64, 16)
     assert slope.shape == (64, 32)
-    for table in (stacked, forward, slope):
+    for table in (stacked, cosine_t, slope):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 2.0
     assert sp.transform(16, 64)[0] is values
+    assert sp.transform(16, 64)[1] is coefficients
     assert sp.transform(16, 64)[2] is derivative
     assert sp.transform.cache_info().misses == 1
 
@@ -518,15 +529,17 @@ def test_trig_tables_are_cached_and_read_only():
 @pytest.mark.parametrize("count, npts", [(1, 3), (1, 4), (8, 33), (16, 64),
                                          (17, 68), (64, 256), (32, 512)])
 def test_tables_are_read_only_at_64_byte_boundaries(count, npts):
-    # the three cached tables of a table grid (N M <= 2^14) are read-only
-    # and start at a 64-byte boundary, so that where the allocator put
-    # them does not set the speed of their products
+    # the cached tables of a table grid (N M <= 2^14) that the three
+    # functions read are read-only and start at a 64-byte boundary, so
+    # that where the allocator put them does not set the speed of their
+    # products; coefficients reads the cosine columns of the forward table
     assert count * npts <= sp.TABLE_MAX_SIZE
     values, coefficients, derivative = sp.transform(count, npts)
-    for f, name in ((values, "stacked"), (coefficients, "forward"),
-                    (derivative, "slope")):
+    for f, name, size in ((values, "stacked", 2),
+                          (coefficients, "cosine_t", 1),
+                          (derivative, "slope", 2)):
         table = inspect.getclosurevars(f).nonlocals[name]
-        assert table.size == 2 * count * npts
+        assert table.size == size * count * npts
         assert not table.flags.writeable
         assert table.ctypes.data % 64 == 0
 
@@ -567,7 +580,7 @@ def test_derivative_by_table_and_by_fft(monkeypatch, count, k):
     j = np.arange(1, count + 1)
     vals = rng.standard_normal((k, npts))
     scale = count * np.max(np.sum(np.abs(vals), axis=1)) * 2.0 / npts
-    cos, sin = sp.grid_coefficients(vals, count)
+    cos, sin = fft_coefficients(vals, count)
     want = np.concatenate((j * sin, -j * cos), axis=1)
     sides = {}
     for size in (BY_TABLE, BY_FFT):
