@@ -390,8 +390,6 @@ def _tail_heavy(state, total, opts):
     TAIL_NORM_TOL of the state's norm `total`."""
     n = state.count
     head = int(np.ceil((1.0 - TAIL_FRACTION) * n))
-    if total == 0.0:
-        return False
     tail = state.cos.copy()
     tail[:, :head] = 0.0
     return sp.norm(tail, opts.norm_params) > TAIL_NORM_TOL * total
@@ -481,8 +479,8 @@ def _mirror(plus, opts):
         sol = p.solution
         shift = st.half_shift(sol.state.count)
         state = st.InterfaceState.from_arrays(fold, shift * sol.state.cos)
-        sup = float(np.abs(st.residual_vector(sol.cfg, sol.c, state)).max(
-            initial=0.0))
+        layout = st.Layout.shared(sol.cfg, fold, state.count)
+        sup = float(np.abs(layout.residual(sol.c, state.cos)).max(initial=0.0))
         if not sup <= opts.newton_tol:
             return None
         image = st.WaveSolution(sol.cfg, sol.c, state, sup, sol.monitors,

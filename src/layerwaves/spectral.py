@@ -317,15 +317,15 @@ def transform(count, npts):
     values' (p = 1: the sine part alone).  Up to TABLE_MAX_SIZE all three
     are products with three tables, made here alone, read-only at 64-byte
     boundaries (_aligned): a (2 count, npts) cos/sin table, whose angles
-    are formed from (j p) mod npts, so they stay below 2 pi, its scaled
-    transpose, whose cosine columns give coefficients, and that with its
-    halves swapped and weighted by +-j.  Above it, values is one inverse
-    real FFT of the half spectrum (cos - i sin) / 2, unnormalized,
-    written into one zeroed half spectrum per rows shape, made on the
-    first call; coefficients and derivative are one forward real FFT
-    each, written into one complex work spectrum per vals shape, made on
-    the first call and read before the call returns, and coefficients
-    reads its real parts alone.  Needs npts > 2 count.
+    are formed from (j p) mod npts, so they stay below 2 pi, the cosine
+    columns of its scaled transpose, which give coefficients, and that
+    transpose with its halves swapped and weighted by +-j.  Above it,
+    values is one inverse real FFT of the half spectrum (cos - i sin) /
+    2, unnormalized, written into one zeroed half spectrum per rows
+    shape, made on the first call; coefficients and derivative are one
+    forward real FFT each, written into one complex work spectrum per
+    vals shape, made on the first call and read before the call returns,
+    and coefficients reads its real parts alone.  Needs npts > 2 count.
     """
     if 2 * count >= npts:
         raise ValueError(f"{npts} points cannot resolve {count} harmonics")
@@ -337,10 +337,10 @@ def transform(count, npts):
         # dx: cosine output j times the sine coefficient, sine output -j cos
         slope = (forward.reshape(npts, 2, count)[:, ::-1] * [[1.0], [-1.0]]
                  * np.arange(1, count + 1)).reshape(npts, 2 * count)
-        stacked, forward, slope = map(_aligned, (stacked, forward, slope))
+        stacked, cosine_t, slope = map(_aligned, (stacked, forward[:, :count],
+                                                  slope))
         # views sliced once: a slice costs about a two-row pass
-        cosine, cosine_t, sine_slope = (stacked[:count], forward[:, :count],
-                                        slope[:, count:])
+        cosine, sine_slope = stacked[:count], slope[:, count:]
 
         def values(rows, out=None):
             return np.matmul(rows, stacked if rows.shape[1] > count

@@ -433,7 +433,8 @@ def solution_at(cfg, c, state, residual_norm=None):
     """Bundle a state with its residual sup and monitor values; the sup
     is computed unless the caller already holds it."""
     if residual_norm is None:
-        res = residual_vector(cfg, c, state)
+        res = Layout.shared(cfg, state.fold, state.count).residual(c,
+                                                                  state.cos)
         residual_norm = float(np.abs(res).max(initial=0.0))
     return WaveSolution(cfg, float(c), state, residual_norm,
                         monitors(cfg, c, state))

@@ -266,6 +266,8 @@ def test_criterion_11_termination_taxonomy(sym_cfg, sym_branch_pair):
     for expected, points in fixtures.items():
         got = ct.detect_termination(branch(points)).kind
         assert got == expected, f"{expected} fixture classified as {got}"
+    assert ct.detect_termination(branch(fixtures[ct.LOOP])).label() == (
+        "loop(period=0.1)")
 
     plus, minus = sym_branch_pair
     taxonomy = {ct.LOOP, ct.BLOW_UP, ct.COLLISION, ct.DEGENERACY,

@@ -73,6 +73,7 @@ def test_bad_widths_exits_2_and_names_constraint(tmp_path, capsys):
     (["continue", "--s", "100"], "overflows below harmonic 256"),
     (["continue", "--sigma", "0.5", "--n", "1024"],
      "overflows below harmonic 1024"),
+    (["evolve", "--dt", "10"], "exceeds the stability limit"),
 ])
 def test_out_of_range_option_exits_2(args, message, tmp_path, capsys):
     code = run_cli(args + ["--a", "-1,1,-1,1", "--m", "1"], tmp_path)
@@ -164,6 +165,8 @@ def _wave_with_count(count):
                  "too large", id="huge-int-coefficient"),
     pytest.param(_wave_with_fold(1).replace("2.2", "1" + "0" * 400),
                  "too large", id="huge-int-speed"),
+    pytest.param(_wave_with_fold(1).replace("2.2", "NaN"),
+                 "c=nan is not finite", id="nan-speed"),
     pytest.param(_wave_with_fold(1).replace("-1,", "-1" + "0" * 400 + ",", 1),
                  "too large", id="huge-int-velocity"),
 ])
@@ -196,6 +199,7 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     ("sigma = wide", "sigma must be a number"),
     ("a = -1,1,x,1", "a must be a number"),
     ("arm = up", "arm must be both, + or -"),
+    ("n 16", "malformed config line: 'n 16'"),
 ])
 def test_config_file_unparsable_value_exits_2(line, message, tmp_path,
                                               capsys):
@@ -290,6 +294,8 @@ def test_missing_subcommand_exits_2(capsys):
 def test_malformed_flag_exits_2(capsys):
     assert cli.main(["speeds", "--a"]) == 2
     capsys.readouterr()
+    assert cli.main(["speeds"]) == 2
+    assert "missing interface velocities" in capsys.readouterr().err
 
 
 def test_local_successive_consistent_with_sign_rule(tmp_path):
@@ -498,6 +504,8 @@ def test_program_path_builds_no_series(tmp_path, monkeypatch):
                     "--periods", "0.05"], tmp_path) == 0
     assert run_cli(["ep", "--a", "-1,1,-1,1", "--from-wave", wave],
                    tmp_path) == 0
+    assert (tmp_path / "trajectory.csv").exists()
+    assert (tmp_path / "ep.json").exists()
     assert not (tmp_path / "error.json").exists()
     with pytest.raises(AssertionError, match="TrigSeries"):
         spectral.TrigSeries.from_cos(1, [1.0])

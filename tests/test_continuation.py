@@ -104,6 +104,17 @@ class TestNewtonCorrect:
         with pytest.raises(CorrectionFailedError, match="non-finite guess"):
             ct.newton_correct(sym_cfg, (1.0, bad), make_constraint(n), 1, n)
 
+    def test_singular_dense_solve_fails_the_correction(self, sym_expansion,
+                                                      sym_cfg):
+        # a zero arclength tangent leaves the bordered matrix a zero row
+        n = 16
+        zero = ct.ArclengthConstraint(np.zeros(1 + 4 * n), np.zeros(1 + 4 * n),
+                                      0.0)
+        with pytest.raises(CorrectionFailedError,
+                           match="^correction-failed: Singular matrix$"):
+            ct.newton_correct(sym_cfg, lb.predictor(sym_expansion, 1e-2,
+                                                    count=n), zero, 1, n)
+
     def test_gmres_step_at_a_zero_of_q_fails_the_correction(self, sym_cfg):
         # at c = a_plus1 the trivial state has q = 0 on a whole row: the
         # transport preconditioner divides by it, so the GMRES step is

@@ -30,6 +30,10 @@ class TestClassify:
             pc.classify_config([0, 1, 2, 4])
         with pytest.raises(ConfigError):
             pc.classify_config([0, 0, 1, 1])  # zero width
+        with pytest.raises(ConfigError, match="non-finite velocities"):
+            pc.classify_config([np.nan, 1, 2, 3])
+        with pytest.raises(ConfigError, match="expected four velocities"):
+            pc.classify_config([0, 1, 2])
 
 
 class TestModeMatrix:
@@ -211,6 +215,8 @@ class TestTransversality:
         cfg = pc.classify_config([-1, 1, -1, 1])
         assert pc.transversality(1, cfg, SQRT5) == pytest.approx(-SQRT5 / 2.0,
                                                                  abs=1e-12)
+        with pytest.raises(DegenerateSpeedError):  # below 1e-10 far away
+            pc.transversality(1, cfg, 1e6)
 
     def test_sign_flips_between_speed_pair(self):
         cfg = pc.classify_config([-1, 1, -1, 1])
@@ -308,6 +314,18 @@ def test_pair_collision_is_at_the_closed_form(W):
         else:
             lo = mid
     assert abs(lo - star) <= 1e-9 and abs(hi - star) <= 1e-9
+
+
+def test_colliding_pair_at_the_switch_is_one_double_speed():
+    # at delta = -delta*, W = 180 the pair meets at (w + delta w)/2: its
+    # computed roots lie within 2% of the tolerance 1e-8 scale apart
+    m, w = 3, 20.0
+    delta = -np.sqrt(1.0 + 8.0 / (w * m ** 2))
+    cfg = pc.classify_config((0.0, w, delta * w, delta * w + w))
+    speeds = pc.bifurcation_speeds(m, cfg).speeds
+    assert sorted(s.multiplicity for s in speeds) == [1, 1, 2]
+    double = next(s.value for s in speeds if s.multiplicity == 2)
+    assert abs(double - 0.5 * (w + delta * w)) <= 1e-9 * cfg.scale()
 
 
 @pytest.mark.parametrize("W", [1.0, 10.0, 100.0])

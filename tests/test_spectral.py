@@ -1,5 +1,7 @@
 import inspect
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -532,7 +534,8 @@ def test_tables_are_read_only_at_64_byte_boundaries(count, npts):
     # the cached tables of a table grid (N M <= 2^14) that the three
     # functions read are read-only and start at a 64-byte boundary, so
     # that where the allocator put them does not set the speed of their
-    # products; coefficients reads the cosine columns of the forward table
+    # products; coefficients reads a table of the forward transform's
+    # cosine columns alone
     assert count * npts <= sp.TABLE_MAX_SIZE
     values, coefficients, derivative = sp.transform(count, npts)
     for f, name, size in ((values, "stacked", 2),
@@ -540,8 +543,20 @@ def test_tables_are_read_only_at_64_byte_boundaries(count, npts):
                           (derivative, "slope", 2)):
         table = inspect.getclosurevars(f).nonlocals[name]
         assert table.size == size * count * npts
+        assert table.base.size == table.size + 7  # _aligned's buffer
         assert not table.flags.writeable
         assert table.ctypes.data % 64 == 0
+
+
+def test_transforms_stay_behind_spectral_transform():
+    # the table-or-FFT choice, the FFTs, any identity table product and
+    # the tables' placement live in spectral.py alone
+    pattern = re.compile(r"TABLE_MAX_SIZE|np\.fft|np\.eye|ctypes\.data")
+    package = Path(__file__).resolve().parents[1] / "src" / "layerwaves"
+    sources = {path.name: path.read_text() for path in package.glob("*.py")}
+    assert pattern.search(sources.pop("spectral.py"))
+    assert sorted(name for name, text in sources.items()
+                  if pattern.search(text)) == []
 
 
 @pytest.mark.parametrize("count", [1, 16, 17, 64])
@@ -600,6 +615,9 @@ def test_norm_values_and_properties():
     f = TrigSeries.from_cos(5, [1.0])
     assert norm(f, NormParams(1.0, 0.5)) == pytest.approx(np.exp(0.5))
     assert norm(zeros(5, 4), NormParams()) == 0.0
+    for s, sigma in ((-1.0, 0.1), (2.0, -0.1)):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            NormParams(s, sigma)
 
     rng = np.random.default_rng(2)
     g = random_series(rng, count=12)
