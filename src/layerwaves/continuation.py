@@ -27,7 +27,9 @@ STEP_LIMIT = "step_limit"
 
 GROWTH = 1.3                 # step-size growth factor
 FAST_ITERS = 4               # grow the step when Newton is this fast
-MAX_NEWTON = 25
+# Newton iterations before a correction fails: the most that a converging
+# correction of the benchmark's arms takes (README)
+MAX_NEWTON = 16
 LOOP_TOL = 1e-8
 BLOW_UP_CAP = 1e6
 COLLISION_TOL = 1e-6

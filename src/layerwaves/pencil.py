@@ -31,6 +31,11 @@ SYMMETRIC = "symmetric"
 SUCCESSIVE = "successive"
 
 _EQ_TOL = 1e-12
+# np.roots returns a double root of the quartic as two roots about
+# sqrt(eps) * scale apart (at most 3.7 times that on the two-or-four
+# switch layers (0, w, +-d* w, +-d* w + w), m = 1-3, w = 1/1000-1000),
+# so roots closer than this share of LayerConfig.scale() are one root.
+DOUBLE_ROOT_TOL = 8.0 * math.sqrt(np.finfo(float).eps)
 
 # Every speed of mode j is an eigenvalue of diag(a) + B / j^2, B the
 # fixed part of the pencil, so |c| <= max|a_i| + 4 and no entry
@@ -180,7 +185,7 @@ def bifurcation_speeds(m, cfg):
         roots = quartic_roots(m, cfg)
         records = []
         used = np.zeros(len(roots), dtype=bool)
-        tol = 1e-8 * cfg.scale()
+        tol = DOUBLE_ROOT_TOL * cfg.scale()
         for i, z in enumerate(roots):
             if used[i]:
                 continue

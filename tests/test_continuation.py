@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -1007,6 +1008,57 @@ def test_scan_arms_match_four_row_arms():
                                  _trace_on_four_rows(origin, +1, opts))
                 arms += 1
     assert arms == 36
+
+
+# (layer, fold, admissible speed index) of scan-small + arms: the first
+# converges one correction in 16 iterations, the second one in 11
+CAP_CASES = [((0.108, 1.781, 1.241, 2.914), 2, 1),
+             ((-1.001, -0.016, -1.982, -0.997), 3, 0)]
+
+
+def test_newton_cap_keeps_the_arms_of_a_higher_cap(monkeypatch):
+    # at scan-small's options these arms end as they do with 25
+    # iterations allowed, bit for bit, and the first needs the whole cap
+    opts = ct.ContinuationOptions(count=16, max_count=16, max_points=12)
+    cap = ct.MAX_NEWTON
+    arms = []
+    for limit in (cap, 25):
+        monkeypatch.setattr(ct, "MAX_NEWTON", limit)
+        arms.append([])
+        for a, m, k in CAP_CASES:
+            cfg = pc.classify_config(a)
+            origin = lb.local_expansion(
+                m, cfg, pc.bifurcation_speeds(m, cfg).admissible()[k])
+            arms[-1].append(ct.trace_arm(origin, +1, opts))
+    for got, want in zip(*arms):
+        assert got.termination.label() == want.termination.label()
+        assert len(got.points) == len(want.points)
+        for p, q in zip(got.points, want.points):
+            assert p.solution.c == q.solution.c
+            assert (p.solution.state.cos.tobytes()
+                    == q.solution.state.cos.tobytes())
+    assert max(p.newton_iters for p in arms[0][0].points) == cap
+
+
+def test_survey_runs_on_one_layer():
+    # tests/survey.py on one scan layer: its two arms per mode that start
+    # end blow_up at N = 256, and the others say why they cannot start
+    import survey
+
+    a = (-1.001, -0.016, -1.982, -0.997)
+    lines = list(survey.survey([a]))
+    assert len(lines) == 12
+    for line, (m, k) in zip(lines, [(m, k) for m in (1, 2, 3)
+                                    for k in range(4)]):
+        head = f"a=-1.001,-0.016,-1.982,-0.997 m={m} k={k} "
+        assert line.startswith(head)
+        if k in (0, 3):
+            assert re.fullmatch(r"blow_up points=\d+ N=256 c=\S+ "
+                                r"coef=[0-9a-f]{16}", line[len(head):])
+        elif m < 3:
+            assert line.endswith(f"after {ct.MAX_NEWTON} iterations")
+        else:
+            assert "cannot-start: correction-failed: GMRES stalled" in line
 
 
 def test_four_rows_off_the_fixed_space(monkeypatch):

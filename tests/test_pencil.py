@@ -328,6 +328,40 @@ def test_colliding_pair_at_the_switch_is_one_double_speed():
     assert abs(double - 0.5 * (w + delta * w)) <= 1e-9 * cfg.scale()
 
 
+def _switch_speeds(m, w, delta):
+    """The layer (0, w, delta w, delta w + w) and its mode-m speeds."""
+    cfg = pc.classify_config((0.0, w, delta * w, delta * w + w))
+    return cfg, pc.bifurcation_speeds(m, cfg)
+
+
+def test_split_double_root_is_one_double_speed():
+    # at (0, 1, 3, 4), m = 1, np.roots returns the colliding pair as
+    # 1.99999993 and 2.00000007, 1.75 sqrt(eps) scale apart: one double
+    # speed, and two admissible speeds, not four
+    cfg, speeds = _switch_speeds(1, 1.0, 3.0)
+    roots = np.sort(pc.quartic_roots(1, cfg).real)
+    assert 1e-8 * cfg.scale() < roots[2] - roots[1] < pc.DOUBLE_ROOT_TOL * (
+        cfg.scale())
+    assert len(speeds.admissible()) == 2
+    double = next(s for s in speeds.speeds if s.multiplicity == 2)
+    assert not double.admissible
+    assert abs(double.value - 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_every_switch_layer_has_one_double_speed(m):
+    # at delta = +-delta*, w = 1/8..8, the pair meets at (w + delta w)/2
+    for w in 2.0 ** np.arange(-3, 4):
+        star = float(np.sqrt(1.0 + 8.0 / (w * m ** 2)))
+        for delta in (star, -star):
+            cfg, speeds = _switch_speeds(m, w, delta)
+            assert sorted(s.multiplicity for s in speeds.speeds) == [1, 1, 2]
+            assert len(speeds.admissible()) == 2
+            double = next(s.value for s in speeds.speeds
+                          if s.multiplicity == 2)
+            assert abs(double - 0.5 * (w + delta * w)) <= 1e-9 * cfg.scale()
+
+
 @pytest.mark.parametrize("W", [1.0, 10.0, 100.0])
 def test_colliding_pair_transversality_decays_as_a_square_root(W):
     # past delta*, the two speeds born there are the closest admissible
