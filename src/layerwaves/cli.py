@@ -56,27 +56,11 @@ class RunConfig:
     periods: float = 1.0
     store_every: int = 0
 
-    def to_json(self):
-        d = asdict(self)
-        d["a"] = list(self.a)
-        return d
 
-
-# The flags of every command, and each command's help and own flags.
+# The flags of every command (each command's own are in COMMANDS).
 # A flag --x-y sets the RunConfig field x_y; --config names a flat
 # key = value file of the command's own fields, which flags override.
 COMMON_OPTIONS = ("a", "m", "n", "s", "sigma", "tol", "config", "out")
-COMMANDS = {
-    "speeds": ("bifurcation speeds of one mode", ()),
-    "local": ("local pitchfork data at one speed", ("speed_index",)),
-    "continue": ("continue a branch to large amplitude",
-                 ("speed_index", "arm", "s0", "h_min", "h_max",
-                  "max_points", "snapshot_every")),
-    "evolve": ("Hamiltonian time evolution",
-               ("from_wave", "speed_index", "amp", "dt", "steps", "periods",
-                "store_every")),
-    "ep": ("two-fluid correspondence and residuals", ("from_wave",)),
-}
 HELP = {
     "a": "four interface velocities w,x,y,z",
     "m": "fold symmetry",
@@ -185,7 +169,7 @@ def build_parser():
         description="Traveling waves and bifurcation branches of "
                     "two-species plasma interface layers")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, own) in COMMANDS.items():
+    for command, (text, own, _) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
         for name in COMMON_OPTIONS + own:
             p.add_argument(flag(name), action="append", help=HELP[name])
@@ -214,9 +198,9 @@ def parse(argv):
     for key, given in vars(ns).items():
         if key == "command" or given is None:
             continue
-        if isinstance(given[-1], list):  # argparse's value of "--key=--"
+        if any(isinstance(val, list) for val in given):  # "--key=--"
             raise ConfigError(f"option {key!r} needs a value")
-        flags[key] = [val for val in given if not isinstance(val, list)]
+        flags[key] = given
     config = flags.pop("config", [""])[-1]
     values = {key: [val] for key, val in
               (_read_config_file(config) if config else {}).items()}
@@ -261,14 +245,14 @@ def _pick_speed(run, layer):
 
 def _write_json(path, payload, run):
     payload = dict(payload)
-    payload["config"] = run.to_json()
+    payload["config"] = asdict(run)
     path.write_text(json.dumps(payload))
 
 
 def _write_csv(path, rows, run, footer=None):
     """Rows keyed by column name, under one header of the first row's keys."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# config: {json.dumps(run.to_json())}\n")
+        fh.write(f"# config: {json.dumps(asdict(run))}\n")
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
@@ -279,14 +263,12 @@ def _write_csv(path, rows, run, footer=None):
 def _cmd_speeds(run, layer, outdir):
     speed_set = pc.bifurcation_speeds(run.m, layer)
     _write_json(outdir / "speeds.json", speed_set.to_json(), run)
-    return 0
 
 
 def _cmd_local(run, layer, outdir):
     c_star = _pick_speed(run, layer)
     expansion = lb.local_expansion(run.m, layer, c_star)
     _write_json(outdir / "local.json", expansion.to_json(), run)
-    return 0
 
 
 def _make_options(run):
@@ -323,7 +305,6 @@ def _cmd_continue(run, layer, outdir):
         diagram += [{"arm": tag, "s": r["s"], "c": r["c"], "amp": r["amp"]}
                     for r in rows]
     _write_csv(outdir / "diagram.csv", diagram, run)
-    return 0
 
 
 def _load_wave(path):
@@ -388,7 +369,6 @@ def _cmd_evolve(run, layer, outdir, wave=None):
     store = run.store_every or max(steps // 200, 1)
     trajectory = dy.evolve(layer, phase, dt, steps, store_every=store)
     _write_csv(outdir / "trajectory.csv", trajectory.csv_rows(), run)
-    return 0
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is diagnosed
@@ -407,12 +387,22 @@ def _cmd_ep(run, layer, outdir, wave=None):
     _write_csv(outdir / "ep_residual.csv",
                [{"component": k, "sup": v} for k, v in sorted(sups.items())],
                run)
-    return 0
 
 
-_COMMANDS = {"speeds": _cmd_speeds, "local": _cmd_local,
-             "continue": _cmd_continue, "evolve": _cmd_evolve,
-             "ep": _cmd_ep}
+# Each command's help, its own flags and its handler, which writes the
+# command's output files.
+COMMANDS = {
+    "speeds": ("bifurcation speeds of one mode", (), _cmd_speeds),
+    "local": ("local pitchfork data at one speed", ("speed_index",),
+              _cmd_local),
+    "continue": ("continue a branch to large amplitude",
+                 ("speed_index", "arm", "s0", "h_min", "h_max",
+                  "max_points", "snapshot_every"), _cmd_continue),
+    "evolve": ("Hamiltonian time evolution",
+               ("from_wave", "speed_index", "amp", "dt", "steps", "periods",
+                "store_every"), _cmd_evolve),
+    "ep": ("two-fluid correspondence and residuals", ("from_wave",), _cmd_ep),
+}
 
 
 def execute(run):
@@ -422,13 +412,15 @@ def execute(run):
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from None
+    _, own, handler = COMMANDS[run.command]
     try:
-        if run.from_wave and "from_wave" in COMMANDS[run.command][1]:
+        if run.from_wave and "from_wave" in own:
             # from here on, outputs and error.json record the wave's run
             layer, c, state = _load_wave(run.from_wave)
             run = _wave_run(run, layer, state)
-            return _COMMANDS[run.command](run, layer, outdir, (c, state))
-        return _COMMANDS[run.command](run, layer, outdir)
+            handler(run, layer, outdir, (c, state))
+        else:
+            handler(run, layer, outdir)
     except ConfigError:
         raise
     except LayerError as exc:
@@ -436,6 +428,7 @@ def execute(run):
                     {"error": type(exc).__name__, "message": str(exc)}, run)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main(argv=None):

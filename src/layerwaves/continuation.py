@@ -243,6 +243,8 @@ def newton_correct(cfg, guess, constraint, fold, count,
                    tol=ContinuationOptions.newton_tol):
     """Damped Newton on [residual; arclength constraint].
 
+    The guess, tangent and base are all (c, four rows of N) vectors.
+
     Iterates on u = (c, carried rows) of one steady.Layout: the plus
     rows alone, 2N + 1 unknowns, if the guess, the constraint's tangent
     and its base lie on a symmetric layer's fixed space
@@ -261,13 +263,11 @@ def newton_correct(cfg, guess, constraint, fold, count,
     its GMRES iterations and dense solves.  Raises CorrectionFailedError
     on non-finite input, a GMRES stall or no convergence.
     """
-    c0, state0 = guess
-    cos = state0.with_count(count).cos
-    t_cos, b_cos = (v[1:].reshape(4, count)
-                    for v in (constraint.tangent, constraint.base))
+    cos, t_cos, b_cos = (v[1:].reshape(4, count)
+                         for v in (guess, constraint.tangent, constraint.base))
     layout = st.Layout.shared(cfg, fold, count,
                               st.on_fixed_space(cfg, cos, t_cos, b_cos))
-    u = layout.stack(c0, cos)
+    u = layout.stack(guess[0], cos)
     if not np.all(np.isfinite(u)):
         raise CorrectionFailedError("correction-failed: non-finite guess")
     constraint = ArclengthConstraint(
@@ -430,12 +430,10 @@ def _advance(branch, u_prev, tangent, ds):
     opts = branch.options
     cfg, fold = branch.origin.cfg, branch.origin.m
     count = branch.points[-1].solution.state.count
-    layout = st.Layout.shared(cfg, fold, count)
     while (status := detect_termination(branch)) == RUNNING:
-        c, rows = layout.unstack(u_prev + ds * tangent)
         try:
             sol, iters = newton_correct(
-                cfg, (c, st.InterfaceState.from_arrays(fold, rows)),
+                cfg, u_prev + ds * tangent,
                 ArclengthConstraint(tangent, u_prev, ds), fold, count,
                 opts.newton_tol)
             secant = _secant(sol, u_prev)
@@ -448,12 +446,11 @@ def _advance(branch, u_prev, tangent, ds):
             continue
         norm = sol.state.norm(opts.norm_params)
         if count * 2 <= opts.max_count and _tail_heavy(sol.state, norm, opts):
-            wide = st.Layout.shared(cfg, fold, 2 * count)
             u_prev, tangent = (  # zero-padded to harmonics 1..2N
-                wide.stack(v[0], np.pad(layout.unstack(v)[1], [(0, 0),
-                                                               (0, count)]))
+                np.append(v[0], np.pad(v[1:].reshape(4, count),
+                                       [(0, 0), (0, count)]))
                 for v in (u_prev, tangent))
-            layout, count = wide, 2 * count
+            count *= 2
             continue
         if iters <= FAST_ITERS:
             ds = min(ds * GROWTH, opts.h_max)
@@ -515,10 +512,10 @@ def trace_arm(origin, arm, opts, plus=None):
     vnorm = float(np.linalg.norm(kernel))
     ds = opts.s0 * vnorm
     constraint = ArclengthConstraint((arm / vnorm) * kernel, u0, ds)
+    c, state = lb.predictor(origin, arm * opts.s0, count=count)
     try:
-        sol, iters = newton_correct(
-            origin.cfg, lb.predictor(origin, arm * opts.s0, count=count),
-            constraint, fold, count, opts.newton_tol)
+        sol, iters = newton_correct(origin.cfg, layout.stack(c, state.cos),
+                                    constraint, fold, count, opts.newton_tol)
         secant = _secant(sol, u0)
     except CorrectionFailedError as exc:
         raise CannotStartError(f"cannot-start: {exc}") from exc

@@ -83,7 +83,7 @@ def _row_energy(layout, x):
     part is that of the plus rows, so it is doubled, and the charge
     difference is read through the layout's weight 1 - T."""
     count = layout.w.size
-    vals = layout._values(x) + layout.a
+    vals = layout.values(x) + layout.a
     e_kin = (4 // layout.k) * float(
         np.mean((SIDE[:layout.k] @ (vals * vals * vals)) / 6.0))
     q = layout.charge @ x

@@ -160,12 +160,12 @@ class SpeedSet:
                 "speeds": [s.to_json() for s in self.speeds]}
 
 
-def _is_real(z, tol_scale=1e-9):
-    return abs(z.imag) <= tol_scale * (1.0 + abs(z.real))
+def _is_real(z):
+    return abs(z.imag) <= 1e-9 * (1.0 + abs(z.real))
 
 
-def _near_component(c, cfg, tol_scale=1e-10):
-    return bool(np.min(np.abs(cfg.as_array() - c)) <= tol_scale * cfg.scale())
+def _near_component(c, cfg):
+    return bool(np.min(np.abs(cfg.as_array() - c)) <= 1e-10 * cfg.scale())
 
 
 def quartic_roots(m, cfg):

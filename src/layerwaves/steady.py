@@ -102,7 +102,7 @@ class Layout:
     (dynamics.evolve) carries, at one fold and truncation N, and the
     evolution operator on (k, N) cosine rows of them (tendency) and on
     (k, 2N) cosine then sine rows (stage), each one inverse transform
-    and one derivative (spectral.transform), the latter's output scaled.
+    (values) and one derivative, scaled (spectral.transform).
 
     Either the four components (k = 4), or, on a layer with a_plus ==
     a_minus, the two plus rows (k = 2) of a state on the fixed space
@@ -132,7 +132,7 @@ class Layout:
         npts = sp.PRODUCT_GRID_FACTOR * count
         self._half_fold = -0.5 * fold
         self._twice_a = np.repeat(2.0 * self.a, npts, axis=1)
-        self._values, self._coefficients, self._derivative = sp.transform(
+        self.values, self._coefficients, self._derivative = sp.transform(
             count, npts)
         self._index = None  # jacobian's index tables, made on its first call
         for table in (self.w, self.a, self.coupling, self._twice_a):
@@ -200,7 +200,7 @@ class Layout:
     def _square(self, x, vals=None):
         """g = r (r + 2a) on the product grid, r the values of rows x,
         written into vals if given."""
-        vals = self._values(x, vals)
+        vals = self.values(x, vals)
         g = vals + self._twice_a
         g *= vals
         return g
@@ -311,7 +311,7 @@ class Layout:
         forward transform, preconditioned two of each.  A zero of q shows
         as non-finite output.
         """
-        values, coefficients = self._values, self._coefficients
+        values, coefficients = self.values, self._coefficients
         neg_w, coupling, charge = -self.w, self.coupling, self.charge
         q = (values(rows) if grid is None else grid) + (self.a - c)
         inv_q = 1.0 / q

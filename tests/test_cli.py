@@ -74,6 +74,7 @@ def test_bad_widths_exits_2_and_names_constraint(tmp_path, capsys):
     (["continue", "--sigma", "0.5", "--n", "1024"],
      "overflows below harmonic 1024"),
     (["evolve", "--dt", "10"], "exceeds the stability limit"),
+    (["speeds", "--n=--", "--n", "64"], "option 'n' needs a value"),
 ])
 def test_out_of_range_option_exits_2(args, message, tmp_path, capsys):
     code = run_cli(args + ["--a", "-1,1,-1,1", "--m", "1"], tmp_path)
@@ -650,7 +651,7 @@ FUZZ_VALUES = {
 }
 FUZZ_OPTIONS = {  # options of each command besides the common ones
     command: [cli.flag(name) for name in own]
-    for command, (_, own) in cli.COMMANDS.items()}
+    for command, (_, own, _) in cli.COMMANDS.items()}
 FUZZ_COMMON = [cli.flag(name) for name in cli.COMMON_OPTIONS]
 FUZZ_JUNK = ["", "-", "--", "--bogus", "--help", "-h", "x", "=", "--a=",
              "--n=", "é", "1,2", "None", "\x00"]

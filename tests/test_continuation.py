@@ -35,7 +35,8 @@ class TestNewtonCorrect:
         tangent[0] = 1.0
         base = np.concatenate([[0.3], np.zeros(4 * n)])
         constraint = ct.ArclengthConstraint(tangent, base, 0.0)
-        sol, iters = ct.newton_correct(sym_cfg, (0.3, z), constraint, 1, n)
+        sol, iters = ct.newton_correct(sym_cfg, np.append(0.3, z.cos),
+                                       constraint, 1, n)
         assert iters == 0
         assert sol.c == 0.3
         assert sol.residual_norm == 0.0
@@ -65,8 +66,7 @@ class TestNewtonCorrect:
                 monkeypatch.setattr(st, "on_fixed_space",
                                     lambda cfg, *cos: False)
             calls.clear()
-            sol, iters = ct.newton_correct(sym_cfg, (c_g, state_g),
-                                           constraint, 1, n)
+            sol, iters = ct.newton_correct(sym_cfg, u0, constraint, 1, n)
             assert iters >= 1
             assert {len(rows) for _, rows in calls} == (
                 {4} if four_rows else {2, 4})
@@ -86,8 +86,8 @@ class TestNewtonCorrect:
         ds = float(np.dot(tangent,
                           np.concatenate([[c_g], state_g.as_vector()]) - u0))
         constraint = ct.ArclengthConstraint(tangent, u0, ds)
-        sol, iters = ct.newton_correct(sym_cfg, (c_g, state_g), constraint,
-                                       1, n)
+        sol, iters = ct.newton_correct(sym_cfg, np.append(c_g, state_g.cos),
+                                       constraint, 1, n)
         assert sol.residual_norm <= 1e-11
         assert iters <= 5  # superlinear from an O(s^2)-accurate guess
 
@@ -97,13 +97,14 @@ class TestNewtonCorrect:
         n = 4
         zero = st.InterfaceState.zero(1, n)
         with pytest.raises(CorrectionFailedError, match="non-finite guess"):
-            ct.newton_correct(sym_cfg, (np.inf, zero), make_constraint(n),
-                              1, n)
+            ct.newton_correct(sym_cfg, np.append(np.inf, zero.cos),
+                              make_constraint(n), 1, n)
         cos = np.zeros((4, n))
         cos[2, 1] = np.nan
         bad = st.InterfaceState.from_arrays(1, cos)
         with pytest.raises(CorrectionFailedError, match="non-finite guess"):
-            ct.newton_correct(sym_cfg, (1.0, bad), make_constraint(n), 1, n)
+            ct.newton_correct(sym_cfg, np.append(1.0, bad.cos),
+                              make_constraint(n), 1, n)
 
     def test_singular_dense_solve_fails_the_correction(self, sym_expansion,
                                                       sym_cfg):
@@ -111,10 +112,10 @@ class TestNewtonCorrect:
         n = 16
         zero = ct.ArclengthConstraint(np.zeros(1 + 4 * n), np.zeros(1 + 4 * n),
                                       0.0)
+        c, state = lb.predictor(sym_expansion, 1e-2, count=n)
         with pytest.raises(CorrectionFailedError,
                            match="^correction-failed: Singular matrix$"):
-            ct.newton_correct(sym_cfg, lb.predictor(sym_expansion, 1e-2,
-                                                    count=n), zero, 1, n)
+            ct.newton_correct(sym_cfg, np.append(c, state.cos), zero, 1, n)
 
     def test_gmres_step_at_a_zero_of_q_fails_the_correction(self, sym_cfg):
         # at c = a_plus1 the trivial state has q = 0 on a whole row: the
@@ -124,7 +125,7 @@ class TestNewtonCorrect:
         zero = st.InterfaceState.zero(1, n)
         with pytest.raises(CorrectionFailedError,
                            match="^correction-failed: non-finite GMRES step$"):
-            ct.newton_correct(sym_cfg, (-1.0, zero),
+            ct.newton_correct(sym_cfg, np.append(-1.0, zero.cos),
                               make_constraint(n, ds=0.5), 1, n)
 
     def test_overflowing_trials_are_damped_without_warnings(self, sym_cfg):
@@ -140,7 +141,8 @@ class TestNewtonCorrect:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(CorrectionFailedError, match="damping"):
-                ct.newton_correct(sym_cfg, (1.0, state), constraint, 1, n)
+                ct.newton_correct(sym_cfg, np.append(1.0, state.cos),
+                                  constraint, 1, n)
 
 
 class TestBranch:
@@ -649,7 +651,6 @@ def test_krylov_step_matches_the_reference_gmres(default_plus_arms,
     fold, count = sol.state.fold, sol.state.count
     layout = st.Layout.shared(sol.cfg, fold, count)
     u = layout.stack(sol.c, sol.state.cos)
-    c, rows = layout.unstack(u + start.next_step * start.tangent)
     steps = []
     krylov_step = ct._krylov_step
 
@@ -662,7 +663,7 @@ def test_krylov_step_matches_the_reference_gmres(default_plus_arms,
         return taken
 
     monkeypatch.setattr(ct, "_krylov_step", keep)
-    ct.newton_correct(sol.cfg, (c, st.InterfaceState.from_arrays(fold, rows)),
+    ct.newton_correct(sol.cfg, u + start.next_step * start.tangent,
                       ct.ArclengthConstraint(start.tangent, u,
                                              start.next_step),
                       fold, count)
@@ -735,8 +736,7 @@ class TestKrylovNewton:
         constraint = ct.ArclengthConstraint(prev.tangent, u, prev.next_step)
         guess = u + prev.next_step * prev.tangent
         count = sol.state.count
-        return ((guess[0], from_vector(1, count, guess[1:])),
-                constraint, count)
+        return guess, constraint, count
 
     def test_stalled_gmres_fails_the_correction(self, default_plus_arms,
                                                 sym_cfg, monkeypatch):
@@ -794,9 +794,8 @@ class TestKrylovNewton:
         monkeypatch.setattr(st.Layout, "jacobian", _refuse)
         tracemalloc.start()
         try:
-            got, iters = ct.newton_correct(
-                sym_cfg, (sol.c, st.InterfaceState.from_arrays(1, cos)),
-                constraint, 1, n)
+            got, iters = ct.newton_correct(sym_cfg, np.append(sol.c, cos),
+                                           constraint, 1, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1059,6 +1058,12 @@ def test_survey_runs_on_one_layer():
             assert line.endswith(f"after {ct.MAX_NEWTON} iterations")
         else:
             assert "cannot-start: correction-failed: GMRES stalled" in line
+    # its digest mode: one SHA-256 per arm set, the same on a second run
+    digests = list(survey.digests([a]))
+    assert [d.split()[0] for d in digests] == ["survey", "scan-small",
+                                               "default", "evolve-period"]
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", d) for d in digests)
+    assert list(survey.digests([a])) == digests
 
 
 def test_four_rows_off_the_fixed_space(monkeypatch):
@@ -1085,13 +1090,13 @@ def test_four_rows_off_the_fixed_space(monkeypatch):
     u0 = np.concatenate([[c], state.as_vector()])
     constraint = ct.ArclengthConstraint(u0 / np.linalg.norm(u0), u0, 0.0)
     rows.clear()
-    ct.newton_correct(sym.cfg, (c, state), constraint, 1, 16)
+    ct.newton_correct(sym.cfg, u0, constraint, 1, 16)
     assert rows == [2, 4]
     cos = state.cos.copy()
     cos[3, 2] = 1e-9
     rows.clear()
-    sol, iters = ct.newton_correct(
-        sym.cfg, (c, st.InterfaceState.from_arrays(1, cos)), constraint, 1, 16)
+    sol, iters = ct.newton_correct(sym.cfg, np.append(c, cos), constraint,
+                                   1, 16)
     assert rows == [4] and iters >= 1
     assert sol.residual_norm <= 1e-11
 
@@ -1105,10 +1110,10 @@ def test_gmres_correction_makes_no_jacobian_index(
     c, state = lb.predictor(sym_expansion, 1e-2, count=n)
     u0 = np.concatenate([[c], state.as_vector()])
     constraint = ct.ArclengthConstraint(u0 / np.linalg.norm(u0), u0, 0.0)
-    sol, iters = ct.newton_correct(sym_cfg, (c, state), constraint, 1, n)
+    sol, iters = ct.newton_correct(sym_cfg, u0, constraint, 1, n)
     assert iters >= 1 and sol.dense_solves == 0 and made == []
     monkeypatch.setattr(ct, "KRYLOV_MIN_COUNT", 10 ** 9)
-    sol, iters = ct.newton_correct(sym_cfg, (c, state), constraint, 1, n)
+    sol, iters = ct.newton_correct(sym_cfg, u0, constraint, 1, n)
     assert sol.dense_solves == iters >= 2
     assert made == [st.Layout.shared(sym_cfg, 1, n, True)]
 
@@ -1126,8 +1131,8 @@ def test_dense_correction_does_not_depend_on_the_jacobian_assembly(
     u = np.concatenate([[sol.c], sol.state.as_vector()])
     ds = 2.0 * prev.next_step
     guess = u + ds * prev.tangent
-    args = (origin.cfg, (guess[0], from_vector(1, 16, guess[1:])),
-            ct.ArclengthConstraint(prev.tangent, u, ds), 1, 16)
+    args = (origin.cfg, guess, ct.ArclengthConstraint(prev.tangent, u, ds),
+            1, 16)
     want, want_iters = ct.newton_correct(*args)
 
     calls = []
@@ -1158,7 +1163,7 @@ def test_dense_iterations_allocate_no_matrix(gen_cfg, monkeypatch):
     c, state = lb.predictor(origin, 0.2, count=n)
     u0 = np.concatenate([[c], state.as_vector()])
     constraint = ct.ArclengthConstraint(u0 / np.linalg.norm(u0), u0, 0.0)
-    args = (gen_cfg, (c, state), constraint, 1, n)
+    args = (gen_cfg, u0, constraint, 1, n)
     ct.newton_correct(*args)  # the layout's index tables are made
     peaks, mark = [], [0]
     solve = np.linalg.solve

@@ -362,6 +362,22 @@ def test_every_switch_layer_has_one_double_speed(m):
             assert abs(double - 0.5 * (w + delta * w)) <= 1e-9 * cfg.scale()
 
 
+@pytest.mark.xfail(strict=True, reason="the quartic is formed in c, not in "
+                   "c - mean(a): shifted by 5 against a width of 2e-3, "
+                   "np.roots splits the double speed far beyond "
+                   "DOUBLE_ROOT_TOL")
+def test_shifted_switch_layer_has_one_double_speed():
+    # the switch layer at m = 8, w = 2e-3, delta = -delta*, shifted by 5:
+    # the same one double speed and two admissible speeds as unshifted
+    m, w = 8, 2e-3
+    delta = -np.sqrt(1.0 + 8.0 / (w * m ** 2))
+    cfg = pc.classify_config((5.0, 5.0 + w, 5.0 + delta * w,
+                              5.0 + delta * w + w))
+    speeds = pc.bifurcation_speeds(m, cfg)
+    assert sorted(s.multiplicity for s in speeds.speeds) == [1, 1, 2]
+    assert len(speeds.admissible()) == 2
+
+
 @pytest.mark.parametrize("W", [1.0, 10.0, 100.0])
 def test_colliding_pair_transversality_decays_as_a_square_root(W):
     # past delta*, the two speeds born there are the closest admissible

@@ -733,7 +733,7 @@ def test_jacobian_fills_a_bordered_view(a, k, fold, monkeypatch):
 
     monkeypatch.setattr(st.Layout, "jacobian", spy_jacobian)
     monkeypatch.setattr(np.linalg, "solve", spy_solve)
-    sol, iters = ct.newton_correct(cfg, (c, state), constraint, fold, 9)
+    sol, iters = ct.newton_correct(cfg, u0, constraint, fold, 9)
     assert iters == sol.dense_solves == len(solves) == len(iterates) >= 2
     w = np.tile(fold * np.arange(1.0, 10.0), k)  # N = 9
     scale = np.sqrt(4.0 / k)
